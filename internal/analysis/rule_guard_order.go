@@ -10,15 +10,15 @@ import (
 // machinery or be provably ordered. The commit protocol is deadlock-
 // free because every path that holds more than one stm.Guard acquires
 // them in ascending ID order — acquireGuards over a sorted footprint,
-// or a striped collection's lockGuards sweep. A manual second
+// or a striped collection's lockSpan sweep. A manual second
 // Guard.Lock while one is held (directly in the window, or anywhere a
 // call from the window reaches) reintroduces exactly the lock-order
 // inversion the protocol exists to rule out. Three shapes are flagged:
 //
 //   - a loop that acquires guards without releasing inside the body
 //     (a footprint sweep), unless the enclosing function is itself the
-//     sanctioned machinery (named lockGuards or acquireGuards);
-//   - a direct acquisition — Guard.Lock, lockGuards, acquireGuards —
+//     sanctioned machinery (named lockSpan or acquireGuards);
+//   - a direct acquisition — Guard.Lock, lockSpan, acquireGuards —
 //     inside a window or handler body;
 //   - an acquisition reachable through calls from a window or handler.
 //
@@ -51,10 +51,10 @@ func runGuardOrder(p *Pass) {
 			p.reportLexical(stmts, func(root ast.Node) []effect {
 				return guardAcquireEffectsIn(g, info, root)
 			}, seen, func(desc string) string {
-				return desc + " while a guard is already held " + where + "; acquire multi-guard footprints through lockGuards/acquireGuards (ascending ID order), or guard the nesting with an explicit ID() comparison"
+				return desc + " while a guard is already held " + where + "; acquire multi-guard footprints through lockSpan/acquireGuards (ascending ID order), or guard the nesting with an explicit ID() comparison"
 			})
 			p.reportReach(stmts, searcher, seen, func(head, chain string) string {
-				return "call to " + head + " " + where + " acquires another guard (" + chain + "); acquire multi-guard footprints through lockGuards/acquireGuards (ascending ID order)"
+				return "call to " + head + " " + where + " acquires another guard (" + chain + "); acquire multi-guard footprints through lockSpan/acquireGuards (ascending ID order)"
 			})
 		}
 		p.forEachGuardWindow(f, func(w guardWindow) {
@@ -91,7 +91,7 @@ func (p *Pass) checkAcquisitionLoops(f *ast.File, seen map[string]bool) {
 				// Either way, don't descend: a nested loop's ops were
 				// already counted against this one.
 				if lock != token.NoPos && !unlock {
-					msg := "loop acquires a guard every iteration without releasing it; a manual footprint sweep deadlocks against the commit protocol unless it is the lockGuards/acquireGuards machinery itself (ascending ID order)"
+					msg := "loop acquires a guard every iteration without releasing it; a manual footprint sweep deadlocks against the commit protocol unless it is the lockSpan/acquireGuards machinery itself (ascending ID order)"
 					key := dedupKey(lock, msg)
 					if !seen[key] {
 						seen[key] = true
@@ -127,19 +127,11 @@ func loopGuardOps(info *types.Info, body *ast.BlockStmt) (lock token.Pos, unlock
 	return lock, unlock
 }
 
-// guardAcquireOpenerNames are the multi-guard openers whose *call*
-// counts as acquiring more guards when it happens with one already
-// held: the striped collections' sweeps plus the footprint machinery.
-var guardAcquireOpenerNames = map[string]bool{
-	"lockGuards":     true,
-	"lockStripeSpan": true,
-	"lockLanes":      true,
-}
-
 // guardAcquireEffectsIn collects guard acquisitions lexically on the
-// synchronous path under root: Guard.Lock calls and calls to any
-// multi-guard opener (lockGuards, lockStripeSpan, lockLanes,
-// acquireGuards).
+// synchronous path under root: Guard.Lock calls and calls to a
+// multi-guard opener — the striped collections' lockSpan sweep or the
+// footprint machinery's acquireGuards — which count as acquiring more
+// guards when they happen with one already held.
 func guardAcquireEffectsIn(g *CallGraph, info *types.Info, root ast.Node) []effect {
 	var effs []effect
 	g.inspectSyncPath(root, func(n ast.Node) bool {
@@ -150,7 +142,7 @@ func guardAcquireEffectsIn(g *CallGraph, info *types.Info, root ast.Node) []effe
 		if isSTMMethod(info, call, "Guard", "Lock") {
 			effs = append(effs, effect{call.Pos(), "Guard.Lock"})
 		} else if fn := calleeFunc(info, call); fn != nil &&
-			(guardAcquireOpenerNames[fn.Name()] || (fn.Name() == "acquireGuards" && recvNamed(fn) == nil)) {
+			(fn.Name() == "lockSpan" || (fn.Name() == "acquireGuards" && recvNamed(fn) == nil)) {
 			effs = append(effs, effect{call.Pos(), "call to " + fn.Name()})
 		}
 		return true

@@ -153,49 +153,37 @@ func metricsRegistrationInWindow() {
 	guard.Unlock()
 }
 
-// laneSweep models the segmented queue's all-lane hold window
-// (lockLanes/unlockLanes) and the range-striped sorted map's interval
-// span (lockStripeSpan/unlockStripeSpan): calls to them open and close
-// commit-guard hold windows just like lockGuards, so blocking between
-// them convoys every lane/stripe at once.
-type laneSweep struct {
+// stripeSweep models the striped collections' multi-guard hold window
+// (lockSpan/unlockSpan — the segmented queue's all-lane emptiness check,
+// the range-striped sorted map's interval span): calls to the pair open
+// and close commit-guard hold windows just like Guard.Lock/Unlock, so
+// blocking between them convoys every lane/stripe of the span at once.
+type stripeSweep struct {
 	guards []*stm.Guard
 }
 
-func (s *laneSweep) lockLanes() {
-	for _, g := range s.guards {
+func (s *stripeSweep) lockSpan(lo, hi int) {
+	for _, g := range s.guards[lo:hi] {
 		g.Lock()
 	}
 }
 
-func (s *laneSweep) unlockLanes() {
-	for _, g := range s.guards {
+func (s *stripeSweep) unlockSpan(lo, hi int) {
+	for _, g := range s.guards[lo:hi] {
 		g.Unlock()
 	}
 }
 
-func (s *laneSweep) lockStripeSpan(lo, hi int) {
-	for i := lo; i <= hi; i++ {
-		s.guards[i].Lock()
-	}
-}
-
-func (s *laneSweep) unlockStripeSpan(lo, hi int) {
-	for i := lo; i <= hi; i++ {
-		s.guards[i].Unlock()
-	}
-}
-
-func sleepInLaneWindow(s *laneSweep) {
-	s.lockLanes()
+func sleepInLaneWindow(s *stripeSweep) {
+	s.lockSpan(0, len(s.guards))
 	time.Sleep(time.Millisecond) // want commit-window-blocking
-	s.unlockLanes()
+	s.unlockSpan(0, len(s.guards))
 }
 
-func sleepInSpanWindow(s *laneSweep) {
-	s.lockStripeSpan(0, 1)
+func sleepInSpanWindow(s *stripeSweep) {
+	s.lockSpan(0, 2)
 	time.Sleep(time.Millisecond) // want commit-window-blocking
-	s.unlockStripeSpan(0, 1)
+	s.unlockSpan(0, 2)
 }
 
 // suppressedSleep: a reviewed violation is silenced in place.

@@ -1,6 +1,6 @@
 // Package guardorder exercises the guard-order rule: every path that
 // holds more than one stm.Guard must acquire them through the footprint
-// machinery (lockGuards / acquireGuards, which sweep in ascending ID
+// machinery (lockSpan / acquireGuards, which sweep in ascending ID
 // order) or under an explicit ID() comparison. A manual second
 // Guard.Lock while one is held reintroduces the lock-order inversion
 // the commit protocol exists to rule out.
@@ -57,7 +57,7 @@ func perStripe(gs []*stm.Guard) {
 	}
 }
 
-// acquireGuards and lockGuards ARE the machinery: the sweep loop is
+// acquireGuards and lockSpan ARE the machinery: the sweep loop is
 // their job (the real ones sort the footprint by ID first), so the
 // loop check exempts functions with these names.
 func acquireGuards(gs []*stm.Guard) {
@@ -70,14 +70,17 @@ type striped struct {
 	guards []*stm.Guard
 }
 
-func (s *striped) lockGuards() {
-	for _, g := range s.guards {
+// lockSpan/unlockSpan model the striped collections' one multi-guard
+// sweep (a contiguous span of stripes or lanes, ascending ID order by
+// construction).
+func (s *striped) lockSpan(lo, hi int) {
+	for _, g := range s.guards[lo:hi] {
 		g.Lock()
 	}
 }
 
-func (s *striped) unlockGuards() {
-	for _, g := range s.guards {
+func (s *striped) unlockSpan(lo, hi int) {
+	for _, g := range s.guards[lo:hi] {
 		g.Unlock()
 	}
 }
@@ -117,57 +120,21 @@ func handlerGrabs(th *stm.Thread) error {
 	})
 }
 
-// stripeSweepUnderGuard: calling a striped collection's lockGuards
-// while already holding a guard is flagged at the call site.
+// stripeSweepUnderGuard: calling a striped collection's lockSpan while
+// already holding a guard is flagged at the call site — whether the
+// span is every stripe (a whole-map snapshot, a queue's all-lane
+// emptiness check) or a contiguous interval of a sorted map.
 func stripeSweepUnderGuard(s *striped) {
 	guardA.Lock()
-	s.lockGuards() // want guard-order
-	s.unlockGuards()
+	s.lockSpan(0, len(s.guards)) // want guard-order
+	s.unlockSpan(0, len(s.guards))
 	guardA.Unlock()
 }
 
-// lockStripeSpan/unlockStripeSpan model the range-striped sorted map's
-// contiguous-interval sweep; lockLanes/unlockLanes the segmented
-// queue's all-lane sweep. All four are machinery: their loops are
-// their job (ascending ID order by construction).
-func (s *striped) lockStripeSpan(lo, hi int) {
-	for i := lo; i <= hi; i++ {
-		s.guards[i].Lock()
-	}
-}
-
-func (s *striped) unlockStripeSpan(lo, hi int) {
-	for i := lo; i <= hi; i++ {
-		s.guards[i].Unlock()
-	}
-}
-
-func (s *striped) lockLanes() {
-	for _, g := range s.guards {
-		g.Lock()
-	}
-}
-
-func (s *striped) unlockLanes() {
-	for _, g := range s.guards {
-		g.Unlock()
-	}
-}
-
-// spanSweepUnderGuard: a sorted map's interval-span sweep entered with
-// a guard already held is the same inversion as lockGuards.
 func spanSweepUnderGuard(s *striped) {
 	guardA.Lock()
-	s.lockStripeSpan(0, 1) // want guard-order
-	s.unlockStripeSpan(0, 1)
-	guardA.Unlock()
-}
-
-// laneSweepUnderGuard: likewise the segmented queue's all-lane sweep.
-func laneSweepUnderGuard(s *striped) {
-	guardA.Lock()
-	s.lockLanes() // want guard-order
-	s.unlockLanes()
+	s.lockSpan(0, 2) // want guard-order
+	s.unlockSpan(0, 2)
 	guardA.Unlock()
 }
 

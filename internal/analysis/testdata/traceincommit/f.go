@@ -1,8 +1,8 @@
 // Package traceincommit exercises the trace-in-commit rule: inside a
 // commit-guard hold window — opened by stm.Guard.Lock, by a call to a
 // function named acquireGuards, or by a striped collection's
-// lockGuards helper; closed by Guard.Unlock / releaseGuards /
-// unlockGuards — no code may call into the obs package or construct
+// lockSpan helper; closed by Guard.Unlock / releaseGuards /
+// unlockSpan — no code may call into the obs package or construct
 // obs values. Emission belongs after the guards are released.
 package traceincommit
 
@@ -64,29 +64,29 @@ func footprintWindow(tr obs.Tracer, gs []*stm.Guard) {
 }
 
 // stripedMap models a striped collection's all-stripes acquisition
-// helper: lockGuards/unlockGuards are methods (the real helpers hang
-// off the collection instance) that sweep every stripe guard, so a call
+// helper: lockSpan/unlockSpan are methods (the real helpers hang off
+// the collection instance) that sweep a span of stripe guards, so a call
 // to them opens/closes a hold window exactly like Guard.Lock/Unlock.
 type stripedMap struct {
 	guards []*stm.Guard
 }
 
-func (m *stripedMap) lockGuards() {
-	for _, g := range m.guards {
+func (m *stripedMap) lockSpan(lo, hi int) {
+	for _, g := range m.guards[lo:hi] {
 		g.Lock()
 	}
 }
 
-func (m *stripedMap) unlockGuards() {
-	for _, g := range m.guards {
+func (m *stripedMap) unlockSpan(lo, hi int) {
+	for _, g := range m.guards[lo:hi] {
 		g.Unlock()
 	}
 }
 
 func stripedSnapshotWindow(tr obs.Tracer, m *stripedMap) {
-	m.lockGuards()
+	m.lockSpan(0, len(m.guards))
 	tr.Trace(obs.Event{}) // want trace-in-commit trace-in-commit
-	m.unlockGuards()
+	m.unlockSpan(0, len(m.guards))
 	tr.Trace(obs.Event{}) // emission after the stripe sweep is released
 }
 

@@ -12,8 +12,8 @@ import (
 // commit-window-blocking, guard-order) analyze from. Two kinds exist:
 //
 //   - Guard-hold windows: within one block, the statements between a
-//     window-opening statement (Guard.Lock, acquireGuards, lockGuards)
-//     and the closing one (Guard.Unlock, releaseGuards, unlockGuards).
+//     window-opening statement (Guard.Lock, acquireGuards, lockSpan)
+//     and the closing one (Guard.Unlock, releaseGuards, unlockSpan).
 //     The opener itself is excluded — acquisition is not yet "inside" —
 //     and the closer is included (it still runs with the guard held).
 //     A window never closed in its block extends to the block's end,
@@ -95,12 +95,9 @@ func (p *Pass) forEachHandlerBody(f *ast.File, visit func(body *ast.BlockStmt)) 
 //     critical sections), acquireGuards/releaseGuards (the commit
 //     protocol's footprint acquisition — matched by name so the rule
 //     works both on the stm package's unexported helpers and on
-//     fixtures that model them), and the striped collections'
-//     multi-guard sweeps hung off the instance:
-//     lockGuards/unlockGuards (all stripes),
-//     lockStripeSpan/unlockStripeSpan (a contiguous interval span of
-//     a range-striped sorted map), and lockLanes/unlockLanes (all
-//     lanes of a segmented queue).
+//     fixtures that model them), and lockSpan/unlockSpan, the one
+//     multi-guard sweep every striped collection shares (a contiguous
+//     span of stripes or lanes, all of them included).
 //   - Write-set lockwords: lockWriteSet acquires every written var's
 //     lockword in id order; unlockWriteSet (failed commit) and
 //     installWriteSet (successful publish) release them. Between the
@@ -116,21 +113,17 @@ func (p *Pass) forEachHandlerBody(f *ast.File, visit func(body *ast.BlockStmt)) 
 // else); the rest match with or without a receiver.
 var windowOpenNames = map[string]bool{
 	"acquireGuards":   true,
-	"lockGuards":      false,
-	"lockStripeSpan":  false,
-	"lockLanes":       false,
+	"lockSpan":        false,
 	"lockWriteSet":    true,
 	"norecSeqAcquire": true,
 }
 
 var windowCloseNames = map[string]bool{
-	"releaseGuards":    true,
-	"unlockGuards":     false,
-	"unlockStripeSpan": false,
-	"unlockLanes":      false,
-	"unlockWriteSet":   true,
-	"installWriteSet":  true,
-	"norecSeqRelease":  true,
+	"releaseGuards":   true,
+	"unlockSpan":      false,
+	"unlockWriteSet":  true,
+	"installWriteSet": true,
+	"norecSeqRelease": true,
 }
 
 // stmtOpensGuardWindow reports whether stmt directly opens a hold
@@ -179,19 +172,15 @@ func stmtGuardOp(info *types.Info, stmt ast.Stmt, method string, names map[strin
 // window scanning treats calls to them as the window boundary rather
 // than as content.
 var guardMachineryNames = map[string]bool{
-	"acquireGuards":    true,
-	"releaseGuards":    true,
-	"lockGuards":       true,
-	"unlockGuards":     true,
-	"lockStripeSpan":   true,
-	"unlockStripeSpan": true,
-	"lockLanes":        true,
-	"unlockLanes":      true,
-	"lockWriteSet":     true,
-	"unlockWriteSet":   true,
-	"installWriteSet":  true,
-	"norecSeqAcquire":  true,
-	"norecSeqRelease":  true,
+	"acquireGuards":   true,
+	"releaseGuards":   true,
+	"lockSpan":        true,
+	"unlockSpan":      true,
+	"lockWriteSet":    true,
+	"unlockWriteSet":  true,
+	"installWriteSet": true,
+	"norecSeqAcquire": true,
+	"norecSeqRelease": true,
 }
 
 // isGuardMethod reports whether fn is a method of stm.Guard.

@@ -65,9 +65,9 @@ func TestIteratorOnEmptyMap(t *testing.T) {
 			t.Fatal("Next on empty iterator succeeded")
 		}
 		// HasNext()==false on an empty map still reveals the size.
-		tm.lockGuards()
+		tm.lockSpan(0, len(tm.stripes))
 		n := tm.stripes[0].sizeLockers.Len()
-		tm.unlockGuards()
+		tm.unlockSpan(0, len(tm.stripes))
 		if n != 1 {
 			t.Fatal("exhausted empty iterator must hold the size lock")
 		}
@@ -120,12 +120,10 @@ func TestSortedIteratorOnEmptyMap(t *testing.T) {
 		if it.HasNext() {
 			t.Fatal("empty sorted map has next")
 		}
-		// Unbounded exhaustion takes the last lock.
-		tm.lockGuards()
-		held := tm.sorted.lastLockers.Len()
-		tm.unlockGuards()
-		if held != 1 {
-			t.Fatal("exhausted unbounded iterator must hold the last lock")
+		// Unbounded exhaustion observed the whole (empty) key space:
+		// Table 5's first and last locks, as one range.
+		if !coversAny(tm, tx, -1<<31) || !coversAny(tm, tx, 1<<31) {
+			t.Fatal("exhausted unbounded iterator must hold a range lock over the whole key space")
 		}
 	})
 }
@@ -453,5 +451,46 @@ func TestWrapperOverTreeMapAndHashMapEquivalent(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestHandlerRegistrationOrder pins when a single-partition collection
+// joins a transaction: at its first operation (the first touch) — for a
+// sorted iterator, at creation — so commit handlers of several
+// collections run in the order the body first used them.
+func TestHandlerRegistrationOrder(t *testing.T) {
+	m, q, sm := newIntMap(), newQueue(), newSorted()
+	type state struct{ m, q, sm bool }
+	var got []state
+	mark := func(tx *stm.Tx) {
+		// Runs inside the commit window with every touched guard held.
+		tx.OnTopCommitGuarded(m.Guard(), func() {
+			got = append(got, state{
+				m:  m.stripes[0].m.ContainsKey(2),
+				q:  q.lanes[0].q.Size() == 1,
+				sm: sm.stripes[0].m.ContainsKey(30),
+			})
+		})
+	}
+	atomically(t, newTh(1), func(tx *stm.Tx) {
+		got = got[:0]
+		m.Get(tx, 1)
+		mark(tx)
+		q.Put(tx, 7)
+		mark(tx)
+		it := sm.Iterator(tx)
+		mark(tx)
+		m.Put(tx, 2, 2)
+		it.Next()
+		sm.Put(tx, 30, 30)
+	})
+	want := []state{{m: true}, {m: true, q: true}, {m: true, q: true, sm: true}}
+	if len(got) != len(want) {
+		t.Fatalf("marks = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("applied (map, queue, sorted) at mark %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

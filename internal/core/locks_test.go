@@ -12,7 +12,9 @@ import (
 	"tcc/internal/stm"
 )
 
-// mapLockState snapshots which locks h holds on tm.
+// mapLockState snapshots which locks h holds on tm. first and last are
+// Table 5's endpoint locks as the range table expresses them: some range
+// lock covers a key below every probe key (above every probe key).
 type mapLockState struct {
 	keys       []int
 	size       bool
@@ -22,9 +24,10 @@ type mapLockState struct {
 	rangeLocks int
 }
 
-func snapshotLocks(tm *TransactionalMap[int, int], h *stm.Handle, probeKeys []int) mapLockState {
-	tm.lockGuards()
-	defer tm.unlockGuards()
+func snapshotLocks(tm *TransactionalMap[int, int], tx *stm.Tx, probeKeys []int) mapLockState {
+	h := tx.Handle()
+	tm.lockSpan(0, len(tm.stripes))
+	defer tm.unlockSpan(0, len(tm.stripes))
 	st := mapLockState{
 		size:  tm.stripes[0].sizeLockers.Holds(h),
 		empty: tm.stripes[0].emptyLockers.Holds(h),
@@ -34,9 +37,9 @@ func snapshotLocks(tm *TransactionalMap[int, int], h *stm.Handle, probeKeys []in
 			st.keys = append(st.keys, k)
 		}
 	}
-	if tm.sorted != nil {
-		st.first = tm.sorted.firstLockers.Holds(h)
-		st.last = tm.sorted.lastLockers.Holds(h)
+	if tm.sorted != nil && len(probeKeys) > 0 {
+		st.first = coversLocked(tm, tx, probeKeys[0]-1)
+		st.last = coversLocked(tm, tx, probeKeys[len(probeKeys)-1]+1)
 		for _, rt := range tm.sorted.rangeLockers {
 			st.rangeLocks += rt.Len()
 		}
@@ -53,7 +56,7 @@ func assertLocks(t *testing.T, name string, tm *TransactionalMap[int, int], prob
 		th := newTh(1)
 		atomically(t, th, func(tx *stm.Tx) {
 			op(tx)
-			got := snapshotLocks(tm, tx.Handle(), probe)
+			got := snapshotLocks(tm, tx, probe)
 			if len(got.keys) != len(want.keys) {
 				t.Fatalf("key locks = %v, want %v", got.keys, want.keys)
 			}
@@ -154,7 +157,7 @@ func TestMapLocks(t *testing.T) {
 		atomically(t, th, func(tx *stm.Tx) {
 			it := tm.Iterator(tx)
 			it.Next()
-			st := snapshotLocks(tm, tx.Handle(), probe)
+			st := snapshotLocks(tm, tx, probe)
 			// Exactly one key lock (whichever key the unordered
 			// iterator returned first) and no size lock yet.
 			if len(st.keys) != 1 {
@@ -197,9 +200,9 @@ func TestMapIteratorNextTakesKeyLock(t *testing.T) {
 				break
 			}
 			seen++
-			tm.lockGuards()
+			tm.lockSpan(0, len(tm.stripes))
 			held := tm.stripes[tm.StripeOf(k)].key2lockers.Holds(k, h)
-			tm.unlockGuards()
+			tm.unlockSpan(0, len(tm.stripes))
 			if !held {
 				t.Fatalf("iterator returned %d without its key lock", k)
 			}
@@ -226,15 +229,16 @@ func TestSortedLocks(t *testing.T) {
 
 	{
 		tm := seeded()
+		// Table 5: first lock only — [bottom, 10], no key lock on 10.
 		assertLocks(t, "firstKey", &tm.TransactionalMap, probe,
 			func(tx *stm.Tx) { tm.FirstKey(tx) },
-			mapLockState{first: true})
+			mapLockState{first: true, rangeLocks: 1})
 	}
 	{
 		tm := seeded()
 		assertLocks(t, "lastKey", &tm.TransactionalMap, probe,
 			func(tx *stm.Tx) { tm.LastKey(tx) },
-			mapLockState{last: true})
+			mapLockState{last: true, rangeLocks: 1})
 	}
 	{
 		tm := seeded()
@@ -244,7 +248,8 @@ func TestSortedLocks(t *testing.T) {
 				it.Next() // returns 10
 			},
 			// Table 5: next takes "range lock over iterated values,
-			// first lock" for iteration from the beginning.
+			// first lock" for iteration from the beginning — one range
+			// open to the bottom of the key space.
 			mapLockState{keys: []int{10}, first: true, rangeLocks: 1})
 	}
 	{
@@ -276,8 +281,8 @@ func TestSortedLocks(t *testing.T) {
 				for it.HasNext() {
 					it.Next()
 				}
-				// Bounded view exhaustion must not take the last lock;
-				// it pins the range to the view bound instead.
+				// Bounded view exhaustion must not reach the top of the
+				// key space; it pins the range to the view bound instead.
 			},
 			mapLockState{keys: []int{10, 20}, rangeLocks: 1})
 	}
@@ -312,14 +317,22 @@ func TestSortedRangeLockWidens(t *testing.T) {
 
 // coversAny reports whether any range lock tx holds on tm covers k.
 func coversAny(tm *TransactionalSortedMap[int, int], tx *stm.Tx, k int) bool {
-	l, ok := tx.Local(&tm.TransactionalMap).(*mapLocal[int, int])
+	tm.lockSpan(0, len(tm.stripes))
+	defer tm.unlockSpan(0, len(tm.stripes))
+	return coversLocked(&tm.TransactionalMap, tx, k)
+}
+
+// coversLocked is coversAny for a caller holding every stripe guard. An
+// entry in stripe i's table speaks only for stripe i's keys (nil bounds
+// mean "to this stripe's edge"), so only k's own stripe is consulted.
+func coversLocked(tm *TransactionalMap[int, int], tx *stm.Tx, k int) bool {
+	l, ok := tx.Local(tm).(*mapLocal[int, int])
 	if !ok {
 		return false
 	}
-	tm.lockGuards()
-	defer tm.unlockGuards()
+	si := tm.StripeOf(k)
 	for _, rl := range l.rangeLocks {
-		if tm.sorted.rangeLockers[rl.si].Covers(rl.e, k) {
+		if rl.si == si && tm.sorted.rangeLockers[si].Covers(rl.e, k) {
 			return true
 		}
 	}
@@ -329,8 +342,8 @@ func coversAny(tm *TransactionalSortedMap[int, int], tx *stm.Tx, k int) bool {
 // TestQueueLocks asserts Table 8.
 func TestQueueLocks(t *testing.T) {
 	emptyHeld := func(q *TransactionalQueue[int], h *stm.Handle) bool {
-		q.lanes[0].guard.Lock()
-		defer q.lanes[0].guard.Unlock()
+		q.guards[0].Lock()
+		defer q.guards[0].Unlock()
 		return q.lanes[0].emptyLockers.Holds(h)
 	}
 	t.Run("peek-empty", func(t *testing.T) {

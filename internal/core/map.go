@@ -9,7 +9,8 @@
 //
 //   - The underlying structure is read only inside open-nested regions
 //     that also take the appropriate semantic locks (key, size, empty,
-//     range, first/last — Tables 2, 5, 8).
+//     range — Tables 2, 5, 8; Table 5's first/last locks are range locks
+//     reaching to the end of the key space).
 //   - Write operations never touch the underlying structure; they buffer
 //     into transaction-local state (storeBuffer, addBuffer — Tables 3,
 //     6, 9).
@@ -31,27 +32,32 @@
 //
 // # Striping
 //
-// TransactionalMap shards its internals — the wrapped map, the key-lock
-// table, and the size/empty lock sets — into S hash(key)-indexed
-// stripes, each fused with its own guard, so open-nested operations on
-// disjoint keys of the same map run fully in parallel and a commit's
-// guard footprint covers only the stripes its buffer touched
-// (NewStripedTransactionalMap; DESIGN.md §4.2). NewTransactionalMap
-// wraps one caller-supplied structure and is therefore single-stripe.
+// Every collection is a stripeSet (stripeset.go) of partitions, each
+// fusing its own guard with its slice of the wrapped structure and of
+// the lock tables; a transaction's guard footprint covers only the
+// partitions it used, so operations on different partitions of one
+// instance run — and commit — in parallel. One code path serves every
+// partition count; the constructors that adopt one caller-supplied
+// structure (NewTransactionalMap, NewTransactionalSortedMap,
+// NewTransactionalQueue) simply have one partition. The three
+// collections differ only in how an operation picks its partition:
 //
-// TransactionalSortedMap stripes differently: range and endpoint locks
-// are inherently cross-key, so hashing keys to stripes would force
-// every iterator and navigation query to take every stripe. Instead
-// NewRangeStripedTransactionalSortedMap partitions the *key space* into
-// contiguous intervals — each stripe fuses its own guard, sorted shard,
-// key-lock table and range-lock table — so point operations and range
-// scans confined to one interval stay on one guard, and only scans and
-// endpoint walks that genuinely span intervals touch several stripes
-// (one guard at a time, in ascending interval order; see
-// sortedmap_striped.go and DESIGN.md §4.5). TransactionalQueue
-// similarly segments into lanes (NewSegmentedTransactionalQueue):
-// semantic FIFO is preserved per lane, and producers/consumers on
-// different lanes commit and run handler windows in parallel.
+// TransactionalMap hashes the key (NewStripedTransactionalMap;
+// DESIGN.md §4.2).
+//
+// TransactionalSortedMap cannot: range locks are inherently cross-key,
+// so hashing keys to stripes would force every iterator and navigation
+// query to take every stripe. NewRangeStripedTransactionalSortedMap
+// partitions the *key space* into contiguous intervals instead, so
+// point operations and range scans confined to one interval stay on one
+// guard, and only scans and endpoint walks that genuinely span
+// intervals touch several stripes (one guard at a time, in ascending
+// interval order; see sortedmap_striped.go and DESIGN.md §4.5).
+//
+// TransactionalQueue picks a lane by thread
+// (NewSegmentedTransactionalQueue): semantic FIFO is preserved per
+// lane, and producers/consumers on different lanes commit and run
+// handler windows in parallel.
 //
 // Caveat, matching the paper's single-handler design choice (§5.1
 // "Single versus multiple handlers"): collection operations performed
@@ -65,10 +71,8 @@ package core
 
 import (
 	"hash/maphash"
-	"strconv"
 
 	"tcc/internal/collections"
-	"tcc/internal/obs/metrics"
 	"tcc/internal/semlock"
 	"tcc/internal/stm"
 )
@@ -110,11 +114,10 @@ type mapWrite[V any] struct {
 // maps, Table 6): the locks this transaction holds on this instance and
 // the write buffer.
 type mapLocal[K comparable, V any] struct {
+	footprint
 	keyLocks    map[K]struct{}
 	sizeLocked  bool
 	emptyLocked bool
-	firstLocked bool
-	lastLocked  bool
 	rangeLocks  []stripedRange[K]
 	storeBuffer map[K]*mapWrite[V]
 	// sortedKeys is Table 6's sortedStoreBuffer: for sorted maps, the
@@ -122,15 +125,6 @@ type mapLocal[K comparable, V any] struct {
 	// queries enumerate local changes ordered instead of scanning the
 	// buffer (values and removal markers stay in storeBuffer).
 	sortedKeys *collections.TreeMap[K, struct{}]
-	// touched is the bitmask of stripes in this transaction's guard
-	// footprint for this instance: every stripe it read, wrote, or
-	// registered a size/empty lock in. The commit/abort handler pair is
-	// registered under the first touched stripe's guard; each later
-	// stripe widens the footprint (stm.Tx.AddTopGuard) so the handlers
-	// run with every touched stripe's guard held.
-	touched uint64
-	// registered records that the handler pair exists.
-	registered bool
 }
 
 // bufferKey records k in the buffer index (no-op for unsorted maps).
@@ -141,20 +135,18 @@ func (l *mapLocal[K, V]) bufferKey(k K) {
 }
 
 // stripedRange records one range lock a transaction holds, with the
-// stripe whose table the entry lives in (always 0 on single-stripe
-// instances). The stripe index is what lets releaseLocked return each
-// entry to the table it came from after an interval-striped walk left
-// entries in several stripes' tables.
+// stripe whose table the entry lives in. The stripe index is what lets
+// releaseLocked return each entry to the table it came from after an
+// interval-striped walk left entries in several stripes' tables.
 type stripedRange[K comparable] struct {
 	si int
 	e  *semlock.RangeEntry[K]
 }
 
 // sortedExt carries the extra shared state of TransactionalSortedMap
-// (Table 6): the sorted views of the wrapped shards and the range and
-// endpoint lock tables. A single-stripe sorted map has one shard and
-// one range table; a range-striped one (see sortedmap_striped.go) has
-// one of each per interval stripe, split by the boundaries slice.
+// (Table 6): the sorted views of the wrapped shards and the range-lock
+// tables, one of each per interval stripe (see sortedmap_striped.go),
+// split by the boundaries slice.
 type sortedExt[K comparable, V any] struct {
 	// cmp is the comparator shared by every shard (captured at
 	// construction, read-only thereafter).
@@ -165,19 +157,12 @@ type sortedExt[K comparable, V any] struct {
 	// boundaries[i] is the inclusive lower bound of stripe i+1's
 	// interval: stripe 0 owns keys below boundaries[0], stripe i owns
 	// [boundaries[i-1], boundaries[i]), the last stripe owns the tail.
-	// Empty for single-stripe instances. Immutable after construction.
+	// Immutable after construction.
 	boundaries []K
 	// rangeLockers[i] is stripe i's range-lock table; an entry in table
 	// i is only ever checked against keys of stripe i, so nil bounds
 	// mean "to this stripe's edge", not the whole key space.
 	rangeLockers []*semlock.RangeTable[K]
-	// firstLockers/lastLockers are the endpoint locks of Table 5, used
-	// by the single-stripe paths only: a striped sorted map expresses
-	// endpoint observations as range+key locks laid down by the
-	// stripe-walk (walkUp/walkDown), which a committing endpoint change
-	// necessarily violates.
-	firstLockers *semlock.OwnerSet
-	lastLockers  *semlock.OwnerSet
 }
 
 // stripeFor maps k to its interval stripe: the number of boundaries at
@@ -206,12 +191,7 @@ func (x *sortedExt[K, V]) stripeFor(k K) int {
 // insert or remove (the paper's Table 2 size semantics), but writers on
 // disjoint keys never touch a shared counter line or a shared lock set.
 type mapStripe[K comparable, V any] struct {
-	// guard is this stripe's shard of the commit guard, fused with the
-	// mutex that protects the stripe's slice of the wrapped map and the
-	// lock tables: open-nested critical sections on this stripe are
-	// short and lock only this guard, playing the role of the paper's
-	// low-level open-nested transactions. Handlers of transactions that
-	// touched this stripe run with it held (see mapLocal.touched).
+	// guard is this stripe's entry of the stripeSet's guard vector.
 	guard *stm.Guard
 	// m holds the stripe's committed state (Table 3: "the underlying
 	// Map instance").
@@ -221,12 +201,6 @@ type mapStripe[K comparable, V any] struct {
 	key2lockers  *semlock.KeyTable[K]
 	sizeLockers  *semlock.OwnerSet
 	emptyLockers *semlock.OwnerSet
-	// violations counts semantic violations this stripe's sweeps landed
-	// on other transactions (metrics plane; labels collection+stripe,
-	// named by SetName). Incremented with atomic-only adds inside the
-	// commit-guard hold window — the one in-window operation the
-	// metrics discipline allows — and only when metrics.On().
-	violations *metrics.Counter
 }
 
 // TransactionalMap wraps any collections.Map and provides concurrent,
@@ -236,15 +210,11 @@ type mapStripe[K comparable, V any] struct {
 // and can serve as a drop-in replacement. See the package documentation
 // for the striped internal layout.
 type TransactionalMap[K comparable, V any] struct {
-	// stripes has power-of-two length in [1, maxStripes]; stripe guard
-	// ids are ascending in slice order (they are minted in order at
-	// construction), which is what lets lockGuards hold several at once
-	// without deadlocking against the commit protocol's sorted
-	// footprint acquisition.
+	// stripeSet holds the stripes' guards and footprint machinery;
+	// mask == 0 means single-stripe and StripeOf skips hashing entirely.
+	stripeSet
+	// stripes[i] is the shard guarded by guards[i].
 	stripes []*mapStripe[K, V]
-	// mask is len(stripes)-1; 0 means single-stripe and StripeOf skips
-	// hashing entirely.
-	mask uint64
 	// isEmptyViaSize makes IsEmpty take the size lock instead of the
 	// empty-transition lock, reproducing the §5.1 ablation.
 	isEmptyViaSize bool
@@ -263,16 +233,15 @@ type TransactionalMap[K comparable, V any] struct {
 	// TAPE-style analysis names District.orderTable etc.).
 	name string
 	// Precomputed violation reasons.
-	reasonKey, reasonSize, reasonEmpty   string
-	reasonRange, reasonFirst, reasonLast string
+	reasonKey, reasonSize, reasonEmpty, reasonRange string
 	// sorted is non-nil when this instance is a TransactionalSortedMap.
 	sorted *sortedExt[K, V]
 }
 
 // newMapStripe builds one stripe around the given committed shard.
-func newMapStripe[K comparable, V any](m collections.Map[K, V]) *mapStripe[K, V] {
+func newMapStripe[K comparable, V any](g *stm.Guard, m collections.Map[K, V]) *mapStripe[K, V] {
 	return &mapStripe[K, V]{
-		guard:        stm.NewGuard(),
+		guard:        g,
 		m:            m,
 		key2lockers:  semlock.NewKeyTable[K](),
 		sizeLockers:  semlock.NewOwnerSet(),
@@ -286,12 +255,7 @@ func newMapStripe[K comparable, V any](m collections.Map[K, V]) *mapStripe[K, V]
 // NewStripedTransactionalMap (which builds its own shards) when
 // disjoint-key operations on one hot map need to scale.
 func NewTransactionalMap[K comparable, V any](m collections.Map[K, V]) *TransactionalMap[K, V] {
-	tm := &TransactionalMap[K, V]{
-		stripes: []*mapStripe[K, V]{newMapStripe(m)},
-		opCost:  DefaultOpCost,
-	}
-	tm.SetName("map")
-	return tm
+	return NewStripedTransactionalMap(func() collections.Map[K, V] { return m }, 1)
 }
 
 // NewStripedTransactionalMap creates a map sharded into the given
@@ -302,34 +266,15 @@ func NewTransactionalMap[K comparable, V any](m collections.Map[K, V]) *Transact
 func NewStripedTransactionalMap[K comparable, V any](newShard func() collections.Map[K, V], stripes int) *TransactionalMap[K, V] {
 	n := normalizeStripes(stripes)
 	tm := &TransactionalMap[K, V]{
-		stripes: make([]*mapStripe[K, V], n),
-		mask:    uint64(n - 1),
-		opCost:  DefaultOpCost,
+		stripeSet: newStripeSet(n),
+		stripes:   make([]*mapStripe[K, V], n),
+		opCost:    DefaultOpCost,
 	}
-	if n == 1 {
-		tm.mask = 0
-	}
-	for i := range tm.stripes {
-		tm.stripes[i] = newMapStripe(newShard())
+	for i, g := range tm.guards {
+		tm.stripes[i] = newMapStripe(g, newShard())
 	}
 	tm.SetName("map")
 	return tm
-}
-
-// normalizeStripes maps a requested stripe count to the supported
-// power-of-two range.
-func normalizeStripes(n int) int {
-	if n <= 0 {
-		n = DefaultStripes
-	}
-	if n > maxStripes {
-		n = maxStripes
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // SetName labels this instance in violation reasons so conflict
@@ -339,32 +284,15 @@ func normalizeStripes(n int) int {
 // map — so guard-wait heatmaps show the stripes working.
 func (tm *TransactionalMap[K, V]) SetName(name string) {
 	tm.name = name
-	if len(tm.stripes) == 1 {
-		tm.stripes[0].guard.SetLabel(name)
-	} else if tm.sorted != nil {
-		for i, st := range tm.stripes {
-			st.guard.SetLabel(name + ".range[" + strconv.Itoa(i) + "]")
-		}
-	} else {
-		for i, st := range tm.stripes {
-			st.guard.SetLabel(name + ".stripe[" + strconv.Itoa(i) + "]")
-		}
+	kind := "stripe"
+	if tm.sorted != nil {
+		kind = "range"
 	}
-	// Per-stripe violation counters reuse the guard-label naming, so
-	// scrapes, CPU-profile labels and guard-wait heatmaps all attribute
-	// to the same names. Registration locks the registry mutex — fine
-	// here (setup time), never inside a guard window.
-	for i, st := range tm.stripes {
-		st.violations = metrics.Default.Counter(metrics.CollectionViolations,
-			"Semantic violations landed by this collection stripe's conflict sweeps",
-			metrics.L("collection", name), metrics.L("stripe", strconv.Itoa(i)))
-	}
+	tm.setName(name, kind)
 	tm.reasonKey = name + ": key conflict"
 	tm.reasonSize = name + ": size conflict"
 	tm.reasonEmpty = name + ": emptiness conflict"
 	tm.reasonRange = name + ": range conflict"
-	tm.reasonFirst = name + ": first-key conflict"
-	tm.reasonLast = name + ": last-key conflict"
 }
 
 // Name returns the label set by SetName.
@@ -395,51 +323,6 @@ func (tm *TransactionalMap[K, V]) StripeOf(k K) int {
 // composes its own guarded handlers with operations on k.
 func (tm *TransactionalMap[K, V]) StripeGuard(k K) *stm.Guard {
 	return tm.stripes[tm.StripeOf(k)].guard
-}
-
-// guard0 returns stripe 0's guard: the instance guard of the
-// single-stripe sorted map, whose order-dependent code paths all
-// serialize on it.
-func (tm *TransactionalMap[K, V]) guard0() *stm.Guard { return tm.stripes[0].guard }
-
-// lockGuards locks every stripe guard, in ascending guard-id order
-// (slice order; see the stripes field). Whole-map snapshots need all
-// stripes pinned at once — a sequential stripe-at-a-time scan could see
-// half of a multi-stripe commit — and the ascending order keeps the
-// hold compatible with the commit protocol's sorted footprint
-// acquisition, so it cannot deadlock. stmlint classifies a lockGuards
-// call as opening a commit-guard hold window.
-func (tm *TransactionalMap[K, V]) lockGuards() {
-	for _, st := range tm.stripes {
-		st.guard.Lock()
-	}
-}
-
-// unlockGuards unlocks every stripe guard (closing the hold window).
-func (tm *TransactionalMap[K, V]) unlockGuards() {
-	for _, st := range tm.stripes {
-		st.guard.Unlock()
-	}
-}
-
-// lockStripeSpan locks the guards of stripes [lo, hi], in ascending
-// guard-id order (slice order), for snapshot-mode navigation over a
-// contiguous interval span of a range-striped sorted map. Like
-// lockGuards, the ascending order keeps the hold compatible with the
-// commit protocol's sorted footprint acquisition; stmlint classifies a
-// lockStripeSpan call as opening a commit-guard hold window.
-func (tm *TransactionalMap[K, V]) lockStripeSpan(lo, hi int) {
-	for si := lo; si <= hi; si++ {
-		tm.stripes[si].guard.Lock()
-	}
-}
-
-// unlockStripeSpan unlocks the guards of stripes [lo, hi] (closing the
-// hold window).
-func (tm *TransactionalMap[K, V]) unlockStripeSpan(lo, hi int) {
-	for si := lo; si <= hi; si++ {
-		tm.stripes[si].guard.Unlock()
-	}
 }
 
 // addRangeLock publishes e into stripe si's range-lock table and
@@ -474,12 +357,8 @@ func (tm *TransactionalMap[K, V]) SetIsEmptyViaSize(v bool) { tm.isEmptyViaSize 
 func (tm *TransactionalMap[K, V]) SetEagerWriteCheck(v bool) { tm.eagerWriteCheck = v }
 
 // local returns this transaction's local state for this instance,
-// creating it on first use. For a single-stripe instance the commit and
-// abort handler pair is registered immediately (paper §5: "registered
-// by the first open-nested transaction to commit"); a striped instance
-// defers registration to the first touch so the footprint starts with
-// the stripe actually used instead of pinning stripe 0 into every
-// transaction's footprint.
+// creating it — with the handler pair the first touch will register — on
+// first use.
 func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
 	if l, ok := tx.Local(tm).(*mapLocal[K, V]); ok {
 		return l
@@ -491,66 +370,25 @@ func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
 	if tm.sorted != nil {
 		l.sortedKeys = collections.NewTreeMapFunc[K, struct{}](tm.sorted.cmp)
 	}
-	tx.SetLocal(tm, l)
-	if len(tm.stripes) == 1 {
-		l.touched = 1
-		tm.register(tx, l)
-	}
-	return l
-}
-
-// register installs the transaction's single commit/abort handler pair
-// for this instance under the guard of the first stripe it touched.
-// The handler bodies take no lock themselves: the commit/rollback
-// protocol holds every touched stripe's guard (the footprint widened by
-// touch) for the whole handler window.
-func (tm *TransactionalMap[K, V]) register(tx *stm.Tx, l *mapLocal[K, V]) {
-	l.registered = true
-	g := tm.stripes[firstStripe(l.touched)].guard
-	h := tx.Handle()
-	th := tx.Thread()
-	tx.OnTopCommitGuarded(g, func() {
+	h, th := tx.Handle(), tx.Thread()
+	l.onCommit = func() {
 		n := len(l.storeBuffer)
 		tm.applyLocked(l, h)
 		th.DeferTick(tm.opCost * uint64(1+n))
-	})
-	tx.OnTopAbortGuarded(g, func() {
+	}
+	l.onAbort = func() {
 		tm.releaseLocked(l, h)
 		th.DeferTick(tm.opCost)
-	})
-}
-
-// firstStripe returns the index of the lowest set bit of a touched
-// mask (the mask is never zero when this is called).
-func firstStripe(mask uint64) int {
-	i := 0
-	for mask&1 == 0 {
-		mask >>= 1
-		i++
 	}
-	return i
+	tx.SetLocal(tm, l)
+	return l
 }
 
-// touch adds stripe si to the transaction's footprint for this
-// instance, registering the handler pair on the first touch and
-// widening the root-level guard footprint on later ones, and returns
-// the stripe. It must run before (not inside) the open-nested critical
-// section that locks the stripe's guard: registration itself takes no
-// lock, and the footprint must be in place before the transaction can
-// reach a handler window that walks the stripe.
+// touch puts stripe si into the transaction's footprint (see
+// stripeSet.touch) and returns the stripe.
 func (tm *TransactionalMap[K, V]) touch(tx *stm.Tx, l *mapLocal[K, V], si int) *mapStripe[K, V] {
-	st := tm.stripes[si]
-	bit := uint64(1) << uint(si)
-	if l.touched&bit != 0 {
-		return st
-	}
-	l.touched |= bit
-	if !l.registered {
-		tm.register(tx, l)
-		return st
-	}
-	tx.AddTopGuard(st.guard)
-	return st
+	tm.stripeSet.touch(tx, &l.footprint, si)
+	return tm.stripes[si]
 }
 
 // touchAll puts every stripe into the footprint (whole-map operations:
@@ -699,7 +537,8 @@ func (tm *TransactionalMap[K, V]) readCommitted(tx *stm.Tx, l *mapLocal[K, V], k
 }
 
 func (tm *TransactionalMap[K, V]) readCommittedWrite(tx *stm.Tx, l *mapLocal[K, V], k K, forWrite bool) (V, bool) {
-	st := tm.touch(tx, l, tm.StripeOf(k))
+	si := tm.StripeOf(k)
+	st := tm.touch(tx, l, si)
 	var v V
 	var present bool
 	_ = tx.Open(func(o *stm.Tx) error {
@@ -708,10 +547,7 @@ func (tm *TransactionalMap[K, V]) readCommittedWrite(tx *stm.Tx, l *mapLocal[K, 
 		h := o.Handle()
 		tm.lockKeyLocked(l, h, k)
 		if forWrite && tm.eagerWriteCheck {
-			n := st.key2lockers.ViolateOthers(k, h, tm.reasonKey)
-			if n > 0 && metrics.On() {
-				st.violations.Add(uint64(n))
-			}
+			tm.noteViolations(si, st.key2lockers.ViolateOthers(k, h, tm.reasonKey))
 		}
 		v, present = st.m.Get(k)
 		return nil
@@ -837,20 +673,9 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 			}
 		}
 	}
-	var oldFirst, oldLast *K
-	// Endpoint (first/last) sweeps exist only on the single-stripe
-	// sorted map: a range-striped one expresses endpoint observations
-	// as the range+key locks laid down by walkUp/walkDown, which the
-	// per-key range sweep below already violates.
-	sweepEndpoints := tm.sorted != nil && len(tm.stripes) == 1
-	if sweepEndpoints && len(l.storeBuffer) > 0 {
-		oldFirst, oldLast = tm.endpointsLocked()
-	}
-	// mon gates the per-stripe violation counters: one atomic load for
-	// the whole sweep, then atomic-only Adds (the window discipline).
-	mon := metrics.On()
 	for k, w := range l.storeBuffer {
-		st := tm.stripes[tm.StripeOf(k)]
+		si := tm.StripeOf(k)
+		st := tm.stripes[si]
 		// Key conflict based on argument: abort every other reader (or
 		// locking writer) of this key.
 		n := st.key2lockers.ViolateOthers(k, h, tm.reasonKey)
@@ -863,13 +688,13 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 			membershipChanged = !had
 		}
 		if tm.sorted != nil && membershipChanged {
-			// Range conflict: the key entered or left an iterated range.
-			// Only k's own stripe's table can hold entries covering k.
-			n += tm.sorted.rangeLockers[tm.StripeOf(k)].ViolateCovering(k, h, tm.reasonRange)
+			// Range conflict: the key entered or left an iterated range —
+			// or, for a range reaching the end of the key space, changed
+			// an observed endpoint (Table 5's first/last conflicts). Only
+			// k's own stripe's table can hold entries covering k.
+			n += tm.sorted.rangeLockers[si].ViolateCovering(k, h, tm.reasonRange)
 		}
-		if mon && n > 0 {
-			st.violations.Add(uint64(n))
-		}
+		tm.noteViolations(si, n)
 	}
 	if len(l.storeBuffer) > 0 {
 		// Size and empty sweeps are per stripe: a size/empty reader is
@@ -888,48 +713,10 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 			if (oldSizes[si] == 0) != (newSize == 0) {
 				n += st.emptyLockers.ViolateOthers(h, tm.reasonEmpty)
 			}
-			if mon && n > 0 {
-				st.violations.Add(uint64(n))
-			}
-		}
-	}
-	if sweepEndpoints && len(l.storeBuffer) > 0 {
-		n := 0
-		newFirst, newLast := tm.endpointsLocked()
-		if !tm.sameKey(oldFirst, newFirst) {
-			n += tm.sorted.firstLockers.ViolateOthers(h, tm.reasonFirst)
-		}
-		if !tm.sameKey(oldLast, newLast) {
-			n += tm.sorted.lastLockers.ViolateOthers(h, tm.reasonLast)
-		}
-		if mon && n > 0 {
-			tm.stripes[0].violations.Add(uint64(n))
+			tm.noteViolations(si, n)
 		}
 	}
 	tm.releaseLocked(l, h)
-}
-
-// endpointsLocked returns the committed first and last keys (nil when
-// the map is empty). Caller holds the instance guard; only valid for
-// sorted maps (single-stripe).
-func (tm *TransactionalMap[K, V]) endpointsLocked() (first, last *K) {
-	if f, ok := tm.sorted.sms[0].FirstKey(); ok {
-		first = &f
-	}
-	if lst, ok := tm.sorted.sms[0].LastKey(); ok {
-		last = &lst
-	}
-	return
-}
-
-func (tm *TransactionalMap[K, V]) sameKey(a, b *K) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	return tm.sorted.cmp(*a, *b) == 0
 }
 
 // releaseLocked releases every semantic lock held by this transaction
@@ -956,12 +743,6 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Own
 		for _, rl := range l.rangeLocks {
 			tm.sorted.rangeLockers[rl.si].Remove(rl.e)
 		}
-		if l.firstLocked {
-			tm.sorted.firstLockers.Unlock(h)
-		}
-		if l.lastLocked {
-			tm.sorted.lastLockers.Unlock(h)
-		}
 	}
 	l.keyLocks = make(map[K]struct{})
 	l.storeBuffer = make(map[K]*mapWrite[V])
@@ -969,5 +750,5 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Own
 		l.sortedKeys.Clear()
 	}
 	l.rangeLocks = nil
-	l.sizeLocked, l.emptyLocked, l.firstLocked, l.lastLocked = false, false, false, false
+	l.sizeLocked, l.emptyLocked = false, false
 }

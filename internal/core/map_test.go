@@ -146,15 +146,15 @@ func TestMapLocksHeldDuringTxReleasedAfter(t *testing.T) {
 	atomically(t, th, func(tx *stm.Tx) {
 		h = tx.Handle()
 		tm.Get(tx, 7)
-		tm.lockGuards()
+		tm.lockSpan(0, len(tm.stripes))
 		held := tm.stripes[tm.StripeOf(7)].key2lockers.Holds(7, h)
-		tm.unlockGuards()
+		tm.unlockSpan(0, len(tm.stripes))
 		if !held {
 			t.Error("key lock not held during transaction")
 		}
 	})
-	tm.lockGuards()
-	defer tm.unlockGuards()
+	tm.lockSpan(0, len(tm.stripes))
+	defer tm.unlockSpan(0, len(tm.stripes))
 	if tm.stripes[tm.StripeOf(7)].key2lockers.Locked(7) {
 		t.Error("key lock survived commit")
 	}
@@ -260,9 +260,9 @@ func TestMapIteratorMergesBufferAndCommitted(t *testing.T) {
 			}
 		}
 		// Full enumeration reveals the size: the size lock must be held.
-		tm.lockGuards()
+		tm.lockSpan(0, len(tm.stripes))
 		n := tm.stripes[0].sizeLockers.Len()
-		tm.unlockGuards()
+		tm.unlockSpan(0, len(tm.stripes))
 		if n != 1 {
 			t.Fatal("full enumeration did not take the size lock")
 		}
@@ -283,9 +283,9 @@ func TestMapIteratorEarlyStopTakesNoSizeLock(t *testing.T) {
 			count++
 			return count < 3
 		})
-		tm.lockGuards()
+		tm.lockSpan(0, len(tm.stripes))
 		n := tm.stripes[0].sizeLockers.Len()
-		tm.unlockGuards()
+		tm.unlockSpan(0, len(tm.stripes))
 		if n != 0 {
 			t.Error("partial enumeration took the size lock")
 		}

@@ -49,7 +49,7 @@ type mapEntry[K comparable, V any] struct {
 // Enumeration order is implementation-defined (like HashMap's).
 //
 // The committed-keys snapshot is taken with every stripe guard held at
-// once (lockGuards): a stripe-at-a-time scan could observe half of a
+// once (lockSpan): a stripe-at-a-time scan could observe half of a
 // multi-stripe commit — its insert on a later stripe but not its insert
 // on an earlier one — with no violation to save it, since enumeration
 // takes no lock that such a commit sweeps until the keys are visited.
@@ -62,8 +62,8 @@ func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
 	//stmlint:ignore tx-escape iterator is per-transaction local state (Table 2) and documented not to outlive tx
 	it := &MapIterator[K, V]{tm: tm, tx: tx, l: l}
 	_ = tx.Open(func(o *stm.Tx) error {
-		tm.lockGuards()
-		defer tm.unlockGuards()
+		tm.lockSpan(0, len(tm.stripes))
+		defer tm.unlockSpan(0, len(tm.stripes))
 		for _, st := range tm.stripes {
 			it.snapshot = append(it.snapshot, st.m.Keys()...)
 		}

@@ -12,165 +12,31 @@ package core
 // committing insert of any key in between, or the removal of r, must
 // abort the reader); a query with no result locks the unbounded tail
 // (or head) it proved empty. The strict variants exclude the probe
-// endpoint, so a write exactly at the probe commutes.
+// endpoint, so a write exactly at the probe commutes. The queries are
+// stripe walks (walkUp/walkDown in sortedmap_striped.go), which lay the
+// gap lock as a chain of per-stripe entries.
 
-import (
-	"tcc/internal/semlock"
-	"tcc/internal/stm"
-)
-
-// mergedCeilingLocked returns the smallest live key >= k (> k when
-// strict), merging committed state (skipping buffered removals) with
-// buffered additions. Caller holds the instance guard.
-func (t *TransactionalSortedMap[K, V]) mergedCeilingLocked(l *mapLocal[K, V], k K, strict bool) (K, bool) {
-	sm := t.sorted.sms[0]
-	var committed *K
-	var c K
-	var ok bool
-	if strict {
-		c, ok = sm.HigherKey(k)
-	} else {
-		c, ok = sm.CeilingKey(k)
-	}
-	for ok {
-		if w, buffered := l.storeBuffer[c]; buffered && w.removed {
-			c, ok = sm.HigherKey(c)
-			continue
-		}
-		cc := c
-		committed = &cc
-		break
-	}
-	best := committed
-	if bk, bok := t.bufferCeilingLocked(l, &k, strict); bok {
-		if best == nil || sm.Compare(bk, *best) < 0 {
-			best = &bk
-		}
-	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
-}
-
-// mergedFloorLocked is the descending mirror. Caller holds the instance guard.
-func (t *TransactionalSortedMap[K, V]) mergedFloorLocked(l *mapLocal[K, V], k K, strict bool) (K, bool) {
-	sm := t.sorted.sms[0]
-	var committed *K
-	var c K
-	var ok bool
-	if strict {
-		c, ok = sm.LowerKey(k)
-	} else {
-		c, ok = sm.FloorKey(k)
-	}
-	for ok {
-		if w, buffered := l.storeBuffer[c]; buffered && w.removed {
-			c, ok = sm.LowerKey(c)
-			continue
-		}
-		cc := c
-		committed = &cc
-		break
-	}
-	best := committed
-	if bk, bok := t.bufferFloorLocked(l, &k, strict); bok {
-		if best == nil || sm.Compare(bk, *best) > 0 {
-			best = &bk
-		}
-	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
-}
-
-// navigateUp implements CeilingKey/HigherKey with gap locking. On a
-// range-striped map the query walks stripes upward from k's interval
-// (walkUp), laying an equivalent chain of per-stripe gap locks.
-func (t *TransactionalSortedMap[K, V]) navigateUp(tx *stm.Tx, k K, strict bool) (K, bool) {
-	if t.mask != 0 {
-		if tx.IsSnapshot() {
-			return t.snapshotCeiling(tx, k, strict)
-		}
-		return t.walkUp(tx, &k, strict)
-	}
-	l := t.local(tx)
-	var res K
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		t.guard0().Lock()
-		defer t.guard0().Unlock()
-		h := o.Handle()
-		res, ok = t.mergedCeilingLocked(l, k, strict)
-		lo := k
-		e := &semlock.RangeEntry[K]{Lo: &lo, LoExcl: strict, Owner: h}
-		if ok {
-			hi := res
-			e.Hi = &hi // [k, res]: the observed gap plus the result
-			t.lockKeyLocked(l, h, res)
-		}
-		// No result: the whole tail [k, +inf) was observed empty; the
-		// unbounded range lock protects that observation.
-		t.addRangeLock(l, 0, e)
-		return nil
-	})
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, ok
-}
-
-// navigateDown implements FloorKey/LowerKey with gap locking (striped:
-// a downward stripe-walk, see navigateUp).
-func (t *TransactionalSortedMap[K, V]) navigateDown(tx *stm.Tx, k K, strict bool) (K, bool) {
-	if t.mask != 0 {
-		if tx.IsSnapshot() {
-			return t.snapshotFloor(tx, k, strict)
-		}
-		return t.walkDown(tx, &k, strict)
-	}
-	l := t.local(tx)
-	var res K
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		t.guard0().Lock()
-		defer t.guard0().Unlock()
-		h := o.Handle()
-		res, ok = t.mergedFloorLocked(l, k, strict)
-		hi := k
-		e := &semlock.RangeEntry[K]{Hi: &hi, HiExcl: strict, Owner: h}
-		if ok {
-			lo := res
-			e.Lo = &lo // [res, k]
-			t.lockKeyLocked(l, h, res)
-		}
-		t.addRangeLock(l, 0, e)
-		return nil
-	})
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, ok
-}
+import "tcc/internal/stm"
 
 // CeilingKey returns the smallest key >= k as seen by tx, locking the
 // result key and the gap [k, result] it observed.
 func (t *TransactionalSortedMap[K, V]) CeilingKey(tx *stm.Tx, k K) (K, bool) {
-	return t.navigateUp(tx, k, false)
+	return t.walkUp(tx, &k, false)
 }
 
 // HigherKey returns the smallest key > k as seen by tx; a concurrent
 // write exactly at k does not conflict.
 func (t *TransactionalSortedMap[K, V]) HigherKey(tx *stm.Tx, k K) (K, bool) {
-	return t.navigateUp(tx, k, true)
+	return t.walkUp(tx, &k, true)
 }
 
 // FloorKey returns the largest key <= k as seen by tx, locking the
 // result key and the gap [result, k].
 func (t *TransactionalSortedMap[K, V]) FloorKey(tx *stm.Tx, k K) (K, bool) {
-	return t.navigateDown(tx, k, false)
+	return t.walkDown(tx, &k, false)
 }
 
 // LowerKey returns the largest key < k as seen by tx.
 func (t *TransactionalSortedMap[K, V]) LowerKey(tx *stm.Tx, k K) (K, bool) {
-	return t.navigateDown(tx, k, true)
+	return t.walkDown(tx, &k, true)
 }

@@ -7,7 +7,10 @@ import (
 )
 
 func TestNavigableQueriesMergeBuffer(t *testing.T) {
-	tm := newSorted()
+	forEachSortedLayout(t, testNavigableQueriesMergeBuffer)
+}
+
+func testNavigableQueriesMergeBuffer(t *testing.T, tm *TransactionalSortedMap[int, int]) {
 	th := newTh(1)
 	atomically(t, th, func(tx *stm.Tx) {
 		for _, k := range []int{10, 20, 30} {
@@ -46,100 +49,56 @@ func TestNavigableQueriesMergeBuffer(t *testing.T) {
 // to the NavigableMap queries: a navigation query conflicts exactly
 // with writes that change its answer.
 func TestNavigableConflictMatrix(t *testing.T) {
-	seed := func(tm *TransactionalSortedMap[int, int], keys ...int) func(tx *stm.Tx) {
-		return func(tx *stm.Tx) {
-			for _, k := range keys {
-				tm.Put(tx, k, k)
-			}
-		}
-	}
-	{ // ceiling(5)=10 vs put(7): 7 lands in the observed gap [5,10].
-		tm := newSorted()
-		expectConflict(t, "ceiling/put-in-gap", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.CeilingKey(tx, 5) },
-			func(tx *stm.Tx) { tm.Put(tx, 7, 7) },
-		)
-	}
-	{ // ceiling(5)=10 vs remove(10): the result key disappears.
-		tm := newSorted()
-		expectConflict(t, "ceiling/remove-result", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.CeilingKey(tx, 5) },
-			func(tx *stm.Tx) { tm.Remove(tx, 10) },
-		)
-	}
-	{ // ceiling(5)=10 vs put(15): beyond the observed gap — commute.
-		tm := newSorted()
-		expectConflict(t, "ceiling/put-beyond-result", false,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.CeilingKey(tx, 5) },
-			func(tx *stm.Tx) { tm.Put(tx, 15, 15) },
-		)
-	}
-	{ // higherKey(10)=20 vs put(10): the strict probe endpoint is not
+	type sm = *TransactionalSortedMap[int, int]
+	runSortedMatrix(t, []sortedCell{
+		// ceiling(5)=10 vs put(7): 7 lands in the observed gap [5,10].
+		{"ceiling/put-in-gap", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.CeilingKey(tx, 5) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 7, 7) }},
+		// ceiling(5)=10 vs remove(10): the result key disappears.
+		{"ceiling/remove-result", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.CeilingKey(tx, 5) },
+			func(tm sm, tx *stm.Tx) { tm.Remove(tx, 10) }},
+		// ceiling(5)=10 vs put(15): beyond the observed gap — commute.
+		{"ceiling/put-beyond-result", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.CeilingKey(tx, 5) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 15, 15) }},
+		// higherKey(10)=20 vs put(10): the strict probe endpoint is not
 		// observed — commute.
-		tm := newSorted()
-		expectConflict(t, "higher/put-at-probe", false,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.HigherKey(tx, 10) },
-			func(tx *stm.Tx) { tm.Put(tx, 10, 99) },
-		)
-	}
-	{ // ceilingKey(10)=10 vs put(10): the inclusive probe IS the result
+		{"higher/put-at-probe", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.HigherKey(tx, 10) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 10, 99) }},
+		// ceilingKey(10)=10 vs put(10): the inclusive probe IS the result
 		// — its value writer conflicts via the key lock.
-		tm := newSorted()
-		expectConflict(t, "ceiling/put-at-result", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.CeilingKey(tx, 10) },
-			func(tx *stm.Tx) { tm.Put(tx, 10, 99) },
-		)
-	}
-	{ // ceiling with no result observed the empty tail: a later insert
+		{"ceiling/put-at-result", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.CeilingKey(tx, 10) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 10, 99) }},
+		// ceiling with no result observed the empty tail: a later insert
 		// there conflicts.
-		tm := newSorted()
-		expectConflict(t, "ceiling-none/put-in-tail", true,
-			seed(tm, 10),
-			func(tx *stm.Tx) {
+		{"ceiling-none/put-in-tail", true, []int{10},
+			func(tm sm, tx *stm.Tx) {
 				if _, ok := tm.CeilingKey(tx, 50); ok && tx.Attempt() == 0 {
 					t.Error("expected no ceiling above 50")
 				}
 			},
-			func(tx *stm.Tx) { tm.Put(tx, 70, 70) },
-		)
-	}
-	{ // floor(25)=20 vs remove(20): conflict.
-		tm := newSorted()
-		expectConflict(t, "floor/remove-result", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.FloorKey(tx, 25) },
-			func(tx *stm.Tx) { tm.Remove(tx, 20) },
-		)
-	}
-	{ // floor(25)=20 vs put(22): in the observed gap [20,25] — conflict.
-		tm := newSorted()
-		expectConflict(t, "floor/put-in-gap", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.FloorKey(tx, 25) },
-			func(tx *stm.Tx) { tm.Put(tx, 22, 22) },
-		)
-	}
-	{ // floor(25)=20 vs put(5): below the observed gap — commute.
-		tm := newSorted()
-		expectConflict(t, "floor/put-below-gap", false,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.FloorKey(tx, 25) },
-			func(tx *stm.Tx) { tm.Put(tx, 5, 5) },
-		)
-	}
-	{ // lowerKey(20)=10 vs put(20): strict bound — commute.
-		tm := newSorted()
-		expectConflict(t, "lower/put-at-probe", false,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.LowerKey(tx, 20) },
-			func(tx *stm.Tx) { tm.Put(tx, 20, 99) },
-		)
-	}
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 70, 70) }},
+		// floor(25)=20 vs remove(20): conflict.
+		{"floor/remove-result", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.FloorKey(tx, 25) },
+			func(tm sm, tx *stm.Tx) { tm.Remove(tx, 20) }},
+		// floor(25)=20 vs put(22): in the observed gap [20,25] — conflict.
+		{"floor/put-in-gap", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.FloorKey(tx, 25) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 22, 22) }},
+		// floor(25)=20 vs put(5): below the observed gap — commute.
+		{"floor/put-below-gap", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.FloorKey(tx, 25) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 5, 5) }},
+		// lowerKey(20)=10 vs put(20): strict bound — commute.
+		{"lower/put-at-probe", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.LowerKey(tx, 20) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 20, 99) }},
+	})
 }
 
 func TestNavigableLocks(t *testing.T) {
@@ -154,7 +113,7 @@ func TestNavigableLocks(t *testing.T) {
 			t.Fatalf("ceiling = (%d,%v)", r, ok)
 		}
 		// Key lock on the result, range lock over the gap.
-		st := snapshotLocks(&tm.TransactionalMap, tx.Handle(), []int{10, 30})
+		st := snapshotLocks(&tm.TransactionalMap, tx, []int{10, 30})
 		if len(st.keys) != 1 || st.keys[0] != 10 {
 			t.Fatalf("key locks = %v, want [10]", st.keys)
 		}

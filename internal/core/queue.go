@@ -1,10 +1,7 @@
 package core
 
 import (
-	"strconv"
-
 	"tcc/internal/collections"
-	"tcc/internal/obs/metrics"
 	"tcc/internal/semlock"
 	"tcc/internal/stm"
 )
@@ -24,12 +21,12 @@ import (
 //
 // # Lanes
 //
-// A queue built by NewSegmentedTransactionalQueue is split into L
-// lanes, each fusing its own guard, committed sub-queue and empty-lock
-// set — the segmented cousin of internal/concurrent's MSQueue, which
-// gets its parallelism from separate head/tail CAS points; here the
-// separation is whole lanes, so commit handler windows parallelize
-// too. FIFO is semantic at lane granularity: elements of one lane
+// The queue is a stripeSet of L lanes (L = 1 unless built by
+// NewSegmentedTransactionalQueue), each fusing its own guard, committed
+// sub-queue and empty-lock set — the segmented cousin of
+// internal/concurrent's MSQueue, which gets its parallelism from
+// separate head/tail CAS points; here the separation is whole lanes,
+// so commit handler windows parallelize too. FIFO is semantic at lane granularity: elements of one lane
 // leave in the order their transactions committed, but the queue makes
 // no ordering promise between lanes — the same relaxation the paper's
 // §3.3 makes for Put/Take commutativity, one level wider. Producers
@@ -37,16 +34,16 @@ import (
 // consumers drain their own lane first and steal from the others only
 // when it is empty, so disjoint-lane traffic commits fully in
 // parallel. Observing *global* emptiness (null Poll/Peek) takes every
-// lane's empty lock, under every lane's guard (lockLanes, ascending
+// lane's empty lock, under every lane's guard (lockSpan, ascending
 // id order — deadlock-free against the commit protocol's sorted
-// footprint acquisition). NewTransactionalQueue builds one lane and
-// is behaviorally identical to the pre-lane implementation.
+// footprint acquisition); with one lane the lane probe itself is that
+// observation.
 type TransactionalQueue[T any] struct {
-	// lanes has power-of-two length in [1, 64]; lane guard ids are
-	// ascending in slice order (minted in order at construction).
-	lanes []*queueLane[T]
-	// mask is len(lanes)-1; 0 means single-lane.
-	mask   uint64
+	// stripeSet holds the lanes' guards and footprint machinery; mask ==
+	// 0 means single-lane.
+	stripeSet
+	// lanes[i] is the lane guarded by guards[i].
+	lanes  []*queueLane[T]
 	opCost uint64
 	// name labels this instance in violation reasons.
 	name           string
@@ -55,38 +52,23 @@ type TransactionalQueue[T any] struct {
 }
 
 // queueLane is one lane: a committed sub-queue and its empty-lock set,
-// fused with the lane's commit-guard shard (see TransactionalMap's
-// mapStripe for the fusion idiom).
+// both protected by the lane's entry of the stripeSet's guard vector.
 type queueLane[T any] struct {
-	guard *stm.Guard
 	// q holds the lane's committed state (Table 9: "the underlying
 	// Queue instance").
 	q collections.Queue[T]
 	// emptyLockers is the shared transaction state of Table 9.
 	emptyLockers *semlock.OwnerSet
-	// violations counts semantic violations landed by this lane's
-	// empty-lock sweeps (metrics plane; atomic-only, guard-window safe).
-	violations *metrics.Counter
 }
 
 // queueLocal is the local transaction state of Table 9, per lane.
 type queueLocal[T any] struct {
+	footprint
 	addBuffers    [][]T
 	removeBuffers [][]T
-	// emptyLocked and touched are lane bitmasks: the lanes whose empty
-	// lock this transaction holds, and the lanes in its guard
-	// footprint (see mapLocal.touched for the footprint protocol).
+	// emptyLocked is the bitmask of lanes whose empty lock this
+	// transaction holds.
 	emptyLocked uint64
-	touched     uint64
-	registered  bool
-}
-
-func newQueueLane[T any](q collections.Queue[T]) *queueLane[T] {
-	return &queueLane[T]{
-		guard:        stm.NewGuard(),
-		q:            q,
-		emptyLockers: semlock.NewOwnerSet(),
-	}
 }
 
 // NewTransactionalQueue wraps q; the wrapper assumes exclusive
@@ -94,12 +76,7 @@ func newQueueLane[T any](q collections.Queue[T]) *queueLane[T] {
 // single-lane; use NewSegmentedTransactionalQueue (which builds its
 // own lanes) when endpoint traffic on one hot queue needs to scale.
 func NewTransactionalQueue[T any](q collections.Queue[T]) *TransactionalQueue[T] {
-	tq := &TransactionalQueue[T]{
-		lanes:  []*queueLane[T]{newQueueLane(q)},
-		opCost: DefaultOpCost,
-	}
-	tq.SetName("queue")
-	return tq
+	return NewSegmentedTransactionalQueue(func() collections.Queue[T] { return q }, 1)
 }
 
 // NewSegmentedTransactionalQueue creates a queue split into the given
@@ -109,14 +86,12 @@ func NewTransactionalQueue[T any](q collections.Queue[T]) *TransactionalQueue[T]
 func NewSegmentedTransactionalQueue[T any](newLane func() collections.Queue[T], lanes int) *TransactionalQueue[T] {
 	n := normalizeStripes(lanes)
 	tq := &TransactionalQueue[T]{
-		lanes:  make([]*queueLane[T], n),
-		opCost: DefaultOpCost,
-	}
-	if n > 1 {
-		tq.mask = uint64(n - 1)
+		stripeSet: newStripeSet(n),
+		lanes:     make([]*queueLane[T], n),
+		opCost:    DefaultOpCost,
 	}
 	for i := range tq.lanes {
-		tq.lanes[i] = newQueueLane(newLane())
+		tq.lanes[i] = &queueLane[T]{q: newLane(), emptyLockers: semlock.NewOwnerSet()}
 	}
 	tq.SetName("queue")
 	return tq
@@ -127,18 +102,7 @@ func NewSegmentedTransactionalQueue[T any](newLane func() collections.Queue[T], 
 // (the queue cousin of the map's "name.stripe[i]" convention).
 func (tq *TransactionalQueue[T]) SetName(name string) {
 	tq.name = name
-	if len(tq.lanes) == 1 {
-		tq.lanes[0].guard.SetLabel(name)
-	} else {
-		for i, ln := range tq.lanes {
-			ln.guard.SetLabel(name + ".lane[" + strconv.Itoa(i) + "]")
-		}
-	}
-	for i, ln := range tq.lanes {
-		ln.violations = metrics.Default.Counter(metrics.CollectionViolations,
-			"Semantic violations landed by this collection stripe's conflict sweeps",
-			metrics.L("collection", name), metrics.L("stripe", strconv.Itoa(i)))
-	}
+	tq.setName(name, "lane")
 	tq.reasonNotEmpty = name + ": no longer empty"
 	tq.reasonRefill = name + ": refilled on abort"
 }
@@ -149,7 +113,7 @@ func (tq *TransactionalQueue[T]) Name() string { return tq.name }
 // Guard returns lane 0's commit guard — the instance guard of a
 // single-lane queue. Code composing its own guarded handlers with a
 // segmented queue should use LaneGuard for the lane it works with.
-func (tq *TransactionalQueue[T]) Guard() *stm.Guard { return tq.lanes[0].guard }
+func (tq *TransactionalQueue[T]) Guard() *stm.Guard { return tq.guards[0] }
 
 // Lanes returns the number of lanes (1 unless built by
 // NewSegmentedTransactionalQueue).
@@ -157,7 +121,7 @@ func (tq *TransactionalQueue[T]) Lanes() int { return len(tq.lanes) }
 
 // LaneGuard returns the commit guard of lane li.
 func (tq *TransactionalQueue[T]) LaneGuard(li int) *stm.Guard {
-	return tq.lanes[li&int(tq.mask)].guard
+	return tq.guards[li&int(tq.mask)]
 }
 
 // LaneOf returns the calling thread's affine lane: the lane Put
@@ -171,30 +135,9 @@ func (tq *TransactionalQueue[T]) LaneOf(tx *stm.Tx) int {
 // SetOpCost overrides the abstract cycle cost charged per operation.
 func (tq *TransactionalQueue[T]) SetOpCost(c uint64) { tq.opCost = c }
 
-// lockLanes locks every lane guard, in ascending guard-id order (slice
-// order) — whole-queue answers (global emptiness, CommittedSize) need
-// all lanes pinned at once, and the ascending order keeps the hold
-// compatible with the commit protocol's sorted footprint acquisition.
-// stmlint classifies a lockLanes call as opening a commit-guard hold
-// window.
-func (tq *TransactionalQueue[T]) lockLanes() {
-	for _, ln := range tq.lanes {
-		ln.guard.Lock()
-	}
-}
-
-// unlockLanes unlocks every lane guard (closing the hold window).
-func (tq *TransactionalQueue[T]) unlockLanes() {
-	for _, ln := range tq.lanes {
-		ln.guard.Unlock()
-	}
-}
-
 // local returns this transaction's local state for this instance,
-// creating it on first use. Single-lane instances register the handler
-// pair immediately; segmented ones defer to the first touch so the
-// footprint starts with the lane actually used (see
-// TransactionalMap.local).
+// creating it — with the handler pair the first touch will register — on
+// first use (see TransactionalMap.local).
 func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] {
 	if l, ok := tx.Local(tq).(*queueLocal[T]); ok {
 		return l
@@ -203,101 +146,42 @@ func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] {
 		addBuffers:    make([][]T, len(tq.lanes)),
 		removeBuffers: make([][]T, len(tq.lanes)),
 	}
+	h, th := tx.Handle(), tx.Thread()
+	l.onCommit = func() { tq.finishLocked(l, h, th, l.addBuffers, tq.reasonNotEmpty) }
+	l.onAbort = func() { tq.finishLocked(l, h, th, l.removeBuffers, tq.reasonRefill) }
 	tx.SetLocal(tq, l)
-	if len(tq.lanes) == 1 {
-		l.touched = 1
-		tq.register(tx, l)
-	}
 	return l
 }
 
-// register installs the transaction's single commit/abort handler pair
-// for this instance under the guard of the first lane it touched. The
-// handler bodies take no lock themselves: the commit/rollback protocol
-// holds every touched lane's guard (the footprint widened by touch)
-// for the whole handler window.
-func (tq *TransactionalQueue[T]) register(tx *stm.Tx, l *queueLocal[T]) {
-	l.registered = true
-	g := tq.lanes[firstStripe(l.touched)].guard
-	h := tx.Handle()
-	th := tx.Thread()
-	tx.OnTopCommitGuarded(g, func() {
-		mon := metrics.On()
-		total := 0
-		for li, ln := range tq.lanes {
-			bit := uint64(1) << uint(li)
-			if l.touched&bit == 0 {
-				continue
-			}
-			wasEmpty := ln.q.Size() == 0
-			for _, v := range l.addBuffers[li] {
-				ln.q.Enqueue(v)
-			}
-			if wasEmpty && len(l.addBuffers[li]) > 0 {
-				// Table 8: put's write conflict fires "if now non-empty".
-				n := ln.emptyLockers.ViolateOthers(h, tq.reasonNotEmpty)
-				if n > 0 && mon {
-					ln.violations.Add(uint64(n))
-				}
-			}
-			if l.emptyLocked&bit != 0 {
-				ln.emptyLockers.Unlock(h)
-			}
-			total += len(l.addBuffers[li])
-			l.addBuffers[li], l.removeBuffers[li] = nil, nil
+// finishLocked is the body of both handlers: enqueue bufs into every
+// touched lane — the commit handler publishes the transaction's
+// additions, the abort handler returns everything it dequeued
+// (compensation) — violate the empty-lock holders of lanes that thereby
+// stopped being empty (Table 8: put's write conflict fires "if now
+// non-empty"), and release this transaction's locks and buffers. The
+// protocol holds every touched lane's guard.
+func (tq *TransactionalQueue[T]) finishLocked(l *queueLocal[T], h semlock.Owner, th *stm.Thread, bufs [][]T, reason string) {
+	total := 0
+	for li, ln := range tq.lanes {
+		bit := uint64(1) << uint(li)
+		if l.touched&bit == 0 {
+			continue
 		}
-		l.emptyLocked = 0
-		th.DeferTick(tq.opCost * uint64(1+total))
-	})
-	tx.OnTopAbortGuarded(g, func() {
-		mon := metrics.On()
-		total := 0
-		for li, ln := range tq.lanes {
-			bit := uint64(1) << uint(li)
-			if l.touched&bit == 0 {
-				continue
-			}
-			wasEmpty := ln.q.Size() == 0
-			// Compensation: return everything this transaction dequeued
-			// from this lane.
-			for _, v := range l.removeBuffers[li] {
-				ln.q.Enqueue(v)
-			}
-			if wasEmpty && len(l.removeBuffers[li]) > 0 {
-				n := ln.emptyLockers.ViolateOthers(h, tq.reasonRefill)
-				if n > 0 && mon {
-					ln.violations.Add(uint64(n))
-				}
-			}
-			if l.emptyLocked&bit != 0 {
-				ln.emptyLockers.Unlock(h)
-			}
-			total += len(l.removeBuffers[li])
-			l.addBuffers[li], l.removeBuffers[li] = nil, nil
+		wasEmpty := ln.q.Size() == 0
+		for _, v := range bufs[li] {
+			ln.q.Enqueue(v)
 		}
-		l.emptyLocked = 0
-		th.DeferTick(tq.opCost * uint64(1+total))
-	})
-}
-
-// touch adds lane li to the transaction's footprint for this instance,
-// registering the handler pair on the first touch and widening the
-// root-level guard footprint on later ones, and returns the lane. Like
-// TransactionalMap.touch, it must run before (not inside) the
-// open-nested critical section that locks the lane's guard.
-func (tq *TransactionalQueue[T]) touch(tx *stm.Tx, l *queueLocal[T], li int) *queueLane[T] {
-	ln := tq.lanes[li]
-	bit := uint64(1) << uint(li)
-	if l.touched&bit != 0 {
-		return ln
+		if wasEmpty && len(bufs[li]) > 0 {
+			tq.noteViolations(li, ln.emptyLockers.ViolateOthers(h, reason))
+		}
+		if l.emptyLocked&bit != 0 {
+			ln.emptyLockers.Unlock(h)
+		}
+		total += len(bufs[li])
+		l.addBuffers[li], l.removeBuffers[li] = nil, nil
 	}
-	l.touched |= bit
-	if !l.registered {
-		tq.register(tx, l)
-		return ln
-	}
-	tx.AddTopGuard(ln.guard)
-	return ln
+	l.emptyLocked = 0
+	th.DeferTick(tq.opCost * uint64(1+total))
 }
 
 // Put enqueues v — into the calling thread's affine lane — when the
@@ -312,7 +196,7 @@ func (tq *TransactionalQueue[T]) Put(tx *stm.Tx, v T) {
 func (tq *TransactionalQueue[T]) PutLane(tx *stm.Tx, li int, v T) {
 	li &= int(tq.mask)
 	l := tq.local(tx)
-	tq.touch(tx, l, li)
+	tq.touch(tx, &l.footprint, li)
 	l.addBuffers[li] = append(l.addBuffers[li], v)
 	tx.Thread().Clock.Tick(tq.opCost / 4)
 }
@@ -324,100 +208,88 @@ func (tq *TransactionalQueue[T]) Offer(tx *stm.Tx, v T) bool {
 	return true
 }
 
-// tryDequeueLane removes one element of lane li visible to tx:
-// preferentially from the lane's committed sub-queue (recording it for
+// frontLocked returns — and, when remove is set, takes — the element of
+// lane li at the front as seen by this transaction: preferentially from
+// the lane's committed sub-queue (a removal is recorded for
 // compensation on abort), else from the transaction's own uncommitted
-// additions to the lane.
-func (tq *TransactionalQueue[T]) tryDequeueLane(tx *stm.Tx, l *queueLocal[T], li int, lockIfEmpty bool) (T, bool) {
-	ln := tq.touch(tx, l, li)
-	var out T
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		ln.guard.Lock()
-		defer ln.guard.Unlock()
-		if v, got := ln.q.Dequeue(); got {
-			l.removeBuffers[li] = append(l.removeBuffers[li], v)
-			out, ok = v, true
-			return nil
-		}
-		if len(l.addBuffers[li]) > 0 {
-			out, ok = l.addBuffers[li][0], true
-			l.addBuffers[li] = l.addBuffers[li][1:]
-			return nil
-		}
-		if lockIfEmpty {
-			ln.emptyLockers.Lock(o.Handle())
-			l.emptyLocked |= uint64(1) << uint(li)
-		}
-		return nil
-	})
-	tx.Thread().Clock.Tick(tq.opCost)
-	return out, ok
-}
-
-// tryDequeue removes one element visible to tx. Single-lane: the old
-// one-guard protocol. Segmented: probe lanes one guard at a time
-// starting from the thread's affine lane (no empty locks — which lane
-// supplied the element is not semantically observable under lane-FIFO
-// ordering), and only if every lane came up empty fall to the
-// two-phase global-empty check (dequeueOrLockEmpty) when the caller
-// needs emptiness locked.
-func (tq *TransactionalQueue[T]) tryDequeue(tx *stm.Tx, l *queueLocal[T], lockIfEmpty bool) (T, bool) {
-	if tq.mask == 0 {
-		return tq.tryDequeueLane(tx, l, 0, lockIfEmpty)
-	}
-	start := tq.LaneOf(tx)
-	for i := range tq.lanes {
-		li := (start + i) & int(tq.mask)
-		if v, ok := tq.tryDequeueLane(tx, l, li, false); ok {
+// additions to the lane. Caller holds lane li's guard.
+func (tq *TransactionalQueue[T]) frontLocked(l *queueLocal[T], li int, remove bool) (T, bool) {
+	q := tq.lanes[li].q
+	if !remove {
+		if v, ok := q.Peek(); ok {
 			return v, true
 		}
+	} else if v, ok := q.Dequeue(); ok {
+		l.removeBuffers[li] = append(l.removeBuffers[li], v)
+		return v, true
 	}
-	if lockIfEmpty {
-		return tq.dequeueOrLockEmpty(tx, l)
+	if len(l.addBuffers[li]) > 0 {
+		v := l.addBuffers[li][0]
+		if remove {
+			l.addBuffers[li] = l.addBuffers[li][1:]
+		}
+		return v, true
 	}
 	var zero T
 	return zero, false
 }
 
-// dequeueOrLockEmpty re-checks every lane with all lane guards held at
-// once and, if the queue is still globally empty, takes every lane's
-// empty lock under that same hold — so "the queue was empty" is one
-// atomic observation that any lane's refill violates. The lane-at-a-
-// time probe cannot be used for this: emptiness seen lane by lane can
-// be stale by the time the last lane is checked.
-func (tq *TransactionalQueue[T]) dequeueOrLockEmpty(tx *stm.Tx, l *queueLocal[T]) (T, bool) {
-	for li := range tq.lanes {
-		tq.touch(tx, l, li)
+// frontSpan is one open-nested probe of lanes [lo, hi), all their
+// guards held at once: the front element of the first lane that has one
+// or, when none does and lockIfEmpty is set, the empty lock of every
+// lane of the span taken under that same hold.
+func (tq *TransactionalQueue[T]) frontSpan(tx *stm.Tx, l *queueLocal[T], lo, hi int, remove, lockIfEmpty bool) (T, bool) {
+	for li := lo; li < hi; li++ {
+		tq.touch(tx, &l.footprint, li)
 	}
 	var out T
 	var ok bool
 	_ = tx.Open(func(o *stm.Tx) error {
-		tq.lockLanes()
-		defer tq.unlockLanes()
-		for li, ln := range tq.lanes {
-			if v, got := ln.q.Dequeue(); got {
-				l.removeBuffers[li] = append(l.removeBuffers[li], v)
-				out, ok = v, true
-				return nil
-			}
-			if len(l.addBuffers[li]) > 0 {
-				out, ok = l.addBuffers[li][0], true
-				l.addBuffers[li] = l.addBuffers[li][1:]
-				return nil
-			}
+		tq.lockSpan(lo, hi)
+		defer tq.unlockSpan(lo, hi)
+		for li := lo; li < hi && !ok; li++ {
+			out, ok = tq.frontLocked(l, li, remove)
 		}
-		h := o.Handle()
-		for li, ln := range tq.lanes {
-			if l.emptyLocked&(uint64(1)<<uint(li)) == 0 {
-				ln.emptyLockers.Lock(h)
-				l.emptyLocked |= uint64(1) << uint(li)
+		if !ok && lockIfEmpty {
+			for li := lo; li < hi; li++ {
+				if bit := uint64(1) << uint(li); l.emptyLocked&bit == 0 {
+					tq.lanes[li].emptyLockers.Lock(o.Handle())
+					l.emptyLocked |= bit
+				}
 			}
 		}
 		return nil
 	})
 	tx.Thread().Clock.Tick(tq.opCost)
 	return out, ok
+}
+
+// front finds — and, when remove is set, takes — one element visible to
+// tx. Single-lane: one probe that locks emptiness in the same critical
+// section it observes it in. Segmented: probe lanes one guard at a time
+// starting from the thread's affine lane (no empty locks — which lane
+// supplied the element is not semantically observable under lane-FIFO
+// ordering), and only if every lane came up empty and the caller needs
+// emptiness locked re-check all lanes under one all-guard hold, so "the
+// queue was empty" is one atomic observation that any lane's refill
+// violates. The lane-at-a-time probe cannot serve for that: emptiness
+// seen lane by lane can be stale by the time the last lane is checked.
+func (tq *TransactionalQueue[T]) front(tx *stm.Tx, l *queueLocal[T], remove, lockIfEmpty bool) (T, bool) {
+	if tq.mask == 0 {
+		return tq.frontSpan(tx, l, 0, 1, remove, lockIfEmpty)
+	}
+	start := tq.LaneOf(tx)
+	for i := range tq.lanes {
+		li := (start + i) & int(tq.mask)
+		if v, ok := tq.frontSpan(tx, l, li, li+1, remove, false); ok {
+			return v, true
+		}
+	}
+	if lockIfEmpty {
+		return tq.frontSpan(tx, l, 0, len(tq.lanes), remove, true)
+	}
+	var zero T
+	return zero, false
 }
 
 // Poll removes and returns an element, or reports false on an empty
@@ -425,7 +297,7 @@ func (tq *TransactionalQueue[T]) dequeueOrLockEmpty(tx *stm.Tx, l *queueLocal[T]
 // segmented queue), so a commit that makes the queue non-empty aborts
 // this transaction (Table 8: "poll: read lock if empty").
 func (tq *TransactionalQueue[T]) Poll(tx *stm.Tx) (T, bool) {
-	return tq.tryDequeue(tx, tq.local(tx), true)
+	return tq.front(tx, tq.local(tx), true, true)
 }
 
 // Take removes and returns an element, spinning (with contention
@@ -436,7 +308,7 @@ func (tq *TransactionalQueue[T]) Poll(tx *stm.Tx) (T, bool) {
 func (tq *TransactionalQueue[T]) Take(tx *stm.Tx) T {
 	l := tq.local(tx)
 	for spin := 0; ; spin++ {
-		if v, ok := tq.tryDequeue(tx, l, false); ok {
+		if v, ok := tq.front(tx, l, true, false); ok {
 			return v
 		}
 		tx.Poll()
@@ -448,89 +320,19 @@ func (tq *TransactionalQueue[T]) Take(tx *stm.Tx) T {
 	}
 }
 
-// peekLane is tryDequeueLane without the removal.
-func (tq *TransactionalQueue[T]) peekLane(tx *stm.Tx, l *queueLocal[T], li int, lockIfEmpty bool) (T, bool) {
-	ln := tq.touch(tx, l, li)
-	var out T
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		ln.guard.Lock()
-		defer ln.guard.Unlock()
-		if v, got := ln.q.Peek(); got {
-			out, ok = v, true
-			return nil
-		}
-		if len(l.addBuffers[li]) > 0 {
-			out, ok = l.addBuffers[li][0], true
-			return nil
-		}
-		if lockIfEmpty {
-			ln.emptyLockers.Lock(o.Handle())
-			l.emptyLocked |= uint64(1) << uint(li)
-		}
-		return nil
-	})
-	tx.Thread().Clock.Tick(tq.opCost)
-	return out, ok
-}
-
 // Peek returns the element Take would return, without removing it, or
 // reports false and takes the empty lock (Table 8: "peek: read lock if
 // empty"). Note the reduced isolation: the peeked element may be taken
 // by another transaction before this one commits.
 func (tq *TransactionalQueue[T]) Peek(tx *stm.Tx) (T, bool) {
-	l := tq.local(tx)
-	if tq.mask == 0 {
-		return tq.peekLane(tx, l, 0, true)
-	}
-	start := tq.LaneOf(tx)
-	for i := range tq.lanes {
-		li := (start + i) & int(tq.mask)
-		if v, ok := tq.peekLane(tx, l, li, false); ok {
-			return v, true
-		}
-	}
-	return tq.peekOrLockEmpty(tx, l)
-}
-
-// peekOrLockEmpty is dequeueOrLockEmpty without the removal.
-func (tq *TransactionalQueue[T]) peekOrLockEmpty(tx *stm.Tx, l *queueLocal[T]) (T, bool) {
-	for li := range tq.lanes {
-		tq.touch(tx, l, li)
-	}
-	var out T
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		tq.lockLanes()
-		defer tq.unlockLanes()
-		for li, ln := range tq.lanes {
-			if v, got := ln.q.Peek(); got {
-				out, ok = v, true
-				return nil
-			}
-			if len(l.addBuffers[li]) > 0 {
-				out, ok = l.addBuffers[li][0], true
-				return nil
-			}
-		}
-		h := o.Handle()
-		for li, ln := range tq.lanes {
-			if l.emptyLocked&(uint64(1)<<uint(li)) == 0 {
-				ln.emptyLockers.Lock(h)
-				l.emptyLocked |= uint64(1) << uint(li)
-			}
-		}
-		return nil
-	})
-	tx.Thread().Clock.Tick(tq.opCost)
-	return out, ok
+	return tq.front(tx, tq.local(tx), false, true)
 }
 
 // CommittedSize returns the size of the committed queue, for inspection
 // after transactions have quiesced.
 func (tq *TransactionalQueue[T]) CommittedSize() int {
-	tq.lockLanes()
-	defer tq.unlockLanes()
+	tq.lockSpan(0, len(tq.lanes))
+	defer tq.unlockSpan(0, len(tq.lanes))
 	n := 0
 	for _, ln := range tq.lanes {
 		n += ln.q.Size()

@@ -222,6 +222,39 @@ func TestSegmentedQueueSingleLaneEquivalence(t *testing.T) {
 	}
 }
 
+// TestQueueEmptyProbeCount pins how emptiness is proved: a single-lane
+// queue locks emptiness in the one open-nested probe that observes it; a
+// segmented queue probes each lane and then re-checks all of them under
+// one all-guard hold.
+func TestQueueEmptyProbeCount(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		q    *TransactionalQueue[int]
+		want uint64
+	}{
+		{"adopted", newQueue(), 1},
+		{"lanes1", newSegmentedQueue(1), 1},
+		{"lanes4", newSegmentedQueue(4), 5},
+	} {
+		for _, op := range []struct {
+			name string
+			run  func(tx *stm.Tx) (int, bool)
+		}{{"poll", c.q.Poll}, {"peek", c.q.Peek}} {
+			t.Run(c.name+"/"+op.name, func(t *testing.T) {
+				th := newTh(1)
+				atomically(t, th, func(tx *stm.Tx) {
+					if _, ok := op.run(tx); ok {
+						t.Error("empty queue returned an element")
+					}
+				})
+				if th.Stats.OpenCommits != c.want {
+					t.Errorf("open-nested probes = %d, want %d", th.Stats.OpenCommits, c.want)
+				}
+			})
+		}
+	}
+}
+
 // TestSegmentedQueueNoLostOrDuplicatedWork hammers producers and
 // consumers across all lanes and checks conservation.
 func TestSegmentedQueueNoLostOrDuplicatedWork(t *testing.T) {

@@ -111,16 +111,16 @@ func TestQueueEmptyPollTakesEmptyLock(t *testing.T) {
 		if _, ok := q.Poll(tx); ok {
 			t.Error("poll on empty queue succeeded")
 		}
-		q.lanes[0].guard.Lock()
+		q.guards[0].Lock()
 		n := q.lanes[0].emptyLockers.Len()
-		q.lanes[0].guard.Unlock()
+		q.guards[0].Unlock()
 		if n != 1 {
 			t.Error("null poll did not take the empty lock")
 		}
 	})
-	q.lanes[0].guard.Lock()
+	q.guards[0].Lock()
 	n := q.lanes[0].emptyLockers.Len()
-	q.lanes[0].guard.Unlock()
+	q.guards[0].Unlock()
 	if n != 0 {
 		t.Error("empty lock leaked after commit")
 	}

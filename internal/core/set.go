@@ -81,10 +81,10 @@ func (s *TransactionalSortedSet[K]) Size(tx *stm.Tx) int { return s.m.Size(tx) }
 // IsEmpty reports emptiness (takes the empty-transition lock).
 func (s *TransactionalSortedSet[K]) IsEmpty(tx *stm.Tx) bool { return s.m.IsEmpty(tx) }
 
-// First returns the minimum element (takes the first lock).
+// First returns the minimum element (see TransactionalSortedMap.FirstKey).
 func (s *TransactionalSortedSet[K]) First(tx *stm.Tx) (K, bool) { return s.m.FirstKey(tx) }
 
-// Last returns the maximum element (takes the last lock).
+// Last returns the maximum element (see TransactionalSortedMap.LastKey).
 func (s *TransactionalSortedSet[K]) Last(tx *stm.Tx) (K, bool) { return s.m.LastKey(tx) }
 
 // ForEach enumerates the set in ascending order until fn returns false.

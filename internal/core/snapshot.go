@@ -15,7 +15,7 @@ import (
 //   - Get/ContainsKey lock one stripe guard, read the committed shard,
 //     and unlock — no key lock, no open-nested child.
 //   - Size/IsEmpty/Iterator pin every stripe guard at once
-//     (lockGuards), so a whole-map answer can never observe half of a
+//     (lockSpan), so a whole-map answer can never observe half of a
 //     multi-stripe commit.
 //
 // Consistency caveat: unlike stm.Var reads — which the snapshot path
@@ -47,12 +47,12 @@ func (tm *TransactionalMap[K, V]) snapshotGet(tx *stm.Tx, k K) (V, bool) {
 // size summed with every stripe guard held, so a multi-stripe commit is
 // either fully counted or not at all.
 func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
-	tm.lockGuards()
+	tm.lockSpan(0, len(tm.stripes))
 	n := 0
 	for _, st := range tm.stripes {
 		n += st.m.Size()
 	}
-	tm.unlockGuards()
+	tm.unlockSpan(0, len(tm.stripes))
 	tx.Thread().Clock.Tick(tm.opCost)
 	return n
 }
@@ -63,7 +63,7 @@ func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
 // is one atomic view of the map (see the caveat above for sequences).
 func (tm *TransactionalMap[K, V]) snapshotIterator(tx *stm.Tx) *MapIterator[K, V] {
 	it := &MapIterator[K, V]{frozen: true}
-	tm.lockGuards()
+	tm.lockSpan(0, len(tm.stripes))
 	for _, st := range tm.stripes {
 		for _, k := range st.m.Keys() {
 			if v, ok := st.m.Get(k); ok {
@@ -71,7 +71,7 @@ func (tm *TransactionalMap[K, V]) snapshotIterator(tx *stm.Tx) *MapIterator[K, V
 			}
 		}
 	}
-	tm.unlockGuards()
+	tm.unlockSpan(0, len(tm.stripes))
 	tx.Thread().Clock.Tick(tm.opCost)
 	return it
 }

@@ -258,3 +258,46 @@ func TestSnapshotReadStress(t *testing.T) {
 		t.Fatalf("reader stats = %+v, want no fallbacks/aborts", reader.Stats)
 	}
 }
+
+// TestSnapshotNavigationRouting pins the one layout-dependent branch the
+// stripe engine keeps (snapshotRouted): inside AtomicRead a range-striped
+// map answers navigation queries on the snapshot path, a single-stripe
+// map falls back to the retry path — once per transaction.
+func TestSnapshotNavigationRouting(t *testing.T) {
+	type sm = *TransactionalSortedMap[int, int]
+	ops := []struct {
+		name string
+		run  func(tm sm, tx *stm.Tx) (int, bool)
+		want int
+	}{
+		{"firstKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.FirstKey(tx) }, 10},
+		{"lastKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.LastKey(tx) }, 30},
+		{"ceilingKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.CeilingKey(tx, 15) }, 30},
+		{"lowerKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.LowerKey(tx, 30) }, 10},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			forEachSortedLayout(t, func(t *testing.T, tm sm) {
+				atomically(t, newTh(1), func(tx *stm.Tx) {
+					tm.Put(tx, 10, 10)
+					tm.Put(tx, 30, 30)
+				})
+				th := newTh(2)
+				must(t, th.AtomicRead(func(tx *stm.Tx) error {
+					if k, ok := op.run(tm, tx); !ok || k != op.want {
+						t.Errorf("answer = (%d,%v), want %d", k, ok, op.want)
+					}
+					return nil
+				}))
+				wantFallbacks := uint64(1)
+				if tm.Stripes() > 1 {
+					wantFallbacks = 0
+				}
+				if th.Stats.SnapshotFallbacks != wantFallbacks {
+					t.Errorf("%d-stripe map: SnapshotFallbacks = %d, want %d",
+						tm.Stripes(), th.Stats.SnapshotFallbacks, wantFallbacks)
+				}
+			})
+		})
+	}
+}

@@ -9,8 +9,10 @@ import (
 // TransactionalSortedMap wraps any collections.SortedMap (typically a
 // red-black TreeMap) and extends TransactionalMap with the
 // order-dependent operations of paper §3.2 and Tables 4-6: endpoint
-// queries protected by first/last locks, ordered iteration protected by
-// expanding key-range locks, and subMap/headMap/tailMap views.
+// queries, ordered iteration protected by expanding key-range locks, and
+// subMap/headMap/tailMap views. Every order-dependent operation is a
+// stripe walk (sortedmap_striped.go); Table 5's first/last locks are the
+// range locks a walk from the bottom (top) of the key space lays.
 type TransactionalSortedMap[K comparable, V any] struct {
 	TransactionalMap[K, V]
 }
@@ -23,203 +25,51 @@ type TransactionalSortedMap[K comparable, V any] struct {
 // shards) when disjoint-range operations on one hot sorted map need to
 // scale (see the package documentation's striping note).
 func NewTransactionalSortedMap[K comparable, V any](sm collections.SortedMap[K, V]) *TransactionalSortedMap[K, V] {
-	t := &TransactionalSortedMap[K, V]{
-		TransactionalMap: TransactionalMap[K, V]{
-			stripes: []*mapStripe[K, V]{newMapStripe[K, V](sm)},
-			opCost:  DefaultOpCost,
-		},
-	}
-	t.sorted = &sortedExt[K, V]{
-		cmp:          sm.Compare,
-		sms:          []collections.SortedMap[K, V]{sm},
-		rangeLockers: []*semlock.RangeTable[K]{semlock.NewRangeTable[K](sm.Compare)},
-		firstLockers: semlock.NewOwnerSet(),
-		lastLockers:  semlock.NewOwnerSet(),
-	}
-	t.SetName("sortedmap")
-	return t
+	return NewRangeStripedTransactionalSortedMap(func() collections.SortedMap[K, V] { return sm }, nil)
 }
 
 // Compare applies the map's comparator.
 func (t *TransactionalSortedMap[K, V]) Compare(a, b K) int { return t.sorted.cmp(a, b) }
 
-// bufferCeilingLocked returns the smallest buffered non-removed key
-// >= *k (> *k when strict); k == nil starts from the buffer's minimum.
-// It walks the sortedStoreBuffer index (Table 6), skipping removal
-// markers. Caller holds the instance guard.
-func (t *TransactionalSortedMap[K, V]) bufferCeilingLocked(l *mapLocal[K, V], k *K, strict bool) (K, bool) {
-	var cand K
-	var ok bool
-	switch {
-	case k == nil:
-		cand, ok = l.sortedKeys.FirstKey()
-	case strict:
-		cand, ok = l.sortedKeys.HigherKey(*k)
-	default:
-		cand, ok = l.sortedKeys.CeilingKey(*k)
-	}
-	for ok {
-		if w := l.storeBuffer[cand]; w != nil && !w.removed {
-			return cand, true
-		}
-		cand, ok = l.sortedKeys.HigherKey(cand)
-	}
-	var zero K
-	return zero, false
-}
-
-// bufferFloorLocked is the descending mirror of bufferCeilingLocked.
-func (t *TransactionalSortedMap[K, V]) bufferFloorLocked(l *mapLocal[K, V], k *K, strict bool) (K, bool) {
-	var cand K
-	var ok bool
-	switch {
-	case k == nil:
-		cand, ok = l.sortedKeys.LastKey()
-	case strict:
-		cand, ok = l.sortedKeys.LowerKey(*k)
-	default:
-		cand, ok = l.sortedKeys.FloorKey(*k)
-	}
-	for ok {
-		if w := l.storeBuffer[cand]; w != nil && !w.removed {
-			return cand, true
-		}
-		cand, ok = l.sortedKeys.LowerKey(cand)
-	}
-	var zero K
-	return zero, false
-}
-
-// mergedFirstLocked returns the smallest live key as seen by this
-// transaction: the smallest committed key that is not buffered-removed,
-// merged with the smallest buffered addition. Caller holds the instance guard.
-func (t *TransactionalSortedMap[K, V]) mergedFirstLocked(l *mapLocal[K, V]) (K, bool) {
-	sm := t.sorted.sms[0]
-	var committed *K
-	sm.AscendRange(nil, nil, func(k K, _ V) bool {
-		if w, ok := l.storeBuffer[k]; ok && w.removed {
-			return true
-		}
-		kk := k
-		committed = &kk
-		return false
-	})
-	best := committed
-	if bk, ok := t.bufferCeilingLocked(l, nil, false); ok {
-		if best == nil || sm.Compare(bk, *best) < 0 {
-			best = &bk
-		}
-	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
-}
-
-// mergedLastLocked is the mirror of mergedFirstLocked. Caller holds
-// the instance guard.
-func (t *TransactionalSortedMap[K, V]) mergedLastLocked(l *mapLocal[K, V]) (K, bool) {
-	sm := t.sorted.sms[0]
-	var committed *K
-	k, ok := sm.LastKey()
-	for ok {
-		if w, buffered := l.storeBuffer[k]; !buffered || !w.removed {
-			kk := k
-			committed = &kk
-			break
-		}
-		k, ok = sm.LowerKey(k)
-	}
-	best := committed
-	if bk, ok := t.bufferFloorLocked(l, nil, false); ok {
-		if best == nil || sm.Compare(bk, *best) > 0 {
-			best = &bk
-		}
-	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
-}
-
-// FirstKey returns the minimum key as seen by tx, taking the first lock
-// (Table 5): a committing put or remove that changes the map's minimum
-// aborts this transaction. On a range-striped map the observation is a
-// stripe-walk instead: range+key locks laid from the bottom of the key
-// space to the first live key (walkUp), which any endpoint-changing
-// commit necessarily violates.
+// FirstKey returns the minimum key as seen by tx. The observation is a
+// stripe walk from the bottom of the key space to the first live key
+// (walkUp): the range locks it lays are Table 5's first lock — a
+// committing put below the minimum or removal of the minimum aborts this
+// transaction, a write that only replaces the minimum's value does not.
 func (t *TransactionalSortedMap[K, V]) FirstKey(tx *stm.Tx) (K, bool) {
-	if t.mask != 0 {
-		if tx.IsSnapshot() {
-			return t.snapshotFirstKey(tx)
-		}
-		return t.walkUp(tx, nil, false)
-	}
-	l := t.local(tx)
-	var k K
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		t.guard0().Lock()
-		defer t.guard0().Unlock()
-		t.sorted.firstLockers.Lock(o.Handle())
-		l.firstLocked = true
-		k, ok = t.mergedFirstLocked(l)
-		return nil
-	})
-	tx.Thread().Clock.Tick(t.opCost)
-	return k, ok
+	return t.walkUp(tx, nil, false)
 }
 
-// LastKey returns the maximum key as seen by tx, taking the last lock
-// (or, range-striped, walking stripes downward — see FirstKey).
+// LastKey returns the maximum key as seen by tx, walking stripes
+// downward from the top of the key space (see FirstKey).
 func (t *TransactionalSortedMap[K, V]) LastKey(tx *stm.Tx) (K, bool) {
-	if t.mask != 0 {
-		if tx.IsSnapshot() {
-			return t.snapshotLastKey(tx)
-		}
-		return t.walkDown(tx, nil, false)
-	}
-	l := t.local(tx)
-	var k K
-	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
-		t.guard0().Lock()
-		defer t.guard0().Unlock()
-		t.sorted.lastLockers.Lock(o.Handle())
-		l.lastLocked = true
-		k, ok = t.mergedLastLocked(l)
-		return nil
-	})
-	tx.Thread().Clock.Tick(t.opCost)
-	return k, ok
+	return t.walkDown(tx, nil, false)
 }
 
 // SortedIterator enumerates entries in key order within [lo, hi) as
 // seen by one transaction, merging committed entries with the
 // transaction's buffered writes. Per Table 5, each Next takes the key
 // lock of the returned key and widens the iterator's range lock to
-// cover everything observed so far; an iterator that starts at the
-// map's beginning also takes the first lock, and a HasNext answering
-// false takes the last lock (unbounded iterators — the answer reveals
-// what the maximum key is) or pins the range lock to the view's upper
-// bound (bounded views).
+// cover everything observed so far. An iterator that starts at the
+// map's beginning holds a range open to the bottom of the key space
+// (Table 5's first lock); a HasNext answering false extends the range
+// to the top (unbounded iterators — the answer reveals what the maximum
+// key is, Table 5's last lock) or pins it to the view's upper bound
+// (bounded views).
 type SortedIterator[K comparable, V any] struct {
 	t       *TransactionalSortedMap[K, V]
 	tx      *stm.Tx
 	l       *mapLocal[K, V]
 	lo, hi  *K // view bounds: lo inclusive, hi exclusive; nil = unbounded
 	last    *K // last returned key
-	lock    *semlock.RangeEntry[K]
 	pending *mapEntry[K, V]
 	done    bool
-	// Range-striped state (advanceStriped): si is the stripe the scan
-	// is currently positioned in; slocks[i] is the widening range lock
-	// this iterator owns in stripe i's table (created lazily as the
-	// scan enters stripe i).
-	si     int
-	slocks []*semlock.RangeEntry[K]
+	// si is the stripe the scan is positioned in and lock the widening
+	// range lock the iterator owns in that stripe's table (created as
+	// the scan enters the stripe; entries of stripes already left stay
+	// in the transaction's rangeLocks until release).
+	si   int
+	lock *semlock.RangeEntry[K]
 }
 
 // Iterator creates an ascending iterator over the whole map.
@@ -230,124 +80,14 @@ func (t *TransactionalSortedMap[K, V]) Iterator(tx *stm.Tx) *SortedIterator[K, V
 func (t *TransactionalSortedMap[K, V]) rangeIterator(tx *stm.Tx, lo, hi *K) *SortedIterator[K, V] {
 	//stmlint:ignore tx-escape iterator is per-transaction local state (Table 5) and documented not to outlive tx
 	it := &SortedIterator[K, V]{t: t, tx: tx, l: t.local(tx), lo: lo, hi: hi}
-	if t.mask != 0 {
-		if lo != nil {
-			it.si = t.sorted.stripeFor(*lo)
-		}
-		it.slocks = make([]*semlock.RangeEntry[K], len(t.stripes))
+	if lo != nil {
+		it.si = t.sorted.stripeFor(*lo)
 	}
+	// Creating the iterator is the operation that puts the map into the
+	// transaction: the handler pair registers now, ahead of any other
+	// collection the body uses before the first Next.
+	t.touch(tx, it.l, it.si)
 	return it
-}
-
-// advance finds the next live merged key after it.last (or from it.lo),
-// locking and recording it.
-func (it *SortedIterator[K, V]) advance() (K, V, bool) {
-	t, l := it.t, it.l
-	if t.mask != 0 {
-		return it.advanceStriped()
-	}
-	sm := t.sorted.sms[0]
-	var outK K
-	var outV V
-	found := false
-	_ = it.tx.Open(func(o *stm.Tx) error {
-		t.guard0().Lock()
-		defer t.guard0().Unlock()
-		h := o.Handle()
-		if it.lock == nil {
-			it.lock = &semlock.RangeEntry[K]{Owner: h}
-			if it.lo != nil {
-				lo := *it.lo
-				it.lock.Lo = &lo
-				// Until a key is returned the locked range is empty:
-				// [lo, lo) — represent as Hi=lo exclusive.
-				hi := lo
-				it.lock.Hi = &hi
-				it.lock.HiExcl = true
-			} else {
-				// Iteration from the beginning reads the first key
-				// (Table 5: next takes "range lock over iterated
-				// values, first lock"). The range lock starts
-				// unbounded and is pinned to the first returned key
-				// below, within this same critical section.
-				t.sorted.firstLockers.Lock(h)
-				l.firstLocked = true
-			}
-			t.addRangeLock(l, 0, it.lock)
-		}
-		// Committed candidate: smallest committed key in (last, hi) —
-		// or [lo, hi) before the first return — skipping
-		// buffered-removed keys.
-		var ck *K
-		var k K
-		var ok bool
-		switch {
-		case it.last != nil:
-			k, ok = sm.HigherKey(*it.last)
-		case it.lo != nil:
-			k, ok = sm.CeilingKey(*it.lo)
-		default:
-			k, ok = sm.FirstKey()
-		}
-		for ok {
-			if w, buffered := l.storeBuffer[k]; buffered && w.removed {
-				k, ok = sm.HigherKey(k)
-				continue
-			}
-			kk := k
-			ck = &kk
-			break
-		}
-		// Buffered candidate: smallest buffered-added key in range,
-		// from the sortedStoreBuffer index.
-		var bk *K
-		var bc K
-		var bok bool
-		switch {
-		case it.last != nil:
-			bc, bok = t.bufferCeilingLocked(l, it.last, true)
-		case it.lo != nil:
-			bc, bok = t.bufferCeilingLocked(l, it.lo, false)
-		default:
-			bc, bok = t.bufferCeilingLocked(l, nil, false)
-		}
-		if bok {
-			bk = &bc
-		}
-		var next *K
-		switch {
-		case ck == nil:
-			next = bk
-		case bk == nil:
-			next = ck
-		case sm.Compare(*bk, *ck) <= 0:
-			next = bk
-		default:
-			next = ck
-		}
-		if next != nil && it.hi != nil && sm.Compare(*next, *it.hi) >= 0 {
-			next = nil
-		}
-		if next == nil {
-			return nil
-		}
-		k = *next
-		// Lock the key, widen the range lock through it, read fresh.
-		t.lockKeyLocked(l, h, k)
-		kk := k
-		it.lock.Hi = &kk
-		it.lock.HiExcl = false
-		it.last = &kk
-		if w, buffered := l.storeBuffer[k]; buffered {
-			outK, outV, found = k, w.val, true
-		} else {
-			v, _ := sm.Get(k)
-			outK, outV, found = k, v, true
-		}
-		return nil
-	})
-	it.tx.Thread().Clock.Tick(t.opCost)
-	return outK, outV, found
 }
 
 // HasNext reports whether another entry exists in the view.
@@ -360,45 +100,10 @@ func (it *SortedIterator[K, V]) HasNext() bool {
 	}
 	k, v, ok := it.advance()
 	if !ok {
+		// advance left range locks covering every scanned interval
+		// through the view bound (or to the top of the key space), so
+		// the emptiness of the tail is protected.
 		it.done = true
-		t, l := it.t, it.l
-		if t.mask != 0 {
-			// Range-striped: advanceStriped already left range locks
-			// covering every scanned interval through the view bound
-			// (or to the top of the key space), so the emptiness of the
-			// tail is protected without endpoint locks.
-			return false
-		}
-		_ = it.tx.Open(func(o *stm.Tx) error {
-			t.guard0().Lock()
-			defer t.guard0().Unlock()
-			if it.hi == nil {
-				// "hasNext is false" on an unbounded iterator reveals
-				// the last key (Table 5).
-				t.sorted.lastLockers.Lock(o.Handle())
-				l.lastLocked = true
-			} else if it.lock != nil {
-				// Bounded view: the emptiness of (last, hi) was
-				// observed; pin the range lock to the view bound.
-				hi := *it.hi
-				it.lock.Hi = &hi
-				it.lock.HiExcl = true
-			} else {
-				// Nothing was ever returned and no range lock exists:
-				// lock the whole empty view.
-				e := &semlock.RangeEntry[K]{Owner: o.Handle()}
-				if it.lo != nil {
-					lo := *it.lo
-					e.Lo = &lo
-				}
-				hi := *it.hi
-				e.Hi = &hi
-				e.HiExcl = true
-				t.addRangeLock(l, 0, e)
-				it.lock = e
-			}
-			return nil
-		})
 		return false
 	}
 	it.pending = &mapEntry[K, V]{Key: k, Val: v}

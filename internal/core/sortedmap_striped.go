@@ -1,32 +1,32 @@
 package core
 
-// Range-striped TransactionalSortedMap (DESIGN.md §4.5). Hash-striping
-// keys would force every iterator and navigation query to visit every
-// stripe, so the sorted map partitions the *key space* instead:
-// contiguous intervals, split by an immutable boundary vector, each
-// interval fusing its own guard, sorted shard, key-lock table and
-// range-lock table. Point operations (Get/Put/Remove) land on one
-// interval stripe exactly like the hash-striped map; order-dependent
-// operations walk stripes one at a time, in interval order, laying a
-// chain of per-stripe range locks that together cover exactly what the
-// single-stripe implementation's one range lock would have covered:
+// The order-dependent half of TransactionalSortedMap (DESIGN.md §4.5).
+// Hash-striping keys would force every iterator and navigation query to
+// visit every stripe, so the sorted map partitions the *key space*
+// instead: contiguous intervals, split by an immutable boundary vector,
+// each interval fusing its own guard, sorted shard, key-lock table and
+// range-lock table (one interval covering everything when there are no
+// boundaries). Point operations (Get/Put/Remove) land on one interval
+// stripe exactly like the hash-striped map; order-dependent operations
+// walk stripes one at a time, in interval order, laying a chain of
+// per-stripe range locks that together cover exactly the gap observed:
 //
 //   - CeilingKey(k) = r: a [k, r] entry when both lie in one stripe;
 //     otherwise [k, edge) in k's stripe, whole-interval entries in the
 //     empty stripes crossed, and [edge, r] in r's stripe.
 //   - FirstKey/LastKey: a walk from the bottom (top) of the key space —
-//     endpoint locks (Table 5's first/last) become "the ranges below
-//     (above) the answer are empty", which any endpoint-changing commit
-//     necessarily violates via the ordinary per-stripe range sweep.
-//   - Iterators keep one widening entry per stripe entered, so a scan
+//     Table 5's first/last locks are "the ranges below (above) the
+//     answer are empty", which any endpoint-changing commit necessarily
+//     violates via the ordinary per-stripe range sweep.
+//   - Iterators own one widening entry per stripe entered, so a scan
 //     confined to one interval holds exactly one stripe's locks.
 //
 // Guards are only ever taken one at a time on the retry path (each
 // stripe probe is its own open-nested critical section), and in
-// ascending id order by lockStripeSpan on the snapshot path, so every
-// hold is compatible with the commit protocol's sorted footprint
-// acquisition. Each stripe joins the transaction's guard footprint
-// (touch) before its probe, exactly like the hash-striped map.
+// ascending id order by lockSpan on the snapshot path, so every hold is
+// compatible with the commit protocol's sorted footprint acquisition.
+// Each stripe joins the transaction's guard footprint (touch) before
+// its probe, exactly like the hash-striped map.
 
 import (
 	"sort"
@@ -60,27 +60,23 @@ func NewRangeStripedTransactionalSortedMap[K comparable, V any](newShard func() 
 
 	t := &TransactionalSortedMap[K, V]{
 		TransactionalMap: TransactionalMap[K, V]{
-			stripes: make([]*mapStripe[K, V], n),
-			opCost:  DefaultOpCost,
+			stripeSet: newStripeSet(n),
+			stripes:   make([]*mapStripe[K, V], n),
+			opCost:    DefaultOpCost,
 		},
-	}
-	if n > 1 {
-		t.mask = uint64(n - 1)
 	}
 	ext := &sortedExt[K, V]{
 		cmp:          cmp,
 		sms:          make([]collections.SortedMap[K, V], n),
 		boundaries:   bs,
 		rangeLockers: make([]*semlock.RangeTable[K], n),
-		firstLockers: semlock.NewOwnerSet(),
-		lastLockers:  semlock.NewOwnerSet(),
 	}
-	for i := range t.stripes {
+	for i, g := range t.guards {
 		sm := first
 		if i > 0 {
 			sm = newShard()
 		}
-		t.stripes[i] = newMapStripe[K, V](sm)
+		t.stripes[i] = newMapStripe[K, V](g, sm)
 		ext.sms[i] = sm
 		ext.rangeLockers[i] = semlock.NewRangeTable[K](cmp)
 	}
@@ -248,15 +244,33 @@ func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si
 	return *best, true
 }
 
+// snapshotRouted is the one gate between the two ways a navigation query
+// runs inside AtomicRead: a range-striped map answers from the committed
+// shards under a guard span (snapshotCeiling/snapshotFloor); a
+// single-stripe map has no such branch, so its walk's first touch drops
+// the transaction to the retry path (Stats.SnapshotFallbacks). Which of
+// the two survives is the history oracle's decision (ROADMAP aim 3), not
+// this file's.
+func (t *TransactionalSortedMap[K, V]) snapshotRouted(tx *stm.Tx) bool {
+	return t.mask != 0 && tx.IsSnapshot()
+}
+
 // walkUp finds the smallest live key >= *from (> when strict), or the
 // map's first key when from == nil, walking interval stripes upward.
 // Each stripe probe is its own open-nested critical section under that
 // stripe's guard alone (touched first, so the commit footprint is in
 // place), and leaves a range-lock entry in that stripe's table: the
 // probed gap plus the result in the stripe that answers, the whole
-// scanned interval in stripes observed empty. Together the chain locks
-// exactly the gap+result the single-stripe navigateUp would have.
+// scanned interval in stripes observed empty. A navigation query
+// (from != nil) also key-locks its result — CeilingKey(k) == k reads
+// that key, so its value writer must conflict; an endpoint query takes
+// no key lock (Table 5: first/last lock only): the inclusive range
+// bound already catches the result's removal, and a value-only rewrite
+// of the minimum does not change which key is first.
 func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) (K, bool) {
+	if t.snapshotRouted(tx) {
+		return t.snapshotCeiling(tx, from, strict)
+	}
 	l := t.local(tx)
 	start := 0
 	if from != nil {
@@ -282,7 +296,9 @@ func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) 
 			if r, ok := t.mergedCeilingInStripe(l, si, k, strict); ok {
 				rr := r
 				e.Hi = &rr
-				t.lockKeyLocked(l, h, rr)
+				if from != nil {
+					t.lockKeyLocked(l, h, rr)
+				}
 				res, found = rr, true
 			}
 			// Not found: e.Hi stays nil — the stripe's whole remaining
@@ -299,6 +315,9 @@ func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) 
 // LastKey): stripes are probed downward from *from's interval (or the
 // top), one guard at a time.
 func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool) (K, bool) {
+	if t.snapshotRouted(tx) {
+		return t.snapshotFloor(tx, from, strict)
+	}
 	l := t.local(tx)
 	start := len(t.stripes) - 1
 	if from != nil {
@@ -324,7 +343,9 @@ func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool
 			if r, ok := t.mergedFloorInStripe(l, si, k, strict); ok {
 				rr := r
 				e.Lo = &rr
-				t.lockKeyLocked(l, h, rr)
+				if from != nil {
+					t.lockKeyLocked(l, h, rr)
+				}
 				res, found = rr, true
 			}
 			t.addRangeLock(l, si, e)
@@ -335,13 +356,13 @@ func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool
 	return res, found
 }
 
-// advanceStriped is the range-striped body of SortedIterator.advance:
-// the scan keeps one widening range-lock entry per stripe entered
-// (it.slocks), positioned by it.si, and probes the current stripe
-// under its guard alone. Exhausting a stripe pins its entry to the
-// view bound (when the bound lies in that stripe) or extends it to the
-// stripe's upper edge and moves on.
-func (it *SortedIterator[K, V]) advanceStriped() (K, V, bool) {
+// advance finds the next live merged key after it.last (or from it.lo),
+// locking and recording it: the scan owns one widening range-lock entry
+// in the stripe it is positioned in (it.lock, it.si) and probes that
+// stripe under its guard alone. Exhausting a stripe pins its entry to
+// the view bound (when the bound lies in that stripe) or extends it to
+// the stripe's upper edge and moves on.
+func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 	t, l := it.t, it.l
 	n := len(t.stripes)
 	var outK K
@@ -354,14 +375,14 @@ func (it *SortedIterator[K, V]) advanceStriped() (K, V, bool) {
 			st.guard.Lock()
 			defer st.guard.Unlock()
 			h := o.Handle()
-			e := it.slocks[si]
+			e := it.lock
 			if e == nil {
 				e = &semlock.RangeEntry[K]{Owner: h}
 				if it.lo != nil && t.sorted.stripeFor(*it.lo) == si {
 					lo := *it.lo
 					e.Lo = &lo
 				}
-				it.slocks[si] = e
+				it.lock = e
 				t.addRangeLock(l, si, e)
 			}
 			var from *K
@@ -401,7 +422,7 @@ func (it *SortedIterator[K, V]) advanceStriped() (K, V, bool) {
 				// Extend to the stripe's upper edge and move on.
 				e.Hi = nil
 				e.HiExcl = false
-				it.si = si + 1
+				it.si, it.lock = si+1, nil
 			}
 			return nil
 		})
@@ -410,94 +431,56 @@ func (it *SortedIterator[K, V]) advanceStriped() (K, V, bool) {
 	return outK, outV, found
 }
 
-// snapshotFirstKey answers FirstKey for a snapshot transaction on a
-// range-striped map: the committed minimum, read with every stripe
-// guard held so a multi-stripe commit is seen entirely or not at all.
-func (t *TransactionalSortedMap[K, V]) snapshotFirstKey(tx *stm.Tx) (K, bool) {
-	var res K
-	var ok bool
-	t.lockGuards()
-	for _, sm := range t.sorted.sms {
-		if k, has := sm.FirstKey(); has {
-			res, ok = k, true
-			break
-		}
+// snapshotCeiling answers CeilingKey/HigherKey — FirstKey when k is nil
+// — for a snapshot transaction: the committed answer, read with the
+// guards of every stripe the query could span held at once (ascending,
+// so the hold is compatible with the commit protocol's sorted footprint
+// acquisition), so a multi-stripe commit is seen entirely or not at all.
+func (t *TransactionalSortedMap[K, V]) snapshotCeiling(tx *stm.Tx, k *K, strict bool) (K, bool) {
+	lo, hi := 0, len(t.stripes)
+	if k != nil {
+		lo = t.sorted.stripeFor(*k)
 	}
-	t.unlockGuards()
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, ok
-}
-
-// snapshotLastKey is the descending mirror of snapshotFirstKey.
-func (t *TransactionalSortedMap[K, V]) snapshotLastKey(tx *stm.Tx) (K, bool) {
-	var res K
-	var ok bool
-	t.lockGuards()
-	for si := len(t.sorted.sms) - 1; si >= 0; si-- {
-		if k, has := t.sorted.sms[si].LastKey(); has {
-			res, ok = k, true
-			break
-		}
-	}
-	t.unlockGuards()
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, ok
-}
-
-// snapshotCeiling answers CeilingKey/HigherKey for a snapshot
-// transaction: the committed answer, read with the guards of every
-// stripe the query could span held at once (ascending, so the hold is
-// compatible with the commit protocol's sorted footprint acquisition).
-func (t *TransactionalSortedMap[K, V]) snapshotCeiling(tx *stm.Tx, k K, strict bool) (K, bool) {
-	lo := t.sorted.stripeFor(k)
-	hi := len(t.stripes) - 1
 	var res K
 	var found bool
-	t.lockStripeSpan(lo, hi)
-	for si := lo; si <= hi && !found; si++ {
+	t.lockSpan(lo, hi)
+	for si := lo; si < hi && !found; si++ {
 		sm := t.sorted.sms[si]
-		var c K
-		var ok bool
 		switch {
-		case si > lo:
-			c, ok = sm.FirstKey()
+		case si > lo || k == nil:
+			res, found = sm.FirstKey()
 		case strict:
-			c, ok = sm.HigherKey(k)
+			res, found = sm.HigherKey(*k)
 		default:
-			c, ok = sm.CeilingKey(k)
-		}
-		if ok {
-			res, found = c, true
+			res, found = sm.CeilingKey(*k)
 		}
 	}
-	t.unlockStripeSpan(lo, hi)
+	t.unlockSpan(lo, hi)
 	tx.Thread().Clock.Tick(t.opCost)
 	return res, found
 }
 
 // snapshotFloor is the descending mirror of snapshotCeiling.
-func (t *TransactionalSortedMap[K, V]) snapshotFloor(tx *stm.Tx, k K, strict bool) (K, bool) {
-	hi := t.sorted.stripeFor(k)
+func (t *TransactionalSortedMap[K, V]) snapshotFloor(tx *stm.Tx, k *K, strict bool) (K, bool) {
+	hi := len(t.stripes) - 1
+	if k != nil {
+		hi = t.sorted.stripeFor(*k)
+	}
 	var res K
 	var found bool
-	t.lockStripeSpan(0, hi)
+	t.lockSpan(0, hi+1)
 	for si := hi; si >= 0 && !found; si-- {
 		sm := t.sorted.sms[si]
-		var c K
-		var ok bool
 		switch {
-		case si < hi:
-			c, ok = sm.LastKey()
+		case si < hi || k == nil:
+			res, found = sm.LastKey()
 		case strict:
-			c, ok = sm.LowerKey(k)
+			res, found = sm.LowerKey(*k)
 		default:
-			c, ok = sm.FloorKey(k)
-		}
-		if ok {
-			res, found = c, true
+			res, found = sm.FloorKey(*k)
 		}
 	}
-	t.unlockStripeSpan(0, hi)
+	t.unlockSpan(0, hi+1)
 	tx.Thread().Clock.Tick(t.opCost)
 	return res, found
 }

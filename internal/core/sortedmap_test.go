@@ -8,8 +8,37 @@ import (
 	"tcc/internal/stm"
 )
 
-func newSorted() *TransactionalSortedMap[int, int] {
-	return NewTransactionalSortedMap[int, int](collections.NewTreeMap[int, int]())
+func newIntTree() collections.SortedMap[int, int] { return collections.NewTreeMap[int, int]() }
+
+// sortedLayouts are the stripe layouts the order-dependent tests run
+// on: the adopting constructor, the range-striped constructor with no
+// boundaries, and boundaries that put the keys the tests seed (10, 20,
+// 30, 40) into four different stripes. One engine serves all three, so
+// every assertion about answers and conflicts must hold on each.
+var sortedLayouts = []struct {
+	name string
+	new  func() *TransactionalSortedMap[int, int]
+}{
+	{"adopted", func() *TransactionalSortedMap[int, int] {
+		return NewTransactionalSortedMap[int, int](newIntTree())
+	}},
+	{"range1", func() *TransactionalSortedMap[int, int] {
+		return NewRangeStripedTransactionalSortedMap[int, int](newIntTree, nil)
+	}},
+	{"range4", func() *TransactionalSortedMap[int, int] {
+		return NewRangeStripedTransactionalSortedMap[int, int](newIntTree, []int{15, 25, 35})
+	}},
+}
+
+func newSorted() *TransactionalSortedMap[int, int] { return sortedLayouts[0].new() }
+
+// forEachSortedLayout runs fn as one subtest per layout, each on a fresh
+// empty map.
+func forEachSortedLayout(t *testing.T, fn func(t *testing.T, tm *TransactionalSortedMap[int, int])) {
+	t.Helper()
+	for _, ly := range sortedLayouts {
+		t.Run(ly.name, func(t *testing.T) { fn(t, ly.new()) })
+	}
 }
 
 func TestSortedMapBasics(t *testing.T) {
@@ -38,7 +67,10 @@ func TestSortedMapBasics(t *testing.T) {
 }
 
 func TestSortedMapMergedEndpoints(t *testing.T) {
-	tm := newSorted()
+	forEachSortedLayout(t, testSortedMapMergedEndpoints)
+}
+
+func testSortedMapMergedEndpoints(t *testing.T, tm *TransactionalSortedMap[int, int]) {
 	th := newTh(1)
 	atomically(t, th, func(tx *stm.Tx) {
 		tm.Put(tx, 10, 1)
@@ -69,7 +101,10 @@ func TestSortedMapMergedEndpoints(t *testing.T) {
 }
 
 func TestSortedIterationOrderWithBuffer(t *testing.T) {
-	tm := newSorted()
+	forEachSortedLayout(t, testSortedIterationOrderWithBuffer)
+}
+
+func testSortedIterationOrderWithBuffer(t *testing.T, tm *TransactionalSortedMap[int, int]) {
 	th := newTh(1)
 	atomically(t, th, func(tx *stm.Tx) {
 		for _, k := range []int{10, 20, 30, 40} {
@@ -102,7 +137,10 @@ func TestSortedIterationOrderWithBuffer(t *testing.T) {
 }
 
 func TestSubMapViewIteration(t *testing.T) {
-	tm := newSorted()
+	forEachSortedLayout(t, testSubMapViewIteration)
+}
+
+func testSubMapViewIteration(t *testing.T, tm *TransactionalSortedMap[int, int]) {
 	th := newTh(1)
 	atomically(t, th, func(tx *stm.Tx) {
 		for i := 0; i < 100; i += 10 {

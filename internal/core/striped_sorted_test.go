@@ -106,8 +106,8 @@ func TestRangeStripedSortedMapBasics(t *testing.T) {
 }
 
 // TestRangeStripedSingleStripeEquivalence: a 1-stripe range-striped map
-// must behave exactly like NewTransactionalSortedMap (the acceptance
-// criterion's behavioral-identity clause), including endpoint locks.
+// is the degenerate case of the one stripe engine — an endpoint query
+// lays a range lock from the bottom of the key space to its answer.
 func TestRangeStripedSingleStripeEquivalence(t *testing.T) {
 	tm := newRangeStripedIntSortedMap(1)
 	if tm.Stripes() != 1 || tm.mask != 0 {
@@ -123,21 +123,15 @@ func TestRangeStripedSingleStripeEquivalence(t *testing.T) {
 			t.Fatalf("FirstKey = (%d,%v)", k, ok)
 		}
 	})
-	// Single-stripe endpoint observations go through the first/last
-	// OwnerSets, exactly like the plain sorted map.
-	h := stm.NewThread(&stm.RealClock{}, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = h.Atomic(func(tx *stm.Tx) error {
-			tm.FirstKey(tx)
-			if tx.Attempt() == 0 && !tm.sorted.firstLockers.Holds(tx.Handle()) {
-				t.Error("single-stripe FirstKey did not take the first lock")
-			}
-			return nil
-		})
-	}()
-	<-done
+	atomically(t, th, func(tx *stm.Tx) {
+		tm.FirstKey(tx)
+		if !coversAny(tm, tx, 0) || !coversAny(tm, tx, 1) {
+			t.Error("single-stripe FirstKey did not lock the range [bottom, 1]")
+		}
+		if coversAny(tm, tx, 2) {
+			t.Error("single-stripe FirstKey locked beyond its answer")
+		}
+	})
 }
 
 // TestRangeStripedDisjointRangeHandlerWindowsOverlap is the tentpole's

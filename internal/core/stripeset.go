@@ -1,0 +1,149 @@
+package core
+
+import (
+	"strconv"
+
+	"tcc/internal/obs/metrics"
+	"tcc/internal/stm"
+)
+
+// stripeSet is the partition machinery TransactionalMap (hash stripes,
+// or key-interval stripes when sorted) and TransactionalQueue (lanes)
+// share: a power-of-two vector of commit guards, one per partition, and
+// the bookkeeping that keeps a transaction's guard footprint equal to
+// the partitions it used. How an operation picks its partition — key
+// hash, key interval, lane by thread — is the embedding collection's
+// business; one partition is simply the case where every pick is 0.
+type stripeSet struct {
+	// guards has power-of-two length in [1, maxStripes]; guard ids ascend
+	// in slice order (newStripeSet mints them in order), which is what
+	// lets lockSpan hold several at once without deadlocking against the
+	// commit protocol's sorted footprint acquisition. guards[i] is fused
+	// with the mutex protecting partition i's slice of the wrapped
+	// structure and of the semantic-lock tables: open-nested critical
+	// sections on a partition are short and lock only its guard, playing
+	// the role of the paper's low-level open-nested transactions.
+	guards []*stm.Guard
+	// mask is len(guards)-1; 0 means a single partition.
+	mask uint64
+	// violations[i] counts semantic violations partition i's sweeps
+	// landed on other transactions (metrics plane; labels collection +
+	// stripe, named by setName).
+	violations []*metrics.Counter
+}
+
+// footprint is the per-transaction half of a stripeSet, embedded in each
+// collection's transaction-local state: which partitions the transaction
+// has in its guard footprint for the instance, and the instance's single
+// commit/abort handler pair (paper §5: "registered by the first
+// open-nested transaction to commit").
+type footprint struct {
+	// touched is the bitmask of partitions the transaction read, wrote,
+	// or registered a lock in. The handler pair is registered under the
+	// first touched partition's guard; each later one widens the
+	// root-level footprint (stm.Tx.AddTopGuard), so the handlers run with
+	// every touched partition's guard held and take no lock themselves.
+	touched uint64
+	// onCommit and onAbort are built by the collection's local().
+	onCommit, onAbort func()
+}
+
+func newStripeSet(n int) stripeSet {
+	s := stripeSet{
+		guards:     make([]*stm.Guard, n),
+		mask:       uint64(n - 1),
+		violations: make([]*metrics.Counter, n),
+	}
+	for i := range s.guards {
+		s.guards[i] = stm.NewGuard()
+	}
+	return s
+}
+
+// normalizeStripes maps a requested partition count to the supported
+// power-of-two range.
+func normalizeStripes(n int) int {
+	if n <= 0 {
+		n = DefaultStripes
+	}
+	if n > maxStripes {
+		n = maxStripes
+	}
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// setName labels the guards — "name" for a single partition, otherwise
+// "name.kind[i]" — so guard-wait heatmaps show the partitions working,
+// and registers the per-partition violation counters under the same
+// index, so scrapes, CPU-profile labels and heatmaps all attribute to
+// the same names. Registration locks the registry mutex — fine here
+// (setup time), never inside a guard window.
+func (s *stripeSet) setName(name, kind string) {
+	for i, g := range s.guards {
+		label := name
+		if len(s.guards) > 1 {
+			label = name + "." + kind + "[" + strconv.Itoa(i) + "]"
+		}
+		g.SetLabel(label)
+		s.violations[i] = metrics.Default.Counter(metrics.CollectionViolations,
+			"Semantic violations landed by this collection stripe's conflict sweeps",
+			metrics.L("collection", name), metrics.L("stripe", strconv.Itoa(i)))
+	}
+}
+
+// touch adds partition i to the transaction's footprint: the first touch
+// of the instance registers the handler pair under guards[i], so the
+// footprint starts with the partition actually used; later ones widen
+// it. It must run before (not inside) the open-nested critical section
+// that locks the partition's guard: registration itself takes no lock,
+// and the footprint must be in place before the transaction can reach a
+// handler window that walks the partition.
+func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
+	bit := uint64(1) << uint(i)
+	switch {
+	case f.touched&bit != 0:
+		return
+	case f.touched == 0:
+		tx.OnTopCommitGuarded(s.guards[i], f.onCommit)
+		tx.OnTopAbortGuarded(s.guards[i], f.onAbort)
+	default:
+		tx.AddTopGuard(s.guards[i])
+	}
+	f.touched |= bit
+}
+
+// lockSpan locks the guards of partitions [lo, hi), in ascending
+// guard-id order (slice order). Answers that need several partitions
+// pinned at once — whole-collection snapshots, global emptiness, a
+// snapshot-mode navigation query over a contiguous interval span — go
+// through it: a partition-at-a-time scan could see half of a
+// multi-partition commit, and the ascending order keeps the hold
+// compatible with the commit protocol's sorted footprint acquisition, so
+// it cannot deadlock. stmlint classifies a lockSpan call as opening a
+// commit-guard hold window.
+func (s *stripeSet) lockSpan(lo, hi int) {
+	for _, g := range s.guards[lo:hi] {
+		g.Lock()
+	}
+}
+
+// unlockSpan unlocks the guards of partitions [lo, hi) (closing the hold
+// window).
+func (s *stripeSet) unlockSpan(lo, hi int) {
+	for _, g := range s.guards[lo:hi] {
+		g.Unlock()
+	}
+}
+
+// noteViolations adds n landed violations to partition i's counter: an
+// atomic-only add — the one in-window operation the metrics discipline
+// allows — and only when metrics.On().
+func (s *stripeSet) noteViolations(i, n int) {
+	if n > 0 && metrics.On() {
+		s.violations[i].Add(uint64(n))
+	}
+}

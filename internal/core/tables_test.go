@@ -254,163 +254,137 @@ func TestTable1MapConflictMatrix(t *testing.T) {
 	}
 }
 
+// sortedCell is one cell of a sorted-map conflict matrix: the keys to
+// seed, the reader's operation, the committing writer's operation, and
+// whether the reader must be aborted.
+type sortedCell struct {
+	name          string
+	conflict      bool
+	keys          []int
+	first, second func(tm *TransactionalSortedMap[int, int], tx *stm.Tx)
+}
+
+// runSortedMatrix checks every cell on every stripe layout
+// (sortedLayouts): the conflict abstraction is independent of how the
+// key space is partitioned, so the verdicts must not depend on it.
+func runSortedMatrix(t *testing.T, cells []sortedCell) {
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			for _, ly := range sortedLayouts {
+				tm := ly.new()
+				expectConflict(t, ly.name, c.conflict,
+					func(tx *stm.Tx) {
+						for _, k := range c.keys {
+							tm.Put(tx, k, k)
+						}
+					},
+					func(tx *stm.Tx) { c.first(tm, tx) },
+					func(tx *stm.Tx) { c.second(tm, tx) })
+			}
+		})
+	}
+}
+
 // TestTable4SortedMapConflictMatrix encodes the SortedMap-specific
 // cells of Table 4 / locking rules of Table 5.
 func TestTable4SortedMapConflictMatrix(t *testing.T) {
-	seed := func(tm *TransactionalSortedMap[int, int], keys ...int) func(tx *stm.Tx) {
-		return func(tx *stm.Tx) {
-			for _, k := range keys {
-				tm.Put(tx, k, k)
-			}
+	type sm = *TransactionalSortedMap[int, int]
+	drain := func(it *SortedIterator[int, int]) {
+		for it.HasNext() {
+			it.Next()
 		}
 	}
-
-	{ // lastKey vs put of a new maximum: conflict.
-		tm := newSorted()
-		expectConflict(t, "lastKey/put-new-max", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.LastKey(tx) },
-			func(tx *stm.Tx) { tm.Put(tx, 30, 30) },
-		)
-	}
-	{ // lastKey vs put of an interior key: commute.
-		tm := newSorted()
-		expectConflict(t, "lastKey/put-interior", false,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.LastKey(tx) },
-			func(tx *stm.Tx) { tm.Put(tx, 15, 15) },
-		)
-	}
-	{ // lastKey vs remove of the maximum: conflict.
-		tm := newSorted()
-		expectConflict(t, "lastKey/remove-max", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.LastKey(tx) },
-			func(tx *stm.Tx) { tm.Remove(tx, 20) },
-		)
-	}
-	{ // firstKey vs remove of the minimum: conflict.
-		tm := newSorted()
-		expectConflict(t, "firstKey/remove-min", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) { tm.FirstKey(tx) },
-			func(tx *stm.Tx) { tm.Remove(tx, 10) },
-		)
-	}
-	{ // firstKey vs put of a larger key: commute.
-		tm := newSorted()
-		expectConflict(t, "firstKey/put-larger", false,
-			seed(tm, 10),
-			func(tx *stm.Tx) { tm.FirstKey(tx) },
-			func(tx *stm.Tx) { tm.Put(tx, 20, 20) },
-		)
-	}
-	{ // iterator vs put of a new key inside the iterated range:
+	runSortedMatrix(t, []sortedCell{
+		// lastKey vs put of a new maximum: conflict.
+		{"lastKey/put-new-max", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.LastKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 30, 30) }},
+		// lastKey vs put of an interior key: commute.
+		{"lastKey/put-interior", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.LastKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 15, 15) }},
+		// lastKey vs remove of the maximum: conflict.
+		{"lastKey/remove-max", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.LastKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Remove(tx, 20) }},
+		// lastKey vs a value-only rewrite of the maximum: commute (Table
+		// 5: last lock only — which key is last did not change).
+		{"lastKey/rewrite-max", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.LastKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 20, 99) }},
+		// firstKey vs remove of the minimum: conflict.
+		{"firstKey/remove-min", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.FirstKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Remove(tx, 10) }},
+		// firstKey vs put of a larger key: commute.
+		{"firstKey/put-larger", false, []int{10},
+			func(tm sm, tx *stm.Tx) { tm.FirstKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 20, 20) }},
+		// firstKey vs a value-only rewrite of the minimum: commute.
+		{"firstKey/rewrite-min", false, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { tm.FirstKey(tx) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 10, 99) }},
+		// iterator vs put of a new key inside the iterated range:
 		// conflict (Table 4: "put adds key in iterated range"). The
 		// iterator returned 10 and 20; 15 lands inside [_, 20].
-		tm := newSorted()
-		expectConflict(t, "iterator/put-inside-iterated-range", true,
-			seed(tm, 10, 20, 40),
-			func(tx *stm.Tx) {
+		{"iterator/put-inside-iterated-range", true, []int{10, 20, 40},
+			func(tm sm, tx *stm.Tx) {
 				it := tm.Iterator(tx)
 				it.Next() // 10
 				it.Next() // 20
 			},
-			func(tx *stm.Tx) { tm.Put(tx, 15, 15) },
-		)
-	}
-	{ // iterator vs put beyond the iterated range: commute — the
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 15, 15) }},
+		// iterator vs put beyond the iterated range: commute — the
 		// iterator never observed that region.
-		tm := newSorted()
-		expectConflict(t, "iterator/put-beyond-iterated-range", false,
-			seed(tm, 10, 20, 40),
-			func(tx *stm.Tx) {
+		{"iterator/put-beyond-iterated-range", false, []int{10, 20, 40},
+			func(tm sm, tx *stm.Tx) {
 				it := tm.Iterator(tx)
 				it.Next() // 10
 				it.Next() // 20: iterated range is (-inf, 20]
 			},
-			func(tx *stm.Tx) { tm.Put(tx, 30, 30) },
-		)
-	}
-	{ // iterator vs remove of a key inside the iterated range: conflict.
-		tm := newSorted()
-		expectConflict(t, "iterator/remove-inside-iterated-range", true,
-			seed(tm, 10, 20, 40),
-			func(tx *stm.Tx) {
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 30, 30) }},
+		// iterator vs remove of a key inside the iterated range: conflict.
+		{"iterator/remove-inside-iterated-range", true, []int{10, 20, 40},
+			func(tm sm, tx *stm.Tx) {
 				it := tm.Iterator(tx)
 				it.Next()
 				it.Next()
 			},
-			func(tx *stm.Tx) { tm.Remove(tx, 10) },
-		)
-	}
-	{ // subMap iterator vs put inside the view's iterated range.
-		tm := newSorted()
-		expectConflict(t, "subMapIterator/put-inside-range", true,
-			seed(tm, 10, 20, 30, 40),
-			func(tx *stm.Tx) {
+			func(tm sm, tx *stm.Tx) { tm.Remove(tx, 10) }},
+		// subMap iterator vs put inside the view's iterated range.
+		{"subMapIterator/put-inside-range", true, []int{10, 20, 30, 40},
+			func(tm sm, tx *stm.Tx) {
 				it := tm.SubMap(10, 35).Iterator(tx)
 				it.Next() // 10
 				it.Next() // 20: range [10, 20]
 			},
-			func(tx *stm.Tx) { tm.Put(tx, 15, 15) },
-		)
-	}
-	{ // subMap iterator vs put outside the view: commute.
-		tm := newSorted()
-		expectConflict(t, "subMapIterator/put-outside-view", false,
-			seed(tm, 10, 20, 30, 40),
-			func(tx *stm.Tx) {
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 15, 15) }},
+		// subMap iterator vs put outside the view: commute.
+		{"subMapIterator/put-outside-view", false, []int{10, 20, 30, 40},
+			func(tm sm, tx *stm.Tx) {
 				it := tm.SubMap(10, 35).Iterator(tx)
 				it.Next()
 				it.Next()
 			},
-			func(tx *stm.Tx) { tm.Put(tx, 50, 50) },
-		)
-	}
-	{ // exhausted subMap iterator pins its range to the view bound:
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 50, 50) }},
+		// exhausted subMap iterator pins its range to the view bound:
 		// put inside the drained view conflicts even past the last
 		// returned key.
-		tm := newSorted()
-		expectConflict(t, "subMapIteratorExhausted/put-in-view-tail", true,
-			seed(tm, 10, 20, 40),
-			func(tx *stm.Tx) {
-				it := tm.SubMap(10, 35).Iterator(tx)
-				for it.HasNext() {
-					it.Next()
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 30, 30) },
-		)
-	}
-	{ // tailMap hasNext==false vs put of a new last key: conflict
+		{"subMapIteratorExhausted/put-in-view-tail", true, []int{10, 20, 40},
+			func(tm sm, tx *stm.Tx) { drain(tm.SubMap(10, 35).Iterator(tx)) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 30, 30) }},
+		// tailMap hasNext==false vs put of a new last key: conflict
 		// (Table 4: "hasNext is false and put adds new lastKey").
-		tm := newSorted()
-		expectConflict(t, "tailMapHasNextFalse/put-new-last", true,
-			seed(tm, 10, 20),
-			func(tx *stm.Tx) {
-				it := tm.TailMap(15).Iterator(tx)
-				for it.HasNext() {
-					it.Next()
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 30, 30) },
-		)
-	}
-	{ // full iteration to exhaustion vs put of a new last key: the last
-		// lock fires.
-		tm := newSorted()
-		expectConflict(t, "iteratorExhausted/put-new-last", true,
-			seed(tm, 10),
-			func(tx *stm.Tx) {
-				it := tm.Iterator(tx)
-				for it.HasNext() {
-					it.Next()
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 99, 99) },
-		)
-	}
+		{"tailMapHasNextFalse/put-new-last", true, []int{10, 20},
+			func(tm sm, tx *stm.Tx) { drain(tm.TailMap(15).Iterator(tx)) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 30, 30) }},
+		// full iteration to exhaustion vs put of a new last key: the
+		// range reaching the top of the key space (Table 5's last lock)
+		// fires.
+		{"iteratorExhausted/put-new-last", true, []int{10},
+			func(tm sm, tx *stm.Tx) { drain(tm.Iterator(tx)) },
+			func(tm sm, tx *stm.Tx) { tm.Put(tx, 99, 99) }},
+	})
 }
 
 // TestTable7ChannelConflictMatrix encodes Table 7 / Table 8: the

@@ -25,7 +25,7 @@ import (
 // either exactly one guard at a time or — for operations that must see
 // every stripe of a striped collection at once, like an iterator
 // snapshot — several guards in the same ascending id order the commit
-// protocol uses (core's lockGuards). Together these make the protocol
+// protocol uses (core's lockSpan). Together these make the protocol
 // deadlock-free.
 //
 // Handler bodies are short critical sections and must not charge

@@ -2,7 +2,8 @@
 # verify.sh — the repository's full verification gate:
 #
 #   build + vet + race-enabled tests + stmlint discipline check
-#   + a tiny deterministic tccbench smoke run.
+#   + a tiny deterministic tccbench smoke run + the benchmark of
+#   record's self-tests and smoke pass (bench/README.md).
 #
 # Tier-1 (see ROADMAP.md) is the subset `go build ./... && go test ./...`;
 # this script is the superset CI should run.
@@ -109,6 +110,12 @@ for cell in 'Sweep/striped/u10/g2/tl2' 'Sweep/striped/u50/g4/norec' \
     exit 1
   fi
 done
+
+echo "== benchmark of record (bench/: self-tests + every phase at tiny counts)"
+# The smoke pass runs all four workloads through every phase and exits
+# non-zero when an invariant check fails; its numbers are meaningless.
+go test -count=1 ./bench >/dev/null
+go run ./bench -smoke -trace-dir "$obsdir" >/dev/null
 
 if [[ "$mode" == "bench" ]]; then
   echo "== bench suite (scripts/bench.sh)"
