@@ -1,0 +1,125 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"tcc/internal/collections"
+	"tcc/internal/obs"
+	"tcc/internal/stm"
+)
+
+// Allocation budgets for the map family, next to internal/stm's for the
+// retry loop: a steady-state transaction on a warm thread allocates its
+// Handle and what the wrapped structure itself allocates, and nothing
+// for the wrapper — the mapLocal, its maps, its handler pair, the
+// key-lock entries and the range entries are all recycled (DESIGN.md
+// §4.6). Each budget is the steady-state count plus one object of slack
+// for pool growth; the closures handed to Atomic are built once, outside
+// the measured run, so the numbers are the wrapper's. Every budget holds
+// for the 1-stripe and the striped layout alike: one stripe is the
+// degenerate case, not a second path. Before the recycling the same
+// transactions cost 11 (Get), 29 (Put then Remove), 30 (8 operations),
+// 13 (sorted Get) and 61 (scan) objects.
+
+const allocKeys = 1024
+
+// fillEven inserts the even keys of [0, allocKeys), 64 to a transaction.
+func fillEven(t *testing.T, th *stm.Thread, tm *TransactionalMap[int, int]) {
+	t.Helper()
+	for lo := 0; lo < allocKeys; lo += 128 {
+		atomically(t, th, func(tx *stm.Tx) {
+			for k := lo; k < lo+128; k += 2 {
+				tm.Put(tx, k, k)
+			}
+		})
+	}
+}
+
+// assertAllocs warms run — the thread's pools, the recycled local, the
+// lock tables — and holds its steady state to budget.
+func assertAllocs(t *testing.T, what string, budget float64, run func()) {
+	t.Helper()
+	if obs.Active() != nil {
+		t.Fatal("guardrail requires tracing disabled")
+	}
+	for i := 0; i < 16; i++ {
+		run()
+	}
+	got := testing.AllocsPerRun(200, run)
+	t.Logf("%s: %.2f (budget %.0f)", what, got, budget)
+	if got > budget {
+		t.Errorf("%s allocates %.1f objects/run, budget is %.0f", what, got, budget)
+	}
+}
+
+func TestMapAllocationGuardrails(t *testing.T) {
+	for _, stripes := range []int{1, 16} {
+		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
+			tm := NewStripedTransactionalMap(func() collections.Map[int, int] {
+				return collections.NewHashMap[int, int]()
+			}, stripes)
+			th := newTh(1)
+			fillEven(t, th, tm)
+			i := 0
+			odd := func(i int) int { return (2*i + 1) % allocKeys } // absent keys
+			get := func(tx *stm.Tx) error { tm.Get(tx, i%allocKeys); return nil }
+			put := func(tx *stm.Tx) error { tm.Put(tx, odd(i), i); return nil }
+			remove := func(tx *stm.Tx) error { tm.Remove(tx, odd(i)); return nil }
+			size := func(tx *stm.Tx) error { tm.Size(tx); return nil }
+			// bench's map-long body: 8 commuting operations, 80/10/10. The
+			// Remove takes out what the previous run's Put inserted.
+			long := func(tx *stm.Tx) error {
+				for j := 0; j < 6; j++ {
+					tm.Get(tx, (i*7+j*131)%allocKeys)
+				}
+				tm.Put(tx, odd(i), i)
+				tm.Remove(tx, odd(i-1))
+				return nil
+			}
+			// The handle.
+			assertAllocs(t, "one-Get transaction", 2, func() { i++; _ = th.Atomic(get) })
+			// Two handles and the hash map's node.
+			assertAllocs(t, "Put then Remove transactions", 4, func() {
+				i++
+				_ = th.Atomic(put)
+				_ = th.Atomic(remove)
+			})
+			// The handle and the hash map's node.
+			assertAllocs(t, "8-operation transaction", 3, func() { i++; _ = th.Atomic(long) })
+			assertAllocs(t, "Size transaction", 2, func() { _ = th.Atomic(size) })
+		})
+	}
+}
+
+func TestSortedMapAllocationGuardrails(t *testing.T) {
+	for _, stripes := range []int{1, 8} {
+		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
+			var bounds []int
+			for s := 1; s < stripes; s++ {
+				bounds = append(bounds, s*allocKeys/stripes)
+			}
+			tm := NewRangeStripedTransactionalSortedMap(func() collections.SortedMap[int, int] {
+				return newIntTree()
+			}, bounds)
+			th := newTh(1)
+			fillEven(t, th, &tm.TransactionalMap)
+			i := 0
+			get := func(tx *stm.Tx) error { tm.Get(tx, i%allocKeys); return nil }
+			scanned := 0
+			visit := func(int, int) bool { scanned++; return true }
+			scan := func(tx *stm.Tx) error {
+				lo := (i * 37) % (allocKeys - 32)
+				tm.SubMap(lo, lo+32).ForEach(tx, visit) // 16 present keys
+				return nil
+			}
+			assertAllocs(t, "sorted one-Get transaction", 2, func() { i++; _ = th.Atomic(get) })
+			// The handle, the view with its two boxed bounds, the iterator:
+			// nothing per scanned key.
+			assertAllocs(t, "16-key SubMap scan", 6, func() { i++; _ = th.Atomic(scan) })
+			if scanned == 0 || scanned%16 != 0 {
+				t.Fatalf("scans visited %d keys, want 16 each", scanned)
+			}
+		})
+	}
+}

@@ -332,7 +332,7 @@ func coversLocked(tm *TransactionalMap[int, int], tx *stm.Tx, k int) bool {
 	}
 	si := tm.StripeOf(k)
 	for _, rl := range l.rangeLocks {
-		if rl.si == si && tm.sorted.rangeLockers[si].Covers(rl.e, k) {
+		if rl.si == si && tm.sorted.rangeLockers[si].Covers(&rl.RangeEntry, k) {
 			return true
 		}
 	}

@@ -97,29 +97,69 @@ const maxStripes = 64
 // the benchmarks that pick pairwise-disjoint stripes).
 var stripeSeed = maphash.MakeSeed()
 
+// presence is what a transaction knows about a key's membership in the
+// committed map.
+type presence uint8
+
+const (
+	// presenceUnknown: a blind write (PutUnread/RemoveUnread), which
+	// defers the presence question — and hence its size contribution —
+	// until Size/IsEmpty resolves it or commit applies it.
+	presenceUnknown presence = iota
+	presenceAbsent
+	presencePresent
+)
+
+func presenceOf(present bool) presence {
+	if present {
+		return presencePresent
+	}
+	return presenceAbsent
+}
+
 // mapWrite is one buffered write in the storeBuffer (Table 3: "map of
-// keys to new values, special value for removed keys").
+// keys to new values, special value for removed keys"), held by value.
 type mapWrite[V any] struct {
 	val     V
 	removed bool
-	// knownCommitted records whether the key was present in the
-	// committed map when this transaction read it under its key lock;
-	// nil for blind writes (PutUnread/RemoveUnread), which defer the
-	// presence question — and hence their size contribution — until
-	// Size/IsEmpty resolves it or commit applies it.
-	knownCommitted *bool
+	// committed records whether the key was present in the committed map
+	// when this transaction read it under its key lock.
+	committed presence
 }
+
+// maxRecycledEntries is the largest key-lock set, store buffer or
+// range-lock list a mapLocal may have held and still be recycled. Go
+// maps never shrink and clear costs O(capacity), so a local that grew
+// past this is discarded on release: one huge transaction must neither
+// pin its maps on the thread nor tax every later small transaction with
+// a sweep of them.
+const maxRecycledEntries = 256
 
 // mapLocal is the transaction-local state of Table 3 (and, for sorted
 // maps, Table 6): the locks this transaction holds on this instance and
 // the write buffer.
+//
+// A mapLocal belongs to one (stm.Thread, instance) pair and is recycled:
+// the thread keeps it in its attachment slot, local() attaches it to
+// each attempt in turn, and releaseLocked — the tail of both handlers —
+// returns it to the pristine state (nothing touched, every container
+// empty). Every mutation of a local happens after touch has registered
+// the handler pair, so touched == 0 is exactly "pristine"; a local found
+// otherwise (its attempt died of a foreign panic before the handlers
+// ran, or release discarded it as oversized) is never reused.
 type mapLocal[K comparable, V any] struct {
 	footprint
+	// h is the handle of the attempt the local is attached to, owner of
+	// every lock recorded below.
+	h           semlock.Owner
 	keyLocks    map[K]struct{}
 	sizeLocked  bool
 	emptyLocked bool
-	rangeLocks  []stripedRange[K]
-	storeBuffer map[K]*mapWrite[V]
+	// rangeLocks lists the range locks held; release moves them, zeroed,
+	// to spareRanges, where newRangeLock finds them again.
+	rangeLocks  []*rangeLock[K]
+	spareRanges []*rangeLock[K]
+	storeBuffer map[K]mapWrite[V]
 	// sortedKeys is Table 6's sortedStoreBuffer: for sorted maps, the
 	// buffered keys in comparator order, so iterators and navigation
 	// queries enumerate local changes ordered instead of scanning the
@@ -134,13 +174,27 @@ func (l *mapLocal[K, V]) bufferKey(k K) {
 	}
 }
 
-// stripedRange records one range lock a transaction holds, with the
-// stripe whose table the entry lives in. The stripe index is what lets
-// releaseLocked return each entry to the table it came from after an
-// interval-striped walk left entries in several stripes' tables.
-type stripedRange[K comparable] struct {
-	si int
-	e  *semlock.RangeEntry[K]
+// rangeLock is one range lock a transaction holds: the entry published
+// in a stripe's range table, the stripe index that lets releaseLocked
+// return it to the table it came from, and the storage its bounds point
+// at — so widening an iterator's range or laying a navigation query's
+// gap lock boxes no key.
+type rangeLock[K comparable] struct {
+	semlock.RangeEntry[K]
+	si     int
+	lo, hi K
+}
+
+// setLo bounds the range below at k.
+func (r *rangeLock[K]) setLo(k K, excl bool) {
+	r.lo = k
+	r.Lo, r.LoExcl = &r.lo, excl
+}
+
+// setHi bounds the range above at k.
+func (r *rangeLock[K]) setHi(k K, excl bool) {
+	r.hi = k
+	r.Hi, r.HiExcl = &r.hi, excl
 }
 
 // sortedExt carries the extra shared state of TransactionalSortedMap
@@ -325,12 +379,21 @@ func (tm *TransactionalMap[K, V]) StripeGuard(k K) *stm.Guard {
 	return tm.stripes[tm.StripeOf(k)].guard
 }
 
-// addRangeLock publishes e into stripe si's range-lock table and
-// records it in the transaction's local state so releaseLocked can
-// return it to the right table. Caller holds stripe si's guard.
-func (tm *TransactionalMap[K, V]) addRangeLock(l *mapLocal[K, V], si int, e *semlock.RangeEntry[K]) {
-	tm.sorted.rangeLockers[si].Add(e)
-	l.rangeLocks = append(l.rangeLocks, stripedRange[K]{si: si, e: e})
+// newRangeLock returns an unbounded range lock owned by l.h, published
+// in stripe si's range-lock table and recorded in the local so
+// releaseLocked can return it to that table; the caller then narrows its
+// bounds in place. Caller holds stripe si's guard.
+func (tm *TransactionalMap[K, V]) newRangeLock(l *mapLocal[K, V], si int) *rangeLock[K] {
+	var r *rangeLock[K]
+	if n := len(l.spareRanges) - 1; n >= 0 {
+		r, l.spareRanges = l.spareRanges[n], l.spareRanges[:n]
+	} else {
+		r = new(rangeLock[K])
+	}
+	r.si, r.Owner = si, l.h
+	l.rangeLocks = append(l.rangeLocks, r)
+	tm.sorted.rangeLockers[si].Add(&r.RangeEntry)
+	return r
 }
 
 // SetOpCost overrides the abstract cycle cost charged per operation.
@@ -356,31 +419,45 @@ func (tm *TransactionalMap[K, V]) SetIsEmptyViaSize(v bool) { tm.isEmptyViaSize 
 // rather than at commit.
 func (tm *TransactionalMap[K, V]) SetEagerWriteCheck(v bool) { tm.eagerWriteCheck = v }
 
-// local returns this transaction's local state for this instance,
-// creating it — with the handler pair the first touch will register — on
-// first use.
+// local returns this transaction's local state for this instance: on an
+// attempt's first use, the thread's recycled mapLocal — rebuilt when
+// there is none or it is not pristine — attached to the attempt and its
+// handle.
 func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
 	if l, ok := tx.Local(tm).(*mapLocal[K, V]); ok {
 		return l
 	}
+	th := tx.Thread()
+	l, _ := th.Attachment(tm).(*mapLocal[K, V])
+	if l == nil || l.touched != 0 {
+		l = tm.newLocal(th)
+		th.SetAttachment(tm, l)
+	}
+	l.h = tx.Handle()
+	tx.SetLocal(tm, l)
+	return l
+}
+
+// newLocal builds th's mapLocal for this instance, with the handler pair
+// the first touch of every attempt registers: bound once, the handlers
+// act for whichever attempt the local is attached to (l.h).
+func (tm *TransactionalMap[K, V]) newLocal(th *stm.Thread) *mapLocal[K, V] {
 	l := &mapLocal[K, V]{
 		keyLocks:    make(map[K]struct{}),
-		storeBuffer: make(map[K]*mapWrite[V]),
+		storeBuffer: make(map[K]mapWrite[V]),
 	}
 	if tm.sorted != nil {
 		l.sortedKeys = collections.NewTreeMapFunc[K, struct{}](tm.sorted.cmp)
 	}
-	h, th := tx.Handle(), tx.Thread()
 	l.onCommit = func() {
 		n := len(l.storeBuffer)
-		tm.applyLocked(l, h)
+		tm.applyLocked(l)
 		th.DeferTick(tm.opCost * uint64(1+n))
 	}
 	l.onAbort = func() {
-		tm.releaseLocked(l, h)
+		tm.releaseLocked(l)
 		th.DeferTick(tm.opCost)
 	}
-	tx.SetLocal(tm, l)
 	return l
 }
 
@@ -399,13 +476,13 @@ func (tm *TransactionalMap[K, V]) touchAll(tx *stm.Tx, l *mapLocal[K, V]) {
 	}
 }
 
-// lockKeyLocked takes (idempotently) the key lock for k on behalf of h.
-// Caller holds k's stripe guard.
-func (tm *TransactionalMap[K, V]) lockKeyLocked(l *mapLocal[K, V], h semlock.Owner, k K) {
+// lockKeyLocked takes (idempotently) the key lock for k on behalf of the
+// attempt l is attached to. Caller holds k's stripe guard.
+func (tm *TransactionalMap[K, V]) lockKeyLocked(l *mapLocal[K, V], k K) {
 	if _, ok := l.keyLocks[k]; ok {
 		return
 	}
-	tm.stripes[tm.StripeOf(k)].key2lockers.Lock(k, h)
+	tm.stripes[tm.StripeOf(k)].key2lockers.Lock(k, l.h)
 	l.keyLocks[k] = struct{}{}
 }
 
@@ -428,10 +505,10 @@ func (tm *TransactionalMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
 	st := tm.touch(tx, l, tm.StripeOf(k))
 	var v V
 	var present bool
-	_ = tx.Open(func(o *stm.Tx) error {
+	_ = tx.Open(func(*stm.Tx) error {
 		st.guard.Lock()
 		defer st.guard.Unlock()
-		tm.lockKeyLocked(l, o.Handle(), k)
+		tm.lockKeyLocked(l, k)
 		v, present = st.m.Get(k)
 		return nil
 	})
@@ -460,11 +537,11 @@ func (tm *TransactionalMap[K, V]) Put(tx *stm.Tx, k K, v V) (V, bool) {
 			old = w.val
 		}
 		w.val, w.removed = v, false
+		l.storeBuffer[k] = w
 		return old, had
 	}
 	old, had := tm.readCommittedWrite(tx, l, k, true)
-	kc := had
-	l.storeBuffer[k] = &mapWrite[V]{val: v, knownCommitted: &kc}
+	l.storeBuffer[k] = mapWrite[V]{val: v, committed: presenceOf(had)}
 	l.bufferKey(k)
 	return old, had
 }
@@ -478,10 +555,11 @@ func (tm *TransactionalMap[K, V]) PutUnread(tx *stm.Tx, k K, v V) {
 	l := tm.local(tx)
 	if w, ok := l.storeBuffer[k]; ok {
 		w.val, w.removed = v, false
+		l.storeBuffer[k] = w
 		return
 	}
 	tm.touch(tx, l, tm.StripeOf(k))
-	l.storeBuffer[k] = &mapWrite[V]{val: v}
+	l.storeBuffer[k] = mapWrite[V]{val: v}
 	l.bufferKey(k)
 	tx.Thread().Clock.Tick(tm.opCost / 4)
 }
@@ -498,11 +576,11 @@ func (tm *TransactionalMap[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 			old = w.val
 		}
 		w.val, w.removed = zero, true
+		l.storeBuffer[k] = w
 		return old, had
 	}
 	old, had := tm.readCommittedWrite(tx, l, k, true)
-	kc := had
-	l.storeBuffer[k] = &mapWrite[V]{removed: true, knownCommitted: &kc}
+	l.storeBuffer[k] = mapWrite[V]{removed: true, committed: presenceOf(had)}
 	l.bufferKey(k)
 	return old, had
 }
@@ -513,10 +591,11 @@ func (tm *TransactionalMap[K, V]) RemoveUnread(tx *stm.Tx, k K) {
 	var zero V
 	if w, ok := l.storeBuffer[k]; ok {
 		w.val, w.removed = zero, true
+		l.storeBuffer[k] = w
 		return
 	}
 	tm.touch(tx, l, tm.StripeOf(k))
-	l.storeBuffer[k] = &mapWrite[V]{removed: true}
+	l.storeBuffer[k] = mapWrite[V]{removed: true}
 	l.bufferKey(k)
 	tx.Thread().Clock.Tick(tm.opCost / 4)
 }
@@ -541,13 +620,12 @@ func (tm *TransactionalMap[K, V]) readCommittedWrite(tx *stm.Tx, l *mapLocal[K, 
 	st := tm.touch(tx, l, si)
 	var v V
 	var present bool
-	_ = tx.Open(func(o *stm.Tx) error {
+	_ = tx.Open(func(*stm.Tx) error {
 		st.guard.Lock()
 		defer st.guard.Unlock()
-		h := o.Handle()
-		tm.lockKeyLocked(l, h, k)
+		tm.lockKeyLocked(l, k)
 		if forWrite && tm.eagerWriteCheck {
-			tm.noteViolations(si, st.key2lockers.ViolateOthers(k, h, tm.reasonKey))
+			tm.noteViolations(si, st.key2lockers.ViolateOthers(k, l.h, tm.reasonKey))
 		}
 		v, present = st.m.Get(k)
 		return nil
@@ -560,12 +638,12 @@ func (tm *TransactionalMap[K, V]) readCommittedWrite(tx *stm.Tx, l *mapLocal[K, 
 // blindly written key that hashes to stripe si (taking its key lock) so
 // the buffer's net size effect is well defined. Caller holds stripe
 // si's guard.
-func (tm *TransactionalMap[K, V]) resolveBlindStripeLocked(st *mapStripe[K, V], si int, l *mapLocal[K, V], h semlock.Owner) {
+func (tm *TransactionalMap[K, V]) resolveBlindStripeLocked(st *mapStripe[K, V], si int, l *mapLocal[K, V]) {
 	for k, w := range l.storeBuffer {
-		if w.knownCommitted == nil && tm.StripeOf(k) == si {
-			tm.lockKeyLocked(l, h, k)
-			p := st.m.ContainsKey(k)
-			w.knownCommitted = &p
+		if w.committed == presenceUnknown && tm.StripeOf(k) == si {
+			tm.lockKeyLocked(l, k)
+			w.committed = presenceOf(st.m.ContainsKey(k))
+			l.storeBuffer[k] = w
 		}
 	}
 }
@@ -577,10 +655,10 @@ func (tm *TransactionalMap[K, V]) deltaLocked(l *mapLocal[K, V]) int {
 	d := 0
 	for _, w := range l.storeBuffer {
 		if w.removed {
-			if *w.knownCommitted {
+			if w.committed == presencePresent {
 				d--
 			}
-		} else if !*w.knownCommitted {
+		} else if w.committed == presenceAbsent {
 			d++
 		}
 	}
@@ -608,12 +686,11 @@ func (tm *TransactionalMap[K, V]) Size(tx *stm.Tx) int {
 	l := tm.local(tx)
 	tm.touchAll(tx, l)
 	n := 0
-	_ = tx.Open(func(o *stm.Tx) error {
-		h := o.Handle()
+	_ = tx.Open(func(*stm.Tx) error {
 		for si, st := range tm.stripes {
 			st.guard.Lock()
-			st.sizeLockers.Lock(h)
-			tm.resolveBlindStripeLocked(st, si, l, h)
+			st.sizeLockers.Lock(l.h)
+			tm.resolveBlindStripeLocked(st, si, l)
 			n += st.m.Size()
 			st.guard.Unlock()
 		}
@@ -642,12 +719,11 @@ func (tm *TransactionalMap[K, V]) IsEmpty(tx *stm.Tx) bool {
 	l := tm.local(tx)
 	tm.touchAll(tx, l)
 	n := 0
-	_ = tx.Open(func(o *stm.Tx) error {
-		h := o.Handle()
+	_ = tx.Open(func(*stm.Tx) error {
 		for si, st := range tm.stripes {
 			st.guard.Lock()
-			st.emptyLockers.Lock(h)
-			tm.resolveBlindStripeLocked(st, si, l, h)
+			st.emptyLockers.Lock(l.h)
+			tm.resolveBlindStripeLocked(st, si, l)
 			n += st.m.Size()
 			st.guard.Unlock()
 		}
@@ -664,7 +740,8 @@ func (tm *TransactionalMap[K, V]) IsEmpty(tx *stm.Tx) bool {
 // 2's "Write Conflict" column), and release this transaction's locks.
 // The commit protocol holds every touched stripe's guard; the buffer's
 // keys all hash to touched stripes (touch precedes buffering).
-func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner) {
+func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V]) {
+	h := l.h
 	var oldSizes [maxStripes]int
 	if len(l.storeBuffer) > 0 {
 		for si, st := range tm.stripes {
@@ -716,16 +793,17 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 			tm.noteViolations(si, n)
 		}
 	}
-	tm.releaseLocked(l, h)
+	tm.releaseLocked(l)
 }
 
 // releaseLocked releases every semantic lock held by this transaction
-// on this instance and clears its local state; it is both the tail of
-// the commit handler and the whole of the abort handler. The protocol
-// holds every touched stripe's guard; all of this transaction's locks
-// live on touched stripes (size/empty locks imply every stripe was
-// touched).
-func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Owner) {
+// on this instance and returns its local state to pristine for the
+// thread's next attempt; it is both the tail of the commit handler and
+// the whole of the abort handler. The protocol holds every touched
+// stripe's guard; all of this transaction's locks live on touched
+// stripes (size/empty locks imply every stripe was touched).
+func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V]) {
+	h := l.h
 	for k := range l.keyLocks {
 		tm.stripes[tm.StripeOf(k)].key2lockers.Unlock(k, h)
 	}
@@ -739,16 +817,29 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Own
 			st.emptyLockers.Unlock(h)
 		}
 	}
-	if tm.sorted != nil {
-		for _, rl := range l.rangeLocks {
-			tm.sorted.rangeLockers[rl.si].Remove(rl.e)
-		}
+	for _, r := range l.rangeLocks {
+		tm.sorted.rangeLockers[r.si].Remove(&r.RangeEntry)
 	}
-	l.keyLocks = make(map[K]struct{})
-	l.storeBuffer = make(map[K]*mapWrite[V])
+	l.h = nil
+	if max(len(l.keyLocks), len(l.storeBuffer), len(l.rangeLocks)) > maxRecycledEntries {
+		// Oversized (see maxRecycledEntries): let go of the containers
+		// now and stay touched, so local() builds a fresh one.
+		l.keyLocks, l.storeBuffer, l.sortedKeys = nil, nil, nil
+		l.rangeLocks, l.spareRanges = nil, nil
+		return
+	}
+	clear(l.keyLocks)
+	clear(l.storeBuffer)
 	if l.sortedKeys != nil {
 		l.sortedKeys.Clear()
 	}
-	l.rangeLocks = nil
+	for i, r := range l.rangeLocks {
+		// A spare entry must not pin the attempt's handle or keys.
+		*r = rangeLock[K]{}
+		l.spareRanges = append(l.spareRanges, r)
+		l.rangeLocks[i] = nil
+	}
+	l.rangeLocks = l.rangeLocks[:0]
 	l.sizeLocked, l.emptyLocked = false, false
+	l.touched = 0
 }

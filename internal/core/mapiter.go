@@ -29,9 +29,11 @@ type MapIterator[K comparable, V any] struct {
 	// extras holds buffered-added keys absent from the snapshot.
 	extras []K
 	j      int
-	// pending is the prefetched next entry (HasNext peeks by advancing).
-	pending *mapEntry[K, V]
-	done    bool
+	// pending is the prefetched next entry (HasNext peeks by advancing),
+	// meaningful while hasPending is set.
+	pending    mapEntry[K, V]
+	hasPending bool
+	done       bool
 	// frozen marks a snapshot-mode iterator: entries holds the whole
 	// committed view captured at creation (snapshotIterator), tm/tx/l
 	// are nil, and enumeration takes no locks at all.
@@ -95,10 +97,10 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 		var val V
 		var live bool
 		st := tm.stripes[tm.StripeOf(k)]
-		_ = it.tx.Open(func(o *stm.Tx) error {
+		_ = it.tx.Open(func(*stm.Tx) error {
 			st.guard.Lock()
 			defer st.guard.Unlock()
-			tm.lockKeyLocked(l, o.Handle(), k)
+			tm.lockKeyLocked(l, k)
 			if w, ok := l.storeBuffer[k]; ok {
 				val, live = w.val, !w.removed
 			} else {
@@ -123,10 +125,10 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 			continue
 		}
 		st := tm.stripes[tm.StripeOf(k)]
-		_ = it.tx.Open(func(o *stm.Tx) error {
+		_ = it.tx.Open(func(*stm.Tx) error {
 			st.guard.Lock()
 			defer st.guard.Unlock()
-			tm.lockKeyLocked(l, o.Handle(), k)
+			tm.lockKeyLocked(l, k)
 			return nil
 		})
 		return k, w.val, true
@@ -145,18 +147,17 @@ func (it *MapIterator[K, V]) HasNext() bool {
 	if it.done {
 		return false
 	}
-	if it.pending != nil {
+	if it.hasPending {
 		return true
 	}
 	k, v, ok := it.advance()
 	if !ok {
 		it.done = true
 		tm, l := it.tm, it.l
-		_ = it.tx.Open(func(o *stm.Tx) error {
-			h := o.Handle()
+		_ = it.tx.Open(func(*stm.Tx) error {
 			for _, st := range tm.stripes {
 				st.guard.Lock()
-				st.sizeLockers.Lock(h)
+				st.sizeLockers.Lock(l.h)
 				st.guard.Unlock()
 			}
 			l.sizeLocked = true
@@ -164,7 +165,7 @@ func (it *MapIterator[K, V]) HasNext() bool {
 		})
 		return false
 	}
-	it.pending = &mapEntry[K, V]{Key: k, Val: v}
+	it.pending, it.hasPending = mapEntry[K, V]{Key: k, Val: v}, true
 	return true
 }
 
@@ -179,9 +180,8 @@ func (it *MapIterator[K, V]) Next() (k K, v V, ok bool) {
 		it.i++
 		return e.Key, e.Val, true
 	}
-	e := it.pending
-	it.pending = nil
-	return e.Key, e.Val, true
+	it.hasPending = false
+	return it.pending.Key, it.pending.Val, true
 }
 
 // ForEach enumerates every entry via an iterator (taking key locks on

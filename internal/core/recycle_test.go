@@ -1,0 +1,345 @@
+package core
+
+import (
+	"errors"
+	"maps"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"tcc/internal/collections"
+	"tcc/internal/stm"
+)
+
+// Tests of the recycled transaction-local state (DESIGN.md §4.6): a
+// thread's mapLocal serves attempt after attempt, so nothing an attempt
+// left in it — a key lock it believes it holds, a buffered write, a
+// range entry, a touched stripe — may reach the next one.
+
+// recycleLayouts are the instances the recycling tests run on: both map
+// layouts and a range-striped sorted map (whose transactions also hold
+// range locks and a sorted key index).
+var recycleLayouts = []struct {
+	name string
+	new  func() (tm *TransactionalMap[int, int], sorted *TransactionalSortedMap[int, int])
+}{
+	{"map1", func() (*TransactionalMap[int, int], *TransactionalSortedMap[int, int]) {
+		return newStripedIntMap(1), nil
+	}},
+	{"map16", func() (*TransactionalMap[int, int], *TransactionalSortedMap[int, int]) {
+		return newStripedIntMap(16), nil
+	}},
+	{"sorted4", func() (*TransactionalMap[int, int], *TransactionalSortedMap[int, int]) {
+		sm := NewRangeStripedTransactionalSortedMap(newIntTree, []int{16, 32, 48})
+		return &sm.TransactionalMap, sm
+	}},
+}
+
+// assertTablesEmpty fails unless every semantic-lock table of tm is
+// empty, as they must be once no transaction is running.
+func assertTablesEmpty(t *testing.T, tm *TransactionalMap[int, int], keys int) {
+	t.Helper()
+	tm.lockSpan(0, len(tm.stripes))
+	defer tm.unlockSpan(0, len(tm.stripes))
+	for k := 0; k < keys; k++ {
+		if tm.stripes[tm.StripeOf(k)].key2lockers.Locked(k) {
+			t.Errorf("key %d still locked", k)
+		}
+	}
+	for si, st := range tm.stripes {
+		if n := st.sizeLockers.Len() + st.emptyLockers.Len(); n != 0 {
+			t.Errorf("stripe %d: %d size/empty locks left", si, n)
+		}
+		if tm.sorted != nil {
+			if n := tm.sorted.rangeLockers[si].Len(); n != 0 {
+				t.Errorf("stripe %d: %d range locks left", si, n)
+			}
+		}
+	}
+}
+
+// TestRecycledLocalContainment ends an attempt three ways after it has
+// read key 1, buffered a write to key 2, taken the size lock and (sorted
+// maps) a range lock — a foreign panic the caller recovers, a violation
+// that retries, tx.Abort — and then runs an ordinary transaction on the
+// same thread. That transaction must take its own lock on key 1 (a stale
+// keyLocks entry would skip it), must not see the buffered write, must
+// register its own handlers (a stale touched mask would skip them, and
+// its Put would never apply), and must leave nothing behind.
+func TestRecycledLocalContainment(t *testing.T) {
+	errAbort := errors.New("abort")
+	for _, ly := range recycleLayouts {
+		for _, ending := range []string{"foreign panic", "violated", "user abort"} {
+			t.Run(ly.name+"/"+ending, func(t *testing.T) {
+				tm, sorted := ly.new()
+				th := newTh(1)
+				atomically(t, th, func(tx *stm.Tx) {
+					for k := 1; k <= 4; k++ {
+						tm.Put(tx, k, 10*k)
+					}
+				})
+				var firstLocal any
+				var firstHandle *stm.Handle
+				first := func(tx *stm.Tx) {
+					firstHandle = tx.Handle()
+					tm.Get(tx, 1)
+					tm.Put(tx, 2, 99)
+					tm.Size(tx)
+					if sorted != nil {
+						sorted.FirstKey(tx)
+					}
+					firstLocal = tx.Local(tm)
+				}
+				var secondHandle *stm.Handle
+				second := func(tx *stm.Tx) {
+					h := tx.Handle()
+					secondHandle = h
+					if v, ok := tm.Get(tx, 2); !ok || v != 20 {
+						t.Errorf("Get(2) = (%d,%v), want the committed 20: the dead attempt's buffer leaked", v, ok)
+					}
+					tm.Get(tx, 1)
+					tm.lockSpan(0, len(tm.stripes))
+					held := tm.stripes[tm.StripeOf(1)].key2lockers.Holds(1, h)
+					tm.unlockSpan(0, len(tm.stripes))
+					if !held {
+						t.Error("Get(1) took no key lock under the new handle")
+					}
+					if recycled := tx.Local(tm) == firstLocal; recycled != (ending != "foreign panic") {
+						t.Errorf("local recycled = %v after %s", recycled, ending)
+					}
+					tm.Put(tx, 3, 33)
+				}
+
+				switch ending {
+				case "foreign panic":
+					func() {
+						defer func() {
+							if r := recover(); r != "boom" {
+								t.Fatalf("recovered %v, want the body's panic", r)
+							}
+						}()
+						_ = th.Atomic(func(tx *stm.Tx) error {
+							first(tx)
+							panic("boom")
+						})
+					}()
+					atomically(t, th, second)
+				case "violated":
+					atomically(t, th, func(tx *stm.Tx) {
+						if tx.Attempt() == 0 {
+							first(tx)
+							tx.Handle().Violate("test")
+							tx.Poll()
+							t.Error("Poll returned on a violated transaction")
+						}
+						second(tx)
+					})
+				case "user abort":
+					err := th.Atomic(func(tx *stm.Tx) error {
+						first(tx)
+						tx.Abort(errAbort)
+						return nil
+					})
+					if !errors.Is(err, errAbort) {
+						t.Fatalf("Atomic = %v, want the abort error", err)
+					}
+					atomically(t, th, second)
+				}
+
+				atomically(t, th, func(tx *stm.Tx) {
+					if v, ok := tm.Get(tx, 3); !ok || v != 33 {
+						t.Errorf("Get(3) = (%d,%v): the second transaction's Put never applied", v, ok)
+					}
+					if v, _ := tm.Get(tx, 2); v != 20 {
+						t.Errorf("Get(2) = %d, want 20", v)
+					}
+				})
+				if ending != "foreign panic" {
+					assertTablesEmpty(t, tm, 8)
+					return
+				}
+				// A foreign panic unwinds past the retry loop without
+				// running abort handlers (ROADMAP aim 3b, unchanged here):
+				// the dead attempt's locks stay in the tables under its own
+				// handle. Nobody may have inherited or released them.
+				tm.lockSpan(0, len(tm.stripes))
+				defer tm.unlockSpan(0, len(tm.stripes))
+				for k := 1; k <= 3; k++ {
+					if tm.stripes[tm.StripeOf(k)].key2lockers.Holds(k, secondHandle) {
+						t.Errorf("key %d still locked by the committed transaction", k)
+					}
+				}
+				if tm.stripes[tm.StripeOf(3)].key2lockers.Locked(3) {
+					t.Error("key 3, read only by the committed transaction, still locked")
+				}
+				for _, k := range []int{1, 2} {
+					if !tm.stripes[tm.StripeOf(k)].key2lockers.Holds(k, firstHandle) {
+						t.Errorf("key %d: the dead attempt's lock was released by someone else", k)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRecycledLocalSoak runs 10 000 mixed transactions through one
+// thread's recycled locals, checking every answer against a model, and
+// ends with every lock table empty.
+func TestRecycledLocalSoak(t *testing.T) {
+	const keys, txs = 64, 10000
+	for _, ly := range recycleLayouts {
+		t.Run(ly.name, func(t *testing.T) {
+			tm, sorted := ly.new()
+			th := newTh(1)
+			rng := rand.New(rand.NewSource(1))
+			model := map[int]int{}
+			for i := 0; i < txs && !t.Failed(); i++ {
+				var shadow map[int]int // the model as this transaction leaves it
+				ops := 1 + rng.Intn(6)
+				abort := rng.Intn(10) == 0
+				err := th.Atomic(func(tx *stm.Tx) error {
+					shadow = maps.Clone(model)
+					for j := 0; j < ops; j++ {
+						k := rng.Intn(keys)
+						want, had := shadow[k]
+						switch rng.Intn(6) {
+						case 0, 1:
+							if v, ok := tm.Get(tx, k); ok != had || v != want {
+								t.Errorf("tx %d: Get(%d) = (%d,%v), want (%d,%v)", i, k, v, ok, want, had)
+							}
+						case 2:
+							if old, ok := tm.Put(tx, k, i); ok != had || old != want {
+								t.Errorf("tx %d: Put(%d) = (%d,%v), want (%d,%v)", i, k, old, ok, want, had)
+							}
+							shadow[k] = i
+						case 3:
+							if old, ok := tm.Remove(tx, k); ok != had || old != want {
+								t.Errorf("tx %d: Remove(%d) = (%d,%v), want (%d,%v)", i, k, old, ok, want, had)
+							}
+							delete(shadow, k)
+						case 4:
+							if n := tm.Size(tx); n != len(shadow) {
+								t.Errorf("tx %d: Size = %d, want %d", i, n, len(shadow))
+							}
+							if e := tm.IsEmpty(tx); e != (len(shadow) == 0) {
+								t.Errorf("tx %d: IsEmpty = %v with %d keys", i, e, len(shadow))
+							}
+						case 5:
+							if sorted == nil {
+								tm.PutUnread(tx, k, i)
+								shadow[k] = i
+								break
+							}
+							n := 0
+							sorted.SubMap(k, k+8).ForEach(tx, func(sk, sv int) bool {
+								if v, ok := shadow[sk]; !ok || v != sv || sk < k || sk >= k+8 {
+									t.Errorf("tx %d: scan [%d,%d) met (%d,%d)", i, k, k+8, sk, sv)
+								}
+								n++
+								return true
+							})
+							for sk := k; sk < k+8; sk++ {
+								if _, ok := shadow[sk]; ok {
+									n--
+								}
+							}
+							if n != 0 {
+								t.Errorf("tx %d: scan [%d,%d) off by %d keys", i, k, k+8, n)
+							}
+						}
+					}
+					if abort {
+						return errors.New("abort")
+					}
+					return nil
+				})
+				if (err != nil) != abort {
+					t.Fatalf("tx %d: Atomic = %v, abort = %v", i, err, abort)
+				}
+				if !abort {
+					model = shadow
+				}
+			}
+			atomically(t, th, func(tx *stm.Tx) {
+				if n := tm.Size(tx); n != len(model) {
+					t.Errorf("final Size = %d, want %d", n, len(model))
+				}
+			})
+			assertTablesEmpty(t, tm, keys)
+			if l, _ := th.Attachment(tm).(*mapLocal[int, int]); l == nil || l.touched != 0 ||
+				len(l.keyLocks)+len(l.storeBuffer)+len(l.rangeLocks) != 0 {
+				t.Errorf("thread's local not pristine after the soak: %+v", l)
+			}
+		})
+	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRecycledLocalRetention: recycling must not turn the thread into a
+// memory leak. A transaction that buffers 50 000 keys leaves no maps of
+// that capacity in the thread's local (release discards a local grown
+// past maxRecycledEntries), and a dropped collection is unpinned once
+// the thread's bounded attachment set turns over.
+func TestRecycledLocalRetention(t *testing.T) {
+	const big = 50000
+	th := newTh(1)
+	base := liveHeap()
+
+	tm := newStripedIntMap(16)
+	if err := th.Atomic(func(tx *stm.Tx) error {
+		for k := 0; k < big; k++ {
+			tm.PutUnread(tx, k, k)
+		}
+		return errors.New("discard") // buffered, never applied
+	}); err == nil {
+		t.Fatal("Atomic swallowed the body's error")
+	}
+	l, _ := th.Attachment(tm).(*mapLocal[int, int])
+	if l == nil || l.storeBuffer != nil || l.keyLocks != nil {
+		t.Fatalf("oversized local kept its containers: %+v", l)
+	}
+	// 50 000 buffered int→mapWrite[int] entries are megabytes; a kept
+	// buffer could not hide inside this margin.
+	const margin = 256 << 10
+	if got := liveHeap(); got > base+margin {
+		t.Errorf("live heap %d KiB after the big transaction, baseline %d KiB", got>>10, base>>10)
+	}
+	atomically(t, th, func(tx *stm.Tx) { tm.Put(tx, 1, 1) })
+	if l2, _ := th.Attachment(tm).(*mapLocal[int, int]); l2 == l || l2.touched != 0 {
+		t.Error("discarded local was reused, or its replacement is not pristine")
+	}
+
+	// A collection with committed bulk, used on the thread and dropped.
+	bulk := NewStripedTransactionalMap(func() collections.Map[int, int] {
+		return collections.NewHashMap[int, int]()
+	}, 16)
+	for lo := 0; lo < big; lo += 200 {
+		atomically(t, th, func(tx *stm.Tx) {
+			for k := lo; k < lo+200; k++ {
+				bulk.PutUnread(tx, k, k)
+			}
+		})
+	}
+	if liveHeap() < base+margin {
+		t.Fatal("the bulk collection is not big enough to measure")
+	}
+	bulk = nil
+	// The thread's slot may pin it — until this many other collections
+	// have been used on the thread.
+	for i := 0; i < 2*64; i++ {
+		small := newIntMap()
+		atomically(t, th, func(tx *stm.Tx) { small.Get(tx, i) })
+	}
+	if got := liveHeap(); got > base+margin {
+		t.Errorf("live heap %d KiB after dropping the collection, baseline %d KiB", got>>10, base>>10)
+	}
+	runtime.KeepAlive(th)
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"tcc/internal/collections"
-	"tcc/internal/semlock"
 	"tcc/internal/stm"
 )
 
@@ -57,19 +56,24 @@ func (t *TransactionalSortedMap[K, V]) LastKey(tx *stm.Tx) (K, bool) {
 // key is, Table 5's last lock) or pins it to the view's upper bound
 // (bounded views).
 type SortedIterator[K comparable, V any] struct {
-	t       *TransactionalSortedMap[K, V]
-	tx      *stm.Tx
-	l       *mapLocal[K, V]
-	lo, hi  *K // view bounds: lo inclusive, hi exclusive; nil = unbounded
-	last    *K // last returned key
-	pending *mapEntry[K, V]
-	done    bool
+	t      *TransactionalSortedMap[K, V]
+	tx     *stm.Tx
+	l      *mapLocal[K, V]
+	lo, hi *K // view bounds: lo inclusive, hi exclusive; nil = unbounded
+	// last is the last returned key, meaningful once returned is set.
+	last     K
+	returned bool
+	// pending is the prefetched next entry (HasNext peeks by advancing),
+	// meaningful while hasPending is set.
+	pending    mapEntry[K, V]
+	hasPending bool
+	done       bool
 	// si is the stripe the scan is positioned in and lock the widening
 	// range lock the iterator owns in that stripe's table (created as
 	// the scan enters the stripe; entries of stripes already left stay
 	// in the transaction's rangeLocks until release).
 	si   int
-	lock *semlock.RangeEntry[K]
+	lock *rangeLock[K]
 }
 
 // Iterator creates an ascending iterator over the whole map.
@@ -95,7 +99,7 @@ func (it *SortedIterator[K, V]) HasNext() bool {
 	if it.done {
 		return false
 	}
-	if it.pending != nil {
+	if it.hasPending {
 		return true
 	}
 	k, v, ok := it.advance()
@@ -106,7 +110,7 @@ func (it *SortedIterator[K, V]) HasNext() bool {
 		it.done = true
 		return false
 	}
-	it.pending = &mapEntry[K, V]{Key: k, Val: v}
+	it.pending, it.hasPending = mapEntry[K, V]{Key: k, Val: v}, true
 	return true
 }
 
@@ -115,9 +119,8 @@ func (it *SortedIterator[K, V]) Next() (k K, v V, ok bool) {
 	if !it.HasNext() {
 		return k, v, false
 	}
-	e := it.pending
-	it.pending = nil
-	return e.Key, e.Val, true
+	it.hasPending = false
+	return it.pending.Key, it.pending.Val, true
 }
 
 // ForEach enumerates the whole map in key order until fn returns false.

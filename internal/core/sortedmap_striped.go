@@ -135,7 +135,7 @@ func (t *TransactionalSortedMap[K, V]) bufferCeilingInStripe(l *mapLocal[K, V], 
 		cand, ok = l.sortedKeys.CeilingKey(t.sorted.boundaries[si-1])
 	}
 	for ok && t.sorted.stripeFor(cand) == si {
-		if w := l.storeBuffer[cand]; w != nil && !w.removed {
+		if w, buffered := l.storeBuffer[cand]; buffered && !w.removed {
 			return cand, true
 		}
 		cand, ok = l.sortedKeys.HigherKey(cand)
@@ -160,7 +160,7 @@ func (t *TransactionalSortedMap[K, V]) bufferFloorInStripe(l *mapLocal[K, V], si
 		cand, ok = l.sortedKeys.LowerKey(t.sorted.boundaries[si])
 	}
 	for ok && t.sorted.stripeFor(cand) == si {
-		if w := l.storeBuffer[cand]; w != nil && !w.removed {
+		if w, buffered := l.storeBuffer[cand]; buffered && !w.removed {
 			return cand, true
 		}
 		cand, ok = l.sortedKeys.LowerKey(cand)
@@ -175,73 +175,51 @@ func (t *TransactionalSortedMap[K, V]) bufferFloorInStripe(l *mapLocal[K, V], si
 // buffered additions. Caller holds stripe si's guard.
 func (t *TransactionalSortedMap[K, V]) mergedCeilingInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
 	sm := t.sorted.sms[si]
-	var committed *K
-	var c K
+	var best K
 	var ok bool
 	switch {
 	case k == nil:
-		c, ok = sm.FirstKey()
+		best, ok = sm.FirstKey()
 	case strict:
-		c, ok = sm.HigherKey(*k)
+		best, ok = sm.HigherKey(*k)
 	default:
-		c, ok = sm.CeilingKey(*k)
+		best, ok = sm.CeilingKey(*k)
 	}
 	for ok {
-		if w, buffered := l.storeBuffer[c]; buffered && w.removed {
-			c, ok = sm.HigherKey(c)
-			continue
+		if w, buffered := l.storeBuffer[best]; !buffered || !w.removed {
+			break
 		}
-		cc := c
-		committed = &cc
-		break
+		best, ok = sm.HigherKey(best)
 	}
-	best := committed
-	if bk, bok := t.bufferCeilingInStripe(l, si, k, strict); bok {
-		if best == nil || t.sorted.cmp(bk, *best) < 0 {
-			best = &bk
-		}
+	if bk, bok := t.bufferCeilingInStripe(l, si, k, strict); bok && (!ok || t.sorted.cmp(bk, best) < 0) {
+		best, ok = bk, true
 	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
+	return best, ok
 }
 
 // mergedFloorInStripe is the descending mirror of mergedCeilingInStripe.
 func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
 	sm := t.sorted.sms[si]
-	var committed *K
-	var c K
+	var best K
 	var ok bool
 	switch {
 	case k == nil:
-		c, ok = sm.LastKey()
+		best, ok = sm.LastKey()
 	case strict:
-		c, ok = sm.LowerKey(*k)
+		best, ok = sm.LowerKey(*k)
 	default:
-		c, ok = sm.FloorKey(*k)
+		best, ok = sm.FloorKey(*k)
 	}
 	for ok {
-		if w, buffered := l.storeBuffer[c]; buffered && w.removed {
-			c, ok = sm.LowerKey(c)
-			continue
+		if w, buffered := l.storeBuffer[best]; !buffered || !w.removed {
+			break
 		}
-		cc := c
-		committed = &cc
-		break
+		best, ok = sm.LowerKey(best)
 	}
-	best := committed
-	if bk, bok := t.bufferFloorInStripe(l, si, k, strict); bok {
-		if best == nil || t.sorted.cmp(bk, *best) > 0 {
-			best = &bk
-		}
+	if bk, bok := t.bufferFloorInStripe(l, si, k, strict); bok && (!ok || t.sorted.cmp(bk, best) > 0) {
+		best, ok = bk, true
 	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
+	return best, ok
 }
 
 // snapshotRouted is the one gate between the two ways a navigation query
@@ -281,29 +259,24 @@ func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) 
 	for si := start; si < len(t.stripes) && !found; si++ {
 		si := si
 		st := t.touch(tx, l, si)
-		_ = tx.Open(func(o *stm.Tx) error {
+		_ = tx.Open(func(*stm.Tx) error {
 			st.guard.Lock()
 			defer st.guard.Unlock()
-			h := o.Handle()
-			e := &semlock.RangeEntry[K]{Owner: h}
+			e := t.newRangeLock(l, si)
 			var k *K
 			if si == start && from != nil {
-				lo := *from
-				e.Lo = &lo
-				e.LoExcl = strict
-				k = &lo
+				e.setLo(*from, strict)
+				k = e.Lo
 			}
 			if r, ok := t.mergedCeilingInStripe(l, si, k, strict); ok {
-				rr := r
-				e.Hi = &rr
+				e.setHi(r, false)
 				if from != nil {
-					t.lockKeyLocked(l, h, rr)
+					t.lockKeyLocked(l, r)
 				}
-				res, found = rr, true
+				res, found = r, true
 			}
 			// Not found: e.Hi stays nil — the stripe's whole remaining
 			// interval was observed empty.
-			t.addRangeLock(l, si, e)
 			return nil
 		})
 		tx.Thread().Clock.Tick(t.opCost)
@@ -328,27 +301,22 @@ func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool
 	for si := start; si >= 0 && !found; si-- {
 		si := si
 		st := t.touch(tx, l, si)
-		_ = tx.Open(func(o *stm.Tx) error {
+		_ = tx.Open(func(*stm.Tx) error {
 			st.guard.Lock()
 			defer st.guard.Unlock()
-			h := o.Handle()
-			e := &semlock.RangeEntry[K]{Owner: h}
+			e := t.newRangeLock(l, si)
 			var k *K
 			if si == start && from != nil {
-				hi := *from
-				e.Hi = &hi
-				e.HiExcl = strict
-				k = &hi
+				e.setHi(*from, strict)
+				k = e.Hi
 			}
 			if r, ok := t.mergedFloorInStripe(l, si, k, strict); ok {
-				rr := r
-				e.Lo = &rr
+				e.setLo(r, false)
 				if from != nil {
-					t.lockKeyLocked(l, h, rr)
+					t.lockKeyLocked(l, r)
 				}
-				res, found = rr, true
+				res, found = r, true
 			}
-			t.addRangeLock(l, si, e)
 			return nil
 		})
 		tx.Thread().Clock.Tick(t.opCost)
@@ -371,37 +339,32 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 	for !found && it.si < n {
 		si := it.si
 		st := t.touch(it.tx, l, si)
-		_ = it.tx.Open(func(o *stm.Tx) error {
+		_ = it.tx.Open(func(*stm.Tx) error {
 			st.guard.Lock()
 			defer st.guard.Unlock()
-			h := o.Handle()
 			e := it.lock
 			if e == nil {
-				e = &semlock.RangeEntry[K]{Owner: h}
+				e = t.newRangeLock(l, si)
 				if it.lo != nil && t.sorted.stripeFor(*it.lo) == si {
-					lo := *it.lo
-					e.Lo = &lo
+					e.setLo(*it.lo, false)
 				}
 				it.lock = e
-				t.addRangeLock(l, si, e)
 			}
-			var from *K
-			strict := false
-			if it.last != nil && t.sorted.stripeFor(*it.last) == si {
-				from, strict = it.last, true
-			} else if e.Lo != nil {
-				from = e.Lo
+			// Resume strictly after the last returned key when it lies in
+			// this stripe, else from the entry's lower bound (nil: the
+			// stripe's edge).
+			from, strict := e.Lo, false
+			if it.returned && t.sorted.stripeFor(it.last) == si {
+				from, strict = &it.last, true
 			}
 			res, ok := t.mergedCeilingInStripe(l, si, from, strict)
 			if ok && it.hi != nil && t.sorted.cmp(res, *it.hi) >= 0 {
 				ok = false
 			}
 			if ok {
-				t.lockKeyLocked(l, h, res)
-				kk := res
-				e.Hi = &kk
-				e.HiExcl = false
-				it.last = &kk
+				t.lockKeyLocked(l, res)
+				e.setHi(res, false)
+				it.last, it.returned = res, true
 				if w, buffered := l.storeBuffer[res]; buffered {
 					outK, outV, found = res, w.val, true
 				} else {
@@ -414,9 +377,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			if it.hi != nil && t.sorted.stripeFor(*it.hi) == si {
 				// The view bound lies in this stripe: pin the entry to
 				// it ([.., hi) observed empty) and stop the scan.
-				hi := *it.hi
-				e.Hi = &hi
-				e.HiExcl = true
+				e.setHi(*it.hi, true)
 				it.si = n
 			} else {
 				// Extend to the stripe's upper edge and move on.

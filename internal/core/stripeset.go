@@ -44,7 +44,7 @@ type footprint struct {
 	// root-level footprint (stm.Tx.AddTopGuard), so the handlers run with
 	// every touched partition's guard held and take no lock themselves.
 	touched uint64
-	// onCommit and onAbort are built by the collection's local().
+	// onCommit and onAbort are built with the collection's local state.
 	onCommit, onAbort func()
 }
 

@@ -42,6 +42,25 @@ func TestKeyTableViolateOthersNoAlloc(t *testing.T) {
 	}
 }
 
+// TestKeyTableLockUnlockNoAlloc: a key's owners live by value in the
+// table map, the first one inline, so the uncontended read allocates
+// nothing once the map has its buckets. (A second concurrent reader of
+// the same key allocates the overflow slice; that path is not budgeted.)
+func TestKeyTableLockUnlockNoAlloc(t *testing.T) {
+	kt := NewKeyTable[int]()
+	a := activeHandle()
+	k := 0
+	alone := func() {
+		k++
+		kt.Lock(k, a)
+		kt.Unlock(k, a)
+	}
+	alone()
+	if n := testing.AllocsPerRun(1000, alone); n != 0 {
+		t.Fatalf("uncontended Lock/Unlock allocates %v per pair, want 0", n)
+	}
+}
+
 func TestRangeTableViolateCoveringNoAlloc(t *testing.T) {
 	rt := NewRangeTable[int](func(a, b int) int { return a - b })
 	self := activeHandle()

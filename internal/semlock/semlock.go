@@ -15,6 +15,7 @@ package semlock
 
 import (
 	"fmt"
+	"slices"
 
 	"tcc/internal/stm"
 )
@@ -107,11 +108,21 @@ func (s *OwnerSet) ViolateOthers(self Owner, reason string) int {
 	return n
 }
 
+// keyOwners is one key's reader set, stored by value in the table map:
+// the common single reader lives in first and costs no allocation; any
+// further readers go to more, allocated on that rarer shared-key path
+// and dropped with the entry. first is non-nil for as long as the entry
+// exists.
+type keyOwners struct {
+	first Owner
+	more  []Owner
+}
+
 // KeyTable is the key2lockers table of paper Table 3: for each key, the
 // set of transactions that have read that key's mapping (or its
 // absence).
 type KeyTable[K comparable] struct {
-	lockers map[K]map[Owner]struct{}
+	lockers map[K]keyOwners
 	// keyed makes ViolateOthers append the conflicting key to the
 	// violation reason, so conflict profiles attribute semantic aborts
 	// to individual keys. Off by default: formatting the key costs an
@@ -123,52 +134,90 @@ type KeyTable[K comparable] struct {
 
 // NewKeyTable creates an empty table.
 func NewKeyTable[K comparable]() *KeyTable[K] {
-	return &KeyTable[K]{lockers: make(map[K]map[Owner]struct{})}
+	return &KeyTable[K]{lockers: make(map[K]keyOwners)}
 }
 
 // SetKeyedReasons toggles per-key detail in violation reasons (see the
 // keyed field). Call during setup, before concurrent use.
 func (t *KeyTable[K]) SetKeyedReasons(on bool) { t.keyed = on }
 
-// Lock records o as a reader of key k.
+// holds reports whether o is one of e's owners.
+func (e keyOwners) holds(o Owner) bool {
+	return e.first == o || slices.Contains(e.more, o)
+}
+
+// ordered is orderedOwners for a key's reader set.
+func (e keyOwners) ordered(buf []Owner) []Owner {
+	buf = append(append(buf, e.first), e.more...)
+	sortOwners(buf)
+	return buf
+}
+
+// Lock records o as a reader of key k; re-locking is idempotent.
 func (t *KeyTable[K]) Lock(k K, o Owner) {
-	s := t.lockers[k]
-	if s == nil {
-		s = make(map[Owner]struct{})
-		t.lockers[k] = s
+	e, ok := t.lockers[k]
+	switch {
+	case !ok:
+		e.first = o
+	case e.holds(o):
+		return
+	default:
+		e.more = append(e.more, o)
 	}
-	s[o] = struct{}{}
+	t.lockers[k] = e
 }
 
 // Unlock removes o as a reader of k, dropping empty entries so the
-// table does not grow with dead keys.
+// table does not grow with dead keys; unlocking a non-holder is a no-op.
 func (t *KeyTable[K]) Unlock(k K, o Owner) {
-	s := t.lockers[k]
-	if s == nil {
+	e, ok := t.lockers[k]
+	if !ok {
 		return
 	}
-	delete(s, o)
-	if len(s) == 0 {
-		delete(t.lockers, k)
+	last := len(e.more) - 1
+	if e.first == o {
+		if last < 0 {
+			delete(t.lockers, k)
+			return
+		}
+		// Promote an overflow owner so first stays occupied.
+		e.first = e.more[last]
+	} else {
+		i := slices.Index(e.more, o)
+		if i < 0 {
+			return
+		}
+		e.more[i] = e.more[last]
 	}
+	e.more[last] = nil
+	e.more = e.more[:last]
+	t.lockers[k] = e
 }
 
 // Holds reports whether o holds a lock on k.
 func (t *KeyTable[K]) Holds(k K, o Owner) bool {
-	_, ok := t.lockers[k][o]
-	return ok
+	e, ok := t.lockers[k]
+	return ok && e.holds(o)
 }
 
 // Locked reports whether any transaction holds a lock on k.
-func (t *KeyTable[K]) Locked(k K) bool { return len(t.lockers[k]) > 0 }
+func (t *KeyTable[K]) Locked(k K) bool {
+	_, ok := t.lockers[k]
+	return ok
+}
 
-// ViolateOthers aborts every reader of k other than self. With keyed
-// reasons enabled the reason each victim records carries the key, e.g.
+// ViolateOthers aborts every reader of k other than self, in ascending
+// handle-id order (see orderedOwners). With keyed reasons enabled the
+// reason each victim records carries the key, e.g.
 // `TestMap: key conflict [key=17]`.
 func (t *KeyTable[K]) ViolateOthers(k K, self Owner, reason string) int {
+	e, ok := t.lockers[k]
+	if !ok {
+		return 0
+	}
 	n := 0
 	detailed := ""
-	t.sweep = orderedOwners(t.sweep, t.lockers[k])
+	t.sweep = e.ordered(t.sweep)
 	for _, o := range t.sweep {
 		if o == self {
 			continue

@@ -117,6 +117,75 @@ func TestKeyTableKeyedReasons(t *testing.T) {
 	}
 }
 
+// committedHandles returns n handles minted by n successive
+// transactions, so their ids ascend in slice order.
+func committedHandles(t *testing.T, n int) []Owner {
+	t.Helper()
+	th := stm.NewThread(&stm.RealClock{}, 1)
+	hs := make([]Owner, n)
+	for i := range hs {
+		if err := th.Atomic(func(tx *stm.Tx) error {
+			hs[i] = tx.Handle()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hs
+}
+
+// TestKeyTableSharedKey walks one key's reader set through the inline
+// owner and the overflow slice: three readers, all violated (in
+// ascending handle-id order, whatever order they locked in), the inline
+// owner leaving while overflow owners remain, and the entry dropped with
+// the last of them.
+func TestKeyTableSharedKey(t *testing.T) {
+	kt := NewKeyTable[int]()
+	a, b, c, self := activeHandle(), activeHandle(), activeHandle(), activeHandle()
+	for _, o := range []Owner{a, b, c, b, a} { // re-locking is idempotent
+		kt.Lock(7, o)
+	}
+	if e := kt.lockers[7]; e.first != a || len(e.more) != 2 {
+		t.Fatalf("entry = first %v + %d overflow, want a + 2", e.first == a, len(e.more))
+	}
+	if n := kt.ViolateOthers(7, self, "key conflict"); n != 3 {
+		t.Fatalf("violated %d, want 3", n)
+	}
+	for i, o := range []Owner{a, b, c} {
+		if o.Status() != stm.StatusViolated || o.ViolationReason() != "key conflict" {
+			t.Fatalf("owner %d: status %v, reason %q", i, o.Status(), o.ViolationReason())
+		}
+	}
+	kt.Unlock(7, self) // a non-holder: no-op
+	kt.Unlock(7, a)    // the inline owner, with two overflow owners left
+	if kt.Holds(7, a) || !kt.Holds(7, b) || !kt.Holds(7, c) || !kt.Locked(7) {
+		t.Fatal("unlocking the inline owner disturbed the overflow owners")
+	}
+	kt.Unlock(7, a) // again: no-op
+	kt.Unlock(7, b) // now an overflow owner (c was promoted)
+	if kt.Holds(7, b) || !kt.Holds(7, c) {
+		t.Fatal("unlocking an overflow owner removed the wrong one")
+	}
+	kt.Unlock(7, c)
+	if kt.Locked(7) || len(kt.lockers) != 0 {
+		t.Fatalf("entry not dropped with its last owner: %d left", len(kt.lockers))
+	}
+	if kt.ViolateOthers(7, self, "key conflict") != 0 {
+		t.Fatal("sweep of an unlocked key landed a violation")
+	}
+
+	hs := committedHandles(t, 3)
+	kt.Lock(9, hs[2])
+	kt.Lock(9, hs[0])
+	kt.Lock(9, hs[1])
+	got := kt.lockers[9].ordered(nil)
+	for i, o := range got {
+		if o != hs[i] {
+			t.Fatalf("sweep order: position %d holds handle id %d, want %d", i, o.ID(), hs[i].ID())
+		}
+	}
+}
+
 func TestViolateSkipsSerializedOwners(t *testing.T) {
 	s := NewOwnerSet()
 	self, done := activeHandle(), activeHandle()

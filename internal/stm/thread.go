@@ -94,7 +94,8 @@ func (s *Stats) Add(other Stats) {
 // allocation-free in steady state: Tx objects, nesting levels (with
 // their inline read/write sets and spill maps), and the sorted
 // write-set scratch used at commit are all reused across attempts and
-// across transactions. Only the per-attempt Handle is allocated fresh,
+// across transactions, as is whatever the collections keep in the
+// attachment slot. Only the per-attempt Handle is allocated fresh,
 // because handles outlive attempts in semantic lock tables.
 type Thread struct {
 	// Clock charges this worker's time; on the simulator it is the
@@ -134,6 +135,36 @@ type Thread struct {
 	// violate) its handle across attempts — reusing one per thread is
 	// what makes the snapshot path allocation-free.
 	snapHandle *Handle
+	// attachments is the thread-lifetime counterpart of Tx.locals (see
+	// Attachment).
+	attachments map[any]any
+}
+
+// maxAttachments bounds a Thread's attachment set. When a new key would
+// exceed it the whole set is dropped: owners rebuild their state on the
+// next use (exactly what they did before attachments existed), and a
+// collection the program has dropped is unpinned after at most this many
+// other collections were used on the thread.
+const maxAttachments = 64
+
+// Attachment returns the value stored under key by SetAttachment, or
+// nil. Attachments outlive transactions: the transactional collections
+// keep their per-(thread, instance) local state here, so steady-state
+// transactions re-attach it (Tx.SetLocal) instead of allocating it. An
+// attachment may disappear between any two transactions; its owner must
+// be able to rebuild it.
+func (t *Thread) Attachment(key any) any { return t.attachments[key] }
+
+// SetAttachment stores val under key for the life of the Thread, or
+// until the set overflows (see maxAttachments).
+func (t *Thread) SetAttachment(key, val any) {
+	if t.attachments == nil {
+		t.attachments = make(map[any]any)
+	}
+	if _, ok := t.attachments[key]; !ok && len(t.attachments) >= maxAttachments {
+		clear(t.attachments)
+	}
+	t.attachments[key] = val
 }
 
 // sortedGuards gathers the union of the given guard lists into the
