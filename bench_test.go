@@ -4,8 +4,10 @@ package tcc
 // deterministic virtual-CPU simulator and expose the headline speedups
 // as custom benchmark metrics (e.g. "java@32x", "tcc@32x"), so
 // `go test -bench .` regenerates the numbers behind every figure. The
-// ablation benchmarks measure the §5.1 design choices. The microbench
-// group at the end measures real wall-clock operation costs.
+// ablation benchmarks measure the §5.1 design choices. The
+// BenchmarkSTMHot* pairs are the wall-clock striping demonstrations
+// (sleeping handlers; the simulator charges nothing for a guard hold).
+// Per-operation wall-clock costs are the layer ladder of `go run ./bench`.
 
 import (
 	"sync/atomic"
@@ -13,7 +15,6 @@ import (
 	"time"
 
 	"tcc/internal/collections"
-	"tcc/internal/concurrent"
 	"tcc/internal/core"
 	"tcc/internal/harness"
 	"tcc/internal/jbb"
@@ -437,135 +438,6 @@ func BenchmarkAblationEagerWriteCheck(b *testing.B) {
 	b.ReportMetric(eager/lazy, "eagerVsLazy")
 }
 
-// --- Real wall-clock microbenchmarks -------------------------------
-
-// BenchmarkRealMapOps measures per-operation wall-clock cost of the
-// three map flavors on the host (single-threaded; the scalability story
-// is the simulator's job).
-func BenchmarkRealMapOps(b *testing.B) {
-	b.Run("SyncMap/Get", func(b *testing.B) {
-		m := concurrent.NewSyncMap[int, int](collections.NewHashMap[int, int]())
-		for i := 0; i < 1024; i++ {
-			m.Put(i, i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Get(i & 1023)
-		}
-	})
-	b.Run("StmcolHashMap/Get", func(b *testing.B) {
-		m := stmcol.NewHashMap[int, int]()
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		_ = th.Atomic(func(tx *stm.Tx) error {
-			for i := 0; i < 1024; i++ {
-				m.Put(tx, i, i)
-			}
-			return nil
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				m.Get(tx, i&1023)
-				return nil
-			})
-		}
-	})
-	b.Run("TransactionalMap/Get", func(b *testing.B) {
-		tm := core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		_ = th.Atomic(func(tx *stm.Tx) error {
-			for i := 0; i < 1024; i++ {
-				tm.Put(tx, i, i)
-			}
-			return nil
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				tm.Get(tx, i&1023)
-				return nil
-			})
-		}
-	})
-	b.Run("TransactionalMap/Put", func(b *testing.B) {
-		tm := core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				tm.Put(tx, i&4095, i)
-				return nil
-			})
-		}
-	})
-}
-
-// BenchmarkRealSTM measures raw STM primitive costs on the host.
-func BenchmarkRealSTM(b *testing.B) {
-	b.Run("ReadOnlyTx", func(b *testing.B) {
-		v := stm.NewVar(1)
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				v.Get(tx)
-				return nil
-			})
-		}
-	})
-	b.Run("SnapshotReadOnlyTx", func(b *testing.B) {
-		v := stm.NewVar(1)
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.AtomicRead(func(tx *stm.Tx) error {
-				v.Get(tx)
-				return nil
-			})
-		}
-	})
-	b.Run("WriteTx", func(b *testing.B) {
-		v := stm.NewVar(1)
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				v.Set(tx, v.Get(tx)+1)
-				return nil
-			})
-		}
-	})
-	b.Run("OpenNested", func(b *testing.B) {
-		v := stm.NewVar(1)
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				return tx.Open(func(o *stm.Tx) error {
-					v.Set(o, i)
-					return nil
-				})
-			})
-		}
-	})
-	b.Run("TenVarTx", func(b *testing.B) {
-		var vars [10]*stm.Var[int]
-		for i := range vars {
-			vars[i] = stm.NewVar(i)
-		}
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				for _, v := range vars {
-					v.Set(tx, v.Get(tx)+1)
-				}
-				return nil
-			})
-		}
-	})
-}
-
 // BenchmarkAblationContentionManagement compares backoff policies under
 // genuine livelock pressure: an eager-write-check map (pessimistic
 // conflict detection, the other §5.1 alternative) with every worker
@@ -605,133 +477,6 @@ func BenchmarkAblationContentionManagement(b *testing.B) {
 	b.ReportMetric(lin.Elapsed/exp.Elapsed, "linearVsExpTime")
 	b.ReportMetric(agg.Elapsed/exp.Elapsed, "aggressiveVsExpTime")
 	b.ReportMetric(float64(agg.Stats.Violations)/float64(exp.Stats.Violations+1), "aggressiveWastedWorkX")
-}
-
-// BenchmarkRealSortedMapOps measures wall-clock costs of the sorted
-// wrapper against its wrapped TreeMap.
-func BenchmarkRealSortedMapOps(b *testing.B) {
-	b.Run("TreeMap/Put", func(b *testing.B) {
-		m := collections.NewTreeMap[int, int]()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Put(i&8191, i)
-		}
-	})
-	b.Run("TransactionalSortedMap/Put", func(b *testing.B) {
-		tm := core.NewTransactionalSortedMap[int, int](collections.NewTreeMap[int, int]())
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				tm.Put(tx, i&8191, i)
-				return nil
-			})
-		}
-	})
-	b.Run("TransactionalSortedMap/RangeScan8", func(b *testing.B) {
-		tm := core.NewTransactionalSortedMap[int, int](collections.NewTreeMap[int, int]())
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		_ = th.Atomic(func(tx *stm.Tx) error {
-			for i := 0; i < 1024; i++ {
-				tm.Put(tx, i, i)
-			}
-			return nil
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				lo := i & 1015
-				tm.SubMap(lo, lo+8).ForEach(tx, func(int, int) bool { return true })
-				return nil
-			})
-		}
-	})
-	b.Run("TransactionalSortedMap/FirstKey", func(b *testing.B) {
-		tm := core.NewTransactionalSortedMap[int, int](collections.NewTreeMap[int, int]())
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		_ = th.Atomic(func(tx *stm.Tx) error {
-			for i := 0; i < 1024; i++ {
-				tm.Put(tx, i, i)
-			}
-			return nil
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				tm.FirstKey(tx)
-				return nil
-			})
-		}
-	})
-}
-
-// BenchmarkRealQueueOps measures wall-clock queue costs: the
-// transactional wrapper vs the lock-free Michael-Scott baseline.
-func BenchmarkRealQueueOps(b *testing.B) {
-	b.Run("MSQueue/EnqueueDequeue", func(b *testing.B) {
-		q := concurrent.NewMSQueue[int]()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(i)
-			q.Dequeue()
-		}
-	})
-	b.Run("TransactionalQueue/PutPoll", func(b *testing.B) {
-		q := core.NewTransactionalQueue[int](collections.NewLinkedQueue[int]())
-		th := stm.NewThread(&stm.RealClock{}, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				q.Put(tx, i)
-				return nil
-			})
-			_ = th.Atomic(func(tx *stm.Tx) error {
-				q.Poll(tx)
-				return nil
-			})
-		}
-	})
-}
-
-// BenchmarkCollections measures the raw wrapped structures.
-func BenchmarkCollections(b *testing.B) {
-	b.Run("HashMap/Put", func(b *testing.B) {
-		m := collections.NewHashMap[int, int]()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Put(i&8191, i)
-		}
-	})
-	b.Run("HashMap/Get", func(b *testing.B) {
-		m := collections.NewHashMap[int, int]()
-		for i := 0; i < 8192; i++ {
-			m.Put(i, i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Get(i & 8191)
-		}
-	})
-	b.Run("TreeMap/Get", func(b *testing.B) {
-		m := collections.NewTreeMap[int, int]()
-		for i := 0; i < 8192; i++ {
-			m.Put(i, i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Get(i & 8191)
-		}
-	})
-	b.Run("SkipListMap/Get", func(b *testing.B) {
-		m := collections.NewSkipListMap[int, int](func(a, c int) int { return a - c }, 5)
-		for i := 0; i < 8192; i++ {
-			m.Put(i, i)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Get(i & 8191)
-		}
-	})
 }
 
 // BenchmarkJBBDistrictSensitivity sweeps the district count at 32

@@ -21,10 +21,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestBuildFigureSmoke runs each figure on a tiny configuration — the
 // same in-process path `tccbench -fig N -ops 64 -cpus 1,2` takes — so a
 // regression anywhere in the harness or workloads fails fast here
-// rather than only in a full benchmark run.
+// rather than only in a full benchmark run. The all-figures report note
+// must name the range that loop covers.
 func TestBuildFigureSmoke(t *testing.T) {
 	cpus := []int{1, 2}
-	for _, n := range []int{1, 2, 3, 4, 6, 7} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7} {
 		fig := buildFigure(n, cpus, 64, 7, harness.FigureOptions{})
 		out := fig.String()
 		if out == "" {
@@ -38,6 +39,9 @@ func TestBuildFigureSmoke(t *testing.T) {
 		if stats := fig.StatsString(); stats == "" {
 			t.Errorf("figure %d produced no stats output", n)
 		}
+	}
+	if note := noteFor(0, 64, 7); !strings.Contains(note, "figures 1-7,") {
+		t.Errorf("all-figures note %q does not name figures 1-7", note)
 	}
 }
 

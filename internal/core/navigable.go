@@ -13,7 +13,7 @@ package core
 // abort the reader); a query with no result locks the unbounded tail
 // (or head) it proved empty. The strict variants exclude the probe
 // endpoint, so a write exactly at the probe commutes. The queries are
-// stripe walks (walkUp/walkDown in sortedmap_striped.go), which lay the
+// stripe walks (walk in sortedmap_striped.go), which lay the
 // gap lock as a chain of per-stripe entries.
 
 import "tcc/internal/stm"
@@ -21,22 +21,22 @@ import "tcc/internal/stm"
 // CeilingKey returns the smallest key >= k as seen by tx, locking the
 // result key and the gap [k, result] it observed.
 func (t *TransactionalSortedMap[K, V]) CeilingKey(tx *stm.Tx, k K) (K, bool) {
-	return t.walkUp(tx, &k, false)
+	return t.walk(tx, up, &k, false)
 }
 
 // HigherKey returns the smallest key > k as seen by tx; a concurrent
 // write exactly at k does not conflict.
 func (t *TransactionalSortedMap[K, V]) HigherKey(tx *stm.Tx, k K) (K, bool) {
-	return t.walkUp(tx, &k, true)
+	return t.walk(tx, up, &k, true)
 }
 
 // FloorKey returns the largest key <= k as seen by tx, locking the
 // result key and the gap [result, k].
 func (t *TransactionalSortedMap[K, V]) FloorKey(tx *stm.Tx, k K) (K, bool) {
-	return t.walkDown(tx, &k, false)
+	return t.walk(tx, down, &k, false)
 }
 
 // LowerKey returns the largest key < k as seen by tx.
 func (t *TransactionalSortedMap[K, V]) LowerKey(tx *stm.Tx, k K) (K, bool) {
-	return t.walkDown(tx, &k, true)
+	return t.walk(tx, down, &k, true)
 }

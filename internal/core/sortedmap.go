@@ -32,17 +32,17 @@ func (t *TransactionalSortedMap[K, V]) Compare(a, b K) int { return t.sorted.cmp
 
 // FirstKey returns the minimum key as seen by tx. The observation is a
 // stripe walk from the bottom of the key space to the first live key
-// (walkUp): the range locks it lays are Table 5's first lock — a
+// (walk): the range locks it lays are Table 5's first lock — a
 // committing put below the minimum or removal of the minimum aborts this
 // transaction, a write that only replaces the minimum's value does not.
 func (t *TransactionalSortedMap[K, V]) FirstKey(tx *stm.Tx) (K, bool) {
-	return t.walkUp(tx, nil, false)
+	return t.walk(tx, up, nil, false)
 }
 
 // LastKey returns the maximum key as seen by tx, walking stripes
 // downward from the top of the key space (see FirstKey).
 func (t *TransactionalSortedMap[K, V]) LastKey(tx *stm.Tx) (K, bool) {
-	return t.walkDown(tx, nil, false)
+	return t.walk(tx, down, nil, false)
 }
 
 // SortedIterator enumerates entries in key order within [lo, hi) as

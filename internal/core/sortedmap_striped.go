@@ -117,106 +117,80 @@ func SampleRangeBoundaries[K comparable](sample []K, cmp func(a, b K) int, strip
 	return dedupeSorted(out, cmp)
 }
 
-// bufferCeilingInStripe returns the smallest buffered non-removed key
-// of stripe si that is >= *k (> when strict); k == nil starts from the
-// stripe's lower edge. Caller holds stripe si's guard and guarantees
-// *k lies in stripe si.
-func (t *TransactionalSortedMap[K, V]) bufferCeilingInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
-	var cand K
-	var ok bool
+// dir is the direction of an order query or stripe walk. Ascending picks
+// Ceiling/Higher/First, steps to the next stripe up and pins the range
+// lock's lower bound at the origin; descending picks Floor/Lower/Last,
+// steps down and pins the upper bound.
+type dir int
+
+const (
+	up   dir = 1
+	down dir = -1
+)
+
+// seek is the one order query on a sorted structure: the key nearest *k
+// in direction d (*k itself excluded when strict), or the first key met
+// coming from the far end — FirstKey going up, LastKey going down — when
+// k is nil.
+func seek[K comparable, V any](sm collections.SortedMap[K, V], d dir, k *K, strict bool) (K, bool) {
 	switch {
-	case k != nil && strict:
-		cand, ok = l.sortedKeys.HigherKey(*k)
-	case k != nil:
-		cand, ok = l.sortedKeys.CeilingKey(*k)
-	case si == 0:
-		cand, ok = l.sortedKeys.FirstKey()
+	case k == nil && d == up:
+		return sm.FirstKey()
+	case k == nil:
+		return sm.LastKey()
+	case strict && d == up:
+		return sm.HigherKey(*k)
+	case strict:
+		return sm.LowerKey(*k)
+	case d == up:
+		return sm.CeilingKey(*k)
 	default:
-		cand, ok = l.sortedKeys.CeilingKey(t.sorted.boundaries[si-1])
+		return sm.FloorKey(*k)
 	}
+}
+
+// bufferedInStripe returns the buffered non-removed key of stripe si
+// nearest *k in direction d (strict excludes *k); k == nil starts from
+// the stripe's edge on the side the walk enters by. Caller holds stripe
+// si's guard and guarantees *k lies in stripe si.
+func (t *TransactionalSortedMap[K, V]) bufferedInStripe(l *mapLocal[K, V], si int, d dir, k *K, strict bool) (K, bool) {
+	if k == nil {
+		// boundaries[si-1] is the stripe's inclusive lower edge and
+		// boundaries[si] its exclusive upper edge; the outermost stripes
+		// have no edge on their outer side.
+		switch {
+		case d == up && si > 0:
+			k, strict = &t.sorted.boundaries[si-1], false
+		case d == down && si < len(t.stripes)-1:
+			k, strict = &t.sorted.boundaries[si], true
+		}
+	}
+	cand, ok := seek(l.sortedKeys, d, k, strict)
 	for ok && t.sorted.stripeFor(cand) == si {
 		if w, buffered := l.storeBuffer[cand]; buffered && !w.removed {
 			return cand, true
 		}
-		cand, ok = l.sortedKeys.HigherKey(cand)
+		cand, ok = seek(l.sortedKeys, d, &cand, true)
 	}
 	var zero K
 	return zero, false
 }
 
-// bufferFloorInStripe is the descending mirror of bufferCeilingInStripe.
-func (t *TransactionalSortedMap[K, V]) bufferFloorInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
-	var cand K
-	var ok bool
-	switch {
-	case k != nil && strict:
-		cand, ok = l.sortedKeys.LowerKey(*k)
-	case k != nil:
-		cand, ok = l.sortedKeys.FloorKey(*k)
-	case si == len(t.stripes)-1:
-		cand, ok = l.sortedKeys.LastKey()
-	default:
-		// Keys below boundaries[si] belong to stripes <= si.
-		cand, ok = l.sortedKeys.LowerKey(t.sorted.boundaries[si])
-	}
-	for ok && t.sorted.stripeFor(cand) == si {
-		if w, buffered := l.storeBuffer[cand]; buffered && !w.removed {
-			return cand, true
-		}
-		cand, ok = l.sortedKeys.LowerKey(cand)
-	}
-	var zero K
-	return zero, false
-}
-
-// mergedCeilingInStripe returns the smallest live key of stripe si
-// that is >= *k (> when strict; k == nil means from the stripe's lower
-// edge), merging the committed shard (skipping buffered removals) with
-// buffered additions. Caller holds stripe si's guard.
-func (t *TransactionalSortedMap[K, V]) mergedCeilingInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
+// mergedInStripe returns the live key of stripe si nearest *k in
+// direction d (strict excludes *k; k == nil means from the stripe's
+// entering edge), merging the committed shard (skipping buffered
+// removals) with buffered additions. Caller holds stripe si's guard.
+func (t *TransactionalSortedMap[K, V]) mergedInStripe(l *mapLocal[K, V], si int, d dir, k *K, strict bool) (K, bool) {
 	sm := t.sorted.sms[si]
-	var best K
-	var ok bool
-	switch {
-	case k == nil:
-		best, ok = sm.FirstKey()
-	case strict:
-		best, ok = sm.HigherKey(*k)
-	default:
-		best, ok = sm.CeilingKey(*k)
-	}
+	best, ok := seek(sm, d, k, strict)
 	for ok {
 		if w, buffered := l.storeBuffer[best]; !buffered || !w.removed {
 			break
 		}
-		best, ok = sm.HigherKey(best)
+		best, ok = seek(sm, d, &best, true)
 	}
-	if bk, bok := t.bufferCeilingInStripe(l, si, k, strict); bok && (!ok || t.sorted.cmp(bk, best) < 0) {
-		best, ok = bk, true
-	}
-	return best, ok
-}
-
-// mergedFloorInStripe is the descending mirror of mergedCeilingInStripe.
-func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
-	sm := t.sorted.sms[si]
-	var best K
-	var ok bool
-	switch {
-	case k == nil:
-		best, ok = sm.LastKey()
-	case strict:
-		best, ok = sm.LowerKey(*k)
-	default:
-		best, ok = sm.FloorKey(*k)
-	}
-	for ok {
-		if w, buffered := l.storeBuffer[best]; !buffered || !w.removed {
-			break
-		}
-		best, ok = sm.LowerKey(best)
-	}
-	if bk, bok := t.bufferFloorInStripe(l, si, k, strict); bok && (!ok || t.sorted.cmp(bk, best) > 0) {
+	// The buffered candidate wins when it is met first going in d.
+	if bk, bok := t.bufferedInStripe(l, si, d, k, strict); bok && (!ok || int(d)*t.sorted.cmp(bk, best) < 0) {
 		best, ok = bk, true
 	}
 	return best, ok
@@ -224,7 +198,7 @@ func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si
 
 // snapshotRouted is the one gate between the two ways a navigation query
 // runs inside AtomicRead: a range-striped map answers from the committed
-// shards under a guard span (snapshotCeiling/snapshotFloor); a
+// shards under a guard span (snapshotWalk); a
 // single-stripe map has no such branch, so its walk's first touch drops
 // the transaction to the retry path (Stats.SnapshotFallbacks). Which of
 // the two survives is the history oracle's decision (ROADMAP aim 3), not
@@ -233,85 +207,59 @@ func (t *TransactionalSortedMap[K, V]) snapshotRouted(tx *stm.Tx) bool {
 	return t.mask != 0 && tx.IsSnapshot()
 }
 
-// walkUp finds the smallest live key >= *from (> when strict), or the
-// map's first key when from == nil, walking interval stripes upward.
-// Each stripe probe is its own open-nested critical section under that
-// stripe's guard alone (touched first, so the commit footprint is in
-// place), and leaves a range-lock entry in that stripe's table: the
-// probed gap plus the result in the stripe that answers, the whole
-// scanned interval in stripes observed empty. A navigation query
-// (from != nil) also key-locks its result — CeilingKey(k) == k reads
-// that key, so its value writer must conflict; an endpoint query takes
-// no key lock (Table 5: first/last lock only): the inclusive range
-// bound already catches the result's removal, and a value-only rewrite
-// of the minimum does not change which key is first.
-func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) (K, bool) {
-	if t.snapshotRouted(tx) {
-		return t.snapshotCeiling(tx, from, strict)
-	}
-	l := t.local(tx)
+// walk finds the live key nearest *from in direction d (strict excludes
+// *from), or the map's first (last) key when from == nil, walking
+// interval stripes upward (downward). Each stripe probe is its own
+// open-nested critical section under that stripe's guard alone (touched
+// first, so the commit footprint is in place), and leaves a range-lock
+// entry in that stripe's table: the probed gap plus the result in the
+// stripe that answers, the whole scanned interval in stripes observed
+// empty. A navigation query (from != nil) also key-locks its result —
+// CeilingKey(k) == k reads that key, so its value writer must conflict;
+// an endpoint query takes no key lock (Table 5: first/last lock only):
+// the inclusive range bound already catches the result's removal, and a
+// value-only rewrite of the minimum does not change which key is first.
+func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict bool) (K, bool) {
 	start := 0
+	if d == down {
+		start = len(t.stripes) - 1
+	}
 	if from != nil {
 		start = t.sorted.stripeFor(*from)
 	}
-	var res K
-	var found bool
-	for si := start; si < len(t.stripes) && !found; si++ {
-		si := si
-		st := t.touch(tx, l, si)
-		_ = tx.Open(func(*stm.Tx) error {
-			st.guard.Lock()
-			defer st.guard.Unlock()
-			e := t.newRangeLock(l, si)
-			var k *K
-			if si == start && from != nil {
-				e.setLo(*from, strict)
-				k = e.Lo
-			}
-			if r, ok := t.mergedCeilingInStripe(l, si, k, strict); ok {
-				e.setHi(r, false)
-				if from != nil {
-					t.lockKeyLocked(l, r)
-				}
-				res, found = r, true
-			}
-			// Not found: e.Hi stays nil — the stripe's whole remaining
-			// interval was observed empty.
-			return nil
-		})
-		tx.Thread().Clock.Tick(t.opCost)
-	}
-	return res, found
-}
-
-// walkDown is the descending mirror of walkUp (FloorKey/LowerKey/
-// LastKey): stripes are probed downward from *from's interval (or the
-// top), one guard at a time.
-func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool) (K, bool) {
 	if t.snapshotRouted(tx) {
-		return t.snapshotFloor(tx, from, strict)
+		return t.snapshotWalk(tx, d, start, from, strict)
 	}
 	l := t.local(tx)
-	start := len(t.stripes) - 1
-	if from != nil {
-		start = t.sorted.stripeFor(*from)
-	}
 	var res K
 	var found bool
-	for si := start; si >= 0 && !found; si-- {
+	for si := start; si >= 0 && si < len(t.stripes) && !found; si += int(d) {
 		si := si
 		st := t.touch(tx, l, si)
 		_ = tx.Open(func(*stm.Tx) error {
 			st.guard.Lock()
 			defer st.guard.Unlock()
 			e := t.newRangeLock(l, si)
+			// The origin pins the bound the walk leaves behind (Lo going
+			// up, Hi going down); the result pins the other, inclusively.
+			// Not found: that bound stays nil — the stripe's whole
+			// remaining interval was observed empty.
 			var k *K
 			if si == start && from != nil {
-				e.setHi(*from, strict)
-				k = e.Hi
+				if d == up {
+					e.setLo(*from, strict)
+					k = e.Lo
+				} else {
+					e.setHi(*from, strict)
+					k = e.Hi
+				}
 			}
-			if r, ok := t.mergedFloorInStripe(l, si, k, strict); ok {
-				e.setLo(r, false)
+			if r, ok := t.mergedInStripe(l, si, d, k, strict); ok {
+				if d == up {
+					e.setHi(r, false)
+				} else {
+					e.setLo(r, false)
+				}
 				if from != nil {
 					t.lockKeyLocked(l, r)
 				}
@@ -357,7 +305,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			if it.returned && t.sorted.stripeFor(it.last) == si {
 				from, strict = &it.last, true
 			}
-			res, ok := t.mergedCeilingInStripe(l, si, from, strict)
+			res, ok := t.mergedInStripe(l, si, up, from, strict)
 			if ok && it.hi != nil && t.sorted.cmp(res, *it.hi) >= 0 {
 				ok = false
 			}
@@ -392,56 +340,26 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 	return outK, outV, found
 }
 
-// snapshotCeiling answers CeilingKey/HigherKey — FirstKey when k is nil
-// — for a snapshot transaction: the committed answer, read with the
-// guards of every stripe the query could span held at once (ascending,
-// so the hold is compatible with the commit protocol's sorted footprint
+// snapshotWalk answers walk for a snapshot transaction: the committed
+// answer, read with the guards of every stripe from start to the end of
+// the key space the walk heads for held at once (ascending, so the hold
+// is compatible with the commit protocol's sorted footprint
 // acquisition), so a multi-stripe commit is seen entirely or not at all.
-func (t *TransactionalSortedMap[K, V]) snapshotCeiling(tx *stm.Tx, k *K, strict bool) (K, bool) {
-	lo, hi := 0, len(t.stripes)
-	if k != nil {
-		lo = t.sorted.stripeFor(*k)
+func (t *TransactionalSortedMap[K, V]) snapshotWalk(tx *stm.Tx, d dir, start int, k *K, strict bool) (K, bool) {
+	lo, hi := start, len(t.stripes)
+	if d == down {
+		lo, hi = 0, start+1
 	}
 	var res K
 	var found bool
 	t.lockSpan(lo, hi)
-	for si := lo; si < hi && !found; si++ {
-		sm := t.sorted.sms[si]
-		switch {
-		case si > lo || k == nil:
-			res, found = sm.FirstKey()
-		case strict:
-			res, found = sm.HigherKey(*k)
-		default:
-			res, found = sm.CeilingKey(*k)
+	for si := start; si >= lo && si < hi && !found; si += int(d) {
+		if si != start {
+			k = nil // later stripes are entered from their edge
 		}
+		res, found = seek(t.sorted.sms[si], d, k, strict)
 	}
 	t.unlockSpan(lo, hi)
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, found
-}
-
-// snapshotFloor is the descending mirror of snapshotCeiling.
-func (t *TransactionalSortedMap[K, V]) snapshotFloor(tx *stm.Tx, k *K, strict bool) (K, bool) {
-	hi := len(t.stripes) - 1
-	if k != nil {
-		hi = t.sorted.stripeFor(*k)
-	}
-	var res K
-	var found bool
-	t.lockSpan(0, hi+1)
-	for si := hi; si >= 0 && !found; si-- {
-		sm := t.sorted.sms[si]
-		switch {
-		case si < hi || k == nil:
-			res, found = sm.LastKey()
-		case strict:
-			res, found = sm.LowerKey(*k)
-		default:
-			res, found = sm.FloorKey(*k)
-		}
-	}
-	t.unlockSpan(0, hi+1)
 	tx.Thread().Clock.Tick(t.opCost)
 	return res, found
 }

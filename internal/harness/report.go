@@ -12,9 +12,8 @@ import (
 )
 
 // Report is the machine-readable form of a tccbench run, written by the
-// -stats-json flag. Like cmd/benchjson's BENCH_stm.json it carries a
-// free-form note plus host identification, so committed runs can be
-// compared across revisions and machines.
+// -stats-json flag. It carries a free-form note plus host
+// identification, so runs can be compared across revisions and machines.
 type Report struct {
 	Note    string         `json:"note,omitempty"`
 	Goos    string         `json:"goos,omitempty"`

@@ -2,50 +2,27 @@ package obs
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
-	"sync/atomic"
-)
 
-// HistBuckets is the number of power-of-two buckets in a Hist.
-// Bucket i holds values v with bits.Len64(v) == i, i.e. bucket 0 is
-// {0}, bucket 1 is {1}, bucket 2 is [2,3], bucket 3 is [4,7], ... and
-// the final bucket is open-ended.
-const HistBuckets = 40
+	"tcc/internal/obs/metrics"
+)
 
 // histShards bounds cross-CPU cache contention: observers index by
 // their CPU lane, so threads on different lanes touch different
 // cache lines. Merging walks all shards.
 const histShards = 16
 
-type histShard struct {
-	count  atomic.Uint64
-	sum    atomic.Uint64
-	bucket [HistBuckets]atomic.Uint64
-	_      [5]uint64 // pad to a cache-line boundary between shards
-}
-
-// Hist is a log-bucketed histogram: lock-free, wait-free observation,
-// sharded per CPU lane. The zero value is ready to use.
+// Hist is a log-bucketed histogram (metrics.LogBuckets power-of-two
+// buckets): lock-free, wait-free observation, sharded per CPU lane.
+// The zero value is ready to use.
 type Hist struct {
-	shards [histShards]histShard
-}
-
-func bucketOf(v uint64) int {
-	b := bits.Len64(v)
-	if b >= HistBuckets {
-		return HistBuckets - 1
-	}
-	return b
+	shards [histShards]metrics.LogShard
 }
 
 // Observe records v on the shard for CPU lane. Safe for concurrent
 // use; never allocates.
 func (h *Hist) Observe(lane int, v uint64) {
-	s := &h.shards[uint(lane)%histShards]
-	s.count.Add(1)
-	s.sum.Add(v)
-	s.bucket[bucketOf(v)].Add(1)
+	h.shards[uint(lane)%histShards].Observe(v)
 }
 
 // HistSnapshot is a merged, immutable view of a Hist. P50/P99/P999
@@ -67,40 +44,27 @@ type HistBucket struct {
 	N  uint64 `json:"n"`
 }
 
-func bucketBounds(i int) (lo, hi uint64) {
-	switch {
-	case i == 0:
-		return 0, 0
-	case i == HistBuckets-1:
-		return 1 << (i - 1), ^uint64(0)
-	default:
-		return 1 << (i - 1), 1<<i - 1
-	}
-}
-
 // Snapshot merges all shards. It may run concurrently with Observe;
 // the result is a consistent-enough view for reporting.
 func (h *Hist) Snapshot() HistSnapshot {
-	var merged [HistBuckets]uint64
-	snap := HistSnapshot{}
+	var c metrics.LogCounts
 	for i := range h.shards {
-		s := &h.shards[i]
-		snap.Count += s.count.Load()
-		snap.Sum += s.sum.Load()
-		for b := range s.bucket {
-			merged[b] += s.bucket[b].Load()
-		}
+		c.Add(&h.shards[i])
 	}
-	for i, n := range merged {
+	snap := HistSnapshot{
+		Count: c.Count,
+		Sum:   c.Sum,
+		P50:   c.Quantile(0.50),
+		P99:   c.Quantile(0.99),
+		P999:  c.Quantile(0.999),
+	}
+	for i, n := range c.Buckets {
 		if n == 0 {
 			continue
 		}
-		lo, hi := bucketBounds(i)
+		lo, hi := metrics.BucketBounds(i)
 		snap.Buckets = append(snap.Buckets, HistBucket{Lo: lo, Hi: hi, N: n})
 	}
-	snap.P50 = snap.Quantile(0.50)
-	snap.P99 = snap.Quantile(0.99)
-	snap.P999 = snap.Quantile(0.999)
 	return snap
 }
 
@@ -115,24 +79,11 @@ func (s HistSnapshot) Mean() float64 {
 // Quantile returns an upper bound for the q-quantile (q in [0,1]):
 // the inclusive upper edge of the bucket holding the q-th value.
 func (s HistSnapshot) Quantile(q float64) uint64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(s.Count-1))
-	var seen uint64
+	c := metrics.LogCounts{Count: s.Count}
 	for _, b := range s.Buckets {
-		seen += b.N
-		if rank < seen {
-			return b.Hi
-		}
+		c.Buckets[metrics.BucketOf(b.Hi)] = b.N
 	}
-	return s.Buckets[len(s.Buckets)-1].Hi
+	return c.Quantile(q)
 }
 
 // String renders a compact one-line summary, e.g.

@@ -2,11 +2,11 @@ package stm_test
 
 // Microbenchmarks for the STM's hot paths, all with allocation
 // reporting: the TL2 lockword fast path promises mutex-free reads and
-// the Thread recycling pools promise an allocation-free retry loop, and
-// these benches (run by scripts/bench.sh into BENCH_stm.json) are the
-// machine-readable record of both. The companion guardrail test pins
-// the read-only allocation budget so a regression fails `go test`, not
-// just a bench comparison.
+// the Thread recycling pools promise an allocation-free retry loop.
+// These benches are developer tools for looking at both; the numbers of
+// record are the stm.* rungs of `go run ./bench`. The companion
+// guardrail test pins the read-only allocation budget so a regression
+// fails `go test`, not just a bench comparison.
 
 import (
 	"testing"
@@ -297,9 +297,8 @@ func TestTracerDisableRestoresAllocBudget(t *testing.T) {
 
 // BenchmarkSTMReadOnly4VarProfiled is the enabled-tracer counterpart of
 // BenchmarkSTMReadOnly4Var: same transaction with a Profile sink
-// installed, so BENCH_stm.json records what turning observability on
-// costs the fast path (two events plus two histogram observes per
-// commit).
+// installed, to show what turning observability on costs the fast path
+// (two events plus two histogram observes per commit).
 func BenchmarkSTMReadOnly4VarProfiled(b *testing.B) {
 	var vars [4]*stm.Var[int]
 	for i := range vars {
@@ -501,9 +500,9 @@ func TestMetricsDisableRestoresFastPath(t *testing.T) {
 }
 
 // BenchmarkSTMSmallWriteSetMetricsOn is BenchmarkSTMSmallWriteSet with
-// the live metrics plane enabled, so BENCH_stm.json records the
-// enabled-vs-disabled delta of the commit-path counting (a handful of
-// atomic adds plus one windowed histogram observe per commit).
+// the live metrics plane enabled, to show the enabled-vs-disabled delta
+// of the commit-path counting (a handful of atomic adds plus one
+// windowed histogram observe per commit).
 func BenchmarkSTMSmallWriteSetMetricsOn(b *testing.B) {
 	var vars [4]*stm.Var[int]
 	for i := range vars {

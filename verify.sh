@@ -1,30 +1,44 @@
 #!/usr/bin/env bash
-# verify.sh — the repository's full verification gate:
+# verify.sh — the repository's full verification gate, one mode, seven
+# stages, none rerunning what an earlier one ran:
 #
-#   build + vet + race-enabled tests + stmlint discipline check
-#   + a tiny deterministic tccbench smoke run + the benchmark of
-#   record's self-tests and smoke pass (bench/README.md).
+#   build, vet, race-enabled tests (bench/'s self-tests included), the
+#   stmlint empty-baseline check, tccbench's main() driven twice
+#   (observability artifacts validated by tracecheck; live /metrics
+#   scraped and validated), and the benchmark of record's smoke pass
+#   (bench/README.md).
 #
 # Tier-1 (see ROADMAP.md) is the subset `go build ./... && go test ./...`;
-# this script is the superset CI should run.
-#
-# Non-default mode: `./verify.sh bench` additionally runs the tracked
-# benchmark suite (scripts/bench.sh) and refreshes BENCH_stm.json, the
-# machine-readable perf trajectory.
+# this script is the superset CI should run. Performance is not measured
+# here: that is `go run ./bench` and scripts/bench-ab.sh.
 set -euo pipefail
 cd "$(dirname "$0")"
-mode=${1:-gate}
 
-echo "== go build ./..."
+# stage closes the previous stage's wall-clock timer and opens the next.
+stage_name="" stage_start=$SECONDS
+stage() {
+  [[ -n "$stage_name" ]] && echo "   ${stage_name}: $((SECONDS - stage_start))s"
+  stage_name=$1 stage_start=$SECONDS
+  [[ -n "$stage_name" ]] && echo "== $stage_name"
+  return 0
+}
+
+# The metrics stage backgrounds tccbench; a failure anywhere after that
+# must not leave it running against a deleted directory.
+obsdir=$(mktemp -d)
+bench_pid=""
+trap '[[ -n "$bench_pid" ]] && kill "$bench_pid" 2>/dev/null; rm -rf "$obsdir"' EXIT
+
+stage "go build ./..."
 go build ./...
 
-echo "== go vet ./..."
+stage "go vet ./..."
 go vet ./...
 
-echo "== go test -race ./..."
+stage "go test -race ./..."
 go test -race ./...
 
-echo "== stmlint -json -timing ./... (empty-baseline gate)"
+stage "stmlint -json -timing ./... (empty-baseline gate)"
 # Per-rule timing goes to stderr (visible above); the JSON report is
 # captured and must contain zero diagnostics — the baseline is empty,
 # so any finding (even one the exit code somehow missed) fails the gate.
@@ -39,40 +53,20 @@ if printf '%s' "$lint_json" | grep -q '"rule"'; then
   exit 1
 fi
 
-echo "== disjoint-commit smoke (sharded guard footprints overlap)"
-go test -run 'TestDisjointHandlerWindowsOverlap|TestGuardFreeRollbackTakesNoGuard' \
-  -count=1 ./internal/stm >/dev/null
-
-echo "== striped-map smoke (disjoint-key windows overlap + figure 5 sim run)"
-go test -run 'TestStripedDisjointKeyHandlerWindowsOverlap|TestStripedMapConflicts' \
-  -count=1 ./internal/core >/dev/null
-go run ./cmd/tccbench -fig 5 -ops 64 -cpus 1,2 >/dev/null
-
-echo "== striped-sortedmap + segmented-queue smoke (disjoint windows overlap, all protocols)"
-go test -run 'TestRangeStripedDisjointRangeHandlerWindowsOverlap|TestRangeStripedScanSerializability|TestSegmentedQueueDisjointLaneHandlerWindowsOverlap|TestSegmentedQueueLaneFIFO|TestStripedStructuresAcrossProtocols' \
-  -count=1 ./internal/core >/dev/null
-
-echo "== tccbench smoke (figure 1, tiny config)"
-go run ./cmd/tccbench -fig 1 -ops 64 -cpus 1,2 >/dev/null
-
-echo "== snapshot-read smoke (MVCC-lite path: wait-free readers + figure 7 sim run)"
-go test -run 'TestSnapshotReadersNonBlocking|TestSnapshotReadOnlyAllocationGuardrail' \
-  -count=1 ./internal/stm >/dev/null
-go run ./cmd/tccbench -fig 7 -ops 64 -cpus 1,2 >/dev/null
-
-echo "== observability smoke (profile + stats-json + trace, validated)"
-obsdir=$(mktemp -d)
-trap 'rm -rf "$obsdir"' EXIT
-go run ./cmd/tccbench -fig 1 -ops 512 -cpus 8 -profile \
+stage "observability smoke (profile + stats-json + trace, validated)"
+# Built once and run directly, so the kill in the trap reaches tccbench
+# itself and not a `go run` wrapper.
+go build -o "$obsdir/tccbench" ./cmd/tccbench
+"$obsdir/tccbench" -fig 1 -ops 512 -cpus 8 -profile \
   -stats-json "$obsdir/stats.json" -trace "$obsdir/trace.json" >/dev/null
 go run ./cmd/tracecheck -stats "$obsdir/stats.json" -trace "$obsdir/trace.json"
 
-echo "== metrics smoke (live /metrics endpoint, scraped and validated)"
+stage "metrics smoke (live /metrics endpoint, scraped and validated)"
 # tccbench -metrics-addr binds an ephemeral port, prints the endpoint
 # URL on its first stdout line, runs a sustained workload for the
 # -run-for duration, and exits 0 on clean shutdown. tracecheck's
 # -prom-url parser validates the scrape (format + required families).
-go run ./cmd/tccbench -metrics-addr 127.0.0.1:0 -run-for 4s -workers 4 \
+"$obsdir/tccbench" -metrics-addr 127.0.0.1:0 -run-for 4s -workers 4 \
   > "$obsdir/metrics.out" 2> "$obsdir/metrics.err" &
 bench_pid=$!
 metrics_url=""
@@ -84,7 +78,6 @@ done
 if [[ -z "$metrics_url" ]]; then
   echo "metrics smoke: tccbench never printed its endpoint" >&2
   cat "$obsdir/metrics.err" >&2 || true
-  kill "$bench_pid" 2>/dev/null || true
   exit 1
 fi
 sleep 1  # let the workload populate the window before scraping
@@ -94,32 +87,14 @@ if ! wait "$bench_pid"; then
   cat "$obsdir/metrics.err" >&2 || true
   exit 1
 fi
+bench_pid=""
 
-echo "== protocol sweep smoke (stmsweep -smoke, JSON-validated via benchjson)"
-# The tiny deterministic sweep: every registered protocol × 2
-# collections × 2 update mixes × 2 thread counts. Its stdout is
-# standard `go test -bench` text; piping through cmd/benchjson both
-# validates the convention and produces the JSON we assert on.
-go run ./cmd/stmsweep -smoke 2> /dev/null \
-  | go run ./cmd/benchjson -note "stmsweep smoke" > "$obsdir/sweep.json"
-for cell in 'Sweep/striped/u10/g2/tl2' 'Sweep/striped/u50/g4/norec' \
-            'Sweep/queue/u50/g4/tl2-eager' 'Sweep/sortedmap/u10/g2/tl2' \
-            'Sweep/lanequeue/u50/g4/norec'; do
-  if ! grep -q "\"name\": \"$cell\"" "$obsdir/sweep.json"; then
-    echo "sweep smoke: cell $cell missing from report" >&2
-    exit 1
-  fi
-done
-
-echo "== benchmark of record (bench/: self-tests + every phase at tiny counts)"
-# The smoke pass runs all four workloads through every phase and exits
+stage "benchmark of record (go run ./bench -smoke: every phase at tiny counts)"
+# bench's self-tests ran in the race stage; this drives its main(). The
+# smoke pass runs all four workloads through every phase and exits
 # non-zero when an invariant check fails; its numbers are meaningless.
-go test -count=1 ./bench >/dev/null
 go run ./bench -smoke -trace-dir "$obsdir" >/dev/null
 
-if [[ "$mode" == "bench" ]]; then
-  echo "== bench suite (scripts/bench.sh)"
-  ./scripts/bench.sh
-fi
-
+stage ""
+echo "verify: total ${SECONDS}s"
 echo "verify: OK"
