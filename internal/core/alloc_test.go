@@ -9,18 +9,21 @@ import (
 	"tcc/internal/stm"
 )
 
-// Allocation budgets for the map family, next to internal/stm's for the
-// retry loop: a steady-state transaction on a warm thread allocates its
-// Handle and what the wrapped structure itself allocates, and nothing
-// for the wrapper — the mapLocal, its maps, its handler pair, the
-// key-lock entries and the range entries are all recycled (DESIGN.md
-// §4.6). Each budget is the steady-state count plus one object of slack
-// for pool growth; the closures handed to Atomic are built once, outside
-// the measured run, so the numbers are the wrapper's. Every budget holds
-// for the 1-stripe and the striped layout alike: one stripe is the
-// degenerate case, not a second path. Before the recycling the same
-// transactions cost 11 (Get), 29 (Put then Remove), 30 (8 operations),
-// 13 (sorted Get) and 61 (scan) objects.
+// Allocation counts for the semantic wrappers, next to internal/stm's for
+// the retry loop: a steady-state transaction on a warm thread allocates
+// its Handle and what the wrapped structure itself allocates, and nothing
+// for the wrapper — the transaction-locals (mapLocal, queueLocal,
+// counterLocal) with their containers and handlers, the key-lock entries
+// and the range entries are all recycled (DESIGN.md §4.6), and a sorted
+// scan's iterator stays on the stack. Each count is the exact steady
+// state, so one object more is a failure (a one-Get transaction going
+// from 1 to 2 doubles map-long's allocs_per_tx); the closures handed to
+// Atomic are built once, outside the measured run, so the numbers are the
+// wrapper's. Every count holds for the 1-partition and the striped
+// layout alike: one partition is the degenerate case, not a second path.
+// Before the recycling the same transactions cost 11 (Get), 29 (Put then
+// Remove), 30 (8 operations), 13 (sorted Get), 61 (scan), 11 (Poll, Put,
+// Counter.Add), 7 (Poll) and 3 (Counter.Add) objects.
 
 const allocKeys = 1024
 
@@ -37,8 +40,9 @@ func fillEven(t *testing.T, th *stm.Thread, tm *TransactionalMap[int, int]) {
 }
 
 // assertAllocs warms run — the thread's pools, the recycled local, the
-// lock tables — and holds its steady state to budget.
-func assertAllocs(t *testing.T, what string, budget float64, run func()) {
+// lock tables — and holds its steady state to exactly want objects
+// (AllocsPerRun's average is integral: a rare table growth rounds away).
+func assertAllocs(t *testing.T, what string, want float64, run func()) {
 	t.Helper()
 	if obs.Active() != nil {
 		t.Fatal("guardrail requires tracing disabled")
@@ -47,9 +51,9 @@ func assertAllocs(t *testing.T, what string, budget float64, run func()) {
 		run()
 	}
 	got := testing.AllocsPerRun(200, run)
-	t.Logf("%s: %.2f (budget %.0f)", what, got, budget)
-	if got > budget {
-		t.Errorf("%s allocates %.1f objects/run, budget is %.0f", what, got, budget)
+	t.Logf("%s: %.2f (want %.0f)", what, got, want)
+	if got != want {
+		t.Errorf("%s allocates %.2f objects/run, its steady state is %.0f", what, got, want)
 	}
 }
 
@@ -78,16 +82,16 @@ func TestMapAllocationGuardrails(t *testing.T) {
 				return nil
 			}
 			// The handle.
-			assertAllocs(t, "one-Get transaction", 2, func() { i++; _ = th.Atomic(get) })
+			assertAllocs(t, "one-Get transaction", 1, func() { i++; _ = th.Atomic(get) })
 			// Two handles and the hash map's node.
-			assertAllocs(t, "Put then Remove transactions", 4, func() {
+			assertAllocs(t, "Put then Remove transactions", 3, func() {
 				i++
 				_ = th.Atomic(put)
 				_ = th.Atomic(remove)
 			})
 			// The handle and the hash map's node.
-			assertAllocs(t, "8-operation transaction", 3, func() { i++; _ = th.Atomic(long) })
-			assertAllocs(t, "Size transaction", 2, func() { _ = th.Atomic(size) })
+			assertAllocs(t, "8-operation transaction", 2, func() { i++; _ = th.Atomic(long) })
+			assertAllocs(t, "Size transaction", 1, func() { _ = th.Atomic(size) })
 		})
 	}
 }
@@ -113,12 +117,62 @@ func TestSortedMapAllocationGuardrails(t *testing.T) {
 				tm.SubMap(lo, lo+32).ForEach(tx, visit) // 16 present keys
 				return nil
 			}
-			assertAllocs(t, "sorted one-Get transaction", 2, func() { i++; _ = th.Atomic(get) })
-			// The handle, the view with its two boxed bounds, the iterator:
-			// nothing per scanned key.
-			assertAllocs(t, "16-key SubMap scan", 6, func() { i++; _ = th.Atomic(scan) })
+			assertAllocs(t, "sorted one-Get transaction", 1, func() { i++; _ = th.Atomic(get) })
+			// The handle and the view, which holds its bounds; the iterator
+			// stays on ForEach's stack: nothing per scan loop or scanned key.
+			assertAllocs(t, "16-key SubMap scan", 2, func() { i++; _ = th.Atomic(scan) })
 			if scanned == 0 || scanned%16 != 0 {
 				t.Fatalf("scans visited %d keys, want 16 each", scanned)
+			}
+		})
+	}
+}
+
+func TestQueueAllocationGuardrails(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			q, c := newSegmentedQueue(lanes), NewCounter(0)
+			th := newTh(1)
+			// Enough in every lane for each measured Poll to find an element
+			// (the thread's own lane first, then stolen from the others).
+			for lo := 0; lo < 1024; lo += 64 {
+				atomically(t, th, func(tx *stm.Tx) {
+					for i := lo; i < lo+64; i++ {
+						q.PutLane(tx, i%lanes, i)
+					}
+				})
+			}
+			empty := newSegmentedQueue(lanes)
+			polled := 0
+			poll := func(tx *stm.Tx) error {
+				if _, ok := q.Poll(tx); ok {
+					polled++
+				}
+				return nil
+			}
+			// bench's queue-pipeline body with one Put.
+			pipeline := func(tx *stm.Tx) error {
+				_ = poll(tx)
+				q.Put(tx, polled)
+				c.Add(tx, 1)
+				return nil
+			}
+			add := func(tx *stm.Tx) error { c.Add(tx, 1); return nil }
+			pollEmpty := func(tx *stm.Tx) error {
+				if _, ok := empty.Poll(tx); ok {
+					t.Error("Poll on the empty queue returned an element")
+				}
+				return nil
+			}
+			// The handle and the linked queue's node for the committed Put.
+			assertAllocs(t, "Poll, Put, Counter.Add transaction", 2, func() { _ = th.Atomic(pipeline) })
+			// The handle.
+			assertAllocs(t, "Poll transaction", 1, func() { _ = th.Atomic(poll) })
+			assertAllocs(t, "Counter.Add transaction", 1, func() { _ = th.Atomic(add) })
+			// Every lane's empty lock taken and released.
+			assertAllocs(t, "empty-queue Poll transaction", 1, func() { _ = th.Atomic(pollEmpty) })
+			if want := 2 * (16 + 1 + 200); polled != want {
+				t.Fatalf("%d Polls found an element, want all %d", polled, want)
 			}
 		})
 	}

@@ -22,9 +22,25 @@ type Counter struct {
 }
 
 // counterLocal accumulates one transaction's net contribution so a
-// single abort handler can compensate for all of it.
+// single abort handler — bound once, like a footprint's pair — can
+// compensate for all of it. It is recycled (attach) under a rule of its
+// own: a commit has nothing to undo, so Counter registers no commit
+// handler (its guard stays out of every commit footprint) and nothing
+// runs that could clean the local when its attempt ends. No table refers
+// to it either, so resetting delta when the next attempt attaches it is
+// all the cleaning there is.
 type counterLocal struct {
-	delta int64
+	c       *Counter
+	delta   int64
+	onAbort func()
+}
+
+// reattach readies l for the attempt tx: a zero contribution and the
+// compensating handler registered.
+func (l *counterLocal) reattach(tx *stm.Tx) bool {
+	l.delta = 0
+	tx.OnTopAbortGuarded(l.c.guard, l.onAbort)
+	return true
 }
 
 // NewCounter creates a counter with an initial value.
@@ -32,15 +48,11 @@ func NewCounter(initial int64) *Counter {
 	return &Counter{guard: stm.NewGuard(), value: initial}
 }
 
-func (c *Counter) local(tx *stm.Tx) *counterLocal {
-	if l, ok := tx.Local(c).(*counterLocal); ok {
-		return l
-	}
-	l := &counterLocal{}
-	tx.SetLocal(c, l)
-	tx.OnTopAbortGuarded(c.guard, func() {
-		c.value -= l.delta
-	})
+func (c *Counter) local(tx *stm.Tx) *counterLocal { return attach(tx, c, c.newLocal) }
+
+func (c *Counter) newLocal(*stm.Thread) *counterLocal {
+	l := &counterLocal{c: c}
+	l.onAbort = func() { c.value -= l.delta }
 	return l
 }
 

@@ -137,21 +137,10 @@ const maxRecycledEntries = 256
 
 // mapLocal is the transaction-local state of Table 3 (and, for sorted
 // maps, Table 6): the locks this transaction holds on this instance and
-// the write buffer.
-//
-// A mapLocal belongs to one (stm.Thread, instance) pair and is recycled:
-// the thread keeps it in its attachment slot, local() attaches it to
-// each attempt in turn, and releaseLocked — the tail of both handlers —
-// returns it to the pristine state (nothing touched, every container
-// empty). Every mutation of a local happens after touch has registered
-// the handler pair, so touched == 0 is exactly "pristine"; a local found
-// otherwise (its attempt died of a foreign panic before the handlers
-// ran, or release discarded it as oversized) is never reused.
+// the write buffer. It is recycled under footprint's rule; releaseLocked
+// is the tail of both handlers that returns it to pristine.
 type mapLocal[K comparable, V any] struct {
 	footprint
-	// h is the handle of the attempt the local is attached to, owner of
-	// every lock recorded below.
-	h           semlock.Owner
 	keyLocks    map[K]struct{}
 	sizeLocked  bool
 	emptyLocked bool
@@ -419,28 +408,14 @@ func (tm *TransactionalMap[K, V]) SetIsEmptyViaSize(v bool) { tm.isEmptyViaSize 
 // rather than at commit.
 func (tm *TransactionalMap[K, V]) SetEagerWriteCheck(v bool) { tm.eagerWriteCheck = v }
 
-// local returns this transaction's local state for this instance: on an
-// attempt's first use, the thread's recycled mapLocal — rebuilt when
-// there is none or it is not pristine — attached to the attempt and its
-// handle.
+// local returns this transaction's local state for this instance (see
+// attach).
 func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
-	if l, ok := tx.Local(tm).(*mapLocal[K, V]); ok {
-		return l
-	}
-	th := tx.Thread()
-	l, _ := th.Attachment(tm).(*mapLocal[K, V])
-	if l == nil || l.touched != 0 {
-		l = tm.newLocal(th)
-		th.SetAttachment(tm, l)
-	}
-	l.h = tx.Handle()
-	tx.SetLocal(tm, l)
-	return l
+	return attach(tx, tm, tm.newLocal)
 }
 
 // newLocal builds th's mapLocal for this instance, with the handler pair
-// the first touch of every attempt registers: bound once, the handlers
-// act for whichever attempt the local is attached to (l.h).
+// the first touch of every attempt registers.
 func (tm *TransactionalMap[K, V]) newLocal(th *stm.Thread) *mapLocal[K, V] {
 	l := &mapLocal[K, V]{
 		keyLocks:    make(map[K]struct{}),

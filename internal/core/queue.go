@@ -61,14 +61,24 @@ type queueLane[T any] struct {
 	emptyLockers *semlock.OwnerSet
 }
 
-// queueLocal is the local transaction state of Table 9, per lane.
+// queueLocal is the local transaction state of Table 9, per lane. It is
+// recycled under footprint's rule; finishLocked — the body of both
+// handlers — returns it to pristine.
 type queueLocal[T any] struct {
 	footprint
-	addBuffers    [][]T
-	removeBuffers [][]T
+	lanes []laneBuffers[T]
 	// emptyLocked is the bitmask of lanes whose empty lock this
 	// transaction holds.
 	emptyLocked uint64
+}
+
+// laneBuffers is one lane's share of a queueLocal. The buffers keep
+// their backing arrays from one transaction to the next, so the first
+// taken elements of addBuffer — the transaction's own puts it polled
+// back (frontLocked) — are skipped by index, not sliced away.
+type laneBuffers[T any] struct {
+	addBuffer, removeBuffer []T
+	taken                   int
 }
 
 // NewTransactionalQueue wraps q; the wrapper assumes exclusive
@@ -135,53 +145,67 @@ func (tq *TransactionalQueue[T]) LaneOf(tx *stm.Tx) int {
 // SetOpCost overrides the abstract cycle cost charged per operation.
 func (tq *TransactionalQueue[T]) SetOpCost(c uint64) { tq.opCost = c }
 
-// local returns this transaction's local state for this instance,
-// creating it — with the handler pair the first touch will register — on
-// first use (see TransactionalMap.local).
+// local returns this transaction's local state for this instance (see
+// attach).
 func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] {
-	if l, ok := tx.Local(tq).(*queueLocal[T]); ok {
-		return l
-	}
-	l := &queueLocal[T]{
-		addBuffers:    make([][]T, len(tq.lanes)),
-		removeBuffers: make([][]T, len(tq.lanes)),
-	}
-	h, th := tx.Handle(), tx.Thread()
-	l.onCommit = func() { tq.finishLocked(l, h, th, l.addBuffers, tq.reasonNotEmpty) }
-	l.onAbort = func() { tq.finishLocked(l, h, th, l.removeBuffers, tq.reasonRefill) }
-	tx.SetLocal(tq, l)
+	return attach(tx, tq, tq.newLocal)
+}
+
+// newLocal builds th's queueLocal for this instance, with the handler
+// pair the first touch of every attempt registers.
+func (tq *TransactionalQueue[T]) newLocal(th *stm.Thread) *queueLocal[T] {
+	l := &queueLocal[T]{lanes: make([]laneBuffers[T], len(tq.lanes))}
+	l.onCommit = func() { tq.finishLocked(l, th, true) }
+	l.onAbort = func() { tq.finishLocked(l, th, false) }
 	return l
 }
 
-// finishLocked is the body of both handlers: enqueue bufs into every
-// touched lane — the commit handler publishes the transaction's
-// additions, the abort handler returns everything it dequeued
-// (compensation) — violate the empty-lock holders of lanes that thereby
-// stopped being empty (Table 8: put's write conflict fires "if now
-// non-empty"), and release this transaction's locks and buffers. The
-// protocol holds every touched lane's guard.
-func (tq *TransactionalQueue[T]) finishLocked(l *queueLocal[T], h semlock.Owner, th *stm.Thread, bufs [][]T, reason string) {
+// finishLocked is the body of both handlers: enqueue into every touched
+// lane — the commit handler publishes the transaction's additions, the
+// abort handler returns everything it dequeued (compensation) — violate
+// the empty-lock holders of lanes that thereby stopped being empty
+// (Table 8: put's write conflict fires "if now non-empty"), release this
+// transaction's locks and return its local to pristine. The protocol
+// holds every touched lane's guard.
+func (tq *TransactionalQueue[T]) finishLocked(l *queueLocal[T], th *stm.Thread, commit bool) {
+	reason := tq.reasonRefill
+	if commit {
+		reason = tq.reasonNotEmpty
+	}
 	total := 0
 	for li, ln := range tq.lanes {
 		bit := uint64(1) << uint(li)
 		if l.touched&bit == 0 {
 			continue
 		}
+		b := &l.lanes[li]
+		buf := b.removeBuffer
+		if commit {
+			buf = b.addBuffer[b.taken:]
+		}
 		wasEmpty := ln.q.Size() == 0
-		for _, v := range bufs[li] {
+		for _, v := range buf {
 			ln.q.Enqueue(v)
 		}
-		if wasEmpty && len(bufs[li]) > 0 {
-			tq.noteViolations(li, ln.emptyLockers.ViolateOthers(h, reason))
+		if wasEmpty && len(buf) > 0 {
+			tq.noteViolations(li, ln.emptyLockers.ViolateOthers(l.h, reason))
 		}
 		if l.emptyLocked&bit != 0 {
-			ln.emptyLockers.Unlock(h)
+			ln.emptyLockers.Unlock(l.h)
 		}
-		total += len(bufs[li])
-		l.addBuffers[li], l.removeBuffers[li] = nil, nil
+		total += len(buf)
+		if max(len(b.addBuffer), len(b.removeBuffer)) > maxRecycledEntries {
+			// One huge transaction must not pin its arrays on the thread.
+			*b = laneBuffers[T]{}
+			continue
+		}
+		// Nor may a kept array pin what the transaction held.
+		clear(b.addBuffer)
+		clear(b.removeBuffer)
+		*b = laneBuffers[T]{addBuffer: b.addBuffer[:0], removeBuffer: b.removeBuffer[:0]}
 	}
-	l.emptyLocked = 0
 	th.DeferTick(tq.opCost * uint64(1+total))
+	l.h, l.emptyLocked, l.touched = nil, 0, 0
 }
 
 // Put enqueues v — into the calling thread's affine lane — when the
@@ -197,7 +221,7 @@ func (tq *TransactionalQueue[T]) PutLane(tx *stm.Tx, li int, v T) {
 	li &= int(tq.mask)
 	l := tq.local(tx)
 	tq.touch(tx, &l.footprint, li)
-	l.addBuffers[li] = append(l.addBuffers[li], v)
+	l.lanes[li].addBuffer = append(l.lanes[li].addBuffer, v)
 	tx.Thread().Clock.Tick(tq.opCost / 4)
 }
 
@@ -214,19 +238,19 @@ func (tq *TransactionalQueue[T]) Offer(tx *stm.Tx, v T) bool {
 // compensation on abort), else from the transaction's own uncommitted
 // additions to the lane. Caller holds lane li's guard.
 func (tq *TransactionalQueue[T]) frontLocked(l *queueLocal[T], li int, remove bool) (T, bool) {
-	q := tq.lanes[li].q
+	q, b := tq.lanes[li].q, &l.lanes[li]
 	if !remove {
 		if v, ok := q.Peek(); ok {
 			return v, true
 		}
 	} else if v, ok := q.Dequeue(); ok {
-		l.removeBuffers[li] = append(l.removeBuffers[li], v)
+		b.removeBuffer = append(b.removeBuffer, v)
 		return v, true
 	}
-	if len(l.addBuffers[li]) > 0 {
-		v := l.addBuffers[li][0]
+	if b.taken < len(b.addBuffer) {
+		v := b.addBuffer[b.taken]
 		if remove {
-			l.addBuffers[li] = l.addBuffers[li][1:]
+			b.taken++
 		}
 		return v, true
 	}
@@ -244,7 +268,7 @@ func (tq *TransactionalQueue[T]) frontSpan(tx *stm.Tx, l *queueLocal[T], lo, hi 
 	}
 	var out T
 	var ok bool
-	_ = tx.Open(func(o *stm.Tx) error {
+	_ = tx.Open(func(*stm.Tx) error {
 		tq.lockSpan(lo, hi)
 		defer tq.unlockSpan(lo, hi)
 		for li := lo; li < hi && !ok; li++ {
@@ -253,7 +277,7 @@ func (tq *TransactionalQueue[T]) frontSpan(tx *stm.Tx, l *queueLocal[T], lo, hi 
 		if !ok && lockIfEmpty {
 			for li := lo; li < hi; li++ {
 				if bit := uint64(1) << uint(li); l.emptyLocked&bit == 0 {
-					tq.lanes[li].emptyLockers.Lock(o.Handle())
+					tq.lanes[li].emptyLockers.Lock(l.h)
 					l.emptyLocked |= bit
 				}
 			}

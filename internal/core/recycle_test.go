@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tcc/internal/collections"
@@ -12,9 +14,11 @@ import (
 )
 
 // Tests of the recycled transaction-local state (DESIGN.md §4.6): a
-// thread's mapLocal serves attempt after attempt, so nothing an attempt
-// left in it — a key lock it believes it holds, a buffered write, a
-// range entry, a touched stripe — may reach the next one.
+// thread's mapLocal, queueLocal or counterLocal serves attempt after
+// attempt, so nothing an attempt left in it — a key lock it believes it
+// holds, a buffered write or put, a polled element, a range entry, an
+// empty-lock bit, a counter contribution, a touched partition — may reach
+// the next one.
 
 // recycleLayouts are the instances the recycling tests run on: both map
 // layouts and a range-striped sorted map (whose transactions also hold
@@ -67,7 +71,6 @@ func assertTablesEmpty(t *testing.T, tm *TransactionalMap[int, int], keys int) {
 // register its own handlers (a stale touched mask would skip them, and
 // its Put would never apply), and must leave nothing behind.
 func TestRecycledLocalContainment(t *testing.T) {
-	errAbort := errors.New("abort")
 	for _, ly := range recycleLayouts {
 		for _, ending := range []string{"foreign panic", "violated", "user abort"} {
 			t.Run(ly.name+"/"+ending, func(t *testing.T) {
@@ -110,41 +113,7 @@ func TestRecycledLocalContainment(t *testing.T) {
 					tm.Put(tx, 3, 33)
 				}
 
-				switch ending {
-				case "foreign panic":
-					func() {
-						defer func() {
-							if r := recover(); r != "boom" {
-								t.Fatalf("recovered %v, want the body's panic", r)
-							}
-						}()
-						_ = th.Atomic(func(tx *stm.Tx) error {
-							first(tx)
-							panic("boom")
-						})
-					}()
-					atomically(t, th, second)
-				case "violated":
-					atomically(t, th, func(tx *stm.Tx) {
-						if tx.Attempt() == 0 {
-							first(tx)
-							tx.Handle().Violate("test")
-							tx.Poll()
-							t.Error("Poll returned on a violated transaction")
-						}
-						second(tx)
-					})
-				case "user abort":
-					err := th.Atomic(func(tx *stm.Tx) error {
-						first(tx)
-						tx.Abort(errAbort)
-						return nil
-					})
-					if !errors.Is(err, errAbort) {
-						t.Fatalf("Atomic = %v, want the abort error", err)
-					}
-					atomically(t, th, second)
-				}
+				endAttempt(t, th, ending, first, second)
 
 				atomically(t, th, func(tx *stm.Tx) {
 					if v, ok := tm.Get(tx, 3); !ok || v != 33 {
@@ -317,6 +286,24 @@ func TestRecycledLocalRetention(t *testing.T) {
 		t.Error("discarded local was reused, or its replacement is not pristine")
 	}
 
+	// The same for a queue's put buffer.
+	q := newSegmentedQueue(4)
+	if err := th.Atomic(func(tx *stm.Tx) error {
+		for i := 0; i < big; i++ {
+			q.Put(tx, i)
+		}
+		return errors.New("discard")
+	}); err == nil {
+		t.Fatal("Atomic swallowed the body's error")
+	}
+	if got := liveHeap(); got > base+margin {
+		t.Errorf("live heap %d KiB after the big queue transaction, baseline %d KiB", got>>10, base>>10)
+	}
+	atomically(t, th, func(tx *stm.Tx) { q.Put(tx, 1) })
+	if n := q.CommittedSize(); n != 1 {
+		t.Errorf("queue holds %d elements after the discarded and the one-Put transaction, want 1", n)
+	}
+
 	// A collection with committed bulk, used on the thread and dropped.
 	bulk := NewStripedTransactionalMap(func() collections.Map[int, int] {
 		return collections.NewHashMap[int, int]()
@@ -342,4 +329,340 @@ func TestRecycledLocalRetention(t *testing.T) {
 		t.Errorf("live heap %d KiB after dropping the collection, baseline %d KiB", got>>10, base>>10)
 	}
 	runtime.KeepAlive(th)
+}
+
+// endAttempt runs first on th in an attempt that ends the given way — a
+// foreign panic the caller recovers, a violation, tx.Abort — and next in
+// the transaction that follows it on the thread (the violated attempt's
+// own retry).
+func endAttempt(t *testing.T, th *stm.Thread, ending string, first, next func(tx *stm.Tx)) {
+	t.Helper()
+	errAbort := errors.New("abort")
+	switch ending {
+	case "foreign panic":
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want the body's panic", r)
+				}
+			}()
+			_ = th.Atomic(func(tx *stm.Tx) error {
+				first(tx)
+				panic("boom")
+			})
+		}()
+	case "violated":
+		atomically(t, th, func(tx *stm.Tx) {
+			if tx.Attempt() == 0 {
+				first(tx)
+				tx.Handle().Violate("test")
+				tx.Poll()
+				t.Error("Poll returned on a violated transaction")
+			}
+			next(tx)
+		})
+		return
+	case "user abort":
+		err := th.Atomic(func(tx *stm.Tx) error {
+			first(tx)
+			tx.Abort(errAbort)
+			return nil
+		})
+		if !errors.Is(err, errAbort) {
+			t.Fatalf("Atomic = %v, want the abort error", err)
+		}
+	}
+	atomically(t, th, next)
+}
+
+// emptyLocks returns how many empty locks q's lanes hold in all.
+func emptyLocks(q *TransactionalQueue[int]) int {
+	q.lockSpan(0, len(q.lanes))
+	defer q.unlockSpan(0, len(q.lanes))
+	n := 0
+	for _, ln := range q.lanes {
+		n += ln.emptyLockers.Len()
+	}
+	return n
+}
+
+// TestRecycledQueueContainment is TestRecycledLocalContainment for the
+// queue and the counter: an attempt polls an element, puts 99, adds 5 to
+// the counter and ends one of the three ways; the transactions that
+// follow on the thread must publish only their own puts (never 99),
+// return only their own polls on abort (a stale removeBuffer would
+// duplicate an element), register their own handlers (a stale touched
+// mask would skip them and 77 would never arrive), compensate only their
+// own counter contribution, and take their own empty locks.
+func TestRecycledQueueContainment(t *testing.T) {
+	for _, lanes := range []int{1, 4} {
+		for _, ending := range []string{"foreign panic", "violated", "user abort"} {
+			t.Run(fmt.Sprintf("lanes%d/%s", lanes, ending), func(t *testing.T) {
+				q, c := newSegmentedQueue(lanes), NewCounter(0)
+				th := newTh(1)
+				want := map[int]int{} // the committed queue, as a multiset
+				atomically(t, th, func(tx *stm.Tx) {
+					for v := 10; v < 18; v++ {
+						q.PutLane(tx, v%lanes, v)
+						want[v]++
+					}
+				})
+				poll := func(tx *stm.Tx) int {
+					v, ok := q.Poll(tx)
+					if !ok {
+						t.Fatal("Poll found the queue empty")
+					}
+					return v
+				}
+				var firstLocal any
+				var lost int
+				first := func(tx *stm.Tx) {
+					lost = poll(tx)
+					q.Put(tx, 99)
+					c.Add(tx, 5)
+					firstLocal = tx.Local(q)
+				}
+				second := func(tx *stm.Tx) {
+					want[poll(tx)]--
+					q.Put(tx, 77)
+					c.Add(tx, 2)
+					if recycled := tx.Local(q) == firstLocal; recycled != (ending != "foreign panic") {
+						t.Errorf("local recycled = %v after %s", recycled, ending)
+					}
+				}
+				endAttempt(t, th, ending, first, second)
+				want[77]++
+				wantCount := int64(2)
+				if ending == "foreign panic" {
+					// A foreign panic runs no abort handler (ROADMAP aim 3b,
+					// unchanged here): what the dead attempt polled and added
+					// stays taken and added. Nobody else may compensate for it.
+					want[lost]--
+					wantCount += 5
+				}
+				// An aborting transaction returns its own poll, nothing older.
+				if err := th.Atomic(func(tx *stm.Tx) error {
+					poll(tx)
+					c.Add(tx, 3)
+					return errors.New("abort")
+				}); err == nil {
+					t.Fatal("Atomic swallowed the body's error")
+				}
+				if v := c.Value(); v != wantCount {
+					t.Errorf("counter = %d, want %d", v, wantCount)
+				}
+
+				got := map[int]int{}
+				atomically(t, th, func(tx *stm.Tx) {
+					clear(got)
+					for v, ok := q.Poll(tx); ok; v, ok = q.Poll(tx) {
+						got[v]++
+					}
+				})
+				for v, n := range want {
+					if n == 0 {
+						delete(want, v)
+					}
+				}
+				if !maps.Equal(got, want) {
+					t.Errorf("drained %v, want %v", got, want)
+				}
+				if n := emptyLocks(q); n != 0 {
+					t.Errorf("%d empty locks left by the draining transaction", n)
+				}
+				// The drain held every lane's empty lock; the next observer
+				// of emptiness must take its own.
+				atomically(t, th, func(tx *stm.Tx) {
+					if _, ok := q.Peek(tx); ok {
+						t.Error("Peek found an element in the drained queue")
+					}
+					if n := emptyLocks(q); n != lanes {
+						t.Errorf("empty Peek holds %d empty locks, want %d", n, lanes)
+					}
+				})
+				if n := emptyLocks(q); n != 0 {
+					t.Errorf("%d empty locks left", n)
+				}
+			})
+		}
+	}
+}
+
+// TestRecycledQueueSoak runs 10 000 mixed queue-and-counter transactions
+// through one thread's recycled locals, checking every answer against a
+// model of the lanes, and ends in conservation — seeded + puts − polls =
+// drained, counter = committed adds — with the local pristine.
+func TestRecycledQueueSoak(t *testing.T) {
+	const seeded, txs = 64, 10000
+	for _, lanes := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			q, c := newSegmentedQueue(lanes), NewCounter(0)
+			th := newTh(1)
+			rng := rand.New(rand.NewSource(1))
+			model := make([][]int, lanes) // committed lanes
+			atomically(t, th, func(tx *stm.Tx) {
+				for i := 0; i < seeded; i++ {
+					q.PutLane(tx, i%lanes, i)
+					model[i%lanes] = append(model[i%lanes], i)
+				}
+			})
+			var puts, polls, count int64
+			empties := 0
+			for i := 0; i < txs && !t.Failed(); i++ {
+				// The transaction's view, per lane: what is left of the
+				// committed elements, its own puts behind them, and the
+				// committed elements it polled (an abort returns those to the
+				// lane's tail: reduced isolation, paper §3.3).
+				var shadow, adds, taken [][]int
+				var txPuts, txPolls, txCount int64
+				// front is the model of Poll/Peek: lanes from the thread's
+				// (0) upward, committed elements before own puts.
+				front := func(remove bool) (int, bool) {
+					for li := 0; li < lanes; li++ {
+						if len(shadow[li]) > 0 {
+							v := shadow[li][0]
+							if remove {
+								shadow[li], taken[li] = shadow[li][1:], append(taken[li], v)
+							}
+							return v, true
+						}
+						if len(adds[li]) > 0 {
+							v := adds[li][0]
+							if remove {
+								adds[li] = adds[li][1:]
+							}
+							return v, true
+						}
+					}
+					return 0, false
+				}
+				ops := 1 + rng.Intn(5)
+				abort := rng.Intn(10) == 0
+				err := th.Atomic(func(tx *stm.Tx) error {
+					shadow, adds, taken = slices.Clone(model), make([][]int, lanes), make([][]int, lanes)
+					txPuts, txPolls, txCount = 0, 0, 0
+					for j := 0; j < ops; j++ {
+						// More polls than puts: the queue keeps running dry, so
+						// empty locks and polled-back own puts are routine.
+						switch op := rng.Intn(7); op {
+						case 0, 1, 2, 3:
+							remove := op != 3
+							want, had := front(remove)
+							got, ok := q.Peek(tx)
+							if remove {
+								if got2, ok2 := q.Poll(tx); got2 != got || ok2 != ok {
+									t.Errorf("tx %d: Poll = (%d,%v) after Peek = (%d,%v)", i, got2, ok2, got, ok)
+								}
+								if ok {
+									txPolls++
+								}
+							}
+							if ok != had || got != want {
+								t.Errorf("tx %d: front = (%d,%v), want (%d,%v)", i, got, ok, want, had)
+							}
+							if !ok {
+								empties++
+								if n := emptyLocks(q); n != lanes {
+									t.Errorf("tx %d: emptiness observed under %d empty locks, want %d", i, n, lanes)
+								}
+							}
+						case 4:
+							li := rng.Intn(lanes)
+							q.PutLane(tx, li, i)
+							adds[li] = append(adds[li], i)
+							txPuts++
+						case 5:
+							q.Put(tx, -i)
+							adds[0] = append(adds[0], -i)
+							txPuts++
+						case 6:
+							d := int64(1 + rng.Intn(9))
+							c.Add(tx, d)
+							txCount += d
+						}
+					}
+					if abort {
+						return errors.New("abort")
+					}
+					return nil
+				})
+				if (err != nil) != abort {
+					t.Fatalf("tx %d: Atomic = %v, abort = %v", i, err, abort)
+				}
+				if abort {
+					adds = taken
+				} else {
+					puts, polls, count = puts+txPuts, polls+txPolls, count+txCount
+				}
+				for li := range model {
+					model[li] = append(shadow[li], adds[li]...)
+				}
+			}
+			if v := c.Value(); v != count {
+				t.Errorf("counter = %d, committed adds = %d", v, count)
+			}
+			if empties == 0 {
+				t.Error("the soak never observed emptiness")
+			}
+			var drained []int
+			atomically(t, th, func(tx *stm.Tx) {
+				drained = drained[:0]
+				for v, ok := q.Poll(tx); ok; v, ok = q.Poll(tx) {
+					drained = append(drained, v)
+				}
+			})
+			if want := slices.Concat(model...); !slices.Equal(drained, want) {
+				t.Errorf("drained %v, want the model's lanes %v", drained, want)
+			}
+			if n := int64(len(drained)); n != seeded+puts-polls {
+				t.Errorf("drained %d elements, want %d seeded + %d put − %d polled", n, seeded, puts, polls)
+			}
+			if n := emptyLocks(q); n != 0 {
+				t.Errorf("%d empty locks left", n)
+			}
+			l, _ := th.Attachment(q).(*queueLocal[int])
+			if l == nil || l.touched != 0 || l.emptyLocked != 0 || l.h != nil {
+				t.Fatalf("thread's local not pristine after the soak: %+v", l)
+			}
+			for li, b := range l.lanes {
+				if len(b.addBuffer)+len(b.removeBuffer)+b.taken != 0 {
+					t.Errorf("lane %d buffers not empty after the soak: %+v", li, b)
+				}
+			}
+		})
+	}
+}
+
+// TestRecycledQueueBuffersPinNothing: the backing arrays a queueLocal
+// keeps must not keep alive what earlier transactions put or polled —
+// including an own put the transaction polled back itself.
+func TestRecycledQueueBuffersPinNothing(t *testing.T) {
+	q := NewSegmentedTransactionalQueue(func() collections.Queue[*int] {
+		return collections.NewLinkedQueue[*int]()
+	}, 1)
+	th := newTh(1)
+	atomically(t, th, func(tx *stm.Tx) {
+		q.Put(tx, new(int))
+		q.Put(tx, new(int))
+	})
+	atomically(t, th, func(tx *stm.Tx) {
+		q.Poll(tx) // committed
+		q.Poll(tx)
+		q.Put(tx, new(int))
+		q.Poll(tx) // own put, taken back
+		q.Put(tx, new(int))
+	})
+	l, _ := th.Attachment(q).(*queueLocal[*int])
+	if l == nil || l.touched != 0 {
+		t.Fatalf("thread's local not pristine: %+v", l)
+	}
+	b := l.lanes[0]
+	if cap(b.addBuffer) < 2 || cap(b.removeBuffer) < 2 {
+		t.Fatalf("buffers lost their capacity: add %d, remove %d", cap(b.addBuffer), cap(b.removeBuffer))
+	}
+	for _, p := range slices.Concat(b.addBuffer[:cap(b.addBuffer)], b.removeBuffer[:cap(b.removeBuffer)]) {
+		if p != nil {
+			t.Error("a recycled buffer still points at an element of a finished transaction")
+		}
+	}
 }

@@ -78,12 +78,14 @@ type SortedIterator[K comparable, V any] struct {
 
 // Iterator creates an ascending iterator over the whole map.
 func (t *TransactionalSortedMap[K, V]) Iterator(tx *stm.Tx) *SortedIterator[K, V] {
-	return t.rangeIterator(tx, nil, nil)
+	return (&SortedView[K, V]{t: t}).Iterator(tx)
 }
 
-func (t *TransactionalSortedMap[K, V]) rangeIterator(tx *stm.Tx, lo, hi *K) *SortedIterator[K, V] {
+// init starts it — in place, so ForEach can keep it on its stack — at
+// the bottom of the view [lo, hi) of t.
+func (it *SortedIterator[K, V]) init(t *TransactionalSortedMap[K, V], tx *stm.Tx, lo, hi *K) {
 	//stmlint:ignore tx-escape iterator is per-transaction local state (Table 5) and documented not to outlive tx
-	it := &SortedIterator[K, V]{t: t, tx: tx, l: t.local(tx), lo: lo, hi: hi}
+	*it = SortedIterator[K, V]{t: t, tx: tx, l: t.local(tx), lo: lo, hi: hi}
 	if lo != nil {
 		it.si = t.sorted.stripeFor(*lo)
 	}
@@ -91,7 +93,6 @@ func (t *TransactionalSortedMap[K, V]) rangeIterator(tx *stm.Tx, lo, hi *K) *Sor
 	// transaction: the handler pair registers now, ahead of any other
 	// collection the body uses before the first Next.
 	t.touch(tx, it.l, it.si)
-	return it
 }
 
 // HasNext reports whether another entry exists in the view.
@@ -125,34 +126,23 @@ func (it *SortedIterator[K, V]) Next() (k K, v V, ok bool) {
 
 // ForEach enumerates the whole map in key order until fn returns false.
 func (t *TransactionalSortedMap[K, V]) ForEach(tx *stm.Tx, fn func(k K, v V) bool) {
-	it := t.Iterator(tx)
-	for {
-		k, v, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !fn(k, v) {
-			return
-		}
-	}
+	(&SortedView[K, V]{t: t}).ForEach(tx, fn)
 }
 
 // Keys returns all keys in ascending order as seen by tx.
 func (t *TransactionalSortedMap[K, V]) Keys(tx *stm.Tx) []K {
-	var out []K
-	t.ForEach(tx, func(k K, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
+	return (&SortedView[K, V]{t: t}).Keys(tx)
 }
 
 // SortedView is a subMap/headMap/tailMap view: the [lo, hi) slice of a
 // TransactionalSortedMap, sharing its state and locks (paper §3.2:
 // "mutable SortedMap views returned by subMap, headMap, and tailMap").
 type SortedView[K comparable, V any] struct {
-	t      *TransactionalSortedMap[K, V]
-	lo, hi *K
+	t *TransactionalSortedMap[K, V]
+	// lo and hi are nil or point at loKey and hiKey: like a rangeLock, a
+	// view is one object with the storage of its bounds inside.
+	lo, hi       *K
+	loKey, hiKey K
 }
 
 // SubMap returns the view of keys in [lo, hi).
@@ -160,17 +150,23 @@ func (t *TransactionalSortedMap[K, V]) SubMap(lo, hi K) *SortedView[K, V] {
 	if t.sorted.cmp(lo, hi) > 0 {
 		panic("core: SubMap bounds out of order")
 	}
-	return &SortedView[K, V]{t: t, lo: &lo, hi: &hi}
+	v := &SortedView[K, V]{t: t, loKey: lo, hiKey: hi}
+	v.lo, v.hi = &v.loKey, &v.hiKey
+	return v
 }
 
 // HeadMap returns the view of keys below hi.
 func (t *TransactionalSortedMap[K, V]) HeadMap(hi K) *SortedView[K, V] {
-	return &SortedView[K, V]{t: t, hi: &hi}
+	v := &SortedView[K, V]{t: t, hiKey: hi}
+	v.hi = &v.hiKey
+	return v
 }
 
 // TailMap returns the view of keys at or above lo.
 func (t *TransactionalSortedMap[K, V]) TailMap(lo K) *SortedView[K, V] {
-	return &SortedView[K, V]{t: t, lo: &lo}
+	v := &SortedView[K, V]{t: t, loKey: lo}
+	v.lo = &v.loKey
+	return v
 }
 
 // inRange panics when k is outside the view, mirroring java.util's
@@ -208,18 +204,18 @@ func (v *SortedView[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 
 // Iterator returns an ascending iterator over the view.
 func (v *SortedView[K, V]) Iterator(tx *stm.Tx) *SortedIterator[K, V] {
-	return v.t.rangeIterator(tx, v.lo, v.hi)
+	it := new(SortedIterator[K, V])
+	it.init(v.t, tx, v.lo, v.hi)
+	return it
 }
 
 // ForEach enumerates the view in key order until fn returns false.
 func (v *SortedView[K, V]) ForEach(tx *stm.Tx, fn func(k K, val V) bool) {
-	it := v.Iterator(tx)
+	var it SortedIterator[K, V] // never leaves this stack
+	it.init(v.t, tx, v.lo, v.hi)
 	for {
 		k, val, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !fn(k, val) {
+		if !ok || !fn(k, val) {
 			return
 		}
 	}

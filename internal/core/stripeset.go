@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"tcc/internal/obs/metrics"
+	"tcc/internal/semlock"
 	"tcc/internal/stm"
 )
 
@@ -37,7 +38,19 @@ type stripeSet struct {
 // has in its guard footprint for the instance, and the instance's single
 // commit/abort handler pair (paper §5: "registered by the first
 // open-nested transaction to commit").
+//
+// A local belongs to one (stm.Thread, instance) pair and is recycled
+// (attach): its handler pair is bound once, when it is built, and acts
+// for whichever attempt the local is attached to. Every mutation of a
+// local follows touch, and the tail of both handlers returns it to the
+// pristine state, so touched == 0 is exactly "pristine"; a local found
+// otherwise — its attempt died of a foreign panic before the handlers
+// ran, or release discarded it as oversized (maxRecycledEntries) — is
+// never reused (DESIGN.md §4.6).
 type footprint struct {
+	// h is the handle of the attempt the local is attached to, owner of
+	// every semantic lock the local records.
+	h semlock.Owner
 	// touched is the bitmask of partitions the transaction read, wrote,
 	// or registered a lock in. The handler pair is registered under the
 	// first touched partition's guard; each later one widens the
@@ -46,6 +59,35 @@ type footprint struct {
 	touched uint64
 	// onCommit and onAbort are built with the collection's local state.
 	onCommit, onAbort func()
+}
+
+// reattach hands a pristine local to the attempt tx.
+func (f *footprint) reattach(tx *stm.Tx) bool {
+	if f.touched != 0 {
+		return false
+	}
+	f.h = tx.Handle()
+	return true
+}
+
+// attach is the one recycling rule of every transaction-local. It
+// returns the local this attempt already uses for the instance key or,
+// on the attempt's first use, the thread's (stm.Thread.Attachment) once
+// reattach has readied it for the attempt — rebuilt when there is none
+// or reattach reports that its last attempt did not leave it clean.
+func attach[L interface{ reattach(*stm.Tx) bool }](tx *stm.Tx, key any, build func(*stm.Thread) L) L {
+	if l, ok := tx.Local(key).(L); ok {
+		return l
+	}
+	th := tx.Thread()
+	l, ok := th.Attachment(key).(L)
+	if !ok || !l.reattach(tx) {
+		l = build(th)
+		th.SetAttachment(key, l)
+		l.reattach(tx)
+	}
+	tx.SetLocal(key, l)
+	return l
 }
 
 func newStripeSet(n int) stripeSet {

@@ -11,7 +11,10 @@
 # with one line per workload and end-to-end metric: the median over seeds
 # of each side, the parent's interquartile range over seeds, and how many
 # pairs the change won. A gain may be claimed when it won at least nine
-# tenths of the pairs and the medians differ by more than that range.
+# tenths of the pairs and the medians differ by more than that range; a
+# row has regressed when the change's median is worse than the parent's
+# by more than the metric's bound (the -compare table's own column), and
+# any regressed row makes the script exit 1.
 #
 # About 2.5 minutes per seed (four workloads, two sides). Run nothing
 # else meanwhile: the reference host has 2 vCPUs.
@@ -78,19 +81,22 @@ function median(a, n,    i, j, t) {
 $3 == "lower" || $3 == "higher" {
   key = $1 " " $2
   if (!(key in n)) order[++keys] = key
-  i = ++n[key]; old[key, i] = $4; new[key, i] = $6; better[key] = $3
+  i = ++n[key]; old[key, i] = $4; new[key, i] = $6; better[key] = $3; bound[key] = $9 / 100
   if ($4 != $6 && (($6 < $4) == ($3 == "lower"))) wins[key]++
   if ($4 == $6) ties[key]++
 }
 END {
-  printf "%-16s%-16s%-8s%14s%14s%14s%8s%6s  %s\n", "workload", "metric", "better", "parent", "parent IQR", "change", "wins", "ties", "claimable"
+  printf "%-16s%-16s%-8s%14s%14s%14s%8s%6s  %-9s  %s\n", "workload", "metric", "better", "parent", "parent IQR", "change", "wins", "ties", "claimable", "regressed"
   for (k = 1; k <= keys; k++) {
     key = order[k]; m = n[key]
     for (i = 1; i <= m; i++) { a[i] = old[key, i]; b[i] = new[key, i] }
     po = median(a, m); iqr = q3 - q1; pn = median(b, m)
     d = better[key] == "lower" ? po - pn : pn - po
     ok = (wins[key] >= 0.9 * m && d > iqr) ? "yes" : "no"
+    bad = (-d > bound[key] * (po < 0 ? -po : po)) ? "yes" : "no"
+    if (bad == "yes") regressed = 1
     split(key, wm, " ")
-    printf "%-16s%-16s%-8s%14.6g%14.6g%14.6g%5d/%-2d%6d  %s\n", wm[1], wm[2], better[key], po, iqr, pn, wins[key], m, ties[key], ok
+    printf "%-16s%-16s%-8s%14.6g%14.6g%14.6g%5d/%-2d%6d  %-9s  %s\n", wm[1], wm[2], better[key], po, iqr, pn, wins[key], m, ties[key], ok, bad
   }
+  exit regressed
 }' "$dir"/compare_*.txt
