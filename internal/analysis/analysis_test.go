@@ -184,3 +184,49 @@ func TestRepoClean(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowDirectiveNotName: hold-window helpers are found by the
+// //stmlint:window directive in their doc comment, not by what they are
+// called. The protocolwindows fixture with every helper renamed yields
+// the same diagnostics on the same lines; with the directives stripped
+// (names intact) it has no windows left and yields none.
+func TestWindowDirectiveNotName(t *testing.T) {
+	l := getLoader(t)
+	src := filepath.Join(l.ModuleDir, "internal", "analysis", "testdata", "protocolwindows")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func(name string, edit *strings.Replacer) []string {
+		dir := t.TempDir()
+		for _, e := range entries {
+			text, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte(edit.Replace(string(text))), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pkg, err := l.LoadDir(dir, "tcc/internal/analysis/testdata/"+name)
+		if err != nil || len(pkg.TypeErrors) > 0 {
+			t.Fatalf("load %s: %v %v", name, err, pkg.TypeErrors)
+		}
+		var got []string
+		for _, d := range analysis.Check(l.Fset, pkg) {
+			got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
+		}
+		return got
+	}
+	base := variant("pw_asis", strings.NewReplacer())
+	renamed := variant("pw_renamed", strings.NewReplacer(
+		"lockWriteSet", "takeWords", "installWriteSet", "publishWords",
+		"norecSeqAcquire", "seqTake", "norecSeqRelease", "seqGive"))
+	stripped := variant("pw_stripped", strings.NewReplacer("//stmlint:window", "// window"))
+	if len(base) == 0 || !reflect.DeepEqual(base, renamed) {
+		t.Errorf("renaming the helpers changed the findings:\n as is   %v\n renamed %v", base, renamed)
+	}
+	if len(stripped) != 0 {
+		t.Errorf("without directives the fixture has no windows, yet: %v", stripped)
+	}
+}

@@ -72,6 +72,10 @@ type CallGraph struct {
 	// themselves read-only and must not reach a write.
 	readonlyBodyFuncs map[*types.Func]bool
 
+	// windowOps records the functions whose doc comment carries a
+	// //stmlint:window directive (see windows.go).
+	windowOps map[*types.Func]windowOp
+
 	// concretes indexes every named type declared in the module by its
 	// explicit method-name set, in deterministic order, for CHA
 	// resolution of interface calls.
@@ -154,11 +158,12 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 		handlerFuncs:      make(map[*types.Func]bool),
 		txBodyFuncs:       make(map[*types.Func]bool),
 		readonlyBodyFuncs: make(map[*types.Func]bool),
+		windowOps:         make(map[*types.Func]windowOp),
 		chaCache:          make(map[*types.Func][]*types.Func),
 	}
 
-	// Pass 1: nodes, literal kinds, named handler/body registration,
-	// and the CHA type index.
+	// Pass 1: nodes, window directives, literal kinds, named
+	// handler/body registration, and the CHA type index.
 	for _, pkg := range sorted {
 		for _, f := range pkg.Files {
 			for lit, k := range classifyFuncLits(pkg.Info, f) {
@@ -172,6 +177,9 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 				}
 				if fn := declFunc(pkg.Info, fd); fn != nil {
 					g.nodes[fn] = &callNode{fn: fn, decl: fd, pkg: pkg}
+					if op := windowDirective(fd.Doc); op != 0 {
+						g.windowOps[fn] = op
+					}
 				}
 			}
 		}

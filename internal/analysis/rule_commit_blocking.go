@@ -72,7 +72,7 @@ func runCommitBlocking(p *Pass) {
 	g := p.Graph
 	searcher := g.newSearcher(func(n *callNode) []effect {
 		return blockingEffectsIn(g, n.pkg.Info, n.decl.Body)
-	}, blockingTrusted)
+	}, g.blockingTrusted)
 
 	info := p.Pkg.Info
 	seen := make(map[string]bool)
@@ -98,8 +98,8 @@ func runCommitBlocking(p *Pass) {
 
 // blockingTrusted prunes the reachability search at nodes whose
 // blocking is sanctioned or already another rule's finding.
-func blockingTrusted(fn *types.Func) bool {
-	if guardMachineryNames[fn.Name()] || isGuardMethod(fn) {
+func (g *CallGraph) blockingTrusted(fn *types.Func) bool {
+	if g.windowOps[fn] != 0 || isGuardMethod(fn) {
 		return true
 	}
 	if pkg := fn.Pkg(); pkg != nil {

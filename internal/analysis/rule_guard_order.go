@@ -73,7 +73,7 @@ func (p *Pass) checkAcquisitionLoops(f *ast.File, seen map[string]bool) {
 	info := p.Pkg.Info
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || guardMachineryNames[fd.Name.Name] {
+		if !ok || fd.Body == nil || p.Graph.windowOps[declFunc(info, fd)] != 0 {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {

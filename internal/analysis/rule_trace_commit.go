@@ -13,7 +13,7 @@ import (
 // allocates — either one inside a guard window would serialize every
 // commit sharing that guard behind it. Conflict attribution inside the
 // window is limited to plain field stores (stm's noteConflict and
-// noteGuardWait); emission happens after the guards are released. This
+// lockContended); emission happens after the guards are released. This
 // rule makes that boundary machine-checked over the whole module: no
 // statement of a guard-hold window or handler body — nor anything
 // reachable from one through the call graph, across packages — may

@@ -162,12 +162,14 @@ type stripeSweep struct {
 	guards []*stm.Guard
 }
 
+//stmlint:window open
 func (s *stripeSweep) lockSpan(lo, hi int) {
 	for _, g := range s.guards[lo:hi] {
 		g.Lock()
 	}
 }
 
+//stmlint:window close
 func (s *stripeSweep) unlockSpan(lo, hi int) {
 	for _, g := range s.guards[lo:hi] {
 		g.Unlock()

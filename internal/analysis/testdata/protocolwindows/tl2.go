@@ -15,12 +15,16 @@ type tx struct{}
 type varCore struct{}
 
 // lockWriteSet, unlockWriteSet, and installWriteSet model the stm
-// package's write-set lockword machinery; the rule matches them by
-// name, so the fixture stands in for internal/stm/protocol_tl2.go.
+// package's write-set lockword machinery; the rule finds them by their
+// directives, so the fixture stands in for internal/stm/protocol_tl2.go.
+//
+//stmlint:window open
 func lockWriteSet(t *tx, buf []*varCore) bool { return true }
 
+//stmlint:window close
 func unlockWriteSet(buf []*varCore) {}
 
+//stmlint:window close
 func installWriteSet(buf []*varCore, wv uint64) {}
 
 // tl2Commit holds every written var's lockword from lockWriteSet to

@@ -42,14 +42,17 @@ func conditionalWindow(tr obs.Tracer, guarded bool) {
 }
 
 // footprint models the commit protocol's guard-set acquisition: calls
-// to functions named acquireGuards/releaseGuards open and close the
+// to functions annotated //stmlint:window open|close open and close the
 // window just like direct Guard.Lock/Unlock.
+//
+//stmlint:window open
 func acquireGuards(gs []*stm.Guard) {
 	for _, g := range gs {
 		g.Lock()
 	}
 }
 
+//stmlint:window close
 func releaseGuards(gs []*stm.Guard) {
 	for _, g := range gs {
 		g.Unlock()
@@ -60,7 +63,7 @@ func footprintWindow(tr obs.Tracer, gs []*stm.Guard) {
 	acquireGuards(gs)
 	tr.Trace(obs.Event{}) // want trace-in-commit trace-in-commit
 	releaseGuards(gs)
-	tr.Trace(obs.Event{}) // emission after release: the protocol's emitGuardWaits shape
+	tr.Trace(obs.Event{}) // emission after release: the shape of stm's edgeGuardWaits
 }
 
 // stripedMap models a striped collection's all-stripes acquisition
@@ -71,12 +74,14 @@ type stripedMap struct {
 	guards []*stm.Guard
 }
 
+//stmlint:window open
 func (m *stripedMap) lockSpan(lo, hi int) {
 	for _, g := range m.guards[lo:hi] {
 		g.Lock()
 	}
 }
 
+//stmlint:window close
 func (m *stripedMap) unlockSpan(lo, hi int) {
 	for _, g := range m.guards[lo:hi] {
 		g.Unlock()
@@ -135,7 +140,7 @@ func otherMutexIsFine(tr obs.Tracer) {
 	otherMu.Unlock()
 }
 
-// fieldStoresAreFine mirrors stm's noteConflict and noteGuardWait:
+// fieldStoresAreFine mirrors stm's noteConflict and lockContended:
 // recording attribution with plain stores inside the window is the
 // sanctioned mechanism.
 type conflictNote struct {

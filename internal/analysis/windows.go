@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"strconv"
+	"strings"
 )
 
 // This file locates the code regions that execute with a commit guard
@@ -12,8 +13,9 @@ import (
 // commit-window-blocking, guard-order) analyze from. Two kinds exist:
 //
 //   - Guard-hold windows: within one block, the statements between a
-//     window-opening statement (Guard.Lock, acquireGuards, lockSpan)
-//     and the closing one (Guard.Unlock, releaseGuards, unlockSpan).
+//     window-opening statement (Guard.Lock, or a helper annotated
+//     //stmlint:window open) and the closing one (Guard.Unlock, or a
+//     helper annotated //stmlint:window close).
 //     The opener itself is excluded — acquisition is not yet "inside" —
 //     and the closer is included (it still runs with the guard held).
 //     A window never closed in its block extends to the block's end,
@@ -50,12 +52,12 @@ func (p *Pass) forEachGuardWindow(f *ast.File, visit func(w guardWindow)) {
 		open := -1
 		for i, stmt := range block.List {
 			if open < 0 {
-				if stmtOpensGuardWindow(info, stmt) {
+				if p.Graph.stmtGuardOp(info, stmt, "Lock", windowOpen) {
 					open = i
 				}
 				continue
 			}
-			if stmtClosesGuardWindow(info, stmt) {
+			if p.Graph.stmtGuardOp(info, stmt, "Unlock", windowClose) {
 				visit(guardWindow{block: block, open: block.List[open], body: block.List[open+1 : i+1]})
 				open = -1
 			}
@@ -89,15 +91,19 @@ func (p *Pass) forEachHandlerBody(f *ast.File, visit func(body *ast.BlockStmt)) 
 
 // Window vocabulary. Openers are calls that leave the caller holding
 // an exclusive resource every other committer can queue on; closers
-// release it. Three layers share the machinery:
+// release it. Guard.Lock/Unlock (the collections' fused critical
+// sections) are recognized by type; every other opener and closer is a
+// helper that says so itself, with a directive in its doc comment:
 //
-//   - Commit guards: Guard.Lock/Unlock (the collections' fused
-//     critical sections), acquireGuards/releaseGuards (the commit
-//     protocol's footprint acquisition — matched by name so the rule
-//     works both on the stm package's unexported helpers and on
-//     fixtures that model them), and lockSpan/unlockSpan, the one
-//     multi-guard sweep every striped collection shares (a contiguous
-//     span of stripes or lanes, all of them included).
+//	//stmlint:window open
+//	//stmlint:window close
+//
+// The module annotates three layers this way:
+//
+//   - Commit guards: acquireGuards/releaseGuards (the commit
+//     protocol's footprint acquisition) and core's lockSpan/unlockSpan,
+//     the one multi-guard sweep every striped collection shares (a
+//     contiguous span of stripes or lanes, all of them included).
 //   - Write-set lockwords: lockWriteSet acquires every written var's
 //     lockword in id order; unlockWriteSet (failed commit) and
 //     installWriteSet (successful publish) release them. Between the
@@ -108,79 +114,55 @@ func (p *Pass) forEachHandlerBody(f *ast.File, visit func(body *ast.BlockStmt)) 
 //     norecSeqRelease stores it even again — the widest window of the
 //     three, so keeping it tight matters most.
 //
-// windowOpenNames/windowCloseNames entries marked free are matched
-// only as free functions (a method of that name would be something
-// else); the rest match with or without a receiver.
-var windowOpenNames = map[string]bool{
-	"acquireGuards":   true,
-	"lockSpan":        false,
-	"lockWriteSet":    true,
-	"norecSeqAcquire": true,
+// A directive also makes its function guard machinery: the blocking
+// rule trusts it (acquiring the footprint, the write-set lockwords or
+// the sequence lock is the one sanctioned blocking operation — ordered
+// or bounded, and it IS the window), guard-order lets it sweep, and
+// window scanning treats calls to it as the window boundary rather
+// than as content. CallGraph.windowOps holds what the directives said.
+type windowOp int
+
+const (
+	windowOpen windowOp = iota + 1
+	windowClose
+)
+
+// windowDirective reads a //stmlint:window directive out of a
+// declaration's doc comment (0 when there is none).
+func windowDirective(doc *ast.CommentGroup) windowOp {
+	if doc != nil {
+		for _, c := range doc.List {
+			switch strings.TrimSpace(c.Text) {
+			case "//stmlint:window open":
+				return windowOpen
+			case "//stmlint:window close":
+				return windowClose
+			}
+		}
+	}
+	return 0
 }
 
-var windowCloseNames = map[string]bool{
-	"releaseGuards":   true,
-	"unlockSpan":      false,
-	"unlockWriteSet":  true,
-	"installWriteSet": true,
-	"norecSeqRelease": true,
-}
-
-// stmtOpensGuardWindow reports whether stmt directly opens a hold
-// window: stm.Guard.Lock or one of windowOpenNames. Deferred calls and
-// function literals do not count: a defer runs at function return, and
-// a closure body runs whenever it is invoked — neither changes whether
-// the resource is held at the statements that follow.
-func stmtOpensGuardWindow(info *types.Info, stmt ast.Stmt) bool {
-	return stmtGuardOp(info, stmt, "Lock", windowOpenNames)
-}
-
-// stmtClosesGuardWindow reports whether stmt directly closes the
-// window: Guard.Unlock or one of windowCloseNames.
-func stmtClosesGuardWindow(info *types.Info, stmt ast.Stmt) bool {
-	return stmtGuardOp(info, stmt, "Unlock", windowCloseNames)
-}
-
-// stmtGuardOp matches a window transition under stmt: the Guard method
-// itself (type-checked against the stm package), or a call whose
-// callee's name is in names — freeOnly entries only when the callee
-// has no receiver.
-func stmtGuardOp(info *types.Info, stmt ast.Stmt, method string, names map[string]bool) bool {
+// stmtGuardOp reports whether stmt directly opens (or closes) a hold
+// window: the stm.Guard method itself, type-checked against the stm
+// package, or a call to a function annotated with op. Deferred calls
+// and function literals do not count: a defer runs at function return,
+// and a closure body runs whenever it is invoked — neither changes
+// whether the resource is held at the statements that follow.
+func (g *CallGraph) stmtGuardOp(info *types.Info, stmt ast.Stmt, method string, op windowOp) bool {
 	found := false
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt, *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if isSTMMethod(info, n, "Guard", method) {
+			if isSTMMethod(info, n, "Guard", method) || g.windowOps[originFunc(calleeFunc(info, n))] == op {
 				found = true
-			} else if fn := calleeFunc(info, n); fn != nil {
-				if freeOnly, ok := names[fn.Name()]; ok && (!freeOnly || recvNamed(fn) == nil) {
-					found = true
-				}
 			}
 		}
 		return !found
 	})
 	return found
-}
-
-// guardMachineryNames are the protocols' own acquisition/release
-// helpers. The blocking rule trusts them (acquiring the footprint, the
-// write-set lockwords, or the sequence lock is the one sanctioned
-// blocking operation — ordered or bounded, and it IS the window), and
-// window scanning treats calls to them as the window boundary rather
-// than as content.
-var guardMachineryNames = map[string]bool{
-	"acquireGuards":   true,
-	"releaseGuards":   true,
-	"lockSpan":        true,
-	"unlockSpan":      true,
-	"lockWriteSet":    true,
-	"unlockWriteSet":  true,
-	"installWriteSet": true,
-	"norecSeqAcquire": true,
-	"norecSeqRelease": true,
 }
 
 // isGuardMethod reports whether fn is a method of stm.Guard.

@@ -477,18 +477,7 @@ func (tm *TransactionalMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
 		}
 		return w.val, true
 	}
-	st := tm.touch(tx, l, tm.StripeOf(k))
-	var v V
-	var present bool
-	_ = tx.Open(func(*stm.Tx) error {
-		st.guard.Lock()
-		defer st.guard.Unlock()
-		tm.lockKeyLocked(l, k)
-		v, present = st.m.Get(k)
-		return nil
-	})
-	tx.Thread().Clock.Tick(tm.opCost)
-	return v, present
+	return tm.readCommitted(tx, l, k, false)
 }
 
 // ContainsKey reports whether k is mapped, taking the same key lock as
@@ -515,7 +504,7 @@ func (tm *TransactionalMap[K, V]) Put(tx *stm.Tx, k K, v V) (V, bool) {
 		l.storeBuffer[k] = w
 		return old, had
 	}
-	old, had := tm.readCommittedWrite(tx, l, k, true)
+	old, had := tm.readCommitted(tx, l, k, true)
 	l.storeBuffer[k] = mapWrite[V]{val: v, committed: presenceOf(had)}
 	l.bufferKey(k)
 	return old, had
@@ -554,7 +543,7 @@ func (tm *TransactionalMap[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 		l.storeBuffer[k] = w
 		return old, had
 	}
-	old, had := tm.readCommittedWrite(tx, l, k, true)
+	old, had := tm.readCommitted(tx, l, k, true)
 	l.storeBuffer[k] = mapWrite[V]{removed: true, committed: presenceOf(had)}
 	l.bufferKey(k)
 	return old, had
@@ -586,11 +575,7 @@ func (tm *TransactionalMap[K, V]) PutAll(tx *stm.Tx, src map[K]V) {
 // readCommitted reads k's committed mapping under its key lock. For
 // write operations (forWrite), the eager-write-check ablation also
 // performs the key-conflict detection immediately.
-func (tm *TransactionalMap[K, V]) readCommitted(tx *stm.Tx, l *mapLocal[K, V], k K) (V, bool) {
-	return tm.readCommittedWrite(tx, l, k, false)
-}
-
-func (tm *TransactionalMap[K, V]) readCommittedWrite(tx *stm.Tx, l *mapLocal[K, V], k K, forWrite bool) (V, bool) {
+func (tm *TransactionalMap[K, V]) readCommitted(tx *stm.Tx, l *mapLocal[K, V], k K, forWrite bool) (V, bool) {
 	si := tm.StripeOf(k)
 	st := tm.touch(tx, l, si)
 	var v V
@@ -658,18 +643,34 @@ func (tm *TransactionalMap[K, V]) Size(tx *stm.Tx) int {
 	if tx.IsSnapshot() {
 		return tm.snapshotSize(tx)
 	}
+	return tm.lockedSize(tx, false)
+}
+
+// lockedSize is the whole-map scan behind Size and IsEmpty: the
+// committed sizes of all stripes plus the buffer's delta, read under the
+// size lock or — for IsEmpty's question (empty) — the empty-transition
+// lock of every stripe.
+func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, empty bool) int {
 	l := tm.local(tx)
 	tm.touchAll(tx, l)
 	n := 0
 	_ = tx.Open(func(*stm.Tx) error {
 		for si, st := range tm.stripes {
 			st.guard.Lock()
-			st.sizeLockers.Lock(l.h)
+			if empty {
+				st.emptyLockers.Lock(l.h)
+			} else {
+				st.sizeLockers.Lock(l.h)
+			}
 			tm.resolveBlindStripeLocked(st, si, l)
 			n += st.m.Size()
 			st.guard.Unlock()
 		}
-		l.sizeLocked = true
+		if empty {
+			l.emptyLocked = true
+		} else {
+			l.sizeLocked = true
+		}
 		n += tm.deltaLocked(l)
 		return nil
 	})
@@ -691,23 +692,7 @@ func (tm *TransactionalMap[K, V]) IsEmpty(tx *stm.Tx) bool {
 	if tm.isEmptyViaSize || tx.IsSnapshot() {
 		return tm.Size(tx) == 0
 	}
-	l := tm.local(tx)
-	tm.touchAll(tx, l)
-	n := 0
-	_ = tx.Open(func(*stm.Tx) error {
-		for si, st := range tm.stripes {
-			st.guard.Lock()
-			st.emptyLockers.Lock(l.h)
-			tm.resolveBlindStripeLocked(st, si, l)
-			n += st.m.Size()
-			st.guard.Unlock()
-		}
-		l.emptyLocked = true
-		n += tm.deltaLocked(l)
-		return nil
-	})
-	tx.Thread().Clock.Tick(tm.opCost)
-	return n == 0
+	return tm.lockedSize(tx, true) == 0
 }
 
 // applyLocked is the commit handler's body: apply the buffer to the

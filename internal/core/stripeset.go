@@ -167,6 +167,8 @@ func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
 // compatible with the commit protocol's sorted footprint acquisition, so
 // it cannot deadlock. stmlint classifies a lockSpan call as opening a
 // commit-guard hold window.
+//
+//stmlint:window open
 func (s *stripeSet) lockSpan(lo, hi int) {
 	for _, g := range s.guards[lo:hi] {
 		g.Lock()
@@ -175,6 +177,8 @@ func (s *stripeSet) lockSpan(lo, hi int) {
 
 // unlockSpan unlocks the guards of partitions [lo, hi) (closing the hold
 // window).
+//
+//stmlint:window close
 func (s *stripeSet) unlockSpan(lo, hi int) {
 	for _, g := range s.guards[lo:hi] {
 		g.Unlock()

@@ -81,7 +81,7 @@ func TestWindowPartialDecay(t *testing.T) {
 	c.Add(5) // lands in the initial slot
 
 	r.Advance(t0.Add(600 * time.Millisecond)) // 6 slots later
-	c.Add(7) // lands in a fresh slot
+	c.Add(7)                                  // lands in a fresh slot
 
 	// 4 more slots: the first write's slot has aged out (10 slots > 8),
 	// the second (4 slots old) is still live.

@@ -158,19 +158,19 @@ type Hotspot struct {
 
 // ProfileReport is the exportable (JSON-able) snapshot of a Profile.
 type ProfileReport struct {
-	Begins          uint64       `json:"begins"`
-	Commits         uint64       `json:"commits"`
-	SnapshotCommits uint64       `json:"snapshot_commits,omitempty"`
-	Aborts          uint64       `json:"aborts"`
-	Violations      uint64       `json:"violations"`
-	UserAborts      uint64       `json:"user_aborts,omitempty"`
-	NestedRetries   uint64       `json:"nested_retries,omitempty"`
-	OpenCommits     uint64       `json:"open_commits,omitempty"`
-	OpenRetries     uint64       `json:"open_retries,omitempty"`
-	Backoffs        uint64       `json:"backoffs,omitempty"`
-	BackoffCycles   uint64       `json:"backoff_cycles,omitempty"`
-	GuardWaits      uint64       `json:"guard_waits,omitempty"`
-	LostCycles      uint64       `json:"lost_cycles"`
+	Begins          uint64 `json:"begins"`
+	Commits         uint64 `json:"commits"`
+	SnapshotCommits uint64 `json:"snapshot_commits,omitempty"`
+	Aborts          uint64 `json:"aborts"`
+	Violations      uint64 `json:"violations"`
+	UserAborts      uint64 `json:"user_aborts,omitempty"`
+	NestedRetries   uint64 `json:"nested_retries,omitempty"`
+	OpenCommits     uint64 `json:"open_commits,omitempty"`
+	OpenRetries     uint64 `json:"open_retries,omitempty"`
+	Backoffs        uint64 `json:"backoffs,omitempty"`
+	BackoffCycles   uint64 `json:"backoff_cycles,omitempty"`
+	GuardWaits      uint64 `json:"guard_waits,omitempty"`
+	LostCycles      uint64 `json:"lost_cycles"`
 	// AbortRate is (aborts+violations+user aborts) over all finished
 	// transactions in this profile.
 	AbortRate float64 `json:"abort_rate"`

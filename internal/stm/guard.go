@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -68,7 +69,7 @@ func (g *Guard) Label() string {
 	if g.label != "" {
 		return g.label
 	}
-	return "guard#" + utoa(g.id)
+	return "guard#" + strconv.FormatUint(g.id, 10)
 }
 
 // Lock acquires the guard outside the commit protocol — the
@@ -113,44 +114,25 @@ func sortGuards(buf []*Guard) []*Guard {
 }
 
 // acquireGuards locks every guard in gs, which must be sorted by id
-// (deadlock freedom). The TryLock probe is only contention detection
-// for the guard-wait event and metric: attribution is recorded with
-// plain field stores here (including the wall-clock blocking time
-// when metrics are enabled) and emitted after the guards are
-// released.
+// (deadlock freedom). The TryLock probe is only contention detection:
+// a guard that is busy is taken through lockContended, which records
+// the wait for the guard-waits edge reported after release.
+//
+//stmlint:window open
 func acquireGuards(tx *Tx, gs []*Guard) {
-	top := tx.top()
 	for _, g := range gs {
-		if g.mu.TryLock() {
-			continue
+		if !g.mu.TryLock() {
+			tx.lockContended(g)
 		}
-		tx.noteGuardWait(g)
-		t0 := guardWaitStart(top)
-		g.mu.Lock()
-		guardWaitDone(top, t0)
 	}
 }
 
 // releaseGuards unlocks every guard in gs (any order; nothing blocks
 // on release).
+//
+//stmlint:window close
 func releaseGuards(gs []*Guard) {
 	for _, g := range gs {
 		g.mu.Unlock()
 	}
-}
-
-// utoa formats a uint64 without importing strconv into the hot-path
-// file set (labels are resolved at emission time only).
-func utoa(u uint64) string {
-	if u == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for u > 0 {
-		i--
-		b[i] = byte('0' + u%10)
-		u /= 10
-	}
-	return string(b[i:])
 }

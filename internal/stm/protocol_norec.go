@@ -137,6 +137,8 @@ func (norecProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 // sequence on every CAS failure. On success norecSeq is odd and every
 // other NOrec transaction system-wide stalls until norecSeqRelease —
 // stmlint treats the acquire→release span as a hold window.
+//
+//stmlint:window open
 func norecSeqAcquire(tx *Tx) bool {
 	for !norecSeq.CompareAndSwap(tx.readVersion, tx.readVersion+1) {
 		if !norecValidate(tx) {
@@ -150,6 +152,8 @@ func norecSeqAcquire(tx *Tx) bool {
 // readVersion (abort — nothing was installed while odd, so readers'
 // validations against the restored value still hold) or readVersion+2
 // (successful commit).
+//
+//stmlint:window close
 func norecSeqRelease(s uint64) {
 	norecSeq.Store(s)
 }
@@ -190,7 +194,7 @@ func norecValidate(tx *Tx) bool {
 // every recorded read is the newest committed value at that clock
 // version.
 func (norecProtocol) snapshotMark(tx *Tx) (uint64, bool) {
-	for attempt := 0; attempt < 8; attempt++ {
+	for try := 0; try < 8; try++ {
 		if !norecExtend(tx) {
 			return 0, false
 		}
@@ -202,7 +206,7 @@ func (norecProtocol) snapshotMark(tx *Tx) (uint64, bool) {
 	return 0, false
 }
 
-func (norecProtocol) abandon(tx *Tx)                 {}
+func (norecProtocol) abandon(tx *Tx)                {}
 func (norecProtocol) abandonLevel(tx *Tx, l *level) {}
 
 // firstChangedValue returns the first recorded read whose current

@@ -36,7 +36,7 @@ func (tl2Protocol) snapshotMark(tx *Tx) (uint64, bool) { return tx.readVersion, 
 
 // abandon/abandonLevel: lazy locking holds nothing between Set and
 // commit, so an aborted attempt has nothing to release.
-func (tl2Protocol) abandon(tx *Tx)                 {}
+func (tl2Protocol) abandon(tx *Tx)                {}
 func (tl2Protocol) abandonLevel(tx *Tx, l *level) {}
 
 // tl2Read samples c without locking and validates the version against
@@ -44,8 +44,14 @@ func (tl2Protocol) abandonLevel(tx *Tx, l *level) {}
 // eager variant, whose read side is identical.
 func tl2Read(tx *Tx, c *varCore) any {
 	val, ver := c.sample(tx)
-	if ver > tx.readVersion && !tl2Extend(tx) {
-		tx.bail(sigRetry, "stale read")
+	for ver > tx.readVersion {
+		if !tl2Extend(tx) {
+			tx.bail(sigRetry, "stale read")
+		}
+		// The extension validated the reads recorded so far, not this
+		// one: a commit between the sample and the new read point may
+		// have replaced what was sampled. Sample again under it.
+		val, ver = c.sample(tx)
 	}
 	tx.cur.reads.put(c, ver, nil)
 	return val
@@ -107,6 +113,8 @@ func tl2Commit(tx *Tx, l *level, doPrepare bool) bool {
 // the protocol's lockword hold window: everything until the matching
 // unlockWriteSet/installWriteSet runs with committed state locked, and
 // must not block (stmlint commit-window-blocking).
+//
+//stmlint:window open
 func lockWriteSet(tx *Tx, buf []writeEntry) bool {
 	for i, e := range buf {
 		if !e.c.tryLock(tx.handle) {
@@ -120,6 +128,8 @@ func lockWriteSet(tx *Tx, buf []writeEntry) bool {
 
 // unlockWriteSet unlocks the given write-set prefix after a failed
 // commit, leaving versions unchanged. Closes the lockword hold window.
+//
+//stmlint:window close
 func unlockWriteSet(buf []writeEntry) {
 	for _, e := range buf {
 		e.c.unlock()
@@ -129,6 +139,8 @@ func unlockWriteSet(buf []writeEntry) {
 // installWriteSet publishes every buffered write at version wv,
 // releasing each lockword in the same store. Closes the lockword hold
 // window on the success path.
+//
+//stmlint:window close
 func installWriteSet(buf []writeEntry, wv uint64) {
 	for _, e := range buf {
 		e.c.install(e.val, wv)

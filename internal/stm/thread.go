@@ -107,8 +107,10 @@ type Thread struct {
 	// its Chrome-trace lane and its histogram shard). Harnesses set it
 	// to the virtual CPU id; it is not interpreted by the STM.
 	TraceID int
-	rng     *rand.Rand
-	inTx    bool
+	// rng is the backoff RNG, built from seed on the first backoff.
+	rng  *rand.Rand
+	seed int64
+	inTx bool
 	// proto is the worker's concurrency-control protocol (see Protocol);
 	// NewThread starts on the TL2 default and SetProtocol switches it.
 	// protoCommits caches the protocol's labeled commit counter so the
@@ -185,7 +187,7 @@ func (t *Thread) sortedGuards(lists ...[]*Guard) []*Guard {
 func NewThread(clock Clock, seed int64) *Thread {
 	t := &Thread{
 		Clock:        clock,
-		rng:          rand.New(rand.NewSource(seed)),
+		seed:         seed,
 		proto:        protocolRegistry[DefaultProtocol],
 		protoCommits: protoCommitCounters[DefaultProtocol],
 	}
@@ -194,45 +196,27 @@ func NewThread(clock Clock, seed int64) *Thread {
 	return t
 }
 
-// getTx pops a recycled Tx or allocates one.
+// getTx pops a recycled Tx or allocates one, bound to t.
 func (t *Thread) getTx() *Tx {
 	if n := len(t.txPool) - 1; n >= 0 {
 		tx := t.txPool[n]
 		t.txPool[n] = nil
 		t.txPool = t.txPool[:n]
+		tx.thread = t
 		return tx
 	}
-	return &Tx{}
+	return &Tx{thread: t}
 }
 
-// putTx returns a finished Tx (and its level chain) to the pools. The
-// locals map is cleared but kept, so collections that attach buffers
-// every transaction stop paying for the map after the first one.
+// putTx returns a finished Tx (and its level chain) to the pools as a
+// zero Tx but for two buffers: the eager-lock list and the locals map are
+// cleared but kept, so collections that attach buffers every transaction
+// stop paying for the map after the first one.
 func (t *Thread) putTx(tx *Tx) {
 	t.releaseLevels(tx)
-	tx.thread = nil
-	tx.handle = nil
-	tx.outer = nil
-	tx.readVersion = 0
-	tx.attempt = 0
-	tx.tracer = nil
-	tx.txid = 0
-	tx.firstBirth = 0
-	tx.conflict = conflictRec{}
-	tx.gwaits = 0
-	tx.gwaitOn = nil
-	tx.mon = false
-	tx.gwaitNs = 0
-	tx.snapshot = false
-	tx.fellBack = false
-	tx.snapVersion = 0
-	for i := range tx.eagerLocks {
-		tx.eagerLocks[i] = nil
-	}
-	tx.eagerLocks = tx.eagerLocks[:0]
-	if tx.locals != nil {
-		clear(tx.locals)
-	}
+	clear(tx.eagerLocks)
+	clear(tx.locals)
+	*tx = Tx{eagerLocks: tx.eagerLocks[:0], locals: tx.locals}
 	t.txPool = append(t.txPool, tx)
 }
 
@@ -282,11 +266,16 @@ func (t *Thread) flushDeferred() {
 // backoff stalls according to the worker's contention-management
 // policy (paper §5.1 discusses the need; the default is randomized
 // exponential backoff, see BackoffPolicy for alternatives) and
-// returns the cycles waited, so retry loops can report the stall.
+// returns the cycles waited, so retry loops can report the stall. The
+// RNG is built on the first stall: most workers never back off, and a
+// math/rand source is 607 words.
 func (t *Thread) backoff(attempt int) uint64 {
 	p := t.policy
 	if p == nil {
 		p = defaultPolicy
+	}
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(t.seed))
 	}
 	w := p.Backoff(attempt, t.rng)
 	t.Clock.Wait(w)
@@ -301,14 +290,7 @@ func (t *Thread) backoff(attempt int) uint64 {
 // Atomic must not be called while a transaction is already running on
 // this Thread; use tx.Nested (closed nesting) or tx.Open (open nesting)
 // instead.
-func (t *Thread) Atomic(fn func(tx *Tx) error) error {
-	if t.inTx {
-		panic("stm: nested Atomic on one Thread; use tx.Nested or tx.Open")
-	}
-	t.inTx = true
-	defer func() { t.inTx = false }()
-	return t.retryLoop(fn)
-}
+func (t *Thread) Atomic(fn func(tx *Tx) error) error { return t.run(fn, false) }
 
 // AtomicRead runs fn as a read-only transaction on the MVCC-lite
 // snapshot path: the global clock is sampled once at begin and every
@@ -319,254 +301,138 @@ func (t *Thread) Atomic(fn func(tx *Tx) error) error {
 // If the snapshot cannot complete — fn writes, registers a handler,
 // opens an open-nested child, or a var's one-deep retained history was
 // truncated past the read version on every restart — the transaction
-// transparently re-runs on the ordinary retry path (counted in
-// Stats.SnapshotFallbacks), so fn must tolerate re-execution exactly
-// as an Atomic body must.
-func (t *Thread) AtomicRead(fn func(tx *Tx) error) error {
-	if t.inTx {
-		panic("stm: nested AtomicRead on one Thread; use tx.Nested")
-	}
-	t.inTx = true
-	defer func() { t.inTx = false }()
-	if err, done := t.snapshotRead(fn); done {
-		return err
-	}
-	t.Stats.SnapshotFallbacks++
-	if metricsOn() {
-		mSnapFallbacks.Add(1)
-	}
-	return t.retryLoop(fn)
-}
+// transparently continues on the ordinary retry path (counted in
+// Stats.SnapshotFallbacks; still one transaction to every observer), so
+// fn must tolerate re-execution exactly as an Atomic body must.
+func (t *Thread) AtomicRead(fn func(tx *Tx) error) error { return t.run(fn, true) }
 
 // maxSnapshotRestarts bounds how many times one snapshot transaction
 // restarts with a fresh read version (shallow history, or a committer
 // stalled on a lockword) before giving up on the snapshot path.
 const maxSnapshotRestarts = 8
 
-// snapshotRead attempts fn as a snapshot transaction. done=false means
-// the caller must re-run fn on the retry path. The handle is the
-// thread's recycled snapshot handle: a snapshot transaction never
-// enters a lock table, so nobody else can hold it between attempts,
-// and the path allocates nothing in steady state.
-func (t *Thread) snapshotRead(fn func(tx *Tx) error) (error, bool) {
-	tx := t.getTx()
-	h := t.snapHandle
-	if h == nil {
-		h = &Handle{}
-		t.snapHandle = h
-	}
-	for restart := 0; restart < maxSnapshotRestarts; restart++ {
-		t.Clock.Tick(CostTxBegin)
-		h.status.Store(int32(StatusActive))
-		h.birth = t.Clock.Now()
-		tx.thread = t
-		tx.handle = h
-		tx.outer = nil
-		// The snapshot path is protocol-independent MVCC: its read
-		// point is always a global-clock version, whatever space the
-		// active protocol's readVersion lives in.
+// begin starts one attempt: charge the begin cost, take a handle and a
+// read version, push the root level. A pure snapshot attempt (snap)
+// runs under the thread's recycled snapshot handle — it never enters a
+// lock table and never acquires a lockword, so nobody else can hold the
+// handle between attempts, which is what makes the path allocation-free
+// — and reads at a global-clock version whatever space the protocol's
+// own read version lives in: the snapshot path is protocol-independent
+// MVCC.
+func (tx *Tx) begin(attempt int, snap bool) {
+	t := tx.thread
+	t.Clock.Tick(CostTxBegin)
+	if snap {
+		if t.snapHandle == nil {
+			t.snapHandle = &Handle{}
+		}
+		tx.handle = t.snapHandle
+		tx.handle.status.Store(int32(StatusActive))
+		tx.handle.birth = t.Clock.Now()
 		tx.readVersion = globalClock.Load()
 		tx.snapVersion = tx.readVersion
-		tx.cur = t.getLevel(nil)
-		tx.attempt = 0
-		tx.snapshot = true
-		if tx.locals != nil {
-			clear(tx.locals)
-		}
-		tx.tracer = obs.Active()
-		tx.mon = metricsOn()
-		if (tx.tracer != nil || tx.mon) && tx.firstBirth == 0 {
-			tx.firstBirth = h.birth
-		}
-		if tx.tracer != nil {
-			if tx.txid == 0 {
-				tx.txid = txIDs.Add(1)
-			}
-			h.txid = tx.txid
-			e := tx.event(obs.KindTxBegin)
-			e.Snapshot = true
-			tx.tracer.Trace(e)
-		}
-		err, sig := runTx(fn, tx)
-		switch {
-		case sig == nil && err == nil:
-			// Nothing to lock, validate, or publish: the snapshot
-			// serializes at its read version by construction. Commit
-			// is a pair of counters and a (cheaper) tick.
-			t.Stats.Commits++
-			t.Stats.SnapshotCommits++
-			tx.countCommit(true)
-			if tx.tracer != nil {
-				e := tx.event(obs.KindTxCommit)
-				e.Snapshot = true
-				e.Dur = since(e.Time, tx.firstBirth)
-				e.Reads = 0
-				tx.tracer.Trace(e)
-			}
-			t.putTx(tx)
-			t.Clock.Tick(CostSnapshotCommit)
-			return nil, true
-		case sig == nil:
-			// fn returned an error: nothing was buffered, nothing to
-			// compensate — report it without retrying, like Atomic.
-			t.Stats.UserAborts++
-			if tx.mon {
-				mUserAborts.Add(1)
-			}
-			tx.emitRollback(obs.KindTxUserAbort, "error return")
-			t.putTx(tx)
-			return err, true
-		case sig.kind == sigUserAbort:
-			t.Stats.UserAborts++
-			if tx.mon {
-				mUserAborts.Add(1)
-			}
-			tx.emitRollback(obs.KindTxUserAbort, sig.reason)
-			t.putTx(tx)
-			return sig.err, true
-		case sig.kind == sigFallback && sig.reason == fallbackShallowHistory:
-			// Writers truncated a var's history past the read version
-			// (lapped this reader twice), or a committer sat on a
-			// lockword for the whole spin budget. Resample the clock
-			// and re-run — not a conflict, not an abort: this reader
-			// was invisible, so no writer lost any work either.
-			t.releaseLevels(tx)
-		default:
-			// The body wrote, registered a handler, opened an
-			// open-nested child — or was violated through a handle
-			// the caller shared. Re-run on the retry path.
-			t.releaseLevels(tx)
-			t.putTx(tx)
-			return nil, false
-		}
-	}
-	t.putTx(tx)
-	return nil, false
-}
-
-// retryLoop is the ordinary optimistic path shared by Atomic and the
-// AtomicRead fallback: run fn, commit, and on any conflict roll back,
-// back off, and re-run until the transaction commits or returns.
-func (t *Thread) retryLoop(fn func(tx *Tx) error) error {
-	tx := t.getTx()
-	for attempt := 0; ; attempt++ {
-		t.Clock.Tick(CostTxBegin)
-		tx.thread = t
+	} else {
 		tx.handle = &Handle{id: handleIDs.Add(1), birth: t.Clock.Now()}
-		tx.outer = nil
 		tx.readVersion = t.proto.begin(t)
 		tx.snapVersion = 0
-		tx.cur = t.getLevel(nil)
-		tx.attempt = attempt
-		tx.snapshot = false
-		if tx.locals != nil {
-			clear(tx.locals)
-		}
-		// One atomic load per attempt is the entire disabled-tracer
-		// cost (plus nil checks at the emission sites below); the
-		// metrics plane pays the same way via tx.mon.
-		tx.tracer = obs.Active()
-		tx.mon = metricsOn()
-		if tx.tracer != nil || tx.mon {
-			if tx.firstBirth == 0 {
-				tx.firstBirth = tx.handle.birth
-			}
-			tx.conflict = conflictRec{}
-		}
-		if tx.tracer != nil {
-			if tx.txid == 0 {
-				tx.txid = txIDs.Add(1)
-			}
-			tx.handle.txid = tx.txid
-			tx.tracer.Trace(tx.event(obs.KindTxBegin))
-		}
+	}
+	tx.cur = t.getLevel(nil)
+	tx.attempt = attempt
+	tx.snapshot = snap
+	clear(tx.locals)
+	tx.edgeBegin()
+}
+
+// run is the one attempt loop behind Atomic and AtomicRead: begin, run
+// fn, commit; on a conflict roll back, back off and re-run, until the
+// transaction commits or fn asks out.
+//
+// snap selects pure snapshot mode for the attempt (AtomicRead). Such an
+// attempt records, locks and publishes nothing, so it has no commit
+// protocol to run and nothing to roll back; it serializes at its read
+// version by construction. When it cannot finish it either restarts
+// with a fresh read version or falls back: snap goes off and the same
+// transaction — same Tx, txid and firstBirth — continues as an ordinary
+// one.
+func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
+	if t.inTx {
+		panic("stm: nested Atomic on one Thread; use tx.Nested or tx.Open")
+	}
+	t.inTx = true
+	defer func() { t.inTx = false }()
+	tx := t.getTx()
+	restarts := 0
+	for attempt := 0; ; attempt++ {
+		tx.begin(attempt, snap)
 		err, sig := runTx(fn, tx)
 		switch {
 		case sig == nil && err == nil:
-			var nr, nw, nh int
-			if tx.tracer != nil {
-				nr, nw, nh = tx.cur.reads.len(), tx.cur.writes.len(), len(tx.cur.onCommit)
-			}
-			if tx.commit() {
-				t.Stats.Commits++
-				if tx.snapshot {
-					// SetReadOnly ran and held: the attempt's later
-					// reads were invisible snapshot reads.
-					t.Stats.SnapshotCommits++
-				}
-				tx.countCommit(tx.snapshot)
-				if tx.tracer != nil {
-					e := tx.event(obs.KindTxCommit)
-					e.Snapshot = tx.snapshot
-					e.Dur = since(e.Time, tx.firstBirth)
-					e.Reads, e.Writes, e.Handlers = nr, nw, nh
-					tx.tracer.Trace(e)
-				}
+			if snap || tx.commit() {
+				tx.edgeCommit()
 				t.putTx(tx)
+				if snap {
+					t.Clock.Tick(CostSnapshotCommit)
+				}
 				return nil
 			}
 			tx.rollback()
 			if reason := tx.handle.ViolationReason(); reason != "" {
-				t.Stats.countViolation(reason)
-				if tx.mon {
-					mViolations.AddLane(t.TraceID, 1)
-				}
-				tx.emitRollback(obs.KindTxViolated, reason)
+				tx.edgeRollback(obs.KindTxViolated, reason)
 			} else {
-				t.Stats.Aborts++
-				tx.countAbort()
-				tx.emitRollback(obs.KindTxAbort, "")
+				tx.edgeRollback(obs.KindTxAbort, "")
 			}
-		case sig == nil && err != nil:
-			tx.rollback()
-			t.Stats.UserAborts++
-			if tx.mon {
-				mUserAborts.Add(1)
+		case sig == nil || sig.kind == sigUserAbort:
+			// fn returned an error or called tx.Abort: report it without
+			// retrying.
+			reason := "error return"
+			if sig != nil {
+				err, reason = sig.err, sig.reason
 			}
-			tx.emitRollback(obs.KindTxUserAbort, "error return")
+			if !snap {
+				tx.rollback()
+			}
+			tx.edgeRollback(obs.KindTxUserAbort, reason)
 			t.putTx(tx)
 			return err
-		case sig.kind == sigUserAbort:
-			tx.rollback()
-			t.Stats.UserAborts++
-			if tx.mon {
-				mUserAborts.Add(1)
+		case snap:
+			// Pure snapshot attempts are not numbered: each is attempt 0,
+			// and so is the first ordinary attempt after them. No conflict
+			// occurred — this reader was invisible, so no writer lost work
+			// either — hence no abort is counted and no backoff is due.
+			attempt = -1
+			t.releaseLevels(tx)
+			restarts++
+			if sig.kind == sigFallback && sig.reason == fallbackShallowHistory && restarts < maxSnapshotRestarts {
+				// Writers truncated a var's history past the read version
+				// (lapped this reader twice), or a committer sat on a
+				// lockword for the whole spin budget: resample the clock.
+				continue
 			}
-			tx.emitRollback(obs.KindTxUserAbort, sig.reason)
-			t.putTx(tx)
-			return sig.err
-		case sig.kind == sigViolated:
-			tx.rollback()
-			t.Stats.countViolation(sig.reason)
-			if tx.mon {
-				mViolations.AddLane(t.TraceID, 1)
-			}
-			tx.emitRollback(obs.KindTxViolated, sig.reason)
+			// The body wrote, registered a handler, opened an open-nested
+			// child, was violated through a handle the caller shared — or
+			// the restart budget is spent.
+			snap, tx.fellBack = false, true
+			tx.edgeFallback()
+			continue
 		case sig.kind == sigFallback:
-			// A SetReadOnly attempt turned out to write (or register
-			// a handler): silently restart with snapshot mode pinned
-			// off. No conflict occurred and nothing was published —
-			// no abort is counted and no backoff is due; rollback
-			// runs any abort handlers registered before the switch.
+			// A SetReadOnly attempt turned out to write (or register a
+			// handler): restart with snapshot mode pinned off. Again no
+			// conflict, no abort, no backoff; rollback runs any abort
+			// handlers registered before the switch.
 			tx.fellBack = true
-			t.Stats.SnapshotFallbacks++
-			if tx.mon {
-				mSnapFallbacks.Add(1)
-			}
+			tx.edgeFallback()
 			tx.rollback()
 			t.releaseLevels(tx)
 			continue
+		case sig.kind == sigViolated:
+			tx.rollback()
+			tx.edgeRollback(obs.KindTxViolated, sig.reason)
 		default: // sigRetry
 			tx.rollback()
-			t.Stats.Aborts++
-			tx.countAbort()
-			tx.emitRollback(obs.KindTxAbort, "")
-		}
-		if tx.mon {
-			mRetries.AddLane(t.TraceID, 1)
+			tx.edgeRollback(obs.KindTxAbort, "")
 		}
 		t.releaseLevels(tx)
-		tx.backoffTraced(attempt)
+		tx.edgeBackoff(t.backoff(attempt))
 	}
 }
 
@@ -591,7 +457,6 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 	}
 	t := tx.thread
 	o := t.getTx()
-	o.thread = t
 	o.handle = tx.handle // locks taken inside are owned by the top-level tx
 	o.outer = tx
 	for attempt := 0; ; attempt++ {
@@ -613,15 +478,7 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 				for _, g := range o.cur.abortGuards {
 					tx.cur.abortGuards = addGuard(tx.cur.abortGuards, g)
 				}
-				t.Stats.OpenCommits++
-				if o.top().mon {
-					mOpenCommits.AddLane(t.TraceID, 1)
-				}
-				if tr := o.trc(); tr != nil {
-					e := o.event(obs.KindOpenCommit)
-					e.Writes = o.cur.writes.len()
-					tr.Trace(e)
-				}
+				o.edgeOpenCommit()
 				// Whatever the protocol still held for the child was
 				// released by the install; this only clears the tracking.
 				t.proto.abandon(o)
@@ -629,21 +486,13 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 				tx.tick(CostOpenCommit)
 				return nil
 			}
-			t.Stats.OpenRetries++
-			if o.top().mon {
-				mOpenRetries.Add(1)
-			}
-			o.emitOpenRetry()
+			o.edgeOpenRetry()
 		case sig == nil && err != nil:
 			t.proto.abandon(o)
 			t.putTx(o)
 			return err
 		case sig.kind == sigRetry:
-			t.Stats.OpenRetries++
-			if o.top().mon {
-				mOpenRetries.Add(1)
-			}
-			o.emitOpenRetry()
+			o.edgeOpenRetry()
 		default:
 			// Violation or user abort of the enclosing transaction.
 			t.proto.abandon(o)
@@ -652,6 +501,6 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 		}
 		t.proto.abandon(o)
 		t.releaseLevels(o)
-		o.backoffTraced(attempt)
+		o.edgeBackoff(t.backoff(attempt))
 	}
 }

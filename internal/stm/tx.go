@@ -302,8 +302,9 @@ type Tx struct {
 	// snapVersion is the global-clock version the MVCC-lite snapshot
 	// branch reads at while snapshot mode is on. It equals readVersion
 	// for clock-based protocols but must be tracked separately because
-	// NOrec's readVersion lives in sequence-lock space; set by
-	// snapshotRead and by SetReadOnly via the protocol's snapshotMark.
+	// NOrec's readVersion lives in sequence-lock space; set by begin in
+	// pure snapshot mode and by SetReadOnly via the protocol's
+	// snapshotMark.
 	snapVersion uint64
 	// eagerLocks tracks the lockwords this Tx (not its open-nested
 	// children, which track their own) acquired at Set time under an
@@ -330,31 +331,26 @@ type Tx struct {
 	// for the rest of the transaction so the fallback cannot loop.
 	fellBack bool
 
-	// Observability state, meaningful only on a top-level Tx (nested
-	// and open children route through top()). tracer is the sink
-	// captured at the start of the attempt (nil = tracing disabled,
-	// the fast path); txid is the process-global transaction id,
-	// assigned lazily when a tracer is active; firstBirth is the
-	// worker time of the first attempt, for whole-transaction latency;
-	// conflict is the pending rollback attribution.
+	// Lifecycle-reporting state (lifecycle.go), meaningful only on a
+	// top-level Tx (nested and open children route through top()).
+	// tracer and mon are the two optional sinks as edgeBegin found them
+	// at the start of the attempt (nil and false = the fast path); txid
+	// is the process-global transaction id, assigned lazily when a
+	// tracer is active; firstBirth is the worker time of the first
+	// attempt, for whole-transaction latency.
 	tracer     obs.Tracer
+	mon        bool
 	txid       uint64
 	firstBirth uint64
-	conflict   conflictRec
-	// mon mirrors tracer for the metrics plane: metrics.On() sampled
-	// once at the start of the attempt (the entire disabled-metrics
-	// cost), branched on as a plain bool at every counting site.
-	// gwaitNs accumulates wall nanoseconds blocked in acquireGuards,
-	// flushed by countGuardWaits after the guards are released.
-	mon     bool
-	gwaitNs uint64
-	// gwaits / gwaitOn record commit-guard contention observed by the
-	// TryLock probe in acquireGuards: the number of guards this commit
-	// or rollback blocked on and the last such guard. Plain field
-	// stores — the guard-wait event is emitted after the guards are
-	// released (emitGuardWaits), never inside the guard window.
-	gwaits  int
-	gwaitOn *Guard
+	// conflict is the pending attribution noteConflict recorded, and
+	// gwaits / gwaitOn / gwaitNs the guard contention lockContended
+	// recorded (guards blocked on, the last one, wall nanoseconds
+	// blocked): plain field stores inside a hold window, each consumed
+	// by the next edge that reports it, after the window has closed.
+	conflict conflictRec
+	gwaits   int
+	gwaitOn  *Guard
+	gwaitNs  uint64
 }
 
 // Thread returns the worker this transaction runs on.
@@ -620,19 +616,11 @@ func (tx *Tx) Nested(fn func() error) error {
 			t.proto.abandonLevel(tx, child)
 			child.runAbortHandlers()
 			t.putLevel(child)
-			tx.thread.Stats.NestedRetries++
-			if tx.top().mon {
-				mNestedRetries.Add(1)
-			}
-			if tr := tx.trc(); tr != nil {
-				e := tx.event(obs.KindNestedRetry)
-				e.Where, e.OtherTx, e.Reason = tx.takeConflict()
-				tr.Trace(e)
-			}
+			tx.edgeNestedRetry()
 			if !tx.extend() {
 				panic(sig)
 			}
-			tx.backoffTraced(childAttempt)
+			tx.edgeBackoff(t.backoff(childAttempt))
 		default:
 			// Violation or user abort of the whole transaction: this
 			// child level is rolled back on the way out; the unwinding
@@ -742,8 +730,7 @@ func (tx *Tx) commit() bool {
 	acquireGuards(tx, gs)
 	ok := tx.commitGuarded(l)
 	releaseGuards(gs)
-	tx.countGuardWaits()
-	tx.emitGuardWaits()
+	tx.edgeGuardWaits()
 	if ok {
 		tx.tick(CostCommitBase + CostCommitPerWrite*uint64(l.writes.len()))
 		tx.thread.flushDeferred()
@@ -848,8 +835,7 @@ func (tx *Tx) rollback() {
 		l.runAbortHandlers()
 	}
 	releaseGuards(gs)
-	tx.countGuardWaits()
-	tx.emitGuardWaits()
+	tx.edgeGuardWaits()
 	tx.tick(CostAbort)
 	t.flushDeferred()
 }

@@ -2,7 +2,7 @@
 # verify.sh — the repository's full verification gate, one mode, seven
 # stages, none rerunning what an earlier one ran:
 #
-#   build, vet, race-enabled tests (bench/'s self-tests included), the
+#   build, vet + gofmt, race-enabled tests (bench/'s self-tests included), the
 #   stmlint empty-baseline check, tccbench's main() driven twice
 #   (observability artifacts validated by tracecheck; live /metrics
 #   scraped and validated), and the benchmark of record's smoke pass
@@ -32,8 +32,15 @@ trap '[[ -n "$bench_pid" ]] && kill "$bench_pid" 2>/dev/null; rm -rf "$obsdir"' 
 stage "go build ./..."
 go build ./...
 
-stage "go vet ./..."
+stage "go vet ./... + gofmt"
 go vet ./...
+# The lint fixtures hold deliberately odd code; everything else is gofmt'd.
+unformatted=$(gofmt -l . | grep -v '^internal/analysis/testdata/' || true)
+if [[ -n "$unformatted" ]]; then
+  echo "gofmt: these files need formatting:" >&2
+  printf '%s\n' "$unformatted" >&2
+  exit 1
+fi
 
 stage "go test -race ./..."
 go test -race ./...
