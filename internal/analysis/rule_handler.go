@@ -17,7 +17,7 @@ import (
 // transaction whose read/write sets are already discarded.
 var ruleHandlerTxn = &Rule{
 	ID:  "handler-txn",
-	Doc: "commit/abort handler starts a transaction, touches a Var, or uses a captured *stm.Tx",
+	Doc: "commit/abort handler starts a transaction (Atomic, AtomicRead, Open, Nested), touches a Var, or uses a captured *stm.Tx",
 	Run: runHandlerTxn,
 }
 
@@ -37,7 +37,7 @@ func runHandlerTxn(p *Pass) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				switch {
-				case isSTMMethod(info, n, "Thread", "Atomic"),
+				case isTopLevelEntry(info, n),
 					isSTMMethod(info, n, "Tx", "Open"),
 					isSTMMethod(info, n, "Tx", "Nested"):
 					p.Reportf(n.Pos(), "handler starts a transaction; handlers run after the transaction's fate is decided and must only touch non-transactional state")

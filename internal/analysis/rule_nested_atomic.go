@@ -2,19 +2,19 @@ package analysis
 
 import "go/ast"
 
-// nested-atomic: Thread.Atomic started while a transaction is already
-// running on the thread. The STM panics on this at runtime
-// ("stm: nested Atomic on one Thread"); the paper's composition story
-// (§2.3, §4) requires closed nesting (tx.Nested) for partial rollback
-// or open nesting (tx.Open) for early release — never a second
-// top-level transaction. The rule is lexical: any Atomic call reachable
-// inside an Atomic/Open/Nested body closure (including through plain
+// nested-atomic: Thread.Atomic or Thread.AtomicRead started while a
+// transaction is already running on the thread. The STM panics on this
+// at runtime ("stm: nested Atomic on one Thread"); the paper's
+// composition story (§2.3, §4) requires closed nesting (tx.Nested) for
+// partial rollback or open nesting (tx.Open) for early release — never a
+// second top-level transaction. The rule is lexical: any such call
+// reachable inside a transaction body closure (including through plain
 // nested closures, which may be invoked inline) is flagged. Goroutine
 // bodies are excluded — a spawned goroutine is a different worker, and
 // leaking the transaction into it is tx-escape's domain.
 var ruleNestedAtomic = &Rule{
 	ID:  "nested-atomic",
-	Doc: "Thread.Atomic called inside a transactional body; use tx.Nested or tx.Open",
+	Doc: "Thread.Atomic/AtomicRead called inside a transactional body; use tx.Nested or tx.Open",
 	Run: runNestedAtomic,
 }
 
@@ -26,8 +26,8 @@ func runNestedAtomic(p *Pass) {
 			if !ok || !ctx.inTx || ctx.inHandler {
 				return
 			}
-			if isSTMMethod(info, call, "Thread", "Atomic") {
-				p.Reportf(call.Pos(), "Thread.Atomic called inside a transactional body (panics at runtime); use tx.Nested for partial rollback or tx.Open for open nesting")
+			if isTopLevelEntry(info, call) {
+				p.Reportf(call.Pos(), "top-level transaction started inside a transactional body (panics at runtime); use tx.Nested for partial rollback or tx.Open for open nesting")
 			}
 		})
 	})

@@ -31,6 +31,17 @@ func handlerAtomic(th *stm.Thread) error {
 	})
 }
 
+// bad: a read-only top-level transaction is still a transaction.
+func handlerAtomicRead(th *stm.Thread) error {
+	return th.Atomic(func(tx *stm.Tx) error {
+		tx.OnTopCommit(func() {
+			err := th.AtomicRead(func(tx2 *stm.Tx) error { return nil }) // want handler-txn
+			_ = err
+		})
+		return nil
+	})
+}
+
 // bad: handler opens a nested transaction on the dead Tx.
 func handlerOpen(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
@@ -66,6 +77,15 @@ func cleanHandler(th *stm.Thread, reg *registry) error {
 			reg.owner = h
 			thd.DeferTick(8)
 		})
+		return nil
+	})
+}
+
+// clean: an AtomicRead body registers nothing, and reading outside any
+// handler is fine.
+func cleanReadBody(th *stm.Thread, v *stm.Var[int], reg *registry) error {
+	return th.AtomicRead(func(tx *stm.Tx) error {
+		reg.commits = v.Get(tx)
 		return nil
 	})
 }

@@ -76,6 +76,14 @@ func isSTMMethod(info *types.Info, call *ast.CallExpr, recv, name string) bool {
 	return pkg != nil && isSTMPath(pkg.Path())
 }
 
+// isTopLevelEntry reports whether call starts a top-level transaction:
+// Thread.Atomic or Thread.AtomicRead, which differ only in the mode of
+// the first attempt — both return the body's error, and both panic when
+// a transaction is already running on the thread.
+func isTopLevelEntry(info *types.Info, call *ast.CallExpr) bool {
+	return isSTMMethod(info, call, "Thread", "Atomic") || isSTMMethod(info, call, "Thread", "AtomicRead")
+}
+
 // stmNamedPtr reports whether t is a pointer to the STM package's named
 // type with the given name (*stm.Tx, *stm.Thread, ...).
 func stmNamedPtr(t types.Type, name string) bool {

@@ -269,8 +269,6 @@ type TransactionalMap[K comparable, V any] struct {
 	// price of aborting readers that might otherwise have committed
 	// before the writer.
 	eagerWriteCheck bool
-	// opCost is the abstract cycle cost per operation.
-	opCost uint64
 	// name labels this instance in violation reasons, so lost-work
 	// profiles attribute conflicts to specific structures (the paper's
 	// TAPE-style analysis names District.orderTable etc.).
@@ -311,7 +309,6 @@ func NewStripedTransactionalMap[K comparable, V any](newShard func() collections
 	tm := &TransactionalMap[K, V]{
 		stripeSet: newStripeSet(n),
 		stripes:   make([]*mapStripe[K, V], n),
-		opCost:    DefaultOpCost,
 	}
 	for i, g := range tm.guards {
 		tm.stripes[i] = newMapStripe(g, newShard())
@@ -385,9 +382,6 @@ func (tm *TransactionalMap[K, V]) newRangeLock(l *mapLocal[K, V], si int) *range
 	return r
 }
 
-// SetOpCost overrides the abstract cycle cost charged per operation.
-func (tm *TransactionalMap[K, V]) SetOpCost(c uint64) { tm.opCost = c }
-
 // SetKeyedConflicts toggles per-key detail in key-conflict violation
 // reasons (semlock.KeyTable.SetKeyedReasons): conflict profiles then
 // attribute semantic aborts to individual keys, at the price of one
@@ -427,11 +421,11 @@ func (tm *TransactionalMap[K, V]) newLocal(th *stm.Thread) *mapLocal[K, V] {
 	l.onCommit = func() {
 		n := len(l.storeBuffer)
 		tm.applyLocked(l)
-		th.DeferTick(tm.opCost * uint64(1+n))
+		th.DeferTick(DefaultOpCost * uint64(1+n))
 	}
 	l.onAbort = func() {
 		tm.releaseLocked(l)
-		th.DeferTick(tm.opCost)
+		th.DeferTick(DefaultOpCost)
 	}
 	return l
 }
@@ -525,7 +519,7 @@ func (tm *TransactionalMap[K, V]) PutUnread(tx *stm.Tx, k K, v V) {
 	tm.touch(tx, l, tm.StripeOf(k))
 	l.storeBuffer[k] = mapWrite[V]{val: v}
 	l.bufferKey(k)
-	tx.Thread().Clock.Tick(tm.opCost / 4)
+	tx.Thread().Clock.Tick(DefaultOpCost / 4)
 }
 
 // Remove buffers a removal of k and returns the removed value, taking a
@@ -561,7 +555,7 @@ func (tm *TransactionalMap[K, V]) RemoveUnread(tx *stm.Tx, k K) {
 	tm.touch(tx, l, tm.StripeOf(k))
 	l.storeBuffer[k] = mapWrite[V]{removed: true}
 	l.bufferKey(k)
-	tx.Thread().Clock.Tick(tm.opCost / 4)
+	tx.Thread().Clock.Tick(DefaultOpCost / 4)
 }
 
 // PutAll buffers every mapping of src (a derivative operation built on
@@ -590,7 +584,7 @@ func (tm *TransactionalMap[K, V]) readCommitted(tx *stm.Tx, l *mapLocal[K, V], k
 		v, present = st.m.Get(k)
 		return nil
 	})
-	tx.Thread().Clock.Tick(tm.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return v, present
 }
 
@@ -674,7 +668,7 @@ func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, empty bool) int {
 		n += tm.deltaLocked(l)
 		return nil
 	})
-	tx.Thread().Clock.Tick(tm.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return n
 }
 

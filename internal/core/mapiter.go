@@ -80,7 +80,7 @@ func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
 		}
 		return nil
 	})
-	tx.Thread().Clock.Tick(tm.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return it
 }
 
@@ -108,7 +108,7 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 			}
 			return nil
 		})
-		it.tx.Thread().Clock.Tick(tm.opCost)
+		it.tx.Thread().Clock.Tick(DefaultOpCost)
 		if !live {
 			// Removed by another committed transaction since the
 			// snapshot; the key lock we now hold preserves the

@@ -43,8 +43,7 @@ type TransactionalQueue[T any] struct {
 	// 0 means single-lane.
 	stripeSet
 	// lanes[i] is the lane guarded by guards[i].
-	lanes  []*queueLane[T]
-	opCost uint64
+	lanes []*queueLane[T]
 	// name labels this instance in violation reasons.
 	name           string
 	reasonRefill   string
@@ -98,7 +97,6 @@ func NewSegmentedTransactionalQueue[T any](newLane func() collections.Queue[T], 
 	tq := &TransactionalQueue[T]{
 		stripeSet: newStripeSet(n),
 		lanes:     make([]*queueLane[T], n),
-		opCost:    DefaultOpCost,
 	}
 	for i := range tq.lanes {
 		tq.lanes[i] = &queueLane[T]{q: newLane(), emptyLockers: semlock.NewOwnerSet()}
@@ -141,9 +139,6 @@ func (tq *TransactionalQueue[T]) LaneGuard(li int) *stm.Guard {
 func (tq *TransactionalQueue[T]) LaneOf(tx *stm.Tx) int {
 	return int(uint64(tx.Thread().TraceID) & tq.mask)
 }
-
-// SetOpCost overrides the abstract cycle cost charged per operation.
-func (tq *TransactionalQueue[T]) SetOpCost(c uint64) { tq.opCost = c }
 
 // local returns this transaction's local state for this instance (see
 // attach).
@@ -204,7 +199,7 @@ func (tq *TransactionalQueue[T]) finishLocked(l *queueLocal[T], th *stm.Thread, 
 		clear(b.removeBuffer)
 		*b = laneBuffers[T]{addBuffer: b.addBuffer[:0], removeBuffer: b.removeBuffer[:0]}
 	}
-	th.DeferTick(tq.opCost * uint64(1+total))
+	th.DeferTick(DefaultOpCost * uint64(1+total))
 	l.h, l.emptyLocked, l.touched = nil, 0, 0
 }
 
@@ -222,7 +217,7 @@ func (tq *TransactionalQueue[T]) PutLane(tx *stm.Tx, li int, v T) {
 	l := tq.local(tx)
 	tq.touch(tx, &l.footprint, li)
 	l.lanes[li].addBuffer = append(l.lanes[li].addBuffer, v)
-	tx.Thread().Clock.Tick(tq.opCost / 4)
+	tx.Thread().Clock.Tick(DefaultOpCost / 4)
 }
 
 // Offer is Put for an unbounded queue; it always reports acceptance
@@ -284,7 +279,7 @@ func (tq *TransactionalQueue[T]) frontSpan(tx *stm.Tx, l *queueLocal[T], lo, hi 
 		}
 		return nil
 	})
-	tx.Thread().Clock.Tick(tq.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return out, ok
 }
 

@@ -5,8 +5,8 @@ import (
 )
 
 // Snapshot-mode reads (DESIGN.md §4.4). A transaction on the MVCC-lite
-// snapshot path (stm.Thread.AtomicRead / stm.Tx.SetReadOnly) cannot use
-// the collection protocol of Tables 2/3: it takes no semantic locks,
+// snapshot path (an stm.Thread.AtomicRead attempt) cannot use the
+// collection protocol of Tables 2/3: it takes no semantic locks,
 // registers no handlers, and never aborts — so there is no commit
 // window in which a conflicting writer could violate it, and nothing to
 // compensate. Instead every read-only operation is answered directly
@@ -39,7 +39,7 @@ func (tm *TransactionalMap[K, V]) snapshotGet(tx *stm.Tx, k K) (V, bool) {
 	st.guard.Lock()
 	v, ok := st.m.Get(k)
 	st.guard.Unlock()
-	tx.Thread().Clock.Tick(tm.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return v, ok
 }
 
@@ -53,7 +53,7 @@ func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
 		n += st.m.Size()
 	}
 	tm.unlockSpan(0, len(tm.stripes))
-	tx.Thread().Clock.Tick(tm.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return n
 }
 
@@ -72,6 +72,6 @@ func (tm *TransactionalMap[K, V]) snapshotIterator(tx *stm.Tx) *MapIterator[K, V
 		}
 	}
 	tm.unlockSpan(0, len(tm.stripes))
-	tx.Thread().Clock.Tick(tm.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return it
 }

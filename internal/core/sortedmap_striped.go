@@ -62,7 +62,6 @@ func NewRangeStripedTransactionalSortedMap[K comparable, V any](newShard func() 
 		TransactionalMap: TransactionalMap[K, V]{
 			stripeSet: newStripeSet(n),
 			stripes:   make([]*mapStripe[K, V], n),
-			opCost:    DefaultOpCost,
 		},
 	}
 	ext := &sortedExt[K, V]{
@@ -267,7 +266,7 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 			}
 			return nil
 		})
-		tx.Thread().Clock.Tick(t.opCost)
+		tx.Thread().Clock.Tick(DefaultOpCost)
 	}
 	return res, found
 }
@@ -335,7 +334,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			}
 			return nil
 		})
-		it.tx.Thread().Clock.Tick(t.opCost)
+		it.tx.Thread().Clock.Tick(DefaultOpCost)
 	}
 	return outK, outV, found
 }
@@ -360,6 +359,6 @@ func (t *TransactionalSortedMap[K, V]) snapshotWalk(tx *stm.Tx, d dir, start int
 		res, found = seek(t.sorted.sms[si], d, k, strict)
 	}
 	t.unlockSpan(lo, hi)
-	tx.Thread().Clock.Tick(t.opCost)
+	tx.Thread().Clock.Tick(DefaultOpCost)
 	return res, found
 }

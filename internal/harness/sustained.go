@@ -50,13 +50,7 @@ func RunSustained(workers int, seed int64, stop <-chan struct{}) SustainedResult
 		return collections.NewHashMap[int, int]()
 	}, core.DefaultStripes)
 	m.SetName(name)
-	th := setupThread()
-	MustAtomic(th, func(tx *stm.Tx) error {
-		for i := 0; i < prepopulate; i++ {
-			m.Put(tx, i, i)
-		}
-		return nil
-	})
+	populated(setupThread(), m, 0, prepopulate)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -96,6 +96,76 @@ func MustAtomicRead(th *stm.Thread, fn func(tx *stm.Tx) error) {
 	}
 }
 
+// txMap is what the transactional-map configurations need of their map:
+// the Atomos baseline (every field an stm.Var) and the semantic wrapper
+// run the same transaction bodies.
+type txMap interface {
+	Get(tx *stm.Tx, k int) (int, bool)
+	Put(tx *stm.Tx, k, v int) (int, bool)
+	Remove(tx *stm.Tx, k int) (int, bool)
+}
+
+func atomosHashMap() txMap { return stmcol.NewHashMap[int, int]() }
+
+func transactionalMap() txMap {
+	return core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
+}
+
+func stripedTransactionalMap() txMap {
+	return core.NewStripedTransactionalMap[int, int](func() collections.Map[int, int] {
+		return collections.NewHashMap[int, int]()
+	}, core.DefaultStripes)
+}
+
+// populated maps base+i to i for every i < n in one pre-measurement
+// transaction on th (a setupThread) and returns m.
+func populated(th *stm.Thread, m txMap, base, n int) txMap {
+	MustAtomic(th, func(tx *stm.Tx) error {
+		for i := 0; i < n; i++ {
+			m.Put(tx, base+i, i)
+		}
+		return nil
+	})
+	return m
+}
+
+// mapOpTx runs one drawn operation on m inside the paper's long
+// transaction: half the surrounding computation, the operation, the
+// other half. With snapshotReads a lookup runs as an AtomicRead.
+func (p MapBenchParams) mapOpTx(w *Worker, m txMap, op opKind, k int, snapshotReads bool) {
+	body := func(tx *stm.Tx) error {
+		w.Compute(p.Compute / 2)
+		switch op {
+		case opRead:
+			m.Get(tx, k)
+		case opPut:
+			m.Put(tx, k, k)
+		default:
+			m.Remove(tx, k)
+		}
+		w.Compute(p.Compute / 2)
+		return nil
+	}
+	if snapshotReads && op == opRead {
+		MustAtomicRead(w.Thread, body)
+	} else {
+		MustAtomic(w.Thread, body)
+	}
+}
+
+// txMapSetup is the Setup of a configuration that draws operations
+// against one shared transactional map: a prepopulated map from newMap,
+// one mapOpTx per operation.
+func (p MapBenchParams) txMapSetup(newMap func() txMap, snapshotReads bool) func(pl Platform) func(w *Worker) {
+	return func(Platform) func(w *Worker) {
+		m := populated(setupThread(), newMap(), 0, p.Prepopulate)
+		return func(w *Worker) {
+			op, k := p.drawOp(w)
+			p.mapOpTx(w, m, op, k, snapshotReads)
+		}
+	}
+}
+
 // ReadRatioParams returns the figure parameters with the lookup share
 // raised to readPct (puts and removes split the remainder evenly) —
 // the read-mostly regimes of figures 6 and 7.
@@ -115,79 +185,11 @@ func ReadRatioParams(readPct int) MapBenchParams {
 // never take a semantic lock, and never abort, so at 90–99% reads the
 // writers' commits are the only contention left.
 func ReadRatioConfigs(p MapBenchParams) []Config {
-	atomosSetup := func(snapshot bool) func(pl Platform) func(w *Worker) {
-		return func(pl Platform) func(w *Worker) {
-			m := stmcol.NewHashMap[int, int]()
-			th := setupThread()
-			MustAtomic(th, func(tx *stm.Tx) error {
-				for i := 0; i < p.Prepopulate; i++ {
-					m.Put(tx, i, i)
-				}
-				return nil
-			})
-			return func(w *Worker) {
-				op, k := p.drawOp(w)
-				body := func(tx *stm.Tx) error {
-					w.Compute(p.Compute / 2)
-					switch op {
-					case opRead:
-						m.Get(tx, k)
-					case opPut:
-						m.Put(tx, k, k)
-					default:
-						m.Remove(tx, k)
-					}
-					w.Compute(p.Compute / 2)
-					return nil
-				}
-				if snapshot && op == opRead {
-					MustAtomicRead(w.Thread, body)
-				} else {
-					MustAtomic(w.Thread, body)
-				}
-			}
-		}
-	}
-	tccSetup := func(snapshot bool) func(pl Platform) func(w *Worker) {
-		return func(pl Platform) func(w *Worker) {
-			tm := core.NewStripedTransactionalMap[int, int](func() collections.Map[int, int] {
-				return collections.NewHashMap[int, int]()
-			}, core.DefaultStripes)
-			th := setupThread()
-			MustAtomic(th, func(tx *stm.Tx) error {
-				for i := 0; i < p.Prepopulate; i++ {
-					tm.Put(tx, i, i)
-				}
-				return nil
-			})
-			return func(w *Worker) {
-				op, k := p.drawOp(w)
-				body := func(tx *stm.Tx) error {
-					w.Compute(p.Compute / 2)
-					switch op {
-					case opRead:
-						tm.Get(tx, k)
-					case opPut:
-						tm.Put(tx, k, k)
-					default:
-						tm.Remove(tx, k)
-					}
-					w.Compute(p.Compute / 2)
-					return nil
-				}
-				if snapshot && op == opRead {
-					MustAtomicRead(w.Thread, body)
-				} else {
-					MustAtomic(w.Thread, body)
-				}
-			}
-		}
-	}
 	return []Config{
-		{Name: "Atomos HashMap (retry reads)", Setup: atomosSetup(false)},
-		{Name: "Atomos HashMap (snapshot reads)", Setup: atomosSetup(true)},
-		{Name: "TransactionalMap (retry reads)", Setup: tccSetup(false)},
-		{Name: "TransactionalMap (snapshot reads)", Setup: tccSetup(true)},
+		{Name: "Atomos HashMap (retry reads)", Setup: p.txMapSetup(atomosHashMap, false)},
+		{Name: "Atomos HashMap (snapshot reads)", Setup: p.txMapSetup(atomosHashMap, true)},
+		{Name: "TransactionalMap (retry reads)", Setup: p.txMapSetup(stripedTransactionalMap, false)},
+		{Name: "TransactionalMap (snapshot reads)", Setup: p.txMapSetup(stripedTransactionalMap, true)},
 	}
 }
 
@@ -223,64 +225,8 @@ func TestMapConfigs(p MapBenchParams) []Config {
 				}
 			},
 		},
-		{
-			Name: "Atomos HashMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				m := stmcol.NewHashMap[int, int]()
-				th := setupThread()
-				MustAtomic(th, func(tx *stm.Tx) error {
-					for i := 0; i < p.Prepopulate; i++ {
-						m.Put(tx, i, i)
-					}
-					return nil
-				})
-				return func(w *Worker) {
-					op, k := p.drawOp(w)
-					MustAtomic(w.Thread, func(tx *stm.Tx) error {
-						w.Compute(p.Compute / 2)
-						switch op {
-						case opRead:
-							m.Get(tx, k)
-						case opPut:
-							m.Put(tx, k, k)
-						default:
-							m.Remove(tx, k)
-						}
-						w.Compute(p.Compute / 2)
-						return nil
-					})
-				}
-			},
-		},
-		{
-			Name: "Atomos TransactionalMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				tm := core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
-				th := setupThread()
-				MustAtomic(th, func(tx *stm.Tx) error {
-					for i := 0; i < p.Prepopulate; i++ {
-						tm.Put(tx, i, i)
-					}
-					return nil
-				})
-				return func(w *Worker) {
-					op, k := p.drawOp(w)
-					MustAtomic(w.Thread, func(tx *stm.Tx) error {
-						w.Compute(p.Compute / 2)
-						switch op {
-						case opRead:
-							tm.Get(tx, k)
-						case opPut:
-							tm.Put(tx, k, k)
-						default:
-							tm.Remove(tx, k)
-						}
-						w.Compute(p.Compute / 2)
-						return nil
-					})
-				}
-			},
-		},
+		{Name: "Atomos HashMap", Setup: p.txMapSetup(atomosHashMap, false)},
+		{Name: "Atomos TransactionalMap", Setup: p.txMapSetup(transactionalMap, false)},
 	}
 }
 
@@ -296,53 +242,19 @@ func TestMapConfigs(p MapBenchParams) []Config {
 func DisjointMapConfigs(p MapBenchParams) []Config {
 	// One map per possible worker; DefaultCPUs tops out at 32.
 	const maxWorkers = 64
-	runOp := func(w *Worker, tm *core.TransactionalMap[int, int], op opKind, k int) {
-		MustAtomic(w.Thread, func(tx *stm.Tx) error {
-			w.Compute(p.Compute / 2)
-			switch op {
-			case opRead:
-				tm.Get(tx, k)
-			case opPut:
-				tm.Put(tx, k, k)
-			default:
-				tm.Remove(tx, k)
-			}
-			w.Compute(p.Compute / 2)
-			return nil
-		})
-	}
-	newMap := func(th *stm.Thread) *core.TransactionalMap[int, int] {
-		tm := core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
-		MustAtomic(th, func(tx *stm.Tx) error {
-			for i := 0; i < p.Prepopulate; i++ {
-				tm.Put(tx, i, i)
-			}
-			return nil
-		})
-		return tm
-	}
 	return []Config{
-		{
-			Name: "Shared TransactionalMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				tm := newMap(setupThread())
-				return func(w *Worker) {
-					op, k := p.drawOp(w)
-					runOp(w, tm, op, k)
-				}
-			},
-		},
+		{Name: "Shared TransactionalMap", Setup: p.txMapSetup(transactionalMap, false)},
 		{
 			Name: "Per-worker TransactionalMap",
 			Setup: func(pl Platform) func(w *Worker) {
 				th := setupThread()
-				maps := make([]*core.TransactionalMap[int, int], maxWorkers)
+				maps := make([]txMap, maxWorkers)
 				for i := range maps {
-					maps[i] = newMap(th)
+					maps[i] = populated(th, transactionalMap(), 0, p.Prepopulate)
 				}
 				return func(w *Worker) {
 					op, k := p.drawOp(w)
-					runOp(w, maps[w.Index%maxWorkers], op, k)
+					p.mapOpTx(w, maps[w.Index%maxWorkers], op, k, false)
 				}
 			},
 		},
@@ -506,14 +418,7 @@ func TestCompoundConfigs(p MapBenchParams) []Config {
 		{
 			Name: "Atomos HashMap",
 			Setup: func(pl Platform) func(w *Worker) {
-				m := stmcol.NewHashMap[int, int]()
-				th := setupThread()
-				MustAtomic(th, func(tx *stm.Tx) error {
-					for i := 0; i < p.Prepopulate; i++ {
-						m.Put(tx, i, i)
-					}
-					return nil
-				})
+				m := populated(setupThread(), atomosHashMap(), 0, p.Prepopulate)
 				return func(w *Worker) {
 					k1 := w.RNG.Intn(p.KeySpace)
 					k2 := w.RNG.Intn(p.KeySpace)
@@ -531,14 +436,7 @@ func TestCompoundConfigs(p MapBenchParams) []Config {
 		{
 			Name: "Atomos TransactionalMap",
 			Setup: func(pl Platform) func(w *Worker) {
-				tm := core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
-				th := setupThread()
-				MustAtomic(th, func(tx *stm.Tx) error {
-					for i := 0; i < p.Prepopulate; i++ {
-						tm.Put(tx, i, i)
-					}
-					return nil
-				})
+				tm := populated(setupThread(), transactionalMap(), 0, p.Prepopulate)
 				return func(w *Worker) {
 					k1 := w.RNG.Intn(p.KeySpace)
 					k2 := w.RNG.Intn(p.KeySpace)
@@ -568,58 +466,21 @@ func TestCompoundConfigs(p MapBenchParams) []Config {
 func StripedMapConfigs(p MapBenchParams) []Config {
 	// One key range per possible worker; DefaultCPUs tops out at 32.
 	const maxWorkers = 64
-	runOp := func(w *Worker, tm *core.TransactionalMap[int, int], op opKind, k int) {
-		// Offset the drawn key into the worker's private range.
-		k += (w.Index % maxWorkers) * p.KeySpace
-		MustAtomic(w.Thread, func(tx *stm.Tx) error {
-			w.Compute(p.Compute / 2)
-			switch op {
-			case opRead:
-				tm.Get(tx, k)
-			case opPut:
-				tm.Put(tx, k, k)
-			default:
-				tm.Remove(tx, k)
+	setup := func(newMap func() txMap) func(pl Platform) func(w *Worker) {
+		return func(Platform) func(w *Worker) {
+			m, th := newMap(), setupThread()
+			for r := 0; r < maxWorkers; r++ {
+				populated(th, m, r*p.KeySpace, p.Prepopulate)
 			}
-			w.Compute(p.Compute / 2)
-			return nil
-		})
-	}
-	prepopulate := func(tm *core.TransactionalMap[int, int]) *core.TransactionalMap[int, int] {
-		th := setupThread()
-		for r := 0; r < maxWorkers; r++ {
-			base := r * p.KeySpace
-			MustAtomic(th, func(tx *stm.Tx) error {
-				for i := 0; i < p.Prepopulate; i++ {
-					tm.Put(tx, base+i, i)
-				}
-				return nil
-			})
+			return func(w *Worker) {
+				op, k := p.drawOp(w)
+				// Offset the drawn key into the worker's private range.
+				p.mapOpTx(w, m, op, k+(w.Index%maxWorkers)*p.KeySpace, false)
+			}
 		}
-		return tm
 	}
 	return []Config{
-		{
-			Name: "Single-guard TransactionalMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				tm := prepopulate(core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]()))
-				return func(w *Worker) {
-					op, k := p.drawOp(w)
-					runOp(w, tm, op, k)
-				}
-			},
-		},
-		{
-			Name: "Striped TransactionalMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				tm := prepopulate(core.NewStripedTransactionalMap[int, int](func() collections.Map[int, int] {
-					return collections.NewHashMap[int, int]()
-				}, core.DefaultStripes))
-				return func(w *Worker) {
-					op, k := p.drawOp(w)
-					runOp(w, tm, op, k)
-				}
-			},
-		},
+		{Name: "Single-guard TransactionalMap", Setup: setup(transactionalMap)},
+		{Name: "Striped TransactionalMap", Setup: setup(stripedTransactionalMap)},
 	}
 }

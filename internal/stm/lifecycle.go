@@ -202,8 +202,8 @@ func (tx *Tx) edgeBegin() {
 }
 
 // edgeCommit closes a committed top-level transaction. tx.snapshot
-// says whether it finished on the snapshot path (AtomicRead, or
-// SetReadOnly held); the latency is the whole transaction's, first
+// says whether it finished on the snapshot path (an AtomicRead that
+// never fell back); the latency is the whole transaction's, first
 // attempt to now.
 func (tx *Tx) edgeCommit() {
 	t := tx.thread

@@ -60,20 +60,6 @@ func TestAtomicReadFallbackIsOneTransaction(t *testing.T) {
 	if s := th.Stats; s.SnapshotFallbacks != 1 || s.Commits != 1 || s.SnapshotCommits != 0 || s.UserAborts+s.Aborts != 0 {
 		t.Fatalf("stats = %+v, want 1 fallback + 1 commit", s)
 	}
-
-	// One rule for both kinds of fallback: having left the snapshot path
-	// once, the transaction does not re-enter it through SetReadOnly, so
-	// this body needs one fallback, not two.
-	if err := th.AtomicRead(func(tx *Tx) error {
-		tx.SetReadOnly()
-		v.Set(tx, 2)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if th.Stats.SnapshotFallbacks != 2 || th.Stats.Commits != 2 {
-		t.Fatalf("after SetReadOnly+write under AtomicRead: stats = %+v, want 2 fallbacks + 2 commits in total", th.Stats)
-	}
 }
 
 // edgeCounts is what one sink says happened, in a vocabulary all three
@@ -249,15 +235,6 @@ func TestLifecycleSinksAgree(t *testing.T) {
 				return nil
 			})
 		}},
-		{"SetReadOnly commit", snapCommits, "", func(t *testing.T, th, _ *Thread) {
-			a, b := NewVar(0), NewVar(0)
-			MustAtomicT(t, th, func(tx *Tx) error {
-				_ = a.Get(tx)
-				tx.SetReadOnly()
-				_ = b.Get(tx)
-				return nil
-			})
-		}},
 		{"abort: stale read", aborts, "", func(t *testing.T, th, th2 *Thread) {
 			a, b := NewVar(0), NewVar(0)
 			MustAtomicT(t, th, func(tx *Tx) error {
@@ -336,14 +313,6 @@ func TestLifecycleSinksAgree(t *testing.T) {
 		}},
 		{"AtomicRead fallback: Open", fallbacks, "", func(t *testing.T, th, _ *Thread) {
 			_ = th.AtomicRead(func(tx *Tx) error { return tx.Open(func(*Tx) error { return nil }) })
-		}},
-		{"SetReadOnly fallback", fallbacks, "", func(t *testing.T, th, _ *Thread) {
-			v := NewVar(0)
-			MustAtomicT(t, th, func(tx *Tx) error {
-				tx.SetReadOnly()
-				v.Set(tx, 1)
-				return nil
-			})
 		}},
 		{"open commit", openCommits, "", func(t *testing.T, th, _ *Thread) {
 			v := NewVar(0)

@@ -64,12 +64,6 @@ type Protocol interface {
 	// lock the call itself took is released. Must not unwind: it runs
 	// inside the commit-guard window.
 	commit(tx *Tx, l *level, doPrepare bool) bool
-	// snapshotMark maps tx's current read point to a global-clock
-	// version at which all reads recorded so far are valid, for
-	// SetReadOnly's switch onto the MVCC-lite snapshot path. ok=false
-	// means no such mark can be established (the transaction then
-	// simply stays on the ordinary path).
-	snapshotMark(tx *Tx) (uint64, bool)
 	// abandon releases per-variable state an aborted attempt may still
 	// hold (eager protocols: acquired lockwords). Runs on every
 	// rollback, before the abort-guard footprint is taken, and on every

@@ -104,7 +104,6 @@ func TestProtocolConformance(t *testing.T) {
 		{"Violation", confViolation},
 		{"SnapshotRead", confSnapshotRead},
 		{"SnapshotFallback", confSnapshotFallback},
-		{"SetReadOnlyMidTx", confSetReadOnly},
 	}
 	for _, proto := range Protocols() {
 		t.Run(proto, func(t *testing.T) {
@@ -512,42 +511,6 @@ func confSnapshotFallback(t *testing.T, proto string) {
 	}
 	if th.Stats.SnapshotFallbacks == 0 {
 		t.Fatal("writing AtomicRead did not count a snapshot fallback")
-	}
-}
-
-func confSetReadOnly(t *testing.T, proto string) {
-	a, b := NewVar(1), NewVar(2)
-	th := protoThread(t, proto, 1)
-	helper := protoThread(t, proto, 2)
-	var got int
-	if err := th.Atomic(func(tx *Tx) error {
-		_ = a.Get(tx)
-		tx.SetReadOnly()
-		if tx.Attempt() == 0 && !tx.IsSnapshot() {
-			// NOrec may legitimately fail to establish a clock-space
-			// mark under concurrent commits, but quiescent it must not.
-			t.Fatal("SetReadOnly did not enter snapshot mode")
-		}
-		// A commit that lands after the switch must be invisible to the
-		// frozen read point.
-		if tx.Attempt() == 0 {
-			if err := helper.Atomic(func(h *Tx) error {
-				b.Set(h, 99)
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		got = b.Get(tx)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Fatalf("snapshot read of b = %d, want 2 (pre-switch state)", got)
-	}
-	if th.Stats.SnapshotCommits != 1 {
-		t.Fatalf("SnapshotCommits = %d, want 1", th.Stats.SnapshotCommits)
 	}
 }
 

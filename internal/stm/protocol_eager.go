@@ -53,8 +53,6 @@ func (eagerProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 	return tl2Commit(tx, l, doPrepare)
 }
 
-func (eagerProtocol) snapshotMark(tx *Tx) (uint64, bool) { return tx.readVersion, true }
-
 // abandon releases every lockword this Tx still owns from Set-time
 // acquisition. Idempotent: entries already released — by a successful
 // install, a failed commit's unlockWriteSet, or a previous abandon —

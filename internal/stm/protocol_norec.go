@@ -187,25 +187,6 @@ func norecValidate(tx *Tx) bool {
 	}
 }
 
-// snapshotMark maps the attempt's sequence-space read point into clock
-// space for the MVCC-lite snapshot branch: revalidate at a quiescent
-// sequence value, sample the global clock, and confirm the sequence
-// has not moved — then no writer committed around the clock sample, so
-// every recorded read is the newest committed value at that clock
-// version.
-func (norecProtocol) snapshotMark(tx *Tx) (uint64, bool) {
-	for try := 0; try < 8; try++ {
-		if !norecExtend(tx) {
-			return 0, false
-		}
-		mark := globalClock.Load()
-		if norecSeq.Load() == tx.readVersion {
-			return mark, true
-		}
-	}
-	return 0, false
-}
-
 func (norecProtocol) abandon(tx *Tx)                {}
 func (norecProtocol) abandonLevel(tx *Tx, l *level) {}
 

@@ -31,9 +31,6 @@ func (tl2Protocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 	return tl2Commit(tx, l, doPrepare)
 }
 
-// snapshotMark: TL2's read version already is a global-clock version.
-func (tl2Protocol) snapshotMark(tx *Tx) (uint64, bool) { return tx.readVersion, true }
-
 // abandon/abandonLevel: lazy locking holds nothing between Set and
 // commit, so an aborted attempt has nothing to release.
 func (tl2Protocol) abandon(tx *Tx)                {}

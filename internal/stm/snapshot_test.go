@@ -1,7 +1,7 @@
 package stm
 
 // Tests for the MVCC-lite snapshot read path (Thread.AtomicRead,
-// Tx.SetReadOnly, varCore.readAt): invisible-read serializability,
+// varCore.readAt): invisible-read serializability,
 // non-blocking progress against continuous writers, lap-detection
 // fallback, and torn-snapshot freedom under the race detector.
 
@@ -427,100 +427,6 @@ func TestAtomicReadNested(t *testing.T) {
 	}
 	if got != 5 || th.Stats.SnapshotCommits != 1 {
 		t.Fatalf("nested snapshot read got %d (stats %+v), want 5 on the snapshot path", got, th.Stats)
-	}
-}
-
-// TestSetReadOnlyMidTransaction: the escape hatch flips a running
-// Atomic body onto the snapshot path; the commit is counted as a
-// snapshot commit and later reads are invisible (a concurrent commit
-// between the reads does not abort the transaction).
-func TestSetReadOnlyMidTransaction(t *testing.T) {
-	a := NewVar(0)
-	b := NewVar(0)
-	th := newSnapThread(1)
-	other := newSnapThread(2)
-	first := true
-	var gotA, gotB int
-	if err := th.Atomic(func(tx *Tx) error {
-		gotA = a.Get(tx)
-		tx.SetReadOnly()
-		if !tx.IsSnapshot() {
-			t.Error("SetReadOnly did not engage snapshot mode")
-		}
-		if first {
-			first = false
-			// A conflicting commit to b lands after the switch; a
-			// recorded read would force an abort-or-extend, an
-			// invisible one must not.
-			if err := other.Atomic(func(otx *Tx) error {
-				b.Set(otx, 9)
-				return nil
-			}); err != nil {
-				t.Error(err)
-			}
-		}
-		gotB = b.Get(tx)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The snapshot is at the tx's read version: the concurrent commit
-	// is invisible, and nothing aborted on either side.
-	if gotA != 0 || gotB != 0 {
-		t.Fatalf("mixed-mode tx saw (%d, %d), want the consistent cut (0, 0)", gotA, gotB)
-	}
-	if th.Stats.Commits != 1 || th.Stats.SnapshotCommits != 1 || th.Stats.Aborts != 0 {
-		t.Fatalf("stats = %+v, want 1 snapshot commit, 0 aborts", th.Stats)
-	}
-}
-
-// TestSetReadOnlyThenWrite: a write after SetReadOnly restarts the
-// attempt with snapshot mode pinned off; the transaction still commits
-// its write and the detour shows up only as a fallback.
-func TestSetReadOnlyThenWrite(t *testing.T) {
-	v := NewVar(0)
-	th := newSnapThread(1)
-	declared := 0
-	if err := th.Atomic(func(tx *Tx) error {
-		tx.SetReadOnly()
-		if tx.IsSnapshot() {
-			declared++
-		}
-		v.Set(tx, v.Get(tx)+1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.GetCommitted(); got != 1 {
-		t.Fatalf("v = %d, want 1", got)
-	}
-	// First run: snapshot engaged, Set fell back. Second run: fellBack
-	// pins SetReadOnly off, the write commits normally.
-	if declared != 1 {
-		t.Fatalf("snapshot mode engaged on %d runs, want exactly the first", declared)
-	}
-	if th.Stats.SnapshotFallbacks != 1 || th.Stats.Commits != 1 || th.Stats.Aborts != 0 {
-		t.Fatalf("stats = %+v, want 1 silent fallback + 1 commit", th.Stats)
-	}
-}
-
-// TestSetReadOnlyAfterWriteIsIgnored: a transaction that already
-// buffered a write cannot become invisible; the declaration is a no-op.
-func TestSetReadOnlyAfterWriteIsIgnored(t *testing.T) {
-	v := NewVar(0)
-	th := newSnapThread(1)
-	if err := th.Atomic(func(tx *Tx) error {
-		v.Set(tx, 1)
-		tx.SetReadOnly()
-		if tx.IsSnapshot() {
-			t.Error("SetReadOnly engaged with a buffered write")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.GetCommitted(); got != 1 {
-		t.Fatalf("v = %d, want 1", got)
 	}
 }
 

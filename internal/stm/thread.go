@@ -33,8 +33,8 @@ type Stats struct {
 	// HandlerRuns counts executed commit handlers.
 	HandlerRuns uint64
 	// SnapshotCommits counts top-level transactions that completed on
-	// the MVCC-lite snapshot path (AtomicRead, or Atomic after
-	// SetReadOnly): no locks taken, no CAS issued, nothing published.
+	// the MVCC-lite snapshot path (AtomicRead): no locks taken, no CAS
+	// issued, nothing published.
 	SnapshotCommits uint64
 	// SnapshotFallbacks counts read-only transactions that had to
 	// leave the snapshot path — the body wrote or registered a
@@ -330,11 +330,9 @@ func (tx *Tx) begin(attempt int, snap bool) {
 		tx.handle.status.Store(int32(StatusActive))
 		tx.handle.birth = t.Clock.Now()
 		tx.readVersion = globalClock.Load()
-		tx.snapVersion = tx.readVersion
 	} else {
 		tx.handle = &Handle{id: handleIDs.Add(1), birth: t.Clock.Now()}
 		tx.readVersion = t.proto.begin(t)
-		tx.snapVersion = 0
 	}
 	tx.cur = t.getLevel(nil)
 	tx.attempt = attempt
@@ -411,18 +409,8 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 			// The body wrote, registered a handler, opened an open-nested
 			// child, was violated through a handle the caller shared — or
 			// the restart budget is spent.
-			snap, tx.fellBack = false, true
+			snap = false
 			tx.edgeFallback()
-			continue
-		case sig.kind == sigFallback:
-			// A SetReadOnly attempt turned out to write (or register a
-			// handler): restart with snapshot mode pinned off. Again no
-			// conflict, no abort, no backoff; rollback runs any abort
-			// handlers registered before the switch.
-			tx.fellBack = true
-			tx.edgeFallback()
-			tx.rollback()
-			t.releaseLevels(tx)
 			continue
 		case sig.kind == sigViolated:
 			tx.rollback()

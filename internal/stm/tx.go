@@ -297,15 +297,10 @@ type Tx struct {
 	// readVersion is this Tx's read point in whatever space the active
 	// protocol's begin hook samples (TL2: the global version clock;
 	// NOrec: the commit sequence lock); an open-nested child samples
-	// its own, newer read point.
+	// its own, newer read point. A pure snapshot attempt never calls
+	// the hook: its read point is the global clock under every
+	// protocol, which is the space readAt compares install versions in.
 	readVersion uint64
-	// snapVersion is the global-clock version the MVCC-lite snapshot
-	// branch reads at while snapshot mode is on. It equals readVersion
-	// for clock-based protocols but must be tracked separately because
-	// NOrec's readVersion lives in sequence-lock space; set by begin in
-	// pure snapshot mode and by SetReadOnly via the protocol's
-	// snapshotMark.
-	snapVersion uint64
 	// eagerLocks tracks the lockwords this Tx (not its open-nested
 	// children, which track their own) acquired at Set time under an
 	// encounter-time protocol, for release on rollback. Empty under
@@ -323,13 +318,10 @@ type Tx struct {
 	// snapshot marks a read-only MVCC-lite transaction: Var.Get reads
 	// the newest value box at or below readVersion (readAt) without
 	// recording, validating, locking, or CASing anything, and commit
-	// is a no-op. Set on every attempt under Thread.AtomicRead, or
-	// mid-attempt by SetReadOnly. Meaningful on the top-level Tx.
+	// is a no-op. Set by begin for each pure snapshot attempt of
+	// Thread.AtomicRead and by nothing else. Meaningful on the
+	// top-level Tx.
 	snapshot bool
-	// fellBack records that a snapshot attempt of this transaction
-	// already fell back to the retry path; SetReadOnly then stays off
-	// for the rest of the transaction so the fallback cannot loop.
-	fellBack bool
 
 	// Lifecycle-reporting state (lifecycle.go), meaningful only on a
 	// top-level Tx (nested and open children route through top()).
@@ -369,42 +361,6 @@ func (tx *Tx) Attempt() int { return tx.top().attempt }
 // lock-free or lean read paths and to avoid registering handlers that
 // would force a fallback.
 func (tx *Tx) IsSnapshot() bool { return tx.top().snapshot }
-
-// SetReadOnly declares, mid-transaction, that the rest of this
-// transaction only reads: subsequent Var.Gets switch to the invisible
-// snapshot path (no read-set entries, no validation, no aborts by
-// writers). It is the escape hatch for bodies that are read-only but
-// run under Atomic — under AtomicRead snapshot mode is already on.
-//
-// The declaration is honored only while it can be: a transaction that
-// has already buffered writes, and one whose earlier snapshot attempt
-// already fell back to the retry path, stays on the ordinary path. A
-// later write (or handler registration) silently restarts the attempt
-// with snapshot mode off. Reads recorded before the switch remain in
-// the read set and are still validated at commit, so the transaction
-// stays serializable at its read version.
-func (tx *Tx) SetReadOnly() {
-	top := tx.top()
-	if top.fellBack || top.snapshot {
-		return
-	}
-	for l := top.cur; l != nil; l = l.parent {
-		if l.writes.len() > 0 {
-			return
-		}
-	}
-	// The snapshot branch reads at a global-clock version; ask the
-	// protocol to map the attempt's read point into clock space. If no
-	// such mark can be established the declaration is silently dropped
-	// and the transaction stays on the ordinary path, which is always
-	// correct.
-	v, ok := top.thread.proto.snapshotMark(top)
-	if !ok {
-		return
-	}
-	top.snapVersion = v
-	top.snapshot = true
-}
 
 // top returns the outermost Tx (self for top-level transactions).
 func (tx *Tx) top() *Tx {

@@ -269,7 +269,7 @@ func (v *Var[T]) Get(tx *Tx) T {
 		// Snapshot mode: invisible read against the frozen clock-space
 		// read version. Nothing is recorded, validated, or extended; a
 		// writer can never observe — let alone abort — this reader.
-		val, ok := c.readAt(tx.thread.Clock, top.snapVersion)
+		val, ok := c.readAt(tx.thread.Clock, top.readVersion)
 		if !ok {
 			tx.bail(sigFallback, fallbackShallowHistory)
 		}

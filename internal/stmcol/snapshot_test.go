@@ -7,8 +7,9 @@ import (
 	"tcc/internal/stm"
 )
 
-// TestHashMapSnapshotReads: the wrappers answer from committed state
-// on the snapshot path — zero fallbacks, zero aborts.
+// TestHashMapSnapshotReads: every read operation answers from committed
+// state inside one AtomicRead — a multi-operation view at one read
+// version, with zero fallbacks and zero aborts.
 func TestHashMapSnapshotReads(t *testing.T) {
 	m := NewHashMap[int, int]().SetName("SnapMap")
 	th := stm.NewThread(&stm.RealClock{}, 1)
@@ -20,27 +21,35 @@ func TestHashMapSnapshotReads(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := m.SnapshotGet(th, 7); !ok || v != 14 {
-		t.Fatalf("SnapshotGet(7) = (%d, %v), want (14, true)", v, ok)
-	}
-	if !m.SnapshotContainsKey(th, 0) || m.SnapshotContainsKey(th, 99) {
-		t.Fatal("SnapshotContainsKey wrong")
-	}
-	if n := m.SnapshotSize(th); n != 40 {
-		t.Fatalf("SnapshotSize = %d, want 40", n)
-	}
-	seen := 0
-	m.SnapshotForEach(th, func(k, v int) bool {
-		if v != k*2 {
-			t.Errorf("entry (%d, %d) wrong", k, v)
+	if err := th.AtomicRead(func(tx *stm.Tx) error {
+		if !tx.IsSnapshot() {
+			t.Fatal("AtomicRead body is not on the snapshot path")
 		}
-		seen++
-		return true
-	})
-	if seen != 40 {
-		t.Fatalf("SnapshotForEach visited %d entries, want 40", seen)
+		if v, ok := m.Get(tx, 7); !ok || v != 14 {
+			t.Fatalf("Get(7) = (%d, %v), want (14, true)", v, ok)
+		}
+		if !m.ContainsKey(tx, 0) || m.ContainsKey(tx, 99) {
+			t.Fatal("ContainsKey wrong")
+		}
+		if n := m.Size(tx); n != 40 {
+			t.Fatalf("Size = %d, want 40", n)
+		}
+		seen := 0
+		m.ForEach(tx, func(k, v int) bool {
+			if v != k*2 {
+				t.Errorf("entry (%d, %d) wrong", k, v)
+			}
+			seen++
+			return true
+		})
+		if seen != 40 {
+			t.Fatalf("ForEach visited %d entries, want 40", seen)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if th.Stats.SnapshotFallbacks != 0 || th.Stats.Aborts != 0 {
+	if th.Stats.SnapshotCommits != 1 || th.Stats.SnapshotFallbacks != 0 || th.Stats.Aborts != 0 {
 		t.Fatalf("snapshot reads fell back or aborted: %+v", th.Stats)
 	}
 }
@@ -98,8 +107,8 @@ func TestHashMapSnapshotWalkVsWriters(t *testing.T) {
 	}
 }
 
-// TestTreeMapSnapshotReads exercises the TreeMap wrappers, including
-// an ordered range walk on the snapshot path.
+// TestTreeMapSnapshotReads does the same for the TreeMap, including an
+// ordered range walk, all inside one AtomicRead.
 func TestTreeMapSnapshotReads(t *testing.T) {
 	tm := NewTreeMap[int, int]().SetName("SnapTree")
 	th := stm.NewThread(&stm.RealClock{}, 1)
@@ -111,32 +120,43 @@ func TestTreeMapSnapshotReads(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tm.SnapshotGet(th, 11); !ok || v != 11 {
-		t.Fatalf("SnapshotGet(11) = (%d, %v), want (11, true)", v, ok)
-	}
-	if n := tm.SnapshotSize(th); n != 30 {
-		t.Fatalf("SnapshotSize = %d, want 30", n)
-	}
-	var order []int
-	tm.SnapshotForEach(th, func(k, _ int) bool {
-		order = append(order, k)
-		return true
-	})
-	for i, k := range order {
-		if k != i {
-			t.Fatalf("snapshot walk out of order at %d: %v", i, order)
+	if err := th.AtomicRead(func(tx *stm.Tx) error {
+		if !tx.IsSnapshot() {
+			t.Fatal("AtomicRead body is not on the snapshot path")
 		}
+		if v, ok := tm.Get(tx, 11); !ok || v != 11 {
+			t.Fatalf("Get(11) = (%d, %v), want (11, true)", v, ok)
+		}
+		if n := tm.Size(tx); n != 30 {
+			t.Fatalf("Size = %d, want 30", n)
+		}
+		var order []int
+		tm.ForEach(tx, func(k, _ int) bool {
+			order = append(order, k)
+			return true
+		})
+		if len(order) != 30 {
+			t.Fatalf("ForEach visited %d entries, want 30", len(order))
+		}
+		for i, k := range order {
+			if k != i {
+				t.Fatalf("snapshot walk out of order at %d: %v", i, order)
+			}
+		}
+		lo, hi := 10, 20
+		var ranged []int
+		tm.AscendRange(tx, &lo, &hi, func(k, _ int) bool {
+			ranged = append(ranged, k)
+			return true
+		})
+		if len(ranged) != 10 || ranged[0] != 10 || ranged[9] != 19 {
+			t.Fatalf("AscendRange = %v, want 10..19", ranged)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	lo, hi := 10, 20
-	var ranged []int
-	tm.SnapshotAscendRange(th, &lo, &hi, func(k, _ int) bool {
-		ranged = append(ranged, k)
-		return true
-	})
-	if len(ranged) != 10 || ranged[0] != 10 || ranged[9] != 19 {
-		t.Fatalf("SnapshotAscendRange = %v, want 10..19", ranged)
-	}
-	if th.Stats.SnapshotFallbacks != 0 || th.Stats.Aborts != 0 {
+	if th.Stats.SnapshotCommits != 1 || th.Stats.SnapshotFallbacks != 0 || th.Stats.Aborts != 0 {
 		t.Fatalf("snapshot reads fell back or aborted: %+v", th.Stats)
 	}
 }

@@ -42,8 +42,12 @@ if [[ -n "$unformatted" ]]; then
   exit 1
 fi
 
-stage "go test -race ./..."
-go test -race ./...
+stage "go test -race -timeout 180s ./..."
+# A livelocked test must fail with a goroutine dump, not run to the 600 s
+# default while its writer grows the heap (ROADMAP containment c). The
+# slowest packages take ~25 s alone under -race; widen the timeout if a
+# green run ever comes within 2x of it.
+go test -race -timeout 180s ./...
 
 stage "stmlint -json -timing ./... (empty-baseline gate)"
 # Per-rule timing goes to stderr (visible above); the JSON report is
