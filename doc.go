@@ -27,5 +27,8 @@
 // See README.md for a walkthrough, DESIGN.md for the system inventory
 // and substitutions, and EXPERIMENTS.md for measured-vs-paper results.
 // The benchmarks in bench_test.go regenerate every figure
-// (BenchmarkFigure1..4) and the §5.1 design-choice ablations.
+// (BenchmarkFigure1..4) and the §5.1 design-choice ablations; the full
+// sweep behind EXPERIMENTS.md is
+//
+//	go run ./cmd/tccbench -ops 4096 -stats
 package tcc

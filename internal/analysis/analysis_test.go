@@ -87,15 +87,26 @@ func collectWant(fset *token.FileSet, pkg *analysis.Package) map[string][]string
 // want comment must be matched by a diagnostic of that rule on that
 // line, and every diagnostic must be announced by a want comment —
 // which is also what keeps the "clean" cases in each fixture honest.
-func runFixture(t *testing.T, name string) {
+// The call graph spans the fixture alone unless it names module
+// packages (deps, relative to the module root) whose bodies a finding
+// of its reaches through — as `stmlint` spans every package it loads.
+func runFixture(t *testing.T, name string, deps ...string) {
 	t.Helper()
 	l, pkg := loadFixture(t, name)
 	want := collectWant(l.Fset, pkg)
 	if len(want) == 0 && name != "suppress" {
 		t.Fatalf("fixture %s has no want comments", name)
 	}
+	pkgs := []*analysis.Package{pkg}
+	for _, dep := range deps {
+		p, err := l.LoadDir(filepath.Join(l.ModuleDir, filepath.FromSlash(dep)), l.ModulePath+"/"+dep)
+		if err != nil {
+			t.Fatalf("load %s: %v", dep, err)
+		}
+		pkgs = append(pkgs, p)
+	}
 	got := make(map[string][]string)
-	for _, d := range analysis.Check(l.Fset, pkg) {
+	for _, d := range analysis.CheckWithGraph(l.Fset, pkg, analysis.BuildCallGraph(l.Fset, pkgs)).Diagnostics {
 		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
 		got[key] = append(got[key], d.Rule)
 	}
@@ -122,7 +133,10 @@ func TestHandlerTxnFixture(t *testing.T)   { runFixture(t, "handlertxn") }
 func TestUncheckedFixture(t *testing.T)    { runFixture(t, "unchecked") }
 
 func TestTraceInCommitFixture(t *testing.T) { runFixture(t, "traceincommit") }
-func TestGuardOrderFixture(t *testing.T)    { runFixture(t, "guardorder") }
+
+// The guard-order fixture's tx.Nested case is found only by following
+// the call into the STM (Tx.Nested → Tx.compensate → acquireGuards).
+func TestGuardOrderFixture(t *testing.T) { runFixture(t, "guardorder", "internal/stm") }
 func TestCommitBlockingFixture(t *testing.T) {
 	runFixture(t, "commitblocking")
 }

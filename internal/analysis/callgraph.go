@@ -232,7 +232,7 @@ func (g *CallGraph) indexTypes(pkg *Package) {
 
 // classifyNamedArgs records named functions passed where classifyFuncLits
 // records literals: as transaction bodies (Atomic/Open/Nested) or as
-// handlers (OnCommit family, plain or Guarded).
+// handlers (the handlerRegistrations methods).
 func (g *CallGraph) classifyNamedArgs(info *types.Info, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -260,17 +260,7 @@ func (g *CallGraph) classifyNamedArgs(info *types.Info, f *ast.File) {
 				g.txBodyFuncs[fn] = true
 				g.readonlyBodyFuncs[fn] = true
 			}
-		case isSTMMethod(info, call, "Tx", "OnCommit"),
-			isSTMMethod(info, call, "Tx", "OnAbort"),
-			isSTMMethod(info, call, "Tx", "OnTopCommit"),
-			isSTMMethod(info, call, "Tx", "OnTopAbort"):
-			if fn := fnAt(0); fn != nil {
-				g.handlerFuncs[fn] = true
-			}
-		case isSTMMethod(info, call, "Tx", "OnCommitGuarded"),
-			isSTMMethod(info, call, "Tx", "OnAbortGuarded"),
-			isSTMMethod(info, call, "Tx", "OnTopCommitGuarded"),
-			isSTMMethod(info, call, "Tx", "OnTopAbortGuarded"):
+		case isHandlerRegistration(info, call):
 			if fn := fnAt(1); fn != nil {
 				g.handlerFuncs[fn] = true
 			}

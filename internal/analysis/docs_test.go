@@ -3,6 +3,8 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -50,5 +52,104 @@ func TestDesignRuleTable(t *testing.T) {
 	if strings.Join(documented, " ") != strings.Join(registered, " ") {
 		t.Errorf("DESIGN.md §8 rule table out of sync with analysis.Rules():\n  documented: %v\n  registered: %v",
 			documented, registered)
+	}
+}
+
+// TestDocsNameExistingFiles keeps the prose honest about the tree: every
+// backticked file name in README.md, DESIGN.md and EXPERIMENTS.md — a
+// token without spaces that starts with a letter and ends in .go, .sh,
+// .md, .json or .txt, optionally :line — is a file under the module
+// root, given either from the root or by a path suffix exactly one file
+// has, and a :line lies within it; and every `go test -run Name` in
+// DESIGN.md §5's index matches a `func Name…` in a _test.go file of the
+// package it names.
+func TestDocsNameExistingFiles(t *testing.T) {
+	root := getLoader(t).ModuleDir
+	var files []string // slash paths relative to root
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files = append(files, "/"+filepath.ToSlash(rel))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := regexp.MustCompile("`([A-Za-z][^`\\s]*\\.(?:go|sh|md|json|txt))(?::([0-9]+))?`")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range token.FindAllStringSubmatch(line, -1) {
+				var hits []string
+				for _, f := range files {
+					if f == "/"+m[1] {
+						hits = []string{f}
+						break
+					}
+					if strings.HasSuffix(f, "/"+m[1]) {
+						hits = append(hits, f)
+					}
+				}
+				if len(hits) != 1 {
+					t.Errorf("%s:%d: `%s` names %d files %v, want exactly one", doc, i+1, m[1], len(hits), hits)
+					continue
+				}
+				if m[2] == "" {
+					continue
+				}
+				text, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(hits[0])))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, _ := strconv.Atoi(m[2]); n < 1 || n > strings.Count(string(text), "\n")+1 {
+					t.Errorf("%s:%d: `%s:%s` is past the end of the file", doc, i+1, m[1], m[2])
+				}
+			}
+		}
+	}
+
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(design), "\n## 5.")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 5")
+	}
+	index, _, _ = strings.Cut(index, "\n## 6.")
+	runs := regexp.MustCompile("`go test -run (\\w+)(?: \\./(\\S+))?`").FindAllStringSubmatch(index, -1)
+	if len(runs) == 0 {
+		t.Fatal("DESIGN.md §5 names no `go test -run` command")
+	}
+	for _, m := range runs {
+		tests, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(m[2]), "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, f := range tests {
+			text, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found = found || strings.Contains(string(text), "\nfunc "+m[1])
+		}
+		if !found {
+			t.Errorf("DESIGN.md §5: `go test -run %s ./%s` matches no test function there", m[1], m[2])
+		}
 	}
 }

@@ -8,11 +8,11 @@ import (
 // handler-txn: transactional work inside a commit/abort handler. The
 // paper's handler rules (§4, §5) are strict: handlers run after the
 // transaction's fate is decided — commit handlers after the memory
-// commit, abort handlers during rollback, both under the global commit
-// guard — so they must operate on non-transactional state (the
-// underlying collection, guarded by its own mutex) and must not start
-// transactions, touch stm.Vars, or use the dead *stm.Tx they may have
-// captured. A handler that did any of those could deadlock on the
+// commit, abort handlers during rollback, both under the guards their
+// registrations name — so they must operate on non-transactional state
+// (the underlying collection, guarded by its own mutex) and must not
+// start transactions, touch stm.Vars, or use the dead *stm.Tx they may
+// have captured. A handler that did any of those could deadlock on the
 // commit guard, observe a half-committed snapshot, or resurrect a
 // transaction whose read/write sets are already discarded.
 var ruleHandlerTxn = &Rule{
@@ -48,14 +48,7 @@ func runHandlerTxn(p *Pass) {
 					isSTMMethod(info, n, "Var", "SetCommitted"):
 					p.Reportf(n.Pos(), "handler touches transactional state (stm.Var); apply buffered updates to the underlying structure instead")
 					markReceiver(n, reported)
-				case isSTMMethod(info, n, "Tx", "OnCommit"),
-					isSTMMethod(info, n, "Tx", "OnAbort"),
-					isSTMMethod(info, n, "Tx", "OnTopCommit"),
-					isSTMMethod(info, n, "Tx", "OnTopAbort"),
-					isSTMMethod(info, n, "Tx", "OnCommitGuarded"),
-					isSTMMethod(info, n, "Tx", "OnAbortGuarded"),
-					isSTMMethod(info, n, "Tx", "OnTopCommitGuarded"),
-					isSTMMethod(info, n, "Tx", "OnTopAbortGuarded"):
+				case isHandlerRegistration(info, n):
 					p.Reportf(n.Pos(), "handler registers another handler on a finished transaction")
 					markReceiver(n, reported)
 				}

@@ -21,12 +21,13 @@ import (
 //   - Var.Set anywhere on the body's same-transaction synchronous
 //     path, lexically or through the module call graph.
 //   - Lexically in the AtomicRead body itself, the fallback-forcing
-//     registrations too: Tx.Open, the OnCommit/OnAbort families
-//     (Guarded or not), Tx.AddTopGuard. These are only flagged at the
-//     root — library code reached from a snapshot read (the internal/
-//     core collections in particular) branches on Tx.IsSnapshot before
-//     its registration paths, so a reachable registration is not
-//     evidence of a write the way a reachable Var.Set is.
+//     registrations too: Tx.Open, the four handler registrations
+//     (walk.go's handlerRegistrations), Tx.AddTopGuard. These are only
+//     flagged at the root — library code reached from a snapshot read
+//     (the internal/core collections in particular) branches on
+//     Tx.IsSnapshot before its registration paths, so a reachable
+//     registration is not evidence of a write the way a reachable
+//     Var.Set is.
 //
 // Function literals that begin a *different* transaction (bodies of
 // Atomic/AtomicRead/Open/Nested) are not traversed: their writes
@@ -39,14 +40,6 @@ var ruleWriteInReadonly = &Rule{
 	ID:  "write-in-readonly",
 	Doc: "Var.Set (or Tx.Open/handler registration) reachable from a Thread.AtomicRead body (silently demotes the snapshot read to the retry path)",
 	Run: runWriteInReadonly,
-}
-
-// fallbackRegistrations are the Tx methods that force a snapshot
-// transaction back onto the retry path the moment they are called.
-var fallbackRegistrations = [...]string{
-	"OnCommit", "OnAbort", "OnTopCommit", "OnTopAbort",
-	"OnCommitGuarded", "OnAbortGuarded", "OnTopCommitGuarded", "OnTopAbortGuarded",
-	"AddTopGuard",
 }
 
 func runWriteInReadonly(p *Pass) {
@@ -143,10 +136,10 @@ func writeCall(info *types.Info, call *ast.CallExpr, atRoot bool) (effect, bool)
 	if isSTMMethod(info, call, "Tx", "Open") {
 		return effect{call.Pos(), "open-nested Tx.Open"}, true
 	}
-	for _, name := range fallbackRegistrations {
-		if isSTMMethod(info, call, "Tx", name) {
-			return effect{call.Pos(), "Tx." + name + " registration"}, true
-		}
+	// Registrations force a snapshot transaction back onto the retry
+	// path the moment they are called.
+	if isHandlerRegistration(info, call) || isSTMMethod(info, call, "Tx", "AddTopGuard") {
+		return effect{call.Pos(), "Tx." + calleeFunc(info, call).Name() + " registration"}, true
 	}
 	return effect{}, false
 }

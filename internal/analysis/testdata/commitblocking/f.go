@@ -103,7 +103,7 @@ func notify(ch chan int) {
 // send inside one convoys every commit sharing that guard.
 func handlerBlocks(th *stm.Thread, done chan struct{}) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnTopCommit(func() {
+		tx.OnTopCommitGuarded(guard, func() {
 			done <- struct{}{} // want commit-window-blocking
 		})
 		return nil

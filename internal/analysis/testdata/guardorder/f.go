@@ -117,12 +117,23 @@ func grabOther() {
 // so acquiring another guard inside one is the same inversion.
 func handlerGrabs(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnTopCommit(func() {
+		tx.OnTopCommitGuarded(guardA, func() {
 			guardB.Lock() // want guard-order
 			guardB.Unlock()
 		})
 		return nil
 	})
+}
+
+// nestedInWindow: a closed-nested child that rolls back compensates
+// under the guards its abort handlers name, so tx.Nested inside a hold
+// window can block on a second guard (Tx.Nested → Tx.compensate →
+// acquireGuards) with the first still held.
+func nestedInWindow(tx *stm.Tx) error {
+	guardA.Lock()
+	err := tx.Nested(func() error { return nil }) // want guard-order trace-in-commit
+	guardA.Unlock()
+	return err
 }
 
 // stripeSweepUnderGuard: calling a striped collection's lockSpan while

@@ -5,6 +5,8 @@ import (
 	"tcc/internal/stm"
 )
 
+var guard = stm.NewGuard()
+
 type registry struct {
 	commits int
 	owner   *stm.Handle
@@ -13,7 +15,7 @@ type registry struct {
 // bad: commit handler touches transactional state.
 func handlerVar(th *stm.Thread, v *stm.Var[int]) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnCommit(func() {
+		tx.OnCommitGuarded(guard, func() {
 			v.SetCommitted(1) // want handler-txn
 		})
 		return nil
@@ -23,7 +25,7 @@ func handlerVar(th *stm.Thread, v *stm.Var[int]) error {
 // bad: abort handler starts a new top-level transaction.
 func handlerAtomic(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnTopAbort(func() {
+		tx.OnTopAbortGuarded(guard, func() {
 			err := th.Atomic(func(tx2 *stm.Tx) error { return nil }) // want handler-txn
 			_ = err
 		})
@@ -34,7 +36,7 @@ func handlerAtomic(th *stm.Thread) error {
 // bad: a read-only top-level transaction is still a transaction.
 func handlerAtomicRead(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnTopCommit(func() {
+		tx.OnTopCommitGuarded(guard, func() {
 			err := th.AtomicRead(func(tx2 *stm.Tx) error { return nil }) // want handler-txn
 			_ = err
 		})
@@ -45,7 +47,7 @@ func handlerAtomicRead(th *stm.Thread) error {
 // bad: handler opens a nested transaction on the dead Tx.
 func handlerOpen(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnAbort(func() {
+		tx.OnAbortGuarded(guard, func() {
 			err := tx.Open(func(o *stm.Tx) error { return nil }) // want handler-txn
 			_ = err
 		})
@@ -56,7 +58,7 @@ func handlerOpen(th *stm.Thread) error {
 // bad: handler uses the captured *stm.Tx (dead by the time it runs).
 func handlerCapturesTx(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnCommit(func() {
+		tx.OnCommitGuarded(guard, func() {
 			tx.Poll() // want handler-txn
 		})
 		return nil
@@ -72,7 +74,7 @@ func cleanHandler(th *stm.Thread, reg *registry) error {
 	return th.Atomic(func(tx *stm.Tx) error {
 		h := tx.Handle()
 		thd := tx.Thread()
-		tx.OnTopCommit(func() {
+		tx.OnTopCommitGuarded(guard, func() {
 			reg.commits++
 			reg.owner = h
 			thd.DeferTick(8)

@@ -9,6 +9,8 @@ import (
 	"tcc/internal/stm"
 )
 
+var guard = stm.NewGuard()
+
 // bad: wall clock and global RNG inside a transactional body — retries
 // re-draw fresh values and the virtual clock never sees the time.
 func nondetBody(th *stm.Thread, v *stm.Var[int64]) error {
@@ -23,7 +25,7 @@ func nondetBody(th *stm.Thread, v *stm.Var[int64]) error {
 // bad: wall clock inside a commit handler.
 func nondetHandler(th *stm.Thread) error {
 	return th.Atomic(func(tx *stm.Tx) error {
-		tx.OnCommit(func() {
+		tx.OnCommitGuarded(guard, func() {
 			_ = time.Since(time.Unix(0, 0)) // want nondeterminism
 		})
 		return nil

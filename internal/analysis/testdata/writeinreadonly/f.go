@@ -1,6 +1,6 @@
 // Package writeinreadonly exercises the write-in-readonly rule: a
-// Var.Set — or a fallback-forcing registration (Tx.Open, the
-// OnCommit/OnAbort families, AddTopGuard) — reachable from a function
+// Var.Set — or a fallback-forcing registration (Tx.Open, the four
+// handler registrations, AddTopGuard) — reachable from a function
 // passed to Thread.AtomicRead silently demotes the snapshot read to
 // the locking retry path. Reads, nested closures that only read, and
 // writes inside ordinary Thread.Atomic bodies are all clean.
@@ -8,7 +8,10 @@ package writeinreadonly
 
 import "tcc/internal/stm"
 
-var v = stm.NewVar(0)
+var (
+	v     = stm.NewVar(0)
+	guard = stm.NewGuard()
+)
 
 // readOnlyRead: pure reads are what AtomicRead is for — clean.
 func readOnlyRead(th *stm.Thread) (int, error) {
@@ -90,7 +93,7 @@ func openInBody(th *stm.Thread) error {
 // though the handler never touches a Var.
 func handlerInBody(th *stm.Thread, n *int) error {
 	return th.AtomicRead(func(tx *stm.Tx) error {
-		tx.OnTopCommit(func() { *n++ }) // want write-in-readonly
+		tx.OnTopCommitGuarded(guard, func() { *n++ }) // want write-in-readonly
 		return nil
 	})
 }

@@ -84,6 +84,22 @@ func isTopLevelEntry(info *types.Info, call *ast.CallExpr) bool {
 	return isSTMMethod(info, call, "Thread", "Atomic") || isSTMMethod(info, call, "Thread", "AtomicRead")
 }
 
+// handlerRegistrations are the Tx methods that register a commit or
+// abort handler. Each takes (guard, fn): the handler is argument 1.
+var handlerRegistrations = [...]string{
+	"OnCommitGuarded", "OnAbortGuarded", "OnTopCommitGuarded", "OnTopAbortGuarded",
+}
+
+// isHandlerRegistration reports whether call registers a handler.
+func isHandlerRegistration(info *types.Info, call *ast.CallExpr) bool {
+	for _, name := range handlerRegistrations {
+		if isSTMMethod(info, call, "Tx", name) {
+			return true
+		}
+	}
+	return false
+}
+
 // stmNamedPtr reports whether t is a pointer to the STM package's named
 // type with the given name (*stm.Tx, *stm.Thread, ...).
 func stmNamedPtr(t types.Type, name string) bool {
@@ -106,7 +122,7 @@ const (
 	bodyPlain      bodyKind = iota
 	bodyTx                  // argument to Thread.Atomic, Tx.Open or Tx.Nested
 	bodyReadOnlyTx          // argument to Thread.AtomicRead (a transaction body that must not write)
-	bodyHandler             // argument to OnCommit/OnAbort/OnTopCommit/OnTopAbort or a Guarded variant
+	bodyHandler             // handler argument of a handlerRegistrations method
 	bodyGo                  // launched by a go statement
 )
 
@@ -151,19 +167,7 @@ func classifyFuncLits(info *types.Info, f *ast.File) map[*ast.FuncLit]bodyKind {
 				if lit := litAt(0); lit != nil {
 					kinds[lit] = bodyReadOnlyTx
 				}
-			case isSTMMethod(info, n, "Tx", "OnCommit"),
-				isSTMMethod(info, n, "Tx", "OnAbort"),
-				isSTMMethod(info, n, "Tx", "OnTopCommit"),
-				isSTMMethod(info, n, "Tx", "OnTopAbort"):
-				if lit := litAt(0); lit != nil {
-					kinds[lit] = bodyHandler
-				}
-			case isSTMMethod(info, n, "Tx", "OnCommitGuarded"),
-				isSTMMethod(info, n, "Tx", "OnAbortGuarded"),
-				isSTMMethod(info, n, "Tx", "OnTopCommitGuarded"),
-				isSTMMethod(info, n, "Tx", "OnTopAbortGuarded"):
-				// Guarded registration takes (guard, fn): the handler
-				// literal is the second argument.
+			case isHandlerRegistration(info, n):
 				if lit := litAt(1); lit != nil {
 					kinds[lit] = bodyHandler
 				}

@@ -382,16 +382,6 @@ func (tm *TransactionalMap[K, V]) newRangeLock(l *mapLocal[K, V], si int) *range
 	return r
 }
 
-// SetKeyedConflicts toggles per-key detail in key-conflict violation
-// reasons (semlock.KeyTable.SetKeyedReasons): conflict profiles then
-// attribute semantic aborts to individual keys, at the price of one
-// formatting allocation per violated transaction. Call during setup.
-func (tm *TransactionalMap[K, V]) SetKeyedConflicts(on bool) {
-	for _, st := range tm.stripes {
-		st.key2lockers.SetKeyedReasons(on)
-	}
-}
-
 // SetIsEmptyViaSize toggles the §5.1 ablation: when true, IsEmpty takes
 // the size lock (conflicting with any size change) instead of the
 // dedicated empty-transition lock.

@@ -100,7 +100,7 @@ func runSerializabilityWorkload(t *testing.T, workers, txPerWorker, keySpace int
 					}
 					// Draw the serialization number at commit, under
 					// the commit guard.
-					tx.OnTopCommit(func() {
+					tx.OnTopCommitGuarded(tm.Guard(), func() {
 						rec.seq = seqCounter.Add(1)
 					})
 					return nil

@@ -7,10 +7,6 @@ import "testing"
 // allocate. Before the recycling fix each sweep built a fresh []Owner
 // (and sort.Slice boxed it), so a hot writer committing against N
 // readers paid O(sweeps) garbage on the commit critical path.
-//
-// Keyed reasons are deliberately off for the KeyTable case: formatting
-// the key into the reason string allocates by design (documented on the
-// keyed field).
 
 func TestOwnerSetViolateOthersNoAlloc(t *testing.T) {
 	s := NewOwnerSet()

@@ -14,7 +14,6 @@
 package semlock
 
 import (
-	"fmt"
 	"slices"
 
 	"tcc/internal/stm"
@@ -123,23 +122,13 @@ type keyOwners struct {
 // absence).
 type KeyTable[K comparable] struct {
 	lockers map[K]keyOwners
-	// keyed makes ViolateOthers append the conflicting key to the
-	// violation reason, so conflict profiles attribute semantic aborts
-	// to individual keys. Off by default: formatting the key costs an
-	// allocation per violated transaction, and it splits one logical
-	// hotspot across as many heatmap rows as there are hot keys.
-	keyed bool
-	sweep []Owner // recycled violation-sweep scratch (see recycleSweep)
+	sweep   []Owner // recycled violation-sweep scratch (see recycleSweep)
 }
 
 // NewKeyTable creates an empty table.
 func NewKeyTable[K comparable]() *KeyTable[K] {
 	return &KeyTable[K]{lockers: make(map[K]keyOwners)}
 }
-
-// SetKeyedReasons toggles per-key detail in violation reasons (see the
-// keyed field). Call during setup, before concurrent use.
-func (t *KeyTable[K]) SetKeyedReasons(on bool) { t.keyed = on }
 
 // holds reports whether o is one of e's owners.
 func (e keyOwners) holds(o Owner) bool {
@@ -207,29 +196,16 @@ func (t *KeyTable[K]) Locked(k K) bool {
 }
 
 // ViolateOthers aborts every reader of k other than self, in ascending
-// handle-id order (see orderedOwners). With keyed reasons enabled the
-// reason each victim records carries the key, e.g.
-// `TestMap: key conflict [key=17]`.
+// handle-id order (see orderedOwners).
 func (t *KeyTable[K]) ViolateOthers(k K, self Owner, reason string) int {
 	e, ok := t.lockers[k]
 	if !ok {
 		return 0
 	}
 	n := 0
-	detailed := ""
 	t.sweep = e.ordered(t.sweep)
 	for _, o := range t.sweep {
-		if o == self {
-			continue
-		}
-		if t.keyed && detailed == "" {
-			detailed = fmt.Sprintf("%s [key=%v]", reason, k)
-		}
-		r := reason
-		if detailed != "" {
-			r = detailed
-		}
-		if o.Violate(r) {
+		if o != self && o.Violate(reason) {
 			n++
 		}
 	}

@@ -95,28 +95,6 @@ func TestKeyTableViolateOthersIsPerKey(t *testing.T) {
 	}
 }
 
-func TestKeyTableKeyedReasons(t *testing.T) {
-	kt := NewKeyTable[int]()
-	self, other := activeHandle(), activeHandle()
-	kt.Lock(17, self)
-	kt.Lock(17, other)
-	kt.SetKeyedReasons(true)
-	if n := kt.ViolateOthers(17, self, "TestMap: key conflict"); n != 1 {
-		t.Fatalf("violated %d, want 1", n)
-	}
-	if got := other.ViolationReason(); got != "TestMap: key conflict [key=17]" {
-		t.Fatalf("reason = %q, want key detail appended", got)
-	}
-	// Off by default: a fresh table reports the plain reason.
-	kt2 := NewKeyTable[int]()
-	victim := activeHandle()
-	kt2.Lock(3, victim)
-	kt2.ViolateOthers(3, activeHandle(), "plain")
-	if got := victim.ViolationReason(); got != "plain" {
-		t.Fatalf("reason = %q, want %q", got, "plain")
-	}
-}
-
 // committedHandles returns n handles minted by n successive
 // transactions, so their ids ascend in slice order.
 func committedHandles(t *testing.T, n int) []Owner {

@@ -40,15 +40,8 @@ type Guard struct {
 	mu    sync.Mutex
 }
 
-// guardIDs hands out process-global guard identities, starting after
-// the fallback guard's id 1.
+// guardIDs hands out process-global guard identities.
 var guardIDs atomic.Uint64
-
-// fallbackGuard serializes the handler windows of transactions that
-// register handlers without naming a guard (tx.OnCommit / tx.OnAbort):
-// they keep the old global-guard semantics, conservatively correct for
-// handler-only users that predate guard footprints.
-var fallbackGuard = NewGuard()
 
 // NewGuard creates a guard with a fresh identity. Transactional
 // collections create one per instance at construction time.
@@ -82,21 +75,19 @@ func (g *Guard) Lock() { g.mu.Lock() }
 // Unlock releases the guard.
 func (g *Guard) Unlock() { g.mu.Unlock() }
 
-// addGuard appends g to set if not already present (guard sets are a
-// handful of entries, so the linear scan beats any map). It returns the
-// possibly-grown slice.
-func addGuard(set []*Guard, g *Guard) []*Guard {
-	for _, have := range set {
-		if have == g {
-			return set
-		}
+// gatherGuards appends the guard each registration in regs names to
+// buf, duplicates and all: a footprint is derived from the handlers at
+// the moment it is acquired, and sortGuards makes it canonical.
+func gatherGuards(buf []*Guard, regs []registration) []*Guard {
+	for _, r := range regs {
+		buf = append(buf, r.g)
 	}
-	return append(set, g)
+	return buf
 }
 
 // sortGuards orders buf ascending by id and removes duplicates in
-// place (duplicates arise when levels merge), returning the compacted
-// slice. Insertion sort: footprints are tiny.
+// place (one per registration under the same guard), returning the
+// compacted slice. Insertion sort: footprints are tiny.
 func sortGuards(buf []*Guard) []*Guard {
 	for i := 1; i < len(buf); i++ {
 		for j := i; j > 0 && buf[j].id < buf[j-1].id; j-- {

@@ -30,13 +30,17 @@ func TestGuardIDsUniqueAndSorted(t *testing.T) {
 	}
 }
 
-func TestAddGuardDedups(t *testing.T) {
-	g := NewGuard()
-	set := addGuard(nil, g)
-	set = addGuard(set, g)
-	if len(set) != 1 {
-		t.Fatalf("addGuard duplicated an entry: %d", len(set))
+// notHeld returns the labels of the guards in gs that nobody holds
+// right now (a TryLock probe, undone at once).
+func notHeld(gs ...*Guard) []string {
+	var free []string
+	for _, g := range gs {
+		if g.mu.TryLock() {
+			g.mu.Unlock()
+			free = append(free, g.Label())
+		}
 	}
+	return free
 }
 
 // TestGuardFreeRollbackTakesNoGuard is the rollback bugfix's regression
@@ -49,9 +53,7 @@ func TestAddGuardDedups(t *testing.T) {
 func TestGuardFreeRollbackTakesNoGuard(t *testing.T) {
 	g := NewGuard()
 	g.Lock()
-	fallbackGuard.Lock()
 	defer g.Unlock()
-	defer fallbackGuard.Unlock()
 
 	done := make(chan error, 1)
 	go func() {
@@ -228,73 +230,72 @@ func TestOverlappingGuardFootprintStress(t *testing.T) {
 
 // TestNestedFootprintMerge: a closed-nested child that registered
 // guarded handlers under stripes {a, b} commits into a parent that had
-// registered under {b, c}; the merged level must carry exactly the
-// union {a, b, c}, deduplicated — the footprint the striped collections
-// rely on when a child touches stripes its parent has not.
+// registered under {b, c}; the commit window must hold exactly the
+// union {a, b, c} — the footprint the striped collections rely on when
+// a child touches stripes its parent has not.
 func TestNestedFootprintMerge(t *testing.T) {
-	a, b, c := NewGuard(), NewGuard(), NewGuard()
+	a, b, c, other := NewGuard(), NewGuard(), NewGuard(), NewGuard()
 	th := newTestThread()
+	var free, otherFree []string
 	err := th.Atomic(func(tx *Tx) error {
 		tx.OnCommitGuarded(b, func() {})
-		tx.OnCommitGuarded(c, func() {})
-		if err := tx.Nested(func() error {
+		tx.OnCommitGuarded(c, func() {
+			free, otherFree = notHeld(a, b, c), notHeld(other)
+		})
+		return tx.Nested(func() error {
 			tx.OnCommitGuarded(a, func() {})
 			tx.OnCommitGuarded(b, func() {})
 			return nil
-		}); err != nil {
-			return err
-		}
-		got := make(map[*Guard]bool, len(tx.cur.commitGuards))
-		for _, g := range tx.cur.commitGuards {
-			got[g] = true
-		}
-		if len(tx.cur.commitGuards) != 3 || !got[a] || !got[b] || !got[c] {
-			t.Fatalf("merged commit footprint has %d guards (a=%v b=%v c=%v), want exactly {a,b,c}",
-				len(tx.cur.commitGuards), got[a], got[b], got[c])
-		}
-		return nil
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(free) != 0 || len(otherFree) != 1 {
+		t.Fatalf("commit window: %v of {a,b,c} free, unnamed guard free: %v; want exactly {a,b,c} held", free, otherFree)
+	}
+	if free := notHeld(a, b, c); len(free) != 3 {
+		t.Fatalf("after commit only %v are free, want all of {a,b,c}", free)
+	}
 }
 
 // TestAddTopGuardWidensFootprint: AddTopGuard must land the guard in
-// both the commit and the abort footprint of the root level, from any
-// nesting depth — including a closed-nested child and an open-nested
-// child, which is where the striped map's touch() calls it from.
+// the footprint of the commit and of the whole-transaction rollback,
+// from any nesting depth — including a closed-nested child and an
+// open-nested child, which is where the striped map's touch() calls it
+// from.
 func TestAddTopGuardWidensFootprint(t *testing.T) {
-	a, b, c := NewGuard(), NewGuard(), NewGuard()
-	th := newTestThread()
-	err := th.Atomic(func(tx *Tx) error {
-		tx.AddTopGuard(a)
-		if err := tx.Nested(func() error {
-			tx.AddTopGuard(b)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := tx.Open(func(o *Tx) error {
-			o.AddTopGuard(c)
-			return nil
-		}); err != nil {
-			return err
-		}
-		root := tx.rootLevel()
-		for _, set := range [][]*Guard{root.commitGuards, root.abortGuards} {
-			got := make(map[*Guard]bool, len(set))
-			for _, g := range set {
-				got[g] = true
+	for _, wantErr := range []error{nil, errRollback} {
+		a, b, c, probe := NewGuard(), NewGuard(), NewGuard(), NewGuard()
+		th := newTestThread()
+		free := []string{"handler never ran"}
+		err := th.Atomic(func(tx *Tx) error {
+			tx.AddTopGuard(a)
+			if err := tx.Nested(func() error {
+				tx.AddTopGuard(b)
+				return nil
+			}); err != nil {
+				return err
 			}
-			if len(set) != 3 || !got[a] || !got[b] || !got[c] {
-				t.Fatalf("root footprint = %d guards (a=%v b=%v c=%v), want {a,b,c} in both lists",
-					len(set), got[a], got[b], got[c])
+			if err := tx.Open(func(o *Tx) error {
+				o.AddTopGuard(c)
+				return nil
+			}); err != nil {
+				return err
 			}
+			tx.OnCommitGuarded(probe, func() { free = notHeld(a, b, c) })
+			tx.OnAbortGuarded(probe, func() { free = notHeld(a, b, c) })
+			return wantErr
+		})
+		if err != wantErr {
+			t.Fatalf("Atomic returned %v, want %v", err, wantErr)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		if len(free) != 0 {
+			t.Fatalf("ending in %v: %v not held in the handler window, want all of {a,b,c}", wantErr, free)
+		}
+		if free := notHeld(a, b, c); len(free) != 3 {
+			t.Fatalf("ending in %v: only %v free afterwards, want all of {a,b,c}", wantErr, free)
+		}
 	}
 }
 
@@ -336,6 +337,205 @@ func TestAddTopGuardHeldDuringHandlers(t *testing.T) {
 	}
 	if !heldAtAbort {
 		t.Fatal("AddTopGuard'd guard not held during the abort handler window")
+	}
+}
+
+// TestPartialRollbackHoldsGuard: an abort handler registered in a
+// closed-nested child compensates under its guard on every way out of
+// the child — the child's own error, its conflict retry, and a
+// violation of the whole transaction unwinding through it — exactly as
+// it would on a whole-transaction rollback.
+func TestPartialRollbackHoldsGuard(t *testing.T) {
+	arms := []struct {
+		name                      string
+		wantErr                   error
+		attempts                  int
+		nestedRetries, violations uint64
+		child                     func(t *testing.T, tx *Tx, attempt int, v1, v2 *Var[int]) error
+	}{
+		{"error", errRollback, 1, 0, 0, func(t *testing.T, tx *Tx, attempt int, v1, v2 *Var[int]) error {
+			return errRollback
+		}},
+		{"conflict-retry", nil, 2, 1, 0, func(t *testing.T, tx *Tx, attempt int, v1, v2 *Var[int]) error {
+			_ = v1.Get(tx)
+			if attempt == 0 {
+				// Another worker moves both vars on after the child read
+				// v1: reading v2 cannot extend past the stale v1 and
+				// retries the child.
+				other := protoThread(t, tx.Thread().Protocol(), 2)
+				if err := other.Atomic(func(w *Tx) error {
+					v1.Set(w, 10)
+					v2.Set(w, 20)
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+			_ = v2.Get(tx)
+			return nil
+		}},
+		{"violation", nil, 2, 0, 1, func(t *testing.T, tx *Tx, attempt int, v1, v2 *Var[int]) error {
+			if attempt == 0 {
+				tx.Handle().Violate("test-violation")
+				tx.Poll()
+				t.Error("Poll on a violated transaction did not unwind")
+			}
+			return nil
+		}},
+	}
+	for _, proto := range Protocols() {
+		for _, arm := range arms {
+			t.Run(proto+"/"+arm.name, func(t *testing.T) {
+				g := NewGuard()
+				v1, v2 := NewVar(0), NewVar(0)
+				th := protoThread(t, proto, 1)
+				attempts, runs, unguarded := 0, 0, 0
+				err := th.Atomic(func(tx *Tx) error {
+					return tx.Nested(func() error {
+						attempt := attempts
+						attempts++
+						tx.OnAbortGuarded(g, func() {
+							runs++
+							unguarded += len(notHeld(g))
+						})
+						return arm.child(t, tx, attempt, v1, v2)
+					})
+				})
+				if err != arm.wantErr || attempts != arm.attempts {
+					t.Fatalf("Atomic returned %v after %d child attempts, want %v after %d", err, attempts, arm.wantErr, arm.attempts)
+				}
+				if th.Stats.NestedRetries != arm.nestedRetries || th.Stats.Violations != arm.violations {
+					t.Fatalf("left the child by another door: %d nested retries, %d violations", th.Stats.NestedRetries, th.Stats.Violations)
+				}
+				if runs != 1 || unguarded != 0 {
+					t.Fatalf("abort handler ran %d times, %d of them without its guard; want once, guarded", runs, unguarded)
+				}
+				if len(notHeld(g)) != 1 {
+					t.Fatal("guard still held after the transaction")
+				}
+			})
+		}
+	}
+}
+
+// TestHandlerWindowHoldsNamedGuards is the registration seam by
+// behaviour: whichever way a guard gets named — by a commit handler, an
+// abort handler at the top or in a closed-nested child, a handler
+// registered inside an open-nested child, AddTopGuard with no handler
+// of its own, or two thousand registrations over two guards — every
+// guard in `held` is locked while the probing handler runs, every
+// guard in `free` (named by registrations that window has no business
+// with) is not, all are released afterwards, and a bystander guard
+// locked by the test for the duration is never waited on.
+func TestHandlerWindowHoldsNamedGuards(t *testing.T) {
+	a, b, c := NewGuard(), NewGuard(), NewGuard()
+	a.SetLabel("a")
+	b.SetLabel("b")
+	c.SetLabel("c")
+	nop := func() {}
+	cases := []struct {
+		name       string
+		held, free []*Guard
+		wantErr    error
+		body       func(tx *Tx, probe func()) error
+	}{
+		{"commit handler", []*Guard{a, b}, nil, nil, func(tx *Tx, probe func()) error {
+			tx.OnCommitGuarded(a, probe)
+			tx.OnAbortGuarded(b, nop) // pending compensation: commit ∪ abort
+			return nil
+		}},
+		{"top-level abort handler", []*Guard{a}, []*Guard{b}, errRollback, func(tx *Tx, probe func()) error {
+			tx.OnAbortGuarded(a, probe)
+			tx.OnCommitGuarded(b, nop) // commit-only: no business in a rollback
+			return errRollback
+		}},
+		{"closed-nested abort handler", []*Guard{a}, []*Guard{b, c}, nil, func(tx *Tx, probe func()) error {
+			tx.OnAbortGuarded(b, nop) // the parent's: a partial rollback leaves it alone
+			tx.OnCommitGuarded(c, nop)
+			if err := tx.Nested(func() error {
+				tx.OnAbortGuarded(a, probe)
+				return errRollback
+			}); err != errRollback {
+				return err
+			}
+			return nil
+		}},
+		{"registered inside Open", []*Guard{a, b}, nil, nil, func(tx *Tx, probe func()) error {
+			return tx.Open(func(o *Tx) error {
+				o.OnCommitGuarded(a, probe)
+				o.OnAbortGuarded(b, nop)
+				return nil
+			})
+		}},
+		{"registered inside Open, rolled back", []*Guard{b}, []*Guard{a}, errRollback, func(tx *Tx, probe func()) error {
+			if err := tx.Open(func(o *Tx) error {
+				o.OnCommitGuarded(a, nop)
+				o.OnAbortGuarded(b, probe)
+				return nil
+			}); err != nil {
+				return err
+			}
+			return errRollback
+		}},
+		{"AddTopGuard alone", []*Guard{a, b}, nil, nil, func(tx *Tx, probe func()) error {
+			tx.OnCommitGuarded(a, probe)
+			return tx.Nested(func() error {
+				tx.AddTopGuard(b) // b is named by nothing else
+				return nil
+			})
+		}},
+		{"AddTopGuard alone, rolled back", []*Guard{a, b}, nil, errRollback, func(tx *Tx, probe func()) error {
+			tx.OnAbortGuarded(a, probe)
+			tx.AddTopGuard(b)
+			return errRollback
+		}},
+		{"two guards, 1000 registrations each", []*Guard{a, b}, []*Guard{c}, nil, func(tx *Tx, probe func()) error {
+			for i := 0; i < 999; i++ {
+				tx.OnCommitGuarded(b, nop)
+				tx.OnCommitGuarded(a, nop)
+			}
+			tx.OnCommitGuarded(b, nop)
+			tx.OnCommitGuarded(a, probe)
+			return nil
+		}},
+	}
+	bystander := NewGuard()
+	bystander.Lock()
+	defer bystander.Unlock()
+	for _, proto := range Protocols() {
+		for _, tc := range cases {
+			t.Run(proto+"/"+tc.name, func(t *testing.T) {
+				probes := 0
+				var heldFree, freeFree []string
+				probe := func() {
+					probes++
+					heldFree, freeFree = notHeld(tc.held...), notHeld(tc.free...)
+				}
+				th := protoThread(t, proto, 1)
+				done := make(chan error, 1)
+				go func() {
+					done <- th.Atomic(func(tx *Tx) error { return tc.body(tx, probe) })
+				}()
+				select {
+				case err := <-done:
+					if err != tc.wantErr {
+						t.Fatalf("Atomic returned %v, want %v", err, tc.wantErr)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("transaction blocked on a guard it never named")
+				}
+				if probes != 1 {
+					t.Fatalf("probing handler ran %d times, want 1", probes)
+				}
+				if len(heldFree) != 0 || len(freeFree) != len(tc.free) {
+					t.Fatalf("in the handler window %v of `held` are free and only %v of `free` are", heldFree, freeFree)
+				}
+				all := append(append([]*Guard{}, tc.held...), tc.free...)
+				if free := notHeld(all...); len(free) != len(all) {
+					t.Fatalf("after the transaction only %v are free, want all %d", free, len(all))
+				}
+			})
+		}
 	}
 }
 

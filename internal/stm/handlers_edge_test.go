@@ -26,13 +26,13 @@ func TestNestedPartialRollbackHandlerOrder(t *testing.T) {
 	var events []string
 	nestedAttempts := 0
 	err := th.Atomic(func(tx *Tx) error {
-		tx.OnAbort(func() { events = append(events, "parent-abort") })
-		tx.OnCommit(func() { events = append(events, "parent-commit") })
+		tx.OnAbortGuarded(testGuard, func() { events = append(events, "parent-abort") })
+		tx.OnCommitGuarded(testGuard, func() { events = append(events, "parent-commit") })
 		return tx.Nested(func() error {
 			attempt := nestedAttempts
 			nestedAttempts++
-			tx.OnAbort(func() { events = append(events, fmt.Sprintf("child-abort-1#%d", attempt)) })
-			tx.OnAbort(func() { events = append(events, fmt.Sprintf("child-abort-2#%d", attempt)) })
+			tx.OnAbortGuarded(testGuard, func() { events = append(events, fmt.Sprintf("child-abort-1#%d", attempt)) })
+			tx.OnAbortGuarded(testGuard, func() { events = append(events, fmt.Sprintf("child-abort-2#%d", attempt)) })
 			got := v1.Get(tx)
 			if attempt == 0 {
 				if got != 0 {
@@ -98,8 +98,8 @@ func TestViolateDuringOpenCommit(t *testing.T) {
 		if attempt == 0 {
 			if err := tx.Open(func(o *Tx) error {
 				ov.Set(o, 99)
-				o.OnAbort(func() { compensations++ })
-				o.OnCommit(func() { openCommitHandlerRan = true })
+				o.OnAbortGuarded(testGuard, func() { compensations++ })
+				o.OnCommitGuarded(testGuard, func() { openCommitHandlerRan = true })
 				// The violator wins the race against this attempt while the
 				// child's write is still uninstalled.
 				if !tx.Handle().Violate("test-violation") {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestOnTopCommitFromNestedLevel(t *testing.T) {
-	// OnTopCommit registers at the root level no matter how deep the
+	// OnTopCommitGuarded registers at the root level no matter how deep the
 	// current nesting is: the handler survives the nested child's
 	// commit and runs exactly once at top-level commit.
 	th := newTestThread()
@@ -15,7 +15,7 @@ func TestOnTopCommitFromNestedLevel(t *testing.T) {
 	err := th.Atomic(func(tx *Tx) error {
 		return tx.Nested(func() error {
 			return tx.Nested(func() error {
-				tx.OnTopCommit(func() { runs++ })
+				tx.OnTopCommitGuarded(testGuard, func() { runs++ })
 				return nil
 			})
 		})
@@ -33,13 +33,13 @@ func TestOnTopAbortRunsOnWholeTxRollbackOnly(t *testing.T) {
 	aborts := 0
 	childErr := errors.New("child")
 	// Registered from inside a nested child that aborts: unlike a
-	// level-local OnAbort, the top-level registration survives and runs
+	// level-local OnAbortGuarded, the top-level registration survives and runs
 	// only if the whole transaction rolls back. This is precisely the
 	// single-handler design the collections rely on (and the documented
 	// caveat of the paper's §5.1 single-handler choice).
 	if err := th.Atomic(func(tx *Tx) error {
 		_ = tx.Nested(func() error {
-			tx.OnTopAbort(func() { aborts++ })
+			tx.OnTopAbortGuarded(testGuard, func() { aborts++ })
 			return childErr
 		})
 		return nil // transaction commits
@@ -51,7 +51,7 @@ func TestOnTopAbortRunsOnWholeTxRollbackOnly(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	_ = th.Atomic(func(tx *Tx) error {
-		tx.OnTopAbort(func() { aborts++ })
+		tx.OnTopAbortGuarded(testGuard, func() { aborts++ })
 		return boom
 	})
 	if aborts != 1 {
@@ -74,7 +74,7 @@ func TestCommitHandlersAreMutuallyAtomic(t *testing.T) {
 			th := NewThread(&RealClock{}, int64(w))
 			for r := 0; r < rounds; r++ {
 				_ = th.Atomic(func(tx *Tx) error {
-					tx.OnCommit(func() {
+					tx.OnCommitGuarded(testGuard, func() {
 						inside++
 						if inside != 1 {
 							bad = true

@@ -13,7 +13,7 @@ import (
 // fallback, open-nested commit and retry, nested retry, guard waits,
 // backoff — is one function here, and that function is the only place
 // the edge is reported. The control flow (Thread.run, Tx.Open,
-// Tx.Nested, Tx.commit, Tx.rollback) calls the edge and knows nothing
+// Tx.Nested, Tx.commit, Tx.compensate) calls the edge and knows nothing
 // about sinks. There are three: Thread.Stats (always on), the live
 // metrics plane (internal/obs/metrics) and the event tracer
 // (internal/obs).
@@ -344,7 +344,7 @@ func (tx *Tx) partialRetry(m *metrics.Counter, kind obs.Kind) {
 }
 
 // edgeGuardWaits reports the guard contention lockContended recorded
-// for the commit or rollback that just released its footprint,
+// for the commit or compensation that just released its footprint,
 // attributing the commit-serialization lost work to the last contended
 // guard. There is a record only when the attempt is observed.
 func (tx *Tx) edgeGuardWaits() {

@@ -309,7 +309,7 @@ func TestLifecycleSinksAgree(t *testing.T) {
 			_ = th.AtomicRead(func(tx *Tx) error { v.Set(tx, 1); return nil })
 		}},
 		{"AtomicRead fallback: handler", fallbacks, "", func(t *testing.T, th, _ *Thread) {
-			_ = th.AtomicRead(func(tx *Tx) error { tx.OnCommit(func() {}); return nil })
+			_ = th.AtomicRead(func(tx *Tx) error { tx.OnCommitGuarded(testGuard, func() {}); return nil })
 		}},
 		{"AtomicRead fallback: Open", fallbacks, "", func(t *testing.T, th, _ *Thread) {
 			_ = th.AtomicRead(func(tx *Tx) error { return tx.Open(func(*Tx) error { return nil }) })

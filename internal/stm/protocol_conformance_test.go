@@ -423,7 +423,7 @@ func confOpenNesting(t *testing.T, proto string) {
 	err := th.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
 			counter.Set(o, counter.Get(o)+1)
-			o.OnAbort(func() { compensated = true })
+			o.OnAbortGuarded(testGuard, func() { compensated = true })
 			return nil
 		}); err != nil {
 			return err

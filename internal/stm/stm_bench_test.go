@@ -143,6 +143,7 @@ func BenchmarkSTMNestedRetry(b *testing.B) {
 // paper's semantic-lock acquisition shape.
 func BenchmarkSTMOpenNestedCommit(b *testing.B) {
 	v := stm.NewVar(0)
+	g := stm.NewGuard()
 	th := newBenchThread()
 	nop := func() {}
 	b.ReportAllocs()
@@ -151,7 +152,7 @@ func BenchmarkSTMOpenNestedCommit(b *testing.B) {
 		_ = th.Atomic(func(tx *stm.Tx) error {
 			return tx.Open(func(o *stm.Tx) error {
 				v.Set(o, i)
-				o.OnCommit(nop)
+				o.OnCommitGuarded(g, nop)
 				return nil
 			})
 		})

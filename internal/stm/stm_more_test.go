@@ -125,7 +125,7 @@ func TestOpenInsideNested(t *testing.T) {
 			v.Set(tx, 1)
 			if err := tx.Open(func(o *Tx) error {
 				openEffect.Set(o, 42)
-				o.OnAbort(func() { compensated = true })
+				o.OnAbortGuarded(testGuard, func() { compensated = true })
 				return nil
 			}); err != nil {
 				return err
@@ -378,7 +378,7 @@ func TestDeferTickFlushedAfterCommit(t *testing.T) {
 	clock := &RealClock{}
 	th := NewThread(clock, 1)
 	if err := th.Atomic(func(tx *Tx) error {
-		tx.OnCommit(func() { th.DeferTick(1000) })
+		tx.OnCommitGuarded(testGuard, func() { th.DeferTick(1000) })
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,10 @@ import (
 
 func newTestThread() *Thread { return NewThread(&RealClock{}, 1) }
 
+// testGuard is the guard the package's tests register handlers under
+// when which guard it is does not matter to the test.
+var testGuard = NewGuard()
+
 func TestReadInitialValue(t *testing.T) {
 	v := NewVar(42)
 	th := newTestThread()
@@ -299,7 +303,7 @@ func TestCommitHandlerRunsOnCommitOnly(t *testing.T) {
 	th := newTestThread()
 	runs := 0
 	if err := th.Atomic(func(tx *Tx) error {
-		tx.OnCommit(func() { runs++ })
+		tx.OnCommitGuarded(testGuard, func() { runs++ })
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -309,7 +313,7 @@ func TestCommitHandlerRunsOnCommitOnly(t *testing.T) {
 	}
 	bad := errors.New("abort")
 	_ = th.Atomic(func(tx *Tx) error {
-		tx.OnCommit(func() { runs++ })
+		tx.OnCommitGuarded(testGuard, func() { runs++ })
 		return bad
 	})
 	if runs != 1 {
@@ -322,14 +326,14 @@ func TestAbortHandlerRunsOnAbortOnly(t *testing.T) {
 	runs := 0
 	bad := errors.New("abort")
 	_ = th.Atomic(func(tx *Tx) error {
-		tx.OnAbort(func() { runs++ })
+		tx.OnAbortGuarded(testGuard, func() { runs++ })
 		return bad
 	})
 	if runs != 1 {
 		t.Fatalf("abort handler ran %d times, want 1", runs)
 	}
 	if err := th.Atomic(func(tx *Tx) error {
-		tx.OnAbort(func() { runs++ })
+		tx.OnAbortGuarded(testGuard, func() { runs++ })
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -348,8 +352,8 @@ func TestHandlersFromAbortedNestedLevelAreDiscarded(t *testing.T) {
 	childErr := errors.New("child abort")
 	err := th.Atomic(func(tx *Tx) error {
 		_ = tx.Nested(func() error {
-			tx.OnCommit(func() { commits++ })
-			tx.OnAbort(func() { aborts++ })
+			tx.OnCommitGuarded(testGuard, func() { commits++ })
+			tx.OnAbortGuarded(testGuard, func() { aborts++ })
 			return childErr
 		})
 		return nil
@@ -369,9 +373,9 @@ func TestHandlersPromoteThroughNestedCommit(t *testing.T) {
 	th := newTestThread()
 	var order []string
 	err := th.Atomic(func(tx *Tx) error {
-		tx.OnCommit(func() { order = append(order, "outer") })
+		tx.OnCommitGuarded(testGuard, func() { order = append(order, "outer") })
 		return tx.Nested(func() error {
-			tx.OnCommit(func() { order = append(order, "inner") })
+			tx.OnCommitGuarded(testGuard, func() { order = append(order, "inner") })
 			return nil
 		})
 	})
@@ -388,8 +392,8 @@ func TestAbortHandlersRunNewestFirst(t *testing.T) {
 	var order []string
 	bad := errors.New("abort")
 	_ = th.Atomic(func(tx *Tx) error {
-		tx.OnAbort(func() { order = append(order, "first") })
-		tx.OnAbort(func() { order = append(order, "second") })
+		tx.OnAbortGuarded(testGuard, func() { order = append(order, "first") })
+		tx.OnAbortGuarded(testGuard, func() { order = append(order, "second") })
 		return bad
 	})
 	if len(order) != 2 || order[0] != "second" || order[1] != "first" {
@@ -402,8 +406,8 @@ func TestOpenChildHandlersAttachToParent(t *testing.T) {
 	var commits, aborts int
 	if err := th.Atomic(func(tx *Tx) error {
 		return tx.Open(func(o *Tx) error {
-			o.OnCommit(func() { commits++ })
-			o.OnAbort(func() { aborts++ })
+			o.OnCommitGuarded(testGuard, func() { commits++ })
+			o.OnAbortGuarded(testGuard, func() { aborts++ })
 			return nil
 		})
 	}); err != nil {
@@ -415,8 +419,8 @@ func TestOpenChildHandlersAttachToParent(t *testing.T) {
 	bad := errors.New("parent abort")
 	_ = th.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
-			o.OnCommit(func() { commits++ })
-			o.OnAbort(func() { aborts++ })
+			o.OnCommitGuarded(testGuard, func() { commits++ })
+			o.OnAbortGuarded(testGuard, func() { aborts++ })
 			return nil
 		}); err != nil {
 			return err
@@ -436,7 +440,7 @@ func TestOpenChildErrorHasNoEffects(t *testing.T) {
 	err := th.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
 			v.Set(o, 5)
-			o.OnAbort(func() { handlerRan = true })
+			o.OnAbortGuarded(testGuard, func() { handlerRan = true })
 			return childErr
 		}); err != childErr {
 			t.Fatalf("open err = %v, want %v", err, childErr)

@@ -126,7 +126,7 @@ type Thread struct {
 	policy BackoffPolicy
 	// txPool and levelPool recycle transaction and nesting-level
 	// objects; commitBuf is the sorted write-set scratch and guardBuf
-	// the sorted guard-footprint scratch.
+	// the scratch a guard footprint is gathered and sorted in.
 	txPool    []*Tx
 	levelPool []*level
 	commitBuf writeBuf
@@ -167,18 +167,6 @@ func (t *Thread) SetAttachment(key, val any) {
 		clear(t.attachments)
 	}
 	t.attachments[key] = val
-}
-
-// sortedGuards gathers the union of the given guard lists into the
-// thread's scratch buffer, sorted ascending by id and deduplicated —
-// the canonical acquisition order for acquireGuards.
-func (t *Thread) sortedGuards(lists ...[]*Guard) []*Guard {
-	buf := t.guardBuf[:0]
-	for _, gs := range lists {
-		buf = append(buf, gs...)
-	}
-	t.guardBuf = buf
-	return sortGuards(buf)
 }
 
 // NewThread creates a worker bound to a clock, with a deterministic
@@ -428,10 +416,10 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 // immediately and become visible to all transactions regardless of
 // whether the parent later commits — the enabling mechanism for taking
 // semantic locks without retaining memory dependencies (paper §2.4,
-// §4). Handlers registered inside fn (via the child's OnCommit/OnAbort)
-// attach to the parent's current nesting level when the child commits,
-// so a later rollback of the parent runs the compensation and a commit
-// applies the buffered updates.
+// §4). Handlers registered inside fn (via the child's OnCommitGuarded /
+// OnAbortGuarded) attach to the parent's current nesting level, guard
+// and all, when the child commits, so a later rollback of the parent
+// runs the compensation and a commit applies the buffered updates.
 //
 // Memory conflicts inside fn retry only fn. If fn returns an error the
 // child aborts: no effects, no handlers, and the error is returned with
@@ -460,12 +448,6 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 			if o.commitOpen() {
 				tx.cur.onCommit = append(tx.cur.onCommit, o.cur.onCommit...)
 				tx.cur.onAbort = append(tx.cur.onAbort, o.cur.onAbort...)
-				for _, g := range o.cur.commitGuards {
-					tx.cur.commitGuards = addGuard(tx.cur.commitGuards, g)
-				}
-				for _, g := range o.cur.abortGuards {
-					tx.cur.abortGuards = addGuard(tx.cur.abortGuards, g)
-				}
 				o.edgeOpenCommit()
 				// Whatever the protocol still held for the child was
 				// released by the install; this only clears the tracking.

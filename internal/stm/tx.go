@@ -51,8 +51,15 @@ func (s *signal) String() string {
 	return fmt.Sprintf("stm signal %d (%s)", s.kind, s.reason)
 }
 
-// handler is a registered commit or abort handler.
-type handler func()
+// registration is one commit or abort handler with the guard its
+// registrant named for it. The guards a transaction must hold are read
+// off its registrations when it acquires them (gatherGuards) and kept
+// nowhere else. fn is nil for a registration that only names a guard
+// (AddTopGuard).
+type registration struct {
+	g  *Guard
+	fn func()
+}
 
 // inlineSet is how many read-set and write-set entries a nesting level
 // holds in fixed arrays before spilling to a map. Most transactions in
@@ -241,14 +248,8 @@ type level struct {
 	parent   *level
 	reads    readSet
 	writes   writeSet
-	onCommit []handler
-	onAbort  []handler
-	// commitGuards and abortGuards are the guard footprint accumulated
-	// at this level: the (deduplicated) guards under which the handlers
-	// above were registered. The commit protocol acquires the union of
-	// both in id order; rollback acquires only abortGuards.
-	commitGuards []*Guard
-	abortGuards  []*Guard
+	onCommit []registration
+	onAbort  []registration
 }
 
 // reset clears the level for reuse. Handler slices keep their backing
@@ -259,21 +260,13 @@ func (l *level) reset() {
 	l.reads.reset()
 	l.writes.reset()
 	for i := range l.onCommit {
-		l.onCommit[i] = nil
+		l.onCommit[i] = registration{}
 	}
 	l.onCommit = l.onCommit[:0]
 	for i := range l.onAbort {
-		l.onAbort[i] = nil
+		l.onAbort[i] = registration{}
 	}
 	l.onAbort = l.onAbort[:0]
-	for i := range l.commitGuards {
-		l.commitGuards[i] = nil
-	}
-	l.commitGuards = l.commitGuards[:0]
-	for i := range l.abortGuards {
-		l.abortGuards[i] = nil
-	}
-	l.abortGuards = l.abortGuards[:0]
 }
 
 // Tx is a transaction: either a top-level atomic region, or an
@@ -386,30 +379,23 @@ func (tx *Tx) SetLocal(key, val any) {
 	t.locals[key] = val
 }
 
-// OnCommit registers fn to run if the transaction commits. The handler
-// is associated with the current nesting level: it is discarded if that
-// level aborts, promoted to the parent when the level commits, and runs
-// (in registration order) after the top-level transaction's memory
-// commit succeeds. Registering from an open-nested child attaches the
-// handler to the child's *enclosing* level once the child commits.
+// OnCommitGuarded registers fn to run if the transaction commits. The
+// handler is associated with the current nesting level: it is discarded
+// if that level aborts, promoted to the parent when the level commits,
+// and runs (in registration order) after the top-level transaction's
+// memory commit succeeds. Registering from an open-nested child attaches
+// the handler to the child's *enclosing* level once the child commits.
 //
-// Handlers registered this way run under the shared fallback guard:
-// correct for any handler, but serializing against every other
-// fallback-guarded commit. Code tied to a specific collection instance
-// should use OnCommitGuarded with that instance's Guard so disjoint
-// footprints commit in parallel.
-func (tx *Tx) OnCommit(fn func()) { tx.OnCommitGuarded(fallbackGuard, fn) }
-
-// OnCommitGuarded is OnCommit with an explicit guard: the commit
-// protocol acquires g (with the rest of the transaction's guard
-// footprint, in id order) before the point of no return and holds it
-// until every commit handler has run, making fn atomic with the memory
-// commit with respect to all other transactions guarded by g.
+// Every registration names its guard: the commit protocol acquires g
+// (with the rest of the transaction's guard footprint, in id order)
+// before the point of no return and holds it until every commit handler
+// has run, making fn atomic with the memory commit with respect to all
+// other transactions guarded by g. Code tied to a collection instance
+// passes that instance's Guard, so disjoint footprints commit in
+// parallel.
 func (tx *Tx) OnCommitGuarded(g *Guard, fn func()) {
 	tx.snapshotFallback()
-	l := tx.cur
-	l.onCommit = append(l.onCommit, fn)
-	l.commitGuards = addGuard(l.commitGuards, g)
+	tx.cur.onCommit = append(tx.cur.onCommit, registration{g, fn})
 }
 
 // snapshotFallback drops a snapshot attempt to the retry path when the
@@ -421,74 +407,51 @@ func (tx *Tx) snapshotFallback() {
 	}
 }
 
-// OnAbort registers fn to run if the level it is associated with — and
-// therefore the work it compensates for — is rolled back: it runs
+// OnAbortGuarded registers fn to run if the level it is associated with
+// — and therefore the work it compensates for — is rolled back: it runs
 // (newest-first) when that level or any enclosing level aborts, and is
 // discarded once the top-level transaction commits. Abort handlers are
 // the compensation mechanism that undoes effects published by
-// open-nested children (paper §4). Like OnCommit, the unguarded form
-// maps to the shared fallback guard; prefer OnAbortGuarded.
-func (tx *Tx) OnAbort(fn func()) { tx.OnAbortGuarded(fallbackGuard, fn) }
-
-// OnAbortGuarded is OnAbort with an explicit guard, held while fn
-// compensates during rollback (and, because an abort handler may still
-// be pending when the transaction commits, also during the commit
-// window).
+// open-nested children (paper §4). g is held while fn compensates,
+// whether the whole transaction or only a closed-nested level rolls
+// back (and, because an abort handler may still be pending when the
+// transaction commits, also during the commit window).
 func (tx *Tx) OnAbortGuarded(g *Guard, fn func()) {
 	tx.snapshotFallback()
-	l := tx.cur
-	l.onAbort = append(l.onAbort, fn)
-	l.abortGuards = addGuard(l.abortGuards, g)
+	tx.cur.onAbort = append(tx.cur.onAbort, registration{g, fn})
 }
 
-// OnTopCommit registers fn at the top-level transaction's root nesting
-// level, regardless of the current nesting depth, under the fallback
-// guard. The transactional collection classes use the guarded variant
-// (together with OnTopAbortGuarded) to implement the paper's §5
-// guideline of a single commit handler and a single abort handler per
-// transaction and collection, registered by the first operation; see
-// the internal/core package documentation for the resulting
-// closed-nesting caveat.
-func (tx *Tx) OnTopCommit(fn func()) { tx.OnTopCommitGuarded(fallbackGuard, fn) }
-
-// OnTopCommitGuarded registers a commit handler at the root level under
-// an explicit guard.
+// OnTopCommitGuarded registers a commit handler at the top-level
+// transaction's root nesting level, regardless of the current nesting
+// depth. The transactional collection classes use it (together with
+// OnTopAbortGuarded) to implement the paper's §5 guideline of a single
+// commit handler and a single abort handler per transaction and
+// collection, registered by the first operation; see the internal/core
+// package documentation for the resulting closed-nesting caveat.
 func (tx *Tx) OnTopCommitGuarded(g *Guard, fn func()) {
 	tx.snapshotFallback()
 	l := tx.top().rootLevel()
-	l.onCommit = append(l.onCommit, fn)
-	l.commitGuards = addGuard(l.commitGuards, g)
+	l.onCommit = append(l.onCommit, registration{g, fn})
 }
 
-// OnTopAbort registers fn at the top-level transaction's root nesting
-// level, under the fallback guard; it runs if and only if the whole
-// transaction rolls back.
-func (tx *Tx) OnTopAbort(fn func()) { tx.OnTopAbortGuarded(fallbackGuard, fn) }
-
-// OnTopAbortGuarded registers an abort handler at the root level under
-// an explicit guard.
+// OnTopAbortGuarded registers an abort handler at the root level; it
+// runs if and only if the whole transaction rolls back.
 func (tx *Tx) OnTopAbortGuarded(g *Guard, fn func()) {
 	tx.snapshotFallback()
 	l := tx.top().rootLevel()
-	l.onAbort = append(l.onAbort, fn)
-	l.abortGuards = addGuard(l.abortGuards, g)
+	l.onAbort = append(l.onAbort, registration{g, fn})
 }
 
 // AddTopGuard widens the top-level transaction's guard footprint with g
-// without registering a handler: g joins both the commit and the abort
-// footprint of the root level, so the commit protocol (and any rollback)
-// acquires it in id order alongside the guards that do carry handlers.
-// Striped collections use this when a transaction's single commit/abort
-// handler pair is already registered under the first stripe it touched
-// and a later operation touches another stripe: the handler will walk
-// every touched stripe, so each additional stripe's guard must be in the
-// footprint before the handler window opens.
-func (tx *Tx) AddTopGuard(g *Guard) {
-	tx.snapshotFallback()
-	l := tx.top().rootLevel()
-	l.commitGuards = addGuard(l.commitGuards, g)
-	l.abortGuards = addGuard(l.abortGuards, g)
-}
+// without registering a handler: a root-level abort registration with
+// nothing to run, so the commit protocol and any rollback of the whole
+// transaction acquire g in id order alongside the guards that do carry
+// handlers. Striped collections use this when a transaction's single
+// commit/abort handler pair is already registered under the first
+// stripe it touched and a later operation touches another stripe: the
+// handler will walk every touched stripe, so each additional stripe's
+// guard must be in the footprint before the handler window opens.
+func (tx *Tx) AddTopGuard(g *Guard) { tx.OnTopAbortGuarded(g, nil) }
 
 func (tx *Tx) rootLevel() *level {
 	l := tx.cur
@@ -524,14 +487,6 @@ func (tx *Tx) bail(kind sigKind, reason string) {
 
 func (tx *Tx) tick(cycles uint64) { tx.thread.Clock.Tick(cycles) }
 
-// extend asks the protocol to revalidate every recorded read and, on
-// success, move the transaction's read point forward to the present —
-// the partial-rollback retry's way of keeping the enclosing transaction
-// viable (see Protocol.extend).
-func (tx *Tx) extend() bool {
-	return tx.thread.proto.extend(tx)
-}
-
 // Nested runs fn as a closed-nested transaction with partial rollback:
 // a memory conflict inside fn rolls back and retries only fn, not the
 // enclosing transaction. On success the child's reads, writes and
@@ -560,7 +515,7 @@ func (tx *Tx) Nested(fn func() error) error {
 			// Child aborts by user request: release anything the
 			// protocol held only for this level, compensate and report.
 			t.proto.abandonLevel(tx, child)
-			child.runAbortHandlers()
+			tx.compensate(child, child.parent)
 			t.putLevel(child)
 			return err
 		case sig.kind == sigRetry:
@@ -570,10 +525,10 @@ func (tx *Tx) Nested(fn func() error) error {
 			// enclosing read is stale and the whole transaction must
 			// restart.
 			t.proto.abandonLevel(tx, child)
-			child.runAbortHandlers()
+			tx.compensate(child, child.parent)
 			t.putLevel(child)
 			tx.edgeNestedRetry()
-			if !tx.extend() {
+			if !t.proto.extend(tx) {
 				panic(sig)
 			}
 			tx.edgeBackoff(t.backoff(childAttempt))
@@ -581,7 +536,7 @@ func (tx *Tx) Nested(fn func() error) error {
 			// Violation or user abort of the whole transaction: this
 			// child level is rolled back on the way out; the unwinding
 			// rollback's protocol abandon releases any held state.
-			child.runAbortHandlers()
+			tx.compensate(child, child.parent)
 			t.putLevel(child)
 			panic(sig)
 		}
@@ -612,23 +567,6 @@ func (child *level) mergeInto(parent *level) {
 	}
 	parent.onCommit = append(parent.onCommit, child.onCommit...)
 	parent.onAbort = append(parent.onAbort, child.onAbort...)
-	for _, g := range child.commitGuards {
-		parent.commitGuards = addGuard(parent.commitGuards, g)
-	}
-	for _, g := range child.abortGuards {
-		parent.abortGuards = addGuard(parent.abortGuards, g)
-	}
-}
-
-// runAbortHandlers runs a level's abort handlers newest-first, so
-// compensations undo open-nested effects in reverse order of their
-// creation.
-func (l *level) runAbortHandlers() {
-	for i := len(l.onAbort) - 1; i >= 0; i-- {
-		l.onAbort[i]()
-	}
-	l.onAbort = l.onAbort[:0]
-	l.onCommit = l.onCommit[:0]
 }
 
 // runBody executes fn, converting signal panics into return values and
@@ -669,9 +607,9 @@ func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
 // guards), validate the read set, pass the point of no return
 // (Active→Prepared, losing to any in-flight Violate), install at a
 // fresh clock tick, then run commit handlers in registration order.
-// The guard footprint is the union of the root level's commit and
-// abort guards: a transaction that registered only an abort handler
-// with a collection still serializes its commit against that
+// The guard footprint is every guard a commit or abort registration of
+// the root level names: a transaction that registered only an abort
+// handler with a collection still serializes its commit against that
 // collection's other users, which is what makes the collection's
 // semantic conflict detection atomic with the memory commit (see
 // Guard). Transactions with disjoint footprints — or none — do not
@@ -682,14 +620,16 @@ func (tx *Tx) commit() bool {
 	if l.parent != nil {
 		panic("stm: commit with open nested level")
 	}
-	gs := tx.thread.sortedGuards(l.commitGuards, l.abortGuards)
+	t := tx.thread
+	t.guardBuf = gatherGuards(gatherGuards(t.guardBuf[:0], l.onCommit), l.onAbort)
+	gs := sortGuards(t.guardBuf)
 	acquireGuards(tx, gs)
 	ok := tx.commitGuarded(l)
 	releaseGuards(gs)
 	tx.edgeGuardWaits()
 	if ok {
 		tx.tick(CostCommitBase + CostCommitPerWrite*uint64(l.writes.len()))
-		tx.thread.flushDeferred()
+		t.flushDeferred()
 	}
 	return ok
 }
@@ -698,12 +638,12 @@ func (tx *Tx) commit() bool {
 // without charging any clock time (the caller ticks afterwards, outside
 // the commit guard).
 func (tx *Tx) commitGuarded(l *level) bool {
-	if !tx.publish(l, true) {
+	if !tx.thread.proto.commit(tx, l, true) {
 		return false
 	}
 	tx.handle.setCommitted()
-	for _, h := range l.onCommit {
-		h()
+	for _, r := range l.onCommit {
+		r.fn()
 		tx.thread.Stats.HandlerRuns++
 	}
 	return true
@@ -720,17 +660,7 @@ func (o *Tx) commitOpen() bool {
 	if l.parent != nil {
 		panic("stm: open commit with open nested level")
 	}
-	return o.publish(l, false)
-}
-
-// publish hands level l to the protocol's commit sequence (acquire,
-// validate, for doPrepare pass the point of no return, install at a
-// fresh global-clock tick, release — see Protocol.commit and the
-// protocol_*.go implementations). On any failure nothing is installed,
-// every lock the commit itself took is released, and for doPrepare the
-// handle is left un-Prepared so the caller rolls back.
-func (tx *Tx) publish(l *level, doPrepare bool) bool {
-	return tx.thread.proto.commit(tx, l, doPrepare)
+	return o.thread.proto.commit(o, l, false)
 }
 
 // writeBuf is the per-thread sorted write-set scratch; the pointer
@@ -763,13 +693,10 @@ func (t *Thread) sortedWrites(l *level) []writeEntry {
 	return t.commitBuf
 }
 
-// rollback discards the transaction's buffered writes and runs every
-// level's abort handlers (compensating any open-nested effects) under
-// the union of the guards those handlers were registered with, so
-// compensations are atomic with respect to the commits of other
-// transactions sharing those collections. A transaction that registered
-// no abort handlers — or only commit handlers — acquires no guard at
-// all: commit guards are irrelevant once the transaction is rolling
+// rollback discards the transaction's buffered writes and compensates
+// every level's open-nested effects. A transaction that registered no
+// abort handlers — or only commit handlers — acquires no guard at all:
+// commit registrations are irrelevant once the transaction is rolling
 // back, and a guard-free rollback must not serialize behind anyone.
 func (tx *Tx) rollback() {
 	tx.handle.setAborted()
@@ -778,20 +705,41 @@ func (tx *Tx) rollback() {
 	// encounter-time protocol's Set-acquired lockwords) before blocking
 	// on the abort-guard footprint.
 	t.proto.abandon(tx)
-	buf := t.guardBuf[:0]
-	for l := tx.cur; l != nil; l = l.parent {
-		for _, g := range l.abortGuards {
-			buf = addGuard(buf, g)
-		}
-	}
-	t.guardBuf = buf
-	gs := sortGuards(buf)
-	acquireGuards(tx, gs)
-	for l := tx.cur; l != nil; l = l.parent {
-		l.runAbortHandlers()
-	}
-	releaseGuards(gs)
-	tx.edgeGuardWaits()
+	tx.compensate(tx.cur, nil)
 	tx.tick(CostAbort)
 	t.flushDeferred()
+}
+
+// compensate is the one place abort handlers run: it rolls back the
+// open-nested effects of the levels from `from` out to, and excluding,
+// stop (nil: the whole chain), running their abort handlers newest-first,
+// inner level first, under the guards those registrations name — taken
+// in id order, so each compensation is atomic with respect to the
+// commits of other transactions sharing that collection — and reports
+// any guard wait once the guards are released.
+//
+// A partial rollback (Tx.Nested passes the child alone) blocks on
+// guards in the middle of a transaction body. That cannot deadlock: the
+// body holds no guard here (collections release theirs before an
+// open-nested section returns, and stmlint's guard-order rule reports a
+// Nested call inside a hold window), and the lockwords an encounter-time
+// attempt still holds are only ever try-locked by other transactions,
+// so nobody who holds a guard waits for this one.
+func (tx *Tx) compensate(from, stop *level) {
+	t := tx.thread
+	t.guardBuf = t.guardBuf[:0]
+	for l := from; l != stop; l = l.parent {
+		t.guardBuf = gatherGuards(t.guardBuf, l.onAbort)
+	}
+	gs := sortGuards(t.guardBuf)
+	acquireGuards(tx, gs)
+	for l := from; l != stop; l = l.parent {
+		for i := len(l.onAbort) - 1; i >= 0; i-- {
+			if fn := l.onAbort[i].fn; fn != nil {
+				fn()
+			}
+		}
+	}
+	releaseGuards(gs)
+	tx.top().edgeGuardWaits()
 }
