@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -151,5 +153,81 @@ func TestDocsNameExistingFiles(t *testing.T) {
 		if !found {
 			t.Errorf("DESIGN.md §5: `go test -run %s ./%s` matches no test function there", m[1], m[2])
 		}
+	}
+}
+
+// TestDocsNameExistingAPI keeps the prose honest about internal/stm's
+// API, so a PR that deletes a method cannot leave its ghost in the docs:
+// inside the backticks of README.md, DESIGN.md and EXPERIMENTS.md, every
+// `tx.X` and `Tx.X` names a field or method of stm.Tx, every `th.X` and
+// `Thread.X` one of stm.Thread, and every `stm.X` (`stm.X.Y`) a
+// package-level name (and its member) — resolved through the loader's
+// type information. After the variables `tx.` and `th.` and after `stm.`
+// only exported names are checked: lower-case ones there are event and
+// metric names (`tx.begin`, `stm.open_commits_per_tx`).
+func TestDocsNameExistingAPI(t *testing.T) {
+	l := getLoader(t)
+	stm, err := l.Import(l.ModulePath + "/internal/stm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// member reports whether stm's type typ has a field or method name.
+	member := func(typ, name string) bool {
+		tn, ok := stm.Scope().Lookup(typ).(*types.TypeName)
+		if !ok {
+			return false
+		}
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, stm, name)
+		return obj != nil
+	}
+	receivers := map[string]string{"tx": "Tx", "Tx": "Tx", "th": "Thread", "Thread": "Thread"}
+	name := regexp.MustCompile(`\b(tx|Tx|th|Thread|stm)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(filepath.Join(l.ModuleDir, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A span may run over a line break, so whether text is inside
+		// backticks carries from line to line; fenced blocks are skipped.
+		fenced, inside := false, false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for j, seg := range strings.Split(line, "`") {
+				if j > 0 {
+					inside = !inside
+				}
+				if !inside {
+					continue
+				}
+				for _, m := range name.FindAllStringSubmatch(seg, -1) {
+					var ok bool
+					switch typ := receivers[m[1]]; {
+					case m[1] == "stm":
+						if !ast.IsExported(m[2]) {
+							continue
+						}
+						ok = stm.Scope().Lookup(m[2]) != nil && (m[3] == "" || member(m[2], m[3]))
+					case m[1] != typ && !ast.IsExported(m[2]):
+						continue
+					default:
+						ok = member(typ, m[2])
+					}
+					checked++
+					if !ok {
+						t.Errorf("%s:%d: `%s` names nothing in internal/stm", doc, i+1, m[0])
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no API name found in the docs: the pattern has rotted")
 	}
 }

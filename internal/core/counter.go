@@ -26,20 +26,22 @@ type Counter struct {
 // compensate for all of it. It is recycled (attach) under a rule of its
 // own: a commit has nothing to undo, so Counter registers no commit
 // handler (its guard stays out of every commit footprint) and nothing
-// runs that could clean the local when its attempt ends. No table refers
-// to it either, so resetting delta when the next attempt attaches it is
-// all the cleaning there is.
+// cleans the local when its attempt ends. No table refers to it either,
+// so the next attempt to attach it — h is not its handle — resets delta.
 type counterLocal struct {
 	c       *Counter
+	h       *stm.Handle
 	delta   int64
 	onAbort func()
 }
 
-// reattach readies l for the attempt tx: a zero contribution and the
-// compensating handler registered.
+// reattach readies l for the attempt tx unless it already serves it: the
+// compensating handler registered, then a zero contribution and the stamp.
 func (l *counterLocal) reattach(tx *stm.Tx) bool {
-	l.delta = 0
-	tx.OnTopAbortGuarded(l.c.guard, l.onAbort)
+	if l.h != tx.Handle() {
+		tx.OnTopAbortGuarded(l.c.guard, l.onAbort)
+		l.h, l.delta = tx.Handle(), 0
+	}
 	return true
 }
 

@@ -326,8 +326,8 @@ func coversAny(tm *TransactionalSortedMap[int, int], tx *stm.Tx, k int) bool {
 // entry in stripe i's table speaks only for stripe i's keys (nil bounds
 // mean "to this stripe's edge"), so only k's own stripe is consulted.
 func coversLocked(tm *TransactionalMap[int, int], tx *stm.Tx, k int) bool {
-	l, ok := tx.Local(tm).(*mapLocal[int, int])
-	if !ok {
+	l, ok := tx.Thread().Attachment(tm).(*mapLocal[int, int])
+	if !ok || l.h != tx.Handle() {
 		return false
 	}
 	si := tm.StripeOf(k)

@@ -392,8 +392,7 @@ func (tm *TransactionalMap[K, V]) SetIsEmptyViaSize(v bool) { tm.isEmptyViaSize 
 // rather than at commit.
 func (tm *TransactionalMap[K, V]) SetEagerWriteCheck(v bool) { tm.eagerWriteCheck = v }
 
-// local returns this transaction's local state for this instance (see
-// attach).
+// local returns tx's local state for this instance (see attach).
 func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
 	return attach(tx, tm, tm.newLocal)
 }
@@ -451,7 +450,9 @@ func (tm *TransactionalMap[K, V]) lockKeyLocked(l *mapLocal[K, V], k K) {
 // on argument").
 func (tm *TransactionalMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
 	if tx.IsSnapshot() {
-		return tm.snapshotGet(tx, k)
+		v, ok := tm.snapshotGet(k)
+		tx.Thread().Clock.Tick(DefaultOpCost)
+		return v, ok
 	}
 	l := tm.local(tx)
 	if w, ok := l.storeBuffer[k]; ok {
@@ -625,7 +626,9 @@ func (tm *TransactionalMap[K, V]) deltaLocked(l *mapLocal[K, V]) int {
 // open-nested reads).
 func (tm *TransactionalMap[K, V]) Size(tx *stm.Tx) int {
 	if tx.IsSnapshot() {
-		return tm.snapshotSize(tx)
+		n := tm.snapshotSize()
+		tx.Thread().Clock.Tick(DefaultOpCost)
+		return n
 	}
 	return tm.lockedSize(tx, false)
 }
@@ -640,26 +643,32 @@ func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, empty bool) int {
 	n := 0
 	_ = tx.Open(func(*stm.Tx) error {
 		for si, st := range tm.stripes {
-			st.guard.Lock()
-			if empty {
-				st.emptyLockers.Lock(l.h)
-			} else {
-				st.sizeLockers.Lock(l.h)
-			}
-			tm.resolveBlindStripeLocked(st, si, l)
-			n += st.m.Size()
-			st.guard.Unlock()
-		}
-		if empty {
-			l.emptyLocked = true
-		} else {
-			l.sizeLocked = true
+			n += tm.stripeSize(st, si, l, empty)
 		}
 		n += tm.deltaLocked(l)
 		return nil
 	})
 	tx.Thread().Clock.Tick(DefaultOpCost)
 	return n
+}
+
+// stripeSize is one step of lockedSize's scan, under stripe si's guard
+// alone — in a function of its own, so that defer releases the guard (the
+// wrapped structure runs user code that may panic: a comparator, == on an
+// interface key) without a defer in a loop, which would allocate. The lock
+// is recorded with the first stripe's: a scan cut short releases them all.
+func (tm *TransactionalMap[K, V]) stripeSize(st *mapStripe[K, V], si int, l *mapLocal[K, V], empty bool) int {
+	st.guard.Lock()
+	defer st.guard.Unlock()
+	if empty {
+		st.emptyLockers.Lock(l.h)
+		l.emptyLocked = true
+	} else {
+		st.sizeLockers.Lock(l.h)
+		l.sizeLocked = true
+	}
+	tm.resolveBlindStripeLocked(st, si, l)
+	return st.m.Size()
 }
 
 // IsEmpty reports whether the map is empty. As the paper's §5.1

@@ -57,7 +57,9 @@ type mapEntry[K comparable, V any] struct {
 // takes no lock that such a commit sweeps until the keys are visited.
 func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
 	if tx.IsSnapshot() {
-		return tm.snapshotIterator(tx)
+		it := tm.snapshotIterator()
+		tx.Thread().Clock.Tick(DefaultOpCost)
+		return it
 	}
 	l := tm.local(tx)
 	tm.touchAll(tx, l)

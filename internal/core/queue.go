@@ -140,11 +140,8 @@ func (tq *TransactionalQueue[T]) LaneOf(tx *stm.Tx) int {
 	return int(uint64(tx.Thread().TraceID) & tq.mask)
 }
 
-// local returns this transaction's local state for this instance (see
-// attach).
-func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] {
-	return attach(tx, tq, tq.newLocal)
-}
+// local returns tx's local state for this instance (see attach).
+func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] { return attach(tx, tq, tq.newLocal) }
 
 // newLocal builds th's queueLocal for this instance, with the handler
 // pair the first touch of every attempt registers.

@@ -66,10 +66,12 @@ func assertTablesEmpty(t *testing.T, tm *TransactionalMap[int, int], keys int) {
 // read key 1, buffered a write to key 2, taken the size lock and (sorted
 // maps) a range lock — a foreign panic the caller recovers, a violation
 // that retries, tx.Abort — and then runs an ordinary transaction on the
-// same thread. That transaction must take its own lock on key 1 (a stale
-// keyLocks entry would skip it), must not see the buffered write, must
-// register its own handlers (a stale touched mask would skip them, and
-// its Put would never apply), and must leave nothing behind.
+// same thread. Every ending rolls the attempt back, so that transaction
+// finds the thread's local recycled and pristine: it must take its own
+// lock on key 1 (a stale keyLocks entry would skip it), must not see the
+// buffered write, must register its own handlers (a stale touched mask
+// would skip them, and its Put would never apply), and must leave nothing
+// behind — no ending leaves a lock in a table.
 func TestRecycledLocalContainment(t *testing.T) {
 	for _, ly := range recycleLayouts {
 		for _, ending := range []string{"foreign panic", "violated", "user abort"} {
@@ -82,21 +84,17 @@ func TestRecycledLocalContainment(t *testing.T) {
 					}
 				})
 				var firstLocal any
-				var firstHandle *stm.Handle
 				first := func(tx *stm.Tx) {
-					firstHandle = tx.Handle()
 					tm.Get(tx, 1)
 					tm.Put(tx, 2, 99)
 					tm.Size(tx)
 					if sorted != nil {
 						sorted.FirstKey(tx)
 					}
-					firstLocal = tx.Local(tm)
+					firstLocal = th.Attachment(tm)
 				}
-				var secondHandle *stm.Handle
 				second := func(tx *stm.Tx) {
 					h := tx.Handle()
-					secondHandle = h
 					if v, ok := tm.Get(tx, 2); !ok || v != 20 {
 						t.Errorf("Get(2) = (%d,%v), want the committed 20: the dead attempt's buffer leaked", v, ok)
 					}
@@ -107,8 +105,8 @@ func TestRecycledLocalContainment(t *testing.T) {
 					if !held {
 						t.Error("Get(1) took no key lock under the new handle")
 					}
-					if recycled := tx.Local(tm) == firstLocal; recycled != (ending != "foreign panic") {
-						t.Errorf("local recycled = %v after %s", recycled, ending)
+					if th.Attachment(tm) != firstLocal {
+						t.Errorf("local not recycled after %s", ending)
 					}
 					tm.Put(tx, 3, 33)
 				}
@@ -123,29 +121,7 @@ func TestRecycledLocalContainment(t *testing.T) {
 						t.Errorf("Get(2) = %d, want 20", v)
 					}
 				})
-				if ending != "foreign panic" {
-					assertTablesEmpty(t, tm, 8)
-					return
-				}
-				// A foreign panic unwinds past the retry loop without
-				// running abort handlers (ROADMAP aim 3b, unchanged here):
-				// the dead attempt's locks stay in the tables under its own
-				// handle. Nobody may have inherited or released them.
-				tm.lockSpan(0, len(tm.stripes))
-				defer tm.unlockSpan(0, len(tm.stripes))
-				for k := 1; k <= 3; k++ {
-					if tm.stripes[tm.StripeOf(k)].key2lockers.Holds(k, secondHandle) {
-						t.Errorf("key %d still locked by the committed transaction", k)
-					}
-				}
-				if tm.stripes[tm.StripeOf(3)].key2lockers.Locked(3) {
-					t.Error("key 3, read only by the committed transaction, still locked")
-				}
-				for _, k := range []int{1, 2} {
-					if !tm.stripes[tm.StripeOf(k)].key2lockers.Holds(k, firstHandle) {
-						t.Errorf("key %d: the dead attempt's lock was released by someone else", k)
-					}
-				}
+				assertTablesEmpty(t, tm, 8)
 			})
 		}
 	}
@@ -393,7 +369,9 @@ func emptyLocks(q *TransactionalQueue[int]) int {
 // return only their own polls on abort (a stale removeBuffer would
 // duplicate an element), register their own handlers (a stale touched
 // mask would skip them and 77 would never arrive), compensate only their
-// own counter contribution, and take their own empty locks.
+// own counter contribution, and take their own empty locks. Every ending
+// rolls the attempt back: what it polled is back in its lane, what it
+// added to the counter is subtracted, and the local is recycled.
 func TestRecycledQueueContainment(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
 		for _, ending := range []string{"foreign panic", "violated", "user abort"} {
@@ -415,31 +393,22 @@ func TestRecycledQueueContainment(t *testing.T) {
 					return v
 				}
 				var firstLocal any
-				var lost int
 				first := func(tx *stm.Tx) {
-					lost = poll(tx)
+					poll(tx)
 					q.Put(tx, 99)
 					c.Add(tx, 5)
-					firstLocal = tx.Local(q)
+					firstLocal = th.Attachment(q)
 				}
 				second := func(tx *stm.Tx) {
 					want[poll(tx)]--
 					q.Put(tx, 77)
 					c.Add(tx, 2)
-					if recycled := tx.Local(q) == firstLocal; recycled != (ending != "foreign panic") {
-						t.Errorf("local recycled = %v after %s", recycled, ending)
+					if th.Attachment(q) != firstLocal {
+						t.Errorf("local not recycled after %s", ending)
 					}
 				}
 				endAttempt(t, th, ending, first, second)
 				want[77]++
-				wantCount := int64(2)
-				if ending == "foreign panic" {
-					// A foreign panic runs no abort handler (ROADMAP aim 3b,
-					// unchanged here): what the dead attempt polled and added
-					// stays taken and added. Nobody else may compensate for it.
-					want[lost]--
-					wantCount += 5
-				}
 				// An aborting transaction returns its own poll, nothing older.
 				if err := th.Atomic(func(tx *stm.Tx) error {
 					poll(tx)
@@ -448,8 +417,8 @@ func TestRecycledQueueContainment(t *testing.T) {
 				}); err == nil {
 					t.Fatal("Atomic swallowed the body's error")
 				}
-				if v := c.Value(); v != wantCount {
-					t.Errorf("counter = %d, want %d", v, wantCount)
+				if v := c.Value(); v != 2 {
+					t.Errorf("counter = %d, want the one committed Add(2)", v)
 				}
 
 				got := map[int]int{}
@@ -664,5 +633,148 @@ func TestRecycledQueueBuffersPinNothing(t *testing.T) {
 		if p != nil {
 			t.Error("a recycled buffer still points at an element of a finished transaction")
 		}
+	}
+}
+
+// TestAttachmentSweepSparesLiveLocals: a transaction may use more
+// collections than the thread keeps attachments for between attempts (64,
+// stm's maxAttachments). The set is swept when an attempt begins, never
+// inside one — a sweep there would rebuild a live local, and the
+// transaction would lose its own writes.
+func TestAttachmentSweepSparesLiveLocals(t *testing.T) {
+	const n = 70
+	th := newTh(1)
+	maps := make([]*TransactionalMap[int, int], n)
+	for i := range maps {
+		maps[i] = newIntMap()
+	}
+	readBack := func(tx *stm.Tx) {
+		for i, m := range maps {
+			if v, ok := m.Get(tx, i); !ok || v != i {
+				t.Errorf("map %d: Get(%d) = (%d,%v), want the write this transaction made", i, i, v, ok)
+			}
+		}
+	}
+	atomically(t, th, func(tx *stm.Tx) {
+		for i, m := range maps {
+			m.Put(tx, i, i)
+		}
+		readBack(tx)
+	})
+	atomically(t, th, readBack)
+	for _, m := range maps {
+		assertTablesEmpty(t, m, n)
+	}
+}
+
+// TestAtomicReadWriterStampsOnRetryPath: a Put or a Counter.Add inside
+// AtomicRead bails out of its handler registration on the snapshot
+// attempt — which runs under the thread's recycled snapshot handle — and
+// does its work on the retry attempt. The snapshot attempt must leave no
+// stamp behind: the thread's next AtomicRead runs under the same handle
+// and would take a local stamped with it for one it had registered.
+func TestAtomicReadWriterStampsOnRetryPath(t *testing.T) {
+	tm, q, c := newIntMap(), newSegmentedQueue(1), NewCounter(0)
+	th := newTh(1)
+	var snap *stm.Handle
+	// read runs body in an AtomicRead that must fall back exactly once,
+	// and then checks the stamps the attempts left.
+	read := func(name string, wantErr error, body func(tx *stm.Tx) error) {
+		t.Helper()
+		before, attempts := th.Stats, 0
+		err := th.AtomicRead(func(tx *stm.Tx) error {
+			attempts++
+			if tx.IsSnapshot() {
+				if snap != nil && tx.Handle() != snap {
+					t.Errorf("%s: the snapshot handle is not the thread's recycled one", name)
+				}
+				snap = tx.Handle()
+			}
+			return body(tx)
+		})
+		if err != wantErr || attempts != 2 || th.Stats.SnapshotFallbacks != before.SnapshotFallbacks+1 {
+			t.Fatalf("%s: AtomicRead = %v after %d attempts and %d fallbacks, want %v, 2 and 1",
+				name, err, attempts, th.Stats.SnapshotFallbacks-before.SnapshotFallbacks, wantErr)
+		}
+		ml, _ := th.Attachment(tm).(*mapLocal[int, int])
+		ql, _ := th.Attachment(q).(*queueLocal[int])
+		cl, _ := th.Attachment(c).(*counterLocal)
+		if ml != nil && (ml.h != nil || ml.touched != 0) || ql != nil && (ql.h != nil || ql.touched != 0) {
+			t.Errorf("%s: a finished transaction's local is still stamped or touched", name)
+		}
+		if cl != nil && cl.h == snap {
+			t.Errorf("%s: the counter's local is stamped with the snapshot handle", name)
+		}
+	}
+	gen := 1 // what writes puts under key 1
+	writes := func(tx *stm.Tx) error {
+		tm.Put(tx, 1, gen)
+		q.Put(tx, 7)
+		c.Add(tx, 5)
+		return nil
+	}
+	committed := func(wantVal, wantQueued int, wantCount int64) {
+		t.Helper()
+		atomically(t, th, func(tx *stm.Tx) {
+			if v, _ := tm.Get(tx, 1); v != wantVal {
+				t.Errorf("map holds %d under key 1, want %d", v, wantVal)
+			}
+		})
+		if n := q.CommittedSize(); n != wantQueued {
+			t.Errorf("queue holds %d elements, want %d", n, wantQueued)
+		}
+		if v := c.Value(); v != wantCount {
+			t.Errorf("counter = %d, want %d", v, wantCount)
+		}
+	}
+
+	// The handler pairs are registered exactly once, on the retry attempt:
+	// one commit handler each for the map and the queue, the writes applied.
+	runs := th.Stats.HandlerRuns
+	read("writes", nil, writes)
+	if got := th.Stats.HandlerRuns - runs; got != 2 {
+		t.Errorf("%d commit handlers ran, want the map's and the queue's, once each", got)
+	}
+	committed(1, 1, 5)
+	// A body that reaches a collection on the snapshot attempt only leaves
+	// it as it found it.
+	read("map, snapshot attempt only", nil, func(tx *stm.Tx) error {
+		if tx.IsSnapshot() {
+			tm.Put(tx, 1, -1)
+		}
+		return nil
+	})
+	read("queue, snapshot attempt only", nil, func(tx *stm.Tx) error {
+		if tx.IsSnapshot() {
+			q.Put(tx, -1)
+		}
+		return nil
+	})
+	read("counter, snapshot attempt only", nil, func(tx *stm.Tx) error {
+		if tx.IsSnapshot() {
+			c.Add(tx, -1)
+		}
+		return nil
+	})
+	committed(1, 1, 5)
+	// The counter's abort handler too is registered exactly once: an
+	// aborting retry attempt subtracts its contribution, and only that.
+	errAbort := errors.New("abort")
+	gen = 2
+	read("aborting writes", errAbort, func(tx *stm.Tx) error {
+		_ = writes(tx)
+		if tx.IsSnapshot() {
+			t.Error("the snapshot attempt got past a Put")
+		}
+		return errAbort
+	})
+	committed(1, 1, 5)
+	// And the thread's next AtomicRead starts over like the first.
+	gen = 3
+	read("writes again", nil, writes)
+	committed(3, 2, 10)
+	assertTablesEmpty(t, tm, 4)
+	if n := emptyLocks(q); n != 0 {
+		t.Errorf("%d empty locks left", n)
 	}
 }

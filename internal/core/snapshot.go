@@ -1,9 +1,5 @@
 package core
 
-import (
-	"tcc/internal/stm"
-)
-
 // Snapshot-mode reads (DESIGN.md §4.4). A transaction on the MVCC-lite
 // snapshot path (an stm.Thread.AtomicRead attempt) cannot use the
 // collection protocol of Tables 2/3: it takes no semantic locks,
@@ -32,28 +28,28 @@ import (
 // lock-table traffic in exchange for per-operation (rather than
 // per-transaction) atomicity on collections.
 
+// Each answer below is one guard hold, released by defer (see stripeSize);
+// the caller charges the operation once the guards are free.
+
 // snapshotGet answers Get for a snapshot transaction: the committed
 // mapping, read under k's stripe guard only.
-func (tm *TransactionalMap[K, V]) snapshotGet(tx *stm.Tx, k K) (V, bool) {
+func (tm *TransactionalMap[K, V]) snapshotGet(k K) (V, bool) {
 	st := tm.stripes[tm.StripeOf(k)]
 	st.guard.Lock()
-	v, ok := st.m.Get(k)
-	st.guard.Unlock()
-	tx.Thread().Clock.Tick(DefaultOpCost)
-	return v, ok
+	defer st.guard.Unlock()
+	return st.m.Get(k)
 }
 
 // snapshotSize answers Size for a snapshot transaction: the committed
 // size summed with every stripe guard held, so a multi-stripe commit is
 // either fully counted or not at all.
-func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
+func (tm *TransactionalMap[K, V]) snapshotSize() int {
 	tm.lockSpan(0, len(tm.stripes))
+	defer tm.unlockSpan(0, len(tm.stripes))
 	n := 0
 	for _, st := range tm.stripes {
 		n += st.m.Size()
 	}
-	tm.unlockSpan(0, len(tm.stripes))
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return n
 }
 
@@ -61,9 +57,10 @@ func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
 // committed entries are frozen at creation under all stripe guards, and
 // enumeration walks the frozen slice with no further locking. The walk
 // is one atomic view of the map (see the caveat above for sequences).
-func (tm *TransactionalMap[K, V]) snapshotIterator(tx *stm.Tx) *MapIterator[K, V] {
+func (tm *TransactionalMap[K, V]) snapshotIterator() *MapIterator[K, V] {
 	it := &MapIterator[K, V]{frozen: true}
 	tm.lockSpan(0, len(tm.stripes))
+	defer tm.unlockSpan(0, len(tm.stripes))
 	for _, st := range tm.stripes {
 		for _, k := range st.m.Keys() {
 			if v, ok := st.m.Get(k); ok {
@@ -71,7 +68,5 @@ func (tm *TransactionalMap[K, V]) snapshotIterator(tx *stm.Tx) *MapIterator[K, V
 			}
 		}
 	}
-	tm.unlockSpan(0, len(tm.stripes))
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return it
 }

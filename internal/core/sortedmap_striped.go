@@ -227,7 +227,9 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 		start = t.sorted.stripeFor(*from)
 	}
 	if t.snapshotRouted(tx) {
-		return t.snapshotWalk(tx, d, start, from, strict)
+		res, found := t.snapshotWalk(d, start, from, strict)
+		tx.Thread().Clock.Tick(DefaultOpCost)
+		return res, found
 	}
 	l := t.local(tx)
 	var res K
@@ -344,7 +346,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 // the key space the walk heads for held at once (ascending, so the hold
 // is compatible with the commit protocol's sorted footprint
 // acquisition), so a multi-stripe commit is seen entirely or not at all.
-func (t *TransactionalSortedMap[K, V]) snapshotWalk(tx *stm.Tx, d dir, start int, k *K, strict bool) (K, bool) {
+func (t *TransactionalSortedMap[K, V]) snapshotWalk(d dir, start int, k *K, strict bool) (K, bool) {
 	lo, hi := start, len(t.stripes)
 	if d == down {
 		lo, hi = 0, start+1
@@ -352,13 +354,12 @@ func (t *TransactionalSortedMap[K, V]) snapshotWalk(tx *stm.Tx, d dir, start int
 	var res K
 	var found bool
 	t.lockSpan(lo, hi)
+	defer t.unlockSpan(lo, hi) // seek runs the comparator, which may panic
 	for si := start; si >= lo && si < hi && !found; si += int(d) {
 		if si != start {
 			k = nil // later stripes are entered from their edge
 		}
 		res, found = seek(t.sorted.sms[si], d, k, strict)
 	}
-	t.unlockSpan(lo, hi)
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return res, found
 }

@@ -41,15 +41,15 @@ type stripeSet struct {
 //
 // A local belongs to one (stm.Thread, instance) pair and is recycled
 // (attach): its handler pair is bound once, when it is built, and acts
-// for whichever attempt the local is attached to. Every mutation of a
-// local follows touch, and the tail of both handlers returns it to the
+// for whichever attempt the local serves. Every mutation of a local
+// follows touch, and the tail of both handlers returns it to the
 // pristine state, so touched == 0 is exactly "pristine"; a local found
-// otherwise — its attempt died of a foreign panic before the handlers
-// ran, or release discarded it as oversized (maxRecycledEntries) — is
-// never reused (DESIGN.md §4.6).
+// otherwise by another attempt — release discarded it as oversized
+// (maxRecycledEntries) — is never reused (DESIGN.md §4.6).
 type footprint struct {
-	// h is the handle of the attempt the local is attached to, owner of
-	// every semantic lock the local records.
+	// h stamps the local with the handle of the attempt it serves, owner
+	// of every semantic lock it records: set by the first touch, once the
+	// handler pair is registered, cleared by the handlers' tail.
 	h semlock.Owner
 	// touched is the bitmask of partitions the transaction read, wrote,
 	// or registered a lock in. The handler pair is registered under the
@@ -61,24 +61,18 @@ type footprint struct {
 	onCommit, onAbort func()
 }
 
-// reattach hands a pristine local to the attempt tx.
+// reattach reports whether the local can serve tx: pristine, or tx's own.
 func (f *footprint) reattach(tx *stm.Tx) bool {
-	if f.touched != 0 {
-		return false
-	}
-	f.h = tx.Handle()
-	return true
+	return f.touched == 0 || f.h == tx.Handle()
 }
 
-// attach is the one recycling rule of every transaction-local. It
-// returns the local this attempt already uses for the instance key or,
-// on the attempt's first use, the thread's (stm.Thread.Attachment) once
-// reattach has readied it for the attempt — rebuilt when there is none
-// or reattach reports that its last attempt did not leave it clean.
+// attach is the one recycling rule of every transaction-local and its one
+// lookup: the thread's local for the instance key (stm.Thread.Attachment)
+// once reattach finds it serving this attempt or readies it to — rebuilt
+// when there is none or reattach refuses. The stamp follows the handler
+// registration (touch; counterLocal.reattach): an AtomicRead attempt bails
+// out of registering, under a handle the thread's next AtomicRead reuses.
 func attach[L interface{ reattach(*stm.Tx) bool }](tx *stm.Tx, key any, build func(*stm.Thread) L) L {
-	if l, ok := tx.Local(key).(L); ok {
-		return l
-	}
 	th := tx.Thread()
 	l, ok := th.Attachment(key).(L)
 	if !ok || !l.reattach(tx) {
@@ -86,7 +80,6 @@ func attach[L interface{ reattach(*stm.Tx) bool }](tx *stm.Tx, key any, build fu
 		th.SetAttachment(key, l)
 		l.reattach(tx)
 	}
-	tx.SetLocal(key, l)
 	return l
 }
 
@@ -152,6 +145,7 @@ func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
 	case f.touched == 0:
 		tx.OnTopCommitGuarded(s.guards[i], f.onCommit)
 		tx.OnTopAbortGuarded(s.guards[i], f.onAbort)
+		f.h = tx.Handle()
 	default:
 		tx.AddTopGuard(s.guards[i])
 	}

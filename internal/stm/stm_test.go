@@ -505,30 +505,6 @@ func TestViolateLosesToPreparedCommit(t *testing.T) {
 	}
 }
 
-func TestLocalsClearedAcrossAttempts(t *testing.T) {
-	th := newTestThread()
-	key := "k"
-	attempts := 0
-	err := th.Atomic(func(tx *Tx) error {
-		attempts++
-		if tx.Local(key) != nil {
-			t.Fatal("stale local visible after restart")
-		}
-		tx.SetLocal(key, attempts)
-		if attempts == 1 {
-			// Force one retry via self-violation of the memory kind.
-			tx.bail(sigRetry, "forced")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", attempts)
-	}
-}
-
 func TestReadVersionExtension(t *testing.T) {
 	// tx1 reads a, then tx2 commits a change to b, then tx1 reads b.
 	// Plain TL2 would abort tx1 (b's version exceeds the snapshot);

@@ -137,24 +137,26 @@ type Thread struct {
 	// violate) its handle across attempts — reusing one per thread is
 	// what makes the snapshot path allocation-free.
 	snapHandle *Handle
-	// attachments is the thread-lifetime counterpart of Tx.locals (see
+	// attachments is the one store of transaction-local state (see
 	// Attachment).
 	attachments map[any]any
 }
 
-// maxAttachments bounds a Thread's attachment set. When a new key would
-// exceed it the whole set is dropped: owners rebuild their state on the
-// next use (exactly what they did before attachments existed), and a
-// collection the program has dropped is unpinned after at most this many
-// other collections were used on the thread.
+// maxAttachments bounds the attachment set a Thread carries from one
+// attempt to the next: begin drops a larger one whole — between attempts
+// nothing in it is in use, mid-attempt it holds the running transaction's
+// buffers — and owners rebuild their state on the next use. A collection
+// the program has dropped is thus unpinned once this many others were
+// used on the thread.
 const maxAttachments = 64
 
 // Attachment returns the value stored under key by SetAttachment, or
-// nil. Attachments outlive transactions: the transactional collections
-// keep their per-(thread, instance) local state here, so steady-state
-// transactions re-attach it (Tx.SetLocal) instead of allocating it. An
-// attachment may disappear between any two transactions; its owner must
-// be able to rebuild it.
+// nil. The transactional collections keep their per-(thread, instance)
+// local state here (paper Tables 3, 6, 9 "Local Transaction State"),
+// stamped with the Handle of the attempt it serves, so steady-state
+// transactions re-stamp it instead of allocating it. An attachment stays
+// for the rest of the attempt but may disappear between any two
+// attempts; its owner must be able to rebuild it.
 func (t *Thread) Attachment(key any) any { return t.attachments[key] }
 
 // SetAttachment stores val under key for the life of the Thread, or
@@ -162,9 +164,6 @@ func (t *Thread) Attachment(key any) any { return t.attachments[key] }
 func (t *Thread) SetAttachment(key, val any) {
 	if t.attachments == nil {
 		t.attachments = make(map[any]any)
-	}
-	if _, ok := t.attachments[key]; !ok && len(t.attachments) >= maxAttachments {
-		clear(t.attachments)
 	}
 	t.attachments[key] = val
 }
@@ -197,14 +196,11 @@ func (t *Thread) getTx() *Tx {
 }
 
 // putTx returns a finished Tx (and its level chain) to the pools as a
-// zero Tx but for two buffers: the eager-lock list and the locals map are
-// cleared but kept, so collections that attach buffers every transaction
-// stop paying for the map after the first one.
+// zero Tx but for the eager-lock list, cleared but kept.
 func (t *Thread) putTx(tx *Tx) {
 	t.releaseLevels(tx)
 	clear(tx.eagerLocks)
-	clear(tx.locals)
-	*tx = Tx{eagerLocks: tx.eagerLocks[:0], locals: tx.locals}
+	*tx = Tx{eagerLocks: tx.eagerLocks[:0]}
 	t.txPool = append(t.txPool, tx)
 }
 
@@ -251,12 +247,15 @@ func (t *Thread) flushDeferred() {
 	}
 }
 
+// stall is the go-around of every retry loop — Thread.run's, Tx.Open's
+// and Tx.Nested's: back off before attempt+1 and report the stall.
+func (tx *Tx) stall(attempt int) { tx.edgeBackoff(tx.thread.backoff(attempt)) }
+
 // backoff stalls according to the worker's contention-management
 // policy (paper §5.1 discusses the need; the default is randomized
 // exponential backoff, see BackoffPolicy for alternatives) and
-// returns the cycles waited, so retry loops can report the stall. The
-// RNG is built on the first stall: most workers never back off, and a
-// math/rand source is 607 words.
+// returns the cycles waited. The RNG is built on the first stall: most
+// workers never back off, and a math/rand source is 607 words.
 func (t *Thread) backoff(attempt int) uint64 {
 	p := t.policy
 	if p == nil {
@@ -300,13 +299,13 @@ func (t *Thread) AtomicRead(fn func(tx *Tx) error) error { return t.run(fn, true
 const maxSnapshotRestarts = 8
 
 // begin starts one attempt: charge the begin cost, take a handle and a
-// read version, push the root level. A pure snapshot attempt (snap)
-// runs under the thread's recycled snapshot handle — it never enters a
-// lock table and never acquires a lockword, so nobody else can hold the
-// handle between attempts, which is what makes the path allocation-free
-// — and reads at a global-clock version whatever space the protocol's
-// own read version lives in: the snapshot path is protocol-independent
-// MVCC.
+// read version, push the root level, drop an attachment set that outgrew
+// maxAttachments. A pure snapshot attempt (snap) runs under the thread's
+// recycled snapshot handle — it never enters a lock table and never
+// acquires a lockword, so nobody else can hold the handle between
+// attempts, which is what makes the path allocation-free — and reads at a
+// global-clock version whatever space the protocol's own read version
+// lives in: the snapshot path is protocol-independent MVCC.
 func (tx *Tx) begin(attempt int, snap bool) {
 	t := tx.thread
 	t.Clock.Tick(CostTxBegin)
@@ -325,13 +324,16 @@ func (tx *Tx) begin(attempt int, snap bool) {
 	tx.cur = t.getLevel(nil)
 	tx.attempt = attempt
 	tx.snapshot = snap
-	clear(tx.locals)
+	if len(t.attachments) > maxAttachments {
+		clear(t.attachments)
+	}
 	tx.edgeBegin()
 }
 
 // run is the one attempt loop behind Atomic and AtomicRead: begin, run
-// fn, commit; on a conflict roll back, back off and re-run, until the
-// transaction commits or fn asks out.
+// fn, commit; on a conflict roll back, stall and re-run, until the
+// transaction commits or fn asks out — returns an error, calls tx.Abort
+// or panics. An attempt that does not commit ends in rollback.
 //
 // snap selects pure snapshot mode for the attempt (AtomicRead). Such an
 // attempt records, locks and publishes nothing, so it has no commit
@@ -361,24 +363,25 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 				}
 				return nil
 			}
-			tx.rollback()
 			if reason := tx.handle.ViolationReason(); reason != "" {
-				tx.edgeRollback(obs.KindTxViolated, reason)
+				tx.rollback(obs.KindTxViolated, reason)
 			} else {
-				tx.edgeRollback(obs.KindTxAbort, "")
+				tx.rollback(obs.KindTxAbort, "")
 			}
-		case sig == nil || sig.kind == sigUserAbort:
-			// fn returned an error or called tx.Abort: report it without
-			// retrying.
+		case sig == nil || sig.kind == sigUserAbort || sig.kind == sigPanic:
+			// fn returned an error, called tx.Abort or panicked: hand the
+			// error, or the panic, to the caller without retrying. Ahead of
+			// the snapshot arm, or a panicking AtomicRead body would be
+			// re-executed as a fallback.
 			reason := "error return"
 			if sig != nil {
 				err, reason = sig.err, sig.reason
 			}
-			if !snap {
-				tx.rollback()
-			}
-			tx.edgeRollback(obs.KindTxUserAbort, reason)
+			tx.rollback(obs.KindTxUserAbort, reason)
 			t.putTx(tx)
+			if p, ok := err.(*foreignPanic); ok {
+				panic(p.val)
+			}
 			return err
 		case snap:
 			// Pure snapshot attempts are not numbered: each is attempt 0,
@@ -401,14 +404,12 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 			tx.edgeFallback()
 			continue
 		case sig.kind == sigViolated:
-			tx.rollback()
-			tx.edgeRollback(obs.KindTxViolated, sig.reason)
+			tx.rollback(obs.KindTxViolated, sig.reason)
 		default: // sigRetry
-			tx.rollback()
-			tx.edgeRollback(obs.KindTxAbort, "")
+			tx.rollback(obs.KindTxAbort, "")
 		}
 		t.releaseLevels(tx)
-		tx.edgeBackoff(t.backoff(attempt))
+		tx.stall(attempt)
 	}
 }
 
@@ -464,13 +465,13 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 		case sig.kind == sigRetry:
 			o.edgeOpenRetry()
 		default:
-			// Violation or user abort of the enclosing transaction.
+			// Violation, user abort or panic of the enclosing transaction.
 			t.proto.abandon(o)
 			t.putTx(o)
 			panic(sig)
 		}
 		t.proto.abandon(o)
 		t.releaseLevels(o)
-		o.edgeBackoff(t.backoff(attempt))
+		o.stall(attempt)
 	}
 }

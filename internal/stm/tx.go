@@ -7,12 +7,15 @@ import (
 	"tcc/internal/obs"
 )
 
-// signal is the panic payload used for non-local transaction control
-// flow. Real panics are not wrapped and propagate unchanged.
+// signal is the panic payload of non-local transaction control flow, and
+// the one way out of a body other than returning: catch turns whatever
+// unwound it into one. It is allocated per abort, violation and tx.Abort
+// and must not grow (one more interface field moves it from the 48- to the
+// 64-byte size class): what else a kind carries travels inside err.
 type signal struct {
 	kind   sigKind
 	reason string
-	err    error // for sigUserAbort
+	err    error // sigUserAbort: Atomic's result; sigPanic: a *foreignPanic
 }
 
 type sigKind int
@@ -35,7 +38,16 @@ const (
 	// or on the ordinary retry path with snapshot mode off. Never
 	// counted as an abort; nothing was published or locked.
 	sigFallback
+	// sigPanic: the body panicked with a value that is not a signal;
+	// unwinds like sigUserAbort to the top level, which rolls back and
+	// re-panics the original value into the caller of Atomic.
+	sigPanic
 )
+
+// foreignPanic carries the recovered value in a sigPanic signal's err.
+type foreignPanic struct{ val any }
+
+func (p *foreignPanic) Error() string { return fmt.Sprint("stm: panic in transaction: ", p.val) }
 
 // Fallback reasons, as constant strings so raising one never
 // allocates. Shallow history restarts the snapshot attempt with a
@@ -300,11 +312,6 @@ type Tx struct {
 	// lazy protocols.
 	eagerLocks []*varCore
 	cur        *level
-	// locals holds per-transaction attachments keyed by arbitrary
-	// comparable keys; the transactional collections store their
-	// thread-local buffers and lock sets here (paper Tables 3, 6, 9
-	// "Local Transaction State"). Only the top-level Tx has locals.
-	locals map[any]any
 	// attempt counts restarts of this top-level transaction, feeding
 	// the contention manager's backoff.
 	attempt int
@@ -362,21 +369,6 @@ func (tx *Tx) top() *Tx {
 		t = t.outer
 	}
 	return t
-}
-
-// Local returns the attachment stored under key on the top-level
-// transaction, or nil.
-func (tx *Tx) Local(key any) any { return tx.top().locals[key] }
-
-// SetLocal stores an attachment under key on the top-level transaction.
-// Attachments live for one attempt: a restart begins with no
-// attachments, so collections re-register their buffers and handlers.
-func (tx *Tx) SetLocal(key, val any) {
-	t := tx.top()
-	if t.locals == nil {
-		t.locals = make(map[any]any)
-	}
-	t.locals[key] = val
 }
 
 // OnCommitGuarded registers fn to run if the transaction commits. The
@@ -531,10 +523,10 @@ func (tx *Tx) Nested(fn func() error) error {
 			if !t.proto.extend(tx) {
 				panic(sig)
 			}
-			tx.edgeBackoff(t.backoff(childAttempt))
+			tx.stall(childAttempt)
 		default:
-			// Violation or user abort of the whole transaction: this
-			// child level is rolled back on the way out; the unwinding
+			// Violation, user abort or panic of the whole transaction:
+			// this child level is rolled back on the way out; the unwinding
 			// rollback's protocol abandon releases any held state.
 			tx.compensate(child, child.parent)
 			t.putLevel(child)
@@ -569,18 +561,23 @@ func (child *level) mergeInto(parent *level) {
 	parent.onAbort = append(parent.onAbort, child.onAbort...)
 }
 
-// runBody executes fn, converting signal panics into return values and
-// letting real panics propagate.
+// catch is the deferred recover runBody and runTx share: it stores in *sig
+// the signal that unwound the body, a panic value that is not one wrapped
+// as sigPanic. A runtime.Goexit (t.FailNow in a body) recovers as nil and
+// is not converted: the goroutine goes on exiting.
+func catch(sig **signal) {
+	switch r := recover().(type) {
+	case nil:
+	case *signal:
+		*sig = r
+	default:
+		*sig = &signal{kind: sigPanic, reason: "panic", err: &foreignPanic{r}}
+	}
+}
+
+// runBody executes fn, returning its error or the signal that unwound it.
 func runBody(fn func() error) (err error, sig *signal) {
-	defer func() {
-		if r := recover(); r != nil {
-			if s, ok := r.(*signal); ok {
-				sig = s
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer catch(&sig)
 	err = fn()
 	return
 }
@@ -588,15 +585,7 @@ func runBody(fn func() error) (err error, sig *signal) {
 // runTx executes fn(tx) like runBody, without allocating an adapter
 // closure on the retry path.
 func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
-	defer func() {
-		if r := recover(); r != nil {
-			if s, ok := r.(*signal); ok {
-				sig = s
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer catch(&sig)
 	err = fn(tx)
 	return
 }
@@ -693,21 +682,26 @@ func (t *Thread) sortedWrites(l *level) []writeEntry {
 	return t.commitBuf
 }
 
-// rollback discards the transaction's buffered writes and compensates
-// every level's open-nested effects. A transaction that registered no
-// abort handlers — or only commit handlers — acquires no guard at all:
-// commit registrations are irrelevant once the transaction is rolling
-// back, and a guard-free rollback must not serialize behind anyone.
-func (tx *Tx) rollback() {
-	tx.handle.setAborted()
-	t := tx.thread
-	// Release whatever the protocol still holds for this attempt (an
-	// encounter-time protocol's Set-acquired lockwords) before blocking
-	// on the abort-guard footprint.
-	t.proto.abandon(tx)
-	tx.compensate(tx.cur, nil)
-	tx.tick(CostAbort)
-	t.flushDeferred()
+// rollback ends an attempt that did not commit, whatever ended it:
+// discard the buffered writes, compensate every level's open-nested
+// effects, report the edge. A pure snapshot attempt has only the report:
+// it recorded, locked and published nothing. A transaction that
+// registered no abort handlers — or only commit handlers — acquires no
+// guard at all: commit registrations are irrelevant once the transaction
+// is rolling back, and a guard-free rollback must not serialize behind
+// anyone.
+func (tx *Tx) rollback(kind obs.Kind, reason string) {
+	if !tx.snapshot {
+		tx.handle.setAborted()
+		t := tx.thread
+		// Release what the protocol still holds for the attempt (eager
+		// lockwords) before blocking on the abort-guard footprint.
+		t.proto.abandon(tx)
+		tx.compensate(tx.cur, nil)
+		tx.tick(CostAbort)
+		t.flushDeferred()
+	}
+	tx.edgeRollback(kind, reason)
 }
 
 // compensate is the one place abort handlers run: it rolls back the
