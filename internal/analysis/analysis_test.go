@@ -135,7 +135,8 @@ func TestUncheckedFixture(t *testing.T)    { runFixture(t, "unchecked") }
 func TestTraceInCommitFixture(t *testing.T) { runFixture(t, "traceincommit") }
 
 // The guard-order fixture's tx.Nested case is found only by following
-// the call into the STM (Tx.Nested → Tx.compensate → acquireGuards).
+// the call into the STM (Tx.Nested → Tx.compensate → Tx.window →
+// acquireGuards).
 func TestGuardOrderFixture(t *testing.T) { runFixture(t, "guardorder", "internal/stm") }
 func TestCommitBlockingFixture(t *testing.T) {
 	runFixture(t, "commitblocking")

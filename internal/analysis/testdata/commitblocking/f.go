@@ -188,6 +188,20 @@ func sleepInSpanWindow(s *stripeSweep) {
 	s.unlockSpan(0, 2)
 }
 
+// deferredRelease models the STM's handler window (Tx.window): the
+// directive-annotated opener followed by a *deferred* closer. A defer
+// runs at function return, so the window extends to the end of the block
+// — what follows the defer statement runs with the span held, what
+// precedes the opener does not — and a defer registered before the
+// opener runs after the release. The directives need no change for it.
+func deferredRelease(s *stripeSweep, ch chan int) {
+	defer notify(ch)             // registered first: runs once the span is free
+	time.Sleep(time.Millisecond) // before the opener: not in the window
+	s.lockSpan(0, len(s.guards))
+	defer s.unlockSpan(0, len(s.guards))
+	time.Sleep(time.Millisecond) // want commit-window-blocking
+}
+
 // suppressedSleep: a reviewed violation is silenced in place.
 func suppressedSleep() {
 	guard.Lock()

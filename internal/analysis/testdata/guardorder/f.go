@@ -128,7 +128,7 @@ func handlerGrabs(th *stm.Thread) error {
 // nestedInWindow: a closed-nested child that rolls back compensates
 // under the guards its abort handlers name, so tx.Nested inside a hold
 // window can block on a second guard (Tx.Nested → Tx.compensate →
-// acquireGuards) with the first still held.
+// Tx.window → acquireGuards) with the first still held.
 func nestedInWindow(tx *stm.Tx) error {
 	guardA.Lock()
 	err := tx.Nested(func() error { return nil }) // want guard-order trace-in-commit
@@ -151,6 +151,16 @@ func spanSweepUnderGuard(s *striped) {
 	guardA.Lock()
 	s.lockSpan(0, 2) // want guard-order
 	s.unlockSpan(0, 2)
+	guardA.Unlock()
+}
+
+// deferredSpanRelease: a span released by defer (the shape of the STM's
+// handler window) is held to the end of the block, so an acquisition
+// after the defer statement is a second guard under the first.
+func deferredSpanRelease(s *striped) {
+	s.lockSpan(0, 2)
+	defer s.unlockSpan(0, 2)
+	guardA.Lock() // want guard-order
 	guardA.Unlock()
 }
 

@@ -83,7 +83,7 @@ func TestNestedPartialRollbackHandlerOrder(t *testing.T) {
 // writes. The install must still complete (open effects are published
 // unconditionally), the parent must observe the violation at its next
 // transactional operation, and the rollback must run the compensation
-// the child attached — the race commitOpen documents.
+// the child attached — the race Open documents.
 func TestViolateDuringOpenCommit(t *testing.T) {
 	th := NewThread(&RealClock{}, 2)
 	v := NewVar(0)

@@ -13,7 +13,7 @@ import (
 // fallback, open-nested commit and retry, nested retry, guard waits,
 // backoff — is one function here, and that function is the only place
 // the edge is reported. The control flow (Thread.run, Tx.Open,
-// Tx.Nested, Tx.commit, Tx.compensate) calls the edge and knows nothing
+// Tx.Nested, Tx.rollback, Tx.window) calls the edge and knows nothing
 // about sinks. There are three: Thread.Stats (always on), the live
 // metrics plane (internal/obs/metrics) and the event tracer
 // (internal/obs).
@@ -97,8 +97,8 @@ const (
 
 // conflictRec is the pending attribution of the most recent
 // memory-level conflict: which variable, who held it, and the
-// mechanical cause. It lives on the top-level Tx, is written by
-// noteConflict and is consumed by the next rollback or retry edge.
+// mechanical cause. It is written by noteConflict and consumed by the
+// next rollback or retry edge.
 type conflictRec struct {
 	c     *varCore
 	other uint64 // txid of the conflicting transaction, if known
@@ -115,22 +115,20 @@ func (r conflictRec) attribute(e *obs.Event) {
 }
 
 // observed reports whether a sink besides Stats was on when the
-// attempt began. Meaningful on the top-level Tx, like the fields it
-// reads.
+// attempt began.
 func (tx *Tx) observed() bool { return tx.tracer != nil || tx.mon }
 
 // noteConflict records attribution for an imminent conflict signal.
 // Safe inside a hold window: field stores only.
 func (tx *Tx) noteConflict(c *varCore, owner *Handle, cause string) {
-	top := tx.top()
-	if !top.observed() {
+	if !tx.observed() {
 		return
 	}
 	rec := conflictRec{c: c, cause: cause}
 	if owner != nil {
 		rec.other = owner.txid
 	}
-	top.conflict = rec
+	tx.conflict = rec
 }
 
 // lockContended is acquireGuards' slow path: the TryLock probe on g
@@ -141,27 +139,25 @@ func (tx *Tx) noteConflict(c *varCore, owner *Handle, cause string) {
 // a host mutex blocks, so the serialization cost is visible nowhere
 // else.
 func (tx *Tx) lockContended(g *Guard) {
-	top := tx.top()
-	if !top.observed() {
+	if !tx.observed() {
 		g.mu.Lock()
 		return
 	}
 	t0 := time.Now()
 	g.mu.Lock()
-	top.gwaitNs += uint64(time.Since(t0))
-	top.gwaits++
-	top.gwaitOn = g
+	tx.gwaitNs += uint64(time.Since(t0))
+	tx.gwaits++
+	tx.gwaitOn = g
 }
 
 // event stamps a new event with the transaction's identity and the
 // worker's current time.
 func (tx *Tx) event(k obs.Kind) obs.Event {
-	top := tx.top()
 	return obs.Event{
 		Kind:    k,
-		TxID:    top.txid,
+		TxID:    tx.txid,
 		CPU:     tx.thread.TraceID,
-		Attempt: top.attempt,
+		Attempt: tx.attempt,
 		Time:    tx.thread.Clock.Now(),
 	}
 }
@@ -292,27 +288,26 @@ func (tx *Tx) edgeFallback() {
 	}
 }
 
-// edgeOpenCommit records an open-nested child's commit.
-func (o *Tx) edgeOpenCommit() {
-	o.thread.Stats.OpenCommits++
-	top := o.top()
-	if !top.observed() {
+// edgeOpenCommit records the commit of the open-nested level child.
+func (tx *Tx) edgeOpenCommit(child *level) {
+	tx.thread.Stats.OpenCommits++
+	if !tx.observed() {
 		return
 	}
-	if top.mon {
-		mOpenCommits.AddLane(o.thread.TraceID, 1)
+	if tx.mon {
+		mOpenCommits.AddLane(tx.thread.TraceID, 1)
 	}
-	if top.tracer != nil {
-		e := o.event(obs.KindOpenCommit)
-		e.Writes = o.cur.writes.len()
-		top.tracer.Trace(e)
+	if tx.tracer != nil {
+		e := tx.event(obs.KindOpenCommit)
+		e.Writes = child.writes.len()
+		tx.tracer.Trace(e)
 	}
 }
 
 // edgeOpenRetry records an open-nested child's conflict retry.
-func (o *Tx) edgeOpenRetry() {
-	o.thread.Stats.OpenRetries++
-	o.partialRetry(mOpenRetries, obs.KindOpenRetry)
+func (tx *Tx) edgeOpenRetry() {
+	tx.thread.Stats.OpenRetries++
+	tx.partialRetry(mOpenRetries, obs.KindOpenRetry)
 }
 
 // edgeNestedRetry records the partial rollback of a closed-nested
@@ -327,19 +322,18 @@ func (tx *Tx) edgeNestedRetry() {
 // conflict record, so a later abort of the enclosing attempt is counted
 // under its own cause.
 func (tx *Tx) partialRetry(m *metrics.Counter, kind obs.Kind) {
-	top := tx.top()
-	if !top.observed() {
+	if !tx.observed() {
 		return
 	}
-	rec := top.conflict
-	top.conflict = conflictRec{}
-	if top.mon {
+	rec := tx.conflict
+	tx.conflict = conflictRec{}
+	if tx.mon {
 		m.Add(1)
 	}
-	if top.tracer != nil {
+	if tx.tracer != nil {
 		e := tx.event(kind)
 		rec.attribute(&e)
-		top.tracer.Trace(e)
+		tx.tracer.Trace(e)
 	}
 }
 
@@ -366,9 +360,9 @@ func (tx *Tx) edgeGuardWaits() {
 
 // edgeBackoff reports a contention-manager stall of waited cycles.
 func (tx *Tx) edgeBackoff(waited uint64) {
-	if tr := tx.top().tracer; tr != nil {
+	if tx.tracer != nil {
 		e := tx.event(obs.KindBackoff)
 		e.Dur = waited
-		tr.Trace(e)
+		tx.tracer.Trace(e)
 	}
 }

@@ -41,8 +41,8 @@ type Protocol interface {
 	Name() string
 	// begin samples whatever begin-of-attempt state the protocol needs
 	// and returns the attempt's read version (TL2: the global clock;
-	// NOrec: the sequence lock). Also used for open-nested children,
-	// which sample their own, newer read point.
+	// NOrec: the sequence lock). Also used for each attempt of an
+	// open-nested child, which reads at its own, newer point.
 	begin(t *Thread) uint64
 	// read returns a committed value of c consistent with everything
 	// tx has read so far, recording whatever evidence later validation
@@ -66,11 +66,12 @@ type Protocol interface {
 	commit(tx *Tx, l *level, doPrepare bool) bool
 	// abandon releases per-variable state an aborted attempt may still
 	// hold (eager protocols: acquired lockwords). Runs on every
-	// rollback, before the abort-guard footprint is taken, and on every
-	// failed open-nested attempt. Must be idempotent.
+	// rollback, before the abort-guard footprint is taken. Must be
+	// idempotent.
 	abandon(tx *Tx)
-	// abandonLevel is abandon for one discarded nesting level (partial
-	// rollback): release state held only for that level's writes.
+	// abandonLevel is abandon for one nesting level that is gone — a
+	// closed-nested child rolled back, an open-nested child's attempt
+	// over, committed or not: release state held only for its writes.
 	abandonLevel(tx *Tx, l *level)
 }
 

@@ -101,6 +101,7 @@ func TestProtocolConformance(t *testing.T) {
 		{"ConflictingReadAborts", confConflictingRead},
 		{"NestedPartialAbort", confNestedPartialAbort},
 		{"OpenNesting", confOpenNesting},
+		{"OpenIsolation", confOpenIsolation},
 		{"Violation", confViolation},
 		{"SnapshotRead", confSnapshotRead},
 		{"SnapshotFallback", confSnapshotFallback},
@@ -443,6 +444,118 @@ func confOpenNesting(t *testing.T, proto string) {
 	}
 	if v.GetCommitted() != 0 {
 		t.Fatal("parent write survived rollback")
+	}
+}
+
+// confOpenIsolation pins what separates an open-nested child from the
+// levels around it, however the child is represented: it reads committed
+// state, not the enclosing levels' buffered writes; its reads are its
+// own, not the parent's; its writes are published when it commits, not
+// when the parent does; a handler it registers belongs to the level Open
+// was called in; and what the protocol holds for it goes when it ends.
+func confOpenIsolation(t *testing.T, proto string) {
+	th, other := protoThread(t, proto, 1), protoThread(t, proto, 2)
+	childErr := errors.New("child abort")
+
+	// Reads and writes.
+	a, b, c, d := NewVar(1), NewVar(1), NewVar(1), NewVar(1)
+	runs := 0
+	if err := th.Atomic(func(tx *Tx) error {
+		runs++
+		_ = c.Get(tx)
+		a.Set(tx, 5)
+		if err := tx.Open(func(o *Tx) error {
+			if got := a.Get(o); got != 1 {
+				t.Errorf("child read a = %d, want the committed 1, not the parent's buffered 5", got)
+			}
+			_ = b.Get(o)
+			d.Set(o, 7)
+			return nil
+		}); err != nil {
+			return err
+		}
+		if got := a.Get(tx); got != 5 {
+			t.Errorf("parent read a = %d after the child, want its own buffered 5", got)
+		}
+		// Another thread sees the child's write before the parent commits,
+		// and overwrites what only the child read: not the parent's concern.
+		return other.Atomic(func(tx2 *Tx) error {
+			if got := d.Get(tx2); got != 7 {
+				t.Errorf("another thread read d = %d before the parent committed, want the child's 7", got)
+			}
+			b.Set(tx2, 2)
+			return nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 || th.Stats.Aborts != 0 {
+		t.Errorf("parent ran %d times with %d aborts: a var only its child read is in its read set", runs, th.Stats.Aborts)
+	}
+	if a.GetCommitted() != 5 || b.GetCommitted() != 2 || d.GetCommitted() != 7 {
+		t.Errorf("committed a=%d b=%d d=%d, want 5, 2, 7", a.GetCommitted(), b.GetCommitted(), d.GetCommitted())
+	}
+
+	// Handlers: Open inside Nested inside Open. The innermost child's abort
+	// handler attaches to the Nested level, whose rollback runs it — once,
+	// whatever is rolled back afterwards.
+	compensated := 0
+	wantErr := errors.New("parent rolls back")
+	if err := th.Atomic(func(tx *Tx) error {
+		if err := tx.Open(func(o *Tx) error {
+			if err := o.Nested(func() error {
+				if err := o.Open(func(o2 *Tx) error {
+					o2.OnAbortGuarded(testGuard, func() { compensated++ })
+					return nil
+				}); err != nil {
+					return err
+				}
+				return childErr
+			}); err != childErr {
+				t.Errorf("nested err = %v, want %v", err, childErr)
+			}
+			if compensated != 1 {
+				t.Errorf("abort handler ran %d times at the rollback of the Nested level it attached to, want once", compensated)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		return wantErr
+	}); err != wantErr {
+		t.Fatal(err)
+	}
+	if compensated != 1 {
+		t.Errorf("abort handler ran %d times in all, want once", compensated)
+	}
+
+	// Protocol state: a child that returns an error leaves nothing of its
+	// own behind and nothing of the parent's released.
+	held := func(v *Var[int], tx *Tx) bool {
+		return wordLocked(v.core.word.Load()) && v.core.owner.Load() == tx.handle
+	}
+	p, q := NewVar(0), NewVar(0)
+	if err := th.Atomic(func(tx *Tx) error {
+		p.Set(tx, 1)
+		if err := tx.Open(func(o *Tx) error {
+			q.Set(o, 1)
+			p.Set(o, 2)
+			return childErr
+		}); err != childErr {
+			t.Errorf("open err = %v, want %v", err, childErr)
+		}
+		if wordLocked(q.core.word.Load()) {
+			t.Errorf("a lockword first taken by the child is still held after it aborted")
+		}
+		if proto == "tl2-eager" && !held(p, tx) {
+			t.Errorf("a lockword the parent took was released by its child's abort")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p.GetCommitted() != 1 || q.GetCommitted() != 0 {
+		t.Errorf("committed p=%d q=%d, want 1, 0", p.GetCommitted(), q.GetCommitted())
 	}
 }
 

@@ -13,10 +13,11 @@ package stm
 // Set to commit means commit's lockWriteSet finds every lock already
 // owned and the install is conflict-free, but an abort still only has
 // to release lockwords — no undo log. Acquired lockwords are tracked
-// in Tx.eagerLocks per transaction (open-nested children track their
-// own), released by the abandon hooks on every rollback path; release
-// is conditional on still owning the word because a child's install or
-// a failed commit's unlock may already have released it.
+// in Tx.eagerLocks, one list for the attempt at every nesting depth,
+// and released by the abandon hooks on every rollback path, of the
+// attempt or of one level; release is conditional on still owning the
+// word because a child's install or a failed commit's unlock may
+// already have released it.
 type eagerProtocol struct{}
 
 var protoEager Protocol = registerProtocol(eagerProtocol{})
@@ -27,10 +28,10 @@ func (eagerProtocol) begin(t *Thread) uint64 { return globalClock.Load() }
 
 func (eagerProtocol) read(tx *Tx, c *varCore) any { return tl2Read(tx, c) }
 
-// observeWrite acquires c's lockword for the top-level handle at Set
-// time. A variable already owned — by this Tx, an enclosing Tx, or an
-// open-nested sibling sharing the handle — is left to its first
-// acquirer's tracking; only fresh acquisitions join tx.eagerLocks.
+// observeWrite acquires c's lockword for the attempt's handle at Set
+// time; only fresh acquisitions join tx.eagerLocks, so a variable the
+// attempt already owns — taken at this nesting depth or any other — is
+// tracked once.
 func (eagerProtocol) observeWrite(tx *Tx, c *varCore) {
 	h := tx.handle
 	if w := c.word.Load(); wordLocked(w) && c.owner.Load() == h {
@@ -53,7 +54,7 @@ func (eagerProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 	return tl2Commit(tx, l, doPrepare)
 }
 
-// abandon releases every lockword this Tx still owns from Set-time
+// abandon releases every lockword the attempt still owns from Set-time
 // acquisition. Idempotent: entries already released — by a successful
 // install, a failed commit's unlockWriteSet, or a previous abandon —
 // are skipped by the ownership check.
@@ -63,9 +64,9 @@ func (eagerProtocol) abandon(tx *Tx) {
 }
 
 // abandonLevel releases the lockwords held only for level l's writes
-// (partial rollback of a closed-nested child, already unlinked from
-// tx.cur): a variable also written by a surviving level — of this Tx
-// or, for an open-nested child, an enclosing one — keeps its lock.
+// (a closed-nested child's partial rollback or an open-nested child's
+// end; l is already unlinked from tx.cur): a variable also written by a
+// surviving level keeps its lock.
 func (eagerProtocol) abandonLevel(tx *Tx, l *level) {
 	if len(tx.eagerLocks) == 0 {
 		return
@@ -85,14 +86,12 @@ func (eagerProtocol) abandonLevel(tx *Tx, l *level) {
 }
 
 // writtenElsewhere reports whether c is written by any live level of
-// tx or an enclosing transaction (the discarded level is not reachable
-// from tx.cur when abandonLevel runs).
+// tx, across open-nesting boundaries (the discarded level is not
+// reachable from tx.cur when abandonLevel runs).
 func writtenElsewhere(tx *Tx, c *varCore) bool {
-	for t := tx; t != nil; t = t.outer {
-		for lv := t.cur; lv != nil; lv = lv.parent {
-			if _, ok := lv.writes.get(c); ok {
-				return true
-			}
+	for lv := tx.cur; lv != nil; lv = lv.outer {
+		if _, ok := lv.writes.get(c); ok {
+			return true
 		}
 	}
 	return false

@@ -43,7 +43,7 @@ func (norecProtocol) begin(t *Thread) uint64 {
 		if s&1 == 0 {
 			return s
 		}
-		t.Clock.Wait(4)
+		spinWait(t.Clock, 0) // no budget: nothing to give up yet
 	}
 }
 
@@ -81,7 +81,7 @@ func norecExtend(tx *Tx) bool {
 		s := norecSeq.Load()
 		if s&1 != 0 {
 			tx.check()
-			tx.thread.Clock.Wait(4)
+			spinWait(tx.thread.Clock, 0) // no budget: only a violation ends it
 			continue
 		}
 		for l := tx.cur; l != nil; l = l.parent {
@@ -167,11 +167,10 @@ func norecValidate(tx *Tx) bool {
 	for spin := 0; ; spin++ {
 		s := norecSeq.Load()
 		if s&1 != 0 {
-			if spin >= 64 {
+			if !spinWait(tx.thread.Clock, spin) {
 				tx.noteConflict(nil, nil, causeCommitLock)
 				return false
 			}
-			tx.thread.Clock.Wait(4)
 			continue
 		}
 		for l := tx.cur; l != nil; l = l.parent {

@@ -256,7 +256,7 @@ func TestReadOnlyAllocationGuardrail(t *testing.T) {
 			return nil
 		})
 	}
-	run() // warm the Tx/level pools
+	run() // warm the level pool
 	if got := testing.AllocsPerRun(100, run); got > 2 {
 		t.Fatalf("read-only 4-var transaction allocates %.1f objects/run, budget is 2", got)
 	}
@@ -369,7 +369,7 @@ func TestSnapshotReadOnlyAllocationGuardrail(t *testing.T) {
 			return nil
 		})
 	}
-	run() // warm the Tx/level pools and the snapshot handle
+	run() // warm the level pool and the snapshot handle
 	if got := testing.AllocsPerRun(100, run); got > 0 {
 		t.Fatalf("snapshot read-only 4-var transaction allocates %.1f objects/run, budget is 0", got)
 	}
@@ -401,6 +401,41 @@ func TestSmallWriteAllocationGuardrail(t *testing.T) {
 	// 1 Handle + 4 Set boxings + 4 install boxes = 9.
 	if got := testing.AllocsPerRun(1000, run); got > 9 {
 		t.Fatalf("4-var write transaction allocates %.1f objects/run, budget is 9", got)
+	}
+}
+
+// TestNestingAllocationGuardrail pins what nesting costs: nothing. A
+// child of either kind is a level from the thread's pool pushed on the
+// thread's one Tx, so after warm-up a transaction allocates exactly its
+// attempt's Handle however deep it nests.
+func TestNestingAllocationGuardrail(t *testing.T) {
+	if obs.Active() != nil {
+		t.Fatal("guardrail requires tracing disabled")
+	}
+	// Bodies are built once, outside the measured runs: the transaction in
+	// scope reaches the closed-nested ones through cur.
+	var cur *stm.Tx
+	empty := func() error { return nil }
+	open := func(o *stm.Tx) error { return nil }
+	nestedOpen := func() error { return cur.Open(open) }
+	bodies := []struct {
+		name string
+		body func(tx *stm.Tx) error
+	}{
+		{"Atomic{Open{}}", func(tx *stm.Tx) error { return tx.Open(open) }},
+		{"Atomic{Nested{}}", func(tx *stm.Tx) error { return tx.Nested(empty) }},
+		{"Atomic{Open{Nested{Open{}}}}", func(tx *stm.Tx) error {
+			cur = tx
+			return tx.Open(func(o *stm.Tx) error { return o.Nested(nestedOpen) })
+		}},
+	}
+	for _, b := range bodies {
+		th := newBenchThread()
+		run := func() { _ = th.Atomic(b.body) }
+		run() // warm the level pool
+		if got := testing.AllocsPerRun(100, run); got != 1 {
+			t.Errorf("%s allocates %.1f objects/run, want exactly 1 (the Handle)", b.name, got)
+		}
 	}
 }
 

@@ -90,13 +90,13 @@ func (s *Stats) Add(other Stats) {
 // deterministic RNG for contention backoff, and event counters. Each
 // concurrent worker (goroutine or virtual CPU) needs its own Thread.
 //
-// The Thread also owns the recycling pools that make the retry loop
-// allocation-free in steady state: Tx objects, nesting levels (with
-// their inline read/write sets and spill maps), and the sorted
-// write-set scratch used at commit are all reused across attempts and
-// across transactions, as is whatever the collections keep in the
-// attachment slot. Only the per-attempt Handle is allocated fresh,
-// because handles outlive attempts in semantic lock tables.
+// The Thread also owns what makes the retry loop allocation-free in
+// steady state: its one Tx, the pool of nesting levels (with their
+// inline read/write sets and spill maps) and the sorted write-set
+// scratch used at commit are reused across attempts and transactions,
+// as is whatever the collections keep in the attachment slot. Only the
+// per-attempt Handle is allocated fresh: handles outlive attempts in
+// semantic lock tables.
 type Thread struct {
 	// Clock charges this worker's time; on the simulator it is the
 	// worker's virtual CPU.
@@ -110,6 +110,8 @@ type Thread struct {
 	// rng is the backoff RNG, built from seed on the first backoff.
 	rng  *rand.Rand
 	seed int64
+	// tx is the Thread's transaction, at rest (see Tx.rest) unless inTx.
+	tx   Tx
 	inTx bool
 	// proto is the worker's concurrency-control protocol (see Protocol);
 	// NewThread starts on the TL2 default and SetProtocol switches it.
@@ -124,10 +126,9 @@ type Thread struct {
 	// policy is the contention-management policy; nil means the default
 	// randomized exponential backoff.
 	policy BackoffPolicy
-	// txPool and levelPool recycle transaction and nesting-level
-	// objects; commitBuf is the sorted write-set scratch and guardBuf
-	// the scratch a guard footprint is gathered and sorted in.
-	txPool    []*Tx
+	// levelPool recycles nesting levels; commitBuf is the sorted
+	// write-set scratch and guardBuf the scratch a guard footprint is
+	// gathered and sorted in.
 	levelPool []*level
 	commitBuf writeBuf
 	guardBuf  []*Guard
@@ -178,42 +179,22 @@ func NewThread(clock Clock, seed int64) *Thread {
 		proto:        protocolRegistry[DefaultProtocol],
 		protoCommits: protoCommitCounters[DefaultProtocol],
 	}
+	t.tx.thread = t
 	t.Stats.Protocol = DefaultProtocol
 	protoThreadCounts[DefaultProtocol].Add(1)
 	return t
 }
 
-// getTx pops a recycled Tx or allocates one, bound to t.
-func (t *Thread) getTx() *Tx {
-	if n := len(t.txPool) - 1; n >= 0 {
-		tx := t.txPool[n]
-		t.txPool[n] = nil
-		t.txPool = t.txPool[:n]
-		tx.thread = t
-		return tx
-	}
-	return &Tx{thread: t}
-}
-
-// putTx returns a finished Tx (and its level chain) to the pools as a
-// zero Tx but for the eager-lock list, cleared but kept.
-func (t *Thread) putTx(tx *Tx) {
-	t.releaseLevels(tx)
-	clear(tx.eagerLocks)
-	*tx = Tx{eagerLocks: tx.eagerLocks[:0]}
-	t.txPool = append(t.txPool, tx)
-}
-
-// getLevel pops a recycled level or allocates one.
-func (t *Thread) getLevel(parent *level) *level {
+// getLevel pops a recycled level or allocates one, linked as given.
+func (t *Thread) getLevel(parent, outer *level) *level {
 	if n := len(t.levelPool) - 1; n >= 0 {
 		l := t.levelPool[n]
 		t.levelPool[n] = nil
 		t.levelPool = t.levelPool[:n]
-		l.parent = parent
+		l.parent, l.outer = parent, outer
 		return l
 	}
-	return &level{parent: parent}
+	return &level{parent: parent, outer: outer}
 }
 
 // putLevel resets a level and returns it to the pool.
@@ -222,10 +203,10 @@ func (t *Thread) putLevel(l *level) {
 	t.levelPool = append(t.levelPool, l)
 }
 
-// releaseLevels returns a Tx's whole level chain to the pool.
+// releaseLevels returns every level tx has pushed to the pool.
 func (t *Thread) releaseLevels(tx *Tx) {
 	for l := tx.cur; l != nil; {
-		next := l.parent
+		next := l.outer
 		t.putLevel(l)
 		l = next
 	}
@@ -321,7 +302,7 @@ func (tx *Tx) begin(attempt int, snap bool) {
 		tx.handle = &Handle{id: handleIDs.Add(1), birth: t.Clock.Now()}
 		tx.readVersion = t.proto.begin(t)
 	}
-	tx.cur = t.getLevel(nil)
+	tx.cur = t.getLevel(nil, nil)
 	tx.attempt = attempt
 	tx.snapshot = snap
 	if len(t.attachments) > maxAttachments {
@@ -347,19 +328,21 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 		panic("stm: nested Atomic on one Thread; use tx.Nested or tx.Open")
 	}
 	t.inTx = true
-	defer func() { t.inTx = false }()
-	tx := t.getTx()
+	tx := &t.tx
+	defer tx.rest()
 	restarts := 0
 	for attempt := 0; ; attempt++ {
 		tx.begin(attempt, snap)
 		err, sig := runTx(fn, tx)
 		switch {
 		case sig == nil && err == nil:
-			if snap || tx.commit() {
+			if ok, panicked := tx.commit(); ok {
 				tx.edgeCommit()
-				t.putTx(tx)
 				if snap {
 					t.Clock.Tick(CostSnapshotCommit)
+				}
+				if panicked != nil {
+					panic(panicked) // a commit handler's: committed all the same
 				}
 				return nil
 			}
@@ -378,7 +361,6 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 				err, reason = sig.err, sig.reason
 			}
 			tx.rollback(obs.KindTxUserAbort, reason)
-			t.putTx(tx)
 			if p, ok := err.(*foreignPanic); ok {
 				panic(p.val)
 			}
@@ -417,61 +399,57 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 // immediately and become visible to all transactions regardless of
 // whether the parent later commits — the enabling mechanism for taking
 // semantic locks without retaining memory dependencies (paper §2.4,
-// §4). Handlers registered inside fn (via the child's OnCommitGuarded /
-// OnAbortGuarded) attach to the parent's current nesting level, guard
-// and all, when the child commits, so a later rollback of the parent
-// runs the compensation and a commit applies the buffered updates.
+// §4). Handlers registered inside fn attach to the level Open was called
+// in, guard and all, when the child commits, so a later rollback of that
+// level runs the compensation and a commit applies the buffered updates.
 //
 // Memory conflicts inside fn retry only fn. If fn returns an error the
 // child aborts: no effects, no handlers, and the error is returned with
 // the parent still viable.
+//
+// The child is a level chain of the running transaction, not a second
+// one: fn receives tx itself, on a detached root level (see level) and a
+// read version sampled for the attempt, both put back when it ends. It
+// commits like a top-level transaction but leaves the handle Active and
+// runs no handlers. A transaction violated mid-install still completes
+// the install — the attached abort handlers will compensate — and sees
+// the violation at its next check.
 func (tx *Tx) Open(fn func(o *Tx) error) error {
-	if tx.top().snapshot {
+	if tx.snapshot {
 		// An open-nested child exists to publish effects and take
 		// semantic locks — neither is available to a read-only
 		// snapshot; restart on the retry path.
 		tx.bail(sigFallback, fallbackOpen)
 	}
 	t := tx.thread
-	o := t.getTx()
-	o.handle = tx.handle // locks taken inside are owned by the top-level tx
-	o.outer = tx
+	outer, outerVersion := tx.cur, tx.readVersion
 	for attempt := 0; ; attempt++ {
-		if tx.handle.violated() {
-			t.putTx(o)
-			tx.check()
+		tx.check()
+		child := t.getLevel(nil, outer)
+		tx.cur, tx.readVersion = child, t.proto.begin(t)
+		err, sig := runTx(fn, tx)
+		committed := sig == nil && err == nil && t.proto.commit(tx, child, false)
+		tx.cur, tx.readVersion = outer, outerVersion
+		if committed {
+			outer.onCommit = append(outer.onCommit, child.onCommit...)
+			outer.onAbort = append(outer.onAbort, child.onAbort...)
+			tx.edgeOpenCommit(child)
 		}
-		o.readVersion = t.proto.begin(t)
-		o.cur = t.getLevel(nil)
-		err, sig := runTx(fn, o)
+		// What the protocol held only for the child goes with it (after a
+		// commit the install released it; this clears the tracking).
+		t.proto.abandonLevel(tx, child)
+		t.putLevel(child)
 		switch {
-		case sig == nil && err == nil:
-			if o.commitOpen() {
-				tx.cur.onCommit = append(tx.cur.onCommit, o.cur.onCommit...)
-				tx.cur.onAbort = append(tx.cur.onAbort, o.cur.onAbort...)
-				o.edgeOpenCommit()
-				// Whatever the protocol still held for the child was
-				// released by the install; this only clears the tracking.
-				t.proto.abandon(o)
-				t.putTx(o)
-				tx.tick(CostOpenCommit)
-				return nil
-			}
-			o.edgeOpenRetry()
+		case committed:
+			tx.tick(CostOpenCommit)
+			return nil
 		case sig == nil && err != nil:
-			t.proto.abandon(o)
-			t.putTx(o)
 			return err
-		case sig.kind == sigRetry:
-			o.edgeOpenRetry()
-		default:
-			// Violation, user abort or panic of the enclosing transaction.
-			t.proto.abandon(o)
-			t.putTx(o)
+		case sig != nil && sig.kind != sigRetry:
+			// Violation, user abort or panic of the whole transaction.
 			panic(sig)
 		}
-		t.proto.abandon(o)
-		t.releaseLevels(o)
-		o.stall(attempt)
+		tx.edgeOpenRetry()
+		tx.stall(attempt)
 	}
 }

@@ -248,16 +248,25 @@ func (s *writeSet) reset() {
 	}
 }
 
-// level is one closed-nesting level of a transaction: private read and
-// write sets plus the commit/abort handlers registered while it was the
-// current level. Committing a level merges everything into its parent;
+// level is one nesting level of a transaction: private read and write
+// sets plus the commit/abort handlers registered while it was current.
+// Committing a closed-nested level merges everything into its parent;
 // aborting it discards the sets, runs its abort handlers (compensation
 // for open-nested effects made at this level), and discards its commit
 // handlers — the handler semantics of paper §4. Levels are recycled
 // through the owning Thread's pool, so steady-state transactions
 // allocate no per-attempt bookkeeping.
+//
+// outer is the level this one was pushed on, by either kind of nesting.
+// parent is that same level for a closed-nested child and nil for the
+// root of an open-nested one, which is thereby detached: whatever walks
+// parent — reads, validation, compensation — stops there, so the child
+// neither sees the enclosing levels' buffered writes nor adds to their
+// read sets. rootLevel and the eager protocol's writtenElsewhere, which
+// must look across that boundary, walk outer.
 type level struct {
 	parent   *level
+	outer    *level
 	reads    readSet
 	writes   writeSet
 	onCommit []registration
@@ -268,7 +277,7 @@ type level struct {
 // arrays (the capacity is the point of recycling) but drop the closure
 // references so captured state is not pinned between transactions.
 func (l *level) reset() {
-	l.parent = nil
+	l.parent, l.outer = nil, nil
 	l.reads.reset()
 	l.writes.reset()
 	for i := range l.onCommit {
@@ -281,55 +290,47 @@ func (l *level) reset() {
 	l.onAbort = l.onAbort[:0]
 }
 
-// Tx is a transaction: either a top-level atomic region, or an
-// open-nested child (created by Open) that commits its effects
-// immediately. Closed nesting does not create a new Tx; it pushes a new
-// level onto the same Tx. Tx objects are recycled through the owning
-// Thread; only the Handle — which outlives the attempt in semantic lock
-// tables — is allocated fresh per attempt.
+// Tx is the transaction; a Thread owns exactly one and reuses it for
+// every transaction it runs. Nesting of either kind is a level, not a
+// second Tx: Nested pushes one on the current level, Open pushes a
+// detached one (see level) and commits it on the spot. Only the Handle —
+// which outlives the attempt in semantic lock tables — is allocated
+// fresh per attempt.
 type Tx struct {
 	thread *Thread
-	// handle identifies the top-level transaction; open-nested children
-	// share their top-level ancestor's handle so semantic locks they
-	// take are owned by the outermost transaction (paper §3.1: "The
-	// owner of a lock is the top-level transaction at the time of the
-	// read operation, not the open-nested transaction that actually
-	// performs the read").
+	// handle identifies the attempt at every nesting depth, so a semantic
+	// lock an open-nested child takes is owned by the transaction (paper
+	// §3.1: "The owner of a lock is the top-level transaction at the time
+	// of the read operation, not the open-nested transaction that
+	// actually performs the read").
 	handle *Handle
-	// outer is the enclosing Tx for an open-nested child, nil for a
-	// top-level transaction.
-	outer *Tx
-	// readVersion is this Tx's read point in whatever space the active
-	// protocol's begin hook samples (TL2: the global version clock;
-	// NOrec: the commit sequence lock); an open-nested child samples
-	// its own, newer read point. A pure snapshot attempt never calls
-	// the hook: its read point is the global clock under every
-	// protocol, which is the space readAt compares install versions in.
+	// readVersion is the read point of the level chain in force, in
+	// whatever space the active protocol's begin hook samples (TL2: the
+	// global version clock; NOrec: the commit sequence lock); Open
+	// samples a newer one for each attempt of its child. A pure snapshot
+	// attempt never calls the hook: its read point is the global clock
+	// under every protocol, the space readAt compares versions in.
 	readVersion uint64
-	// eagerLocks tracks the lockwords this Tx (not its open-nested
-	// children, which track their own) acquired at Set time under an
-	// encounter-time protocol, for release on rollback. Empty under
-	// lazy protocols.
+	// eagerLocks tracks the lockwords the attempt acquired at Set time, at
+	// any depth, under an encounter-time protocol, for release on
+	// rollback. Empty under lazy protocols.
 	eagerLocks []*varCore
 	cur        *level
-	// attempt counts restarts of this top-level transaction, feeding
-	// the contention manager's backoff.
+	// attempt counts restarts, feeding the contention manager's backoff.
 	attempt int
 	// snapshot marks a read-only MVCC-lite transaction: Var.Get reads
 	// the newest value box at or below readVersion (readAt) without
 	// recording, validating, locking, or CASing anything, and commit
 	// is a no-op. Set by begin for each pure snapshot attempt of
-	// Thread.AtomicRead and by nothing else. Meaningful on the
-	// top-level Tx.
+	// Thread.AtomicRead and by nothing else.
 	snapshot bool
 
-	// Lifecycle-reporting state (lifecycle.go), meaningful only on a
-	// top-level Tx (nested and open children route through top()).
-	// tracer and mon are the two optional sinks as edgeBegin found them
-	// at the start of the attempt (nil and false = the fast path); txid
-	// is the process-global transaction id, assigned lazily when a
-	// tracer is active; firstBirth is the worker time of the first
-	// attempt, for whole-transaction latency.
+	// Lifecycle-reporting state (lifecycle.go). tracer and mon are the
+	// two optional sinks as edgeBegin found them at the start of the
+	// attempt (nil and false = the fast path); txid is the
+	// process-global transaction id, assigned lazily when a tracer is
+	// active; firstBirth is the worker time of the first attempt, for
+	// whole-transaction latency.
 	tracer     obs.Tracer
 	mon        bool
 	txid       uint64
@@ -345,38 +346,41 @@ type Tx struct {
 	gwaitNs  uint64
 }
 
+// rest ends the transaction: levels to the pool, every field zero but
+// the eager-lock list, cleared and kept. Thread.run defers it, so no
+// exit, a panic included, leaves an attempt's state behind.
+func (tx *Tx) rest() {
+	t := tx.thread
+	t.releaseLevels(tx)
+	clear(tx.eagerLocks)
+	*tx = Tx{thread: t, eagerLocks: tx.eagerLocks[:0]}
+	t.inTx = false
+}
+
 // Thread returns the worker this transaction runs on.
 func (tx *Tx) Thread() *Thread { return tx.thread }
 
-// Handle returns the top-level transaction's handle, suitable for use as
-// the owner of semantic locks and as a target of Violate.
+// Handle returns the transaction's handle, suitable for use as the
+// owner of semantic locks and as a target of Violate.
 func (tx *Tx) Handle() *Handle { return tx.handle }
 
 // Attempt returns how many times this top-level transaction has been
 // restarted (0 on the first attempt).
-func (tx *Tx) Attempt() int { return tx.top().attempt }
+func (tx *Tx) Attempt() int { return tx.attempt }
 
 // IsSnapshot reports whether the top-level transaction is running in
 // snapshot (read-only) mode. Collections branch on it to take their
 // lock-free or lean read paths and to avoid registering handlers that
 // would force a fallback.
-func (tx *Tx) IsSnapshot() bool { return tx.top().snapshot }
-
-// top returns the outermost Tx (self for top-level transactions).
-func (tx *Tx) top() *Tx {
-	t := tx
-	for t.outer != nil {
-		t = t.outer
-	}
-	return t
-}
+func (tx *Tx) IsSnapshot() bool { return tx.snapshot }
 
 // OnCommitGuarded registers fn to run if the transaction commits. The
 // handler is associated with the current nesting level: it is discarded
 // if that level aborts, promoted to the parent when the level commits,
 // and runs (in registration order) after the top-level transaction's
-// memory commit succeeds. Registering from an open-nested child attaches
-// the handler to the child's *enclosing* level once the child commits.
+// memory commit succeeds. Registering inside an open-nested child
+// attaches the handler to the level Open was called in once the child
+// commits.
 //
 // Every registration names its guard: the commit protocol acquires g
 // (with the rest of the transaction's guard footprint, in id order)
@@ -394,7 +398,7 @@ func (tx *Tx) OnCommitGuarded(g *Guard, fn func()) {
 // body does something a read-only transaction cannot honor (handler
 // registration implies effects to publish or compensate).
 func (tx *Tx) snapshotFallback() {
-	if tx.top().snapshot {
+	if tx.snapshot {
 		tx.bail(sigFallback, fallbackHandler)
 	}
 }
@@ -422,7 +426,7 @@ func (tx *Tx) OnAbortGuarded(g *Guard, fn func()) {
 // package documentation for the resulting closed-nesting caveat.
 func (tx *Tx) OnTopCommitGuarded(g *Guard, fn func()) {
 	tx.snapshotFallback()
-	l := tx.top().rootLevel()
+	l := tx.rootLevel()
 	l.onCommit = append(l.onCommit, registration{g, fn})
 }
 
@@ -430,7 +434,7 @@ func (tx *Tx) OnTopCommitGuarded(g *Guard, fn func()) {
 // runs if and only if the whole transaction rolls back.
 func (tx *Tx) OnTopAbortGuarded(g *Guard, fn func()) {
 	tx.snapshotFallback()
-	l := tx.top().rootLevel()
+	l := tx.rootLevel()
 	l.onAbort = append(l.onAbort, registration{g, fn})
 }
 
@@ -445,10 +449,11 @@ func (tx *Tx) OnTopAbortGuarded(g *Guard, fn func()) {
 // guard must be in the footprint before the handler window opens.
 func (tx *Tx) AddTopGuard(g *Guard) { tx.OnTopAbortGuarded(g, nil) }
 
+// rootLevel returns the level begin pushed, at any nesting depth.
 func (tx *Tx) rootLevel() *level {
 	l := tx.cur
-	for l.parent != nil {
-		l = l.parent
+	for l.outer != nil {
+		l = l.outer
 	}
 	return l
 }
@@ -493,45 +498,40 @@ func (tx *Tx) Nested(fn func() error) error {
 	t := tx.thread
 	for childAttempt := 0; ; childAttempt++ {
 		tx.check()
-		child := t.getLevel(tx.cur)
+		child := t.getLevel(tx.cur, tx.cur)
 		tx.cur = child
 		err, sig := runBody(fn)
 		tx.cur = child.parent
-		switch {
-		case sig == nil && err == nil:
+		if sig == nil && err == nil {
 			// Child commits: merge into parent.
 			child.mergeInto(tx.cur)
 			t.putLevel(child)
 			return nil
-		case sig == nil && err != nil:
-			// Child aborts by user request: release anything the
-			// protocol held only for this level, compensate and report.
-			t.proto.abandonLevel(tx, child)
-			tx.compensate(child, child.parent)
-			t.putLevel(child)
+		}
+		// The child level is rolled back, whatever ended it: release what
+		// the protocol held only for it, compensate, recycle.
+		t.proto.abandonLevel(tx, child)
+		panicked := tx.compensate(child, child.parent)
+		t.putLevel(child)
+		if panicked != nil {
+			panic(panicked)
+		}
+		switch {
+		case sig == nil:
+			// Aborted by user request, the parent still viable.
 			return err
-		case sig.kind == sigRetry:
-			// Memory conflict inside the child: partial rollback. The
-			// child can only make progress on retry if the snapshot can
-			// be extended past the conflicting commit; otherwise some
-			// enclosing read is stale and the whole transaction must
-			// restart.
-			t.proto.abandonLevel(tx, child)
-			tx.compensate(child, child.parent)
-			t.putLevel(child)
-			tx.edgeNestedRetry()
-			if !t.proto.extend(tx) {
-				panic(sig)
-			}
-			tx.stall(childAttempt)
-		default:
-			// Violation, user abort or panic of the whole transaction:
-			// this child level is rolled back on the way out; the unwinding
-			// rollback's protocol abandon releases any held state.
-			tx.compensate(child, child.parent)
-			t.putLevel(child)
+		case sig.kind != sigRetry:
+			// Violation, user abort or panic of the whole transaction.
 			panic(sig)
 		}
+		// Memory conflict inside the child: partial rollback. The retry can
+		// only make progress if the snapshot extends past the conflicting
+		// commit; otherwise an enclosing read is stale and everything restarts.
+		tx.edgeNestedRetry()
+		if !t.proto.extend(tx) {
+			panic(sig)
+		}
+		tx.stall(childAttempt)
 	}
 }
 
@@ -590,66 +590,111 @@ func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
 	return
 }
 
-// commit attempts the top-level TL2 commit: acquire the transaction's
-// guard footprint in id order (blocking), lock the write set in
-// variable-ID order (non-blocking — it cannot deadlock against the
-// guards), validate the read set, pass the point of no return
-// (Active→Prepared, losing to any in-flight Violate), install at a
-// fresh clock tick, then run commit handlers in registration order.
+// commit attempts the top-level commit: acquire the transaction's guard
+// footprint in id order (blocking), run the protocol's commit (which only
+// try-locks, so it cannot deadlock against the guards) through the point
+// of no return, then run commit handlers in registration order.
 // The guard footprint is every guard a commit or abort registration of
 // the root level names: a transaction that registered only an abort
 // handler with a collection still serializes its commit against that
 // collection's other users, which is what makes the collection's
 // semantic conflict detection atomic with the memory commit (see
 // Guard). Transactions with disjoint footprints — or none — do not
-// serialize against each other at all. It reports whether the
-// transaction committed.
-func (tx *Tx) commit() bool {
+// serialize against each other at all. A pure snapshot attempt has no
+// commit protocol to run: it serializes at its read version.
+//
+// It reports whether the transaction committed and the first value a
+// commit handler panicked with: that is past the point of no return, so
+// the transaction committed, and the caller re-panics once it has said so.
+func (tx *Tx) commit() (ok bool, panicked any) {
+	if tx.snapshot {
+		return true, nil
+	}
 	l := tx.cur
 	if l.parent != nil {
 		panic("stm: commit with open nested level")
 	}
-	t := tx.thread
-	t.guardBuf = gatherGuards(gatherGuards(t.guardBuf[:0], l.onCommit), l.onAbort)
-	gs := sortGuards(t.guardBuf)
-	acquireGuards(tx, gs)
-	ok := tx.commitGuarded(l)
-	releaseGuards(gs)
-	tx.edgeGuardWaits()
+	ok, panicked = tx.window(l, nil, true)
 	if ok {
 		tx.tick(CostCommitBase + CostCommitPerWrite*uint64(l.writes.len()))
-		t.flushDeferred()
+		tx.thread.flushDeferred()
 	}
-	return ok
+	return ok, panicked
 }
 
-// commitGuarded performs validation, installation and handler execution
-// without charging any clock time (the caller ticks afterwards, outside
-// the commit guard).
-func (tx *Tx) commitGuarded(l *level) bool {
-	if !tx.thread.proto.commit(tx, l, true) {
-		return false
-	}
-	tx.handle.setCommitted()
-	for _, r := range l.onCommit {
-		r.fn()
-		tx.thread.Stats.HandlerRuns++
-	}
-	return true
+// compensate rolls back the open-nested effects of the levels from `from`
+// out to, and excluding, stop (nil: the whole chain), running their abort
+// handlers newest-first, inner level first. It returns the first value one
+// panicked with, for the caller to re-panic once its rollback is complete.
+//
+// A partial rollback (Tx.Nested passes the child alone) blocks on guards
+// mid-body. That cannot deadlock: the body holds no guard here
+// (collections release theirs before an open-nested section returns, and
+// stmlint's guard-order rule reports a Nested call inside a hold window),
+// and the lockwords an encounter-time attempt still holds are only ever
+// try-locked by others, so nobody who holds a guard waits for this one.
+func (tx *Tx) compensate(from, stop *level) (panicked any) {
+	_, panicked = tx.window(from, stop, false)
+	return panicked
 }
 
-// commitOpen installs an open-nested child's writes immediately, like a
-// top-level commit but without touching the shared handle's lifecycle
-// (the parent remains Active) and without running handlers (they attach
-// to the parent instead). A parent violated mid-install still completes
-// the install — the attached abort handlers will compensate — and the
-// violation is observed at the parent's next check.
-func (o *Tx) commitOpen() bool {
-	l := o.cur
-	if l.parent != nil {
-		panic("stm: open commit with open nested level")
+// window is the one handler window, commit's and compensate's, and the
+// one place handlers run: hold the guards the abort registrations of the
+// levels from..stop name — and, committing, from's commit registrations —
+// taken in id order, while the handlers run, so each is atomic with
+// respect to the commits of other transactions sharing its collection.
+// The guards are released by defer: nothing that happens in the window
+// can leave one locked, and a guard wait is reported once they are free.
+// No clock time is charged inside (the callers tick afterwards).
+//
+// Every handler runs, a panicking one notwithstanding (each applies or
+// undoes its own collection's effects; skipping the rest would leave
+// semantic locks with a dead attempt), and the first value one panicked
+// with is returned: re-panicked, it supersedes whatever was unwinding.
+func (tx *Tx) window(from, stop *level, commit bool) (committed bool, panicked any) {
+	t := tx.thread
+	buf := t.guardBuf[:0]
+	if commit {
+		buf = gatherGuards(buf, from.onCommit)
 	}
-	return o.thread.proto.commit(o, l, false)
+	for l := from; l != stop; l = l.parent {
+		buf = gatherGuards(buf, l.onAbort)
+	}
+	t.guardBuf = buf
+	gs := sortGuards(buf)
+	defer tx.edgeGuardWaits() // deferred first: runs after the release
+	acquireGuards(tx, gs)
+	defer releaseGuards(gs)
+	if commit {
+		if !t.proto.commit(tx, from, true) {
+			return false, nil
+		}
+		tx.handle.setCommitted()
+		for _, r := range from.onCommit {
+			protect(r.fn, &panicked)
+			t.Stats.HandlerRuns++
+		}
+		return true, panicked
+	}
+	for l := from; l != stop; l = l.parent {
+		for i := len(l.onAbort) - 1; i >= 0; i-- {
+			if fn := l.onAbort[i].fn; fn != nil {
+				protect(fn, &panicked)
+			}
+		}
+	}
+	return false, panicked
+}
+
+// protect runs one handler, keeping the first value any panicked with (a
+// runtime.Goexit goes on exiting, through the window's deferred release).
+func protect(fn func(), first *any) {
+	defer func() {
+		if r := recover(); r != nil && *first == nil {
+			*first = r
+		}
+	}()
+	fn()
 }
 
 // writeBuf is the per-thread sorted write-set scratch; the pointer
@@ -689,51 +734,21 @@ func (t *Thread) sortedWrites(l *level) []writeEntry {
 // registered no abort handlers — or only commit handlers — acquires no
 // guard at all: commit registrations are irrelevant once the transaction
 // is rolling back, and a guard-free rollback must not serialize behind
-// anyone.
+// anyone. An abort handler's panic goes on once the rollback is reported.
 func (tx *Tx) rollback(kind obs.Kind, reason string) {
+	var panicked any
 	if !tx.snapshot {
 		tx.handle.setAborted()
 		t := tx.thread
 		// Release what the protocol still holds for the attempt (eager
 		// lockwords) before blocking on the abort-guard footprint.
 		t.proto.abandon(tx)
-		tx.compensate(tx.cur, nil)
+		panicked = tx.compensate(tx.cur, nil)
 		tx.tick(CostAbort)
 		t.flushDeferred()
 	}
 	tx.edgeRollback(kind, reason)
-}
-
-// compensate is the one place abort handlers run: it rolls back the
-// open-nested effects of the levels from `from` out to, and excluding,
-// stop (nil: the whole chain), running their abort handlers newest-first,
-// inner level first, under the guards those registrations name — taken
-// in id order, so each compensation is atomic with respect to the
-// commits of other transactions sharing that collection — and reports
-// any guard wait once the guards are released.
-//
-// A partial rollback (Tx.Nested passes the child alone) blocks on
-// guards in the middle of a transaction body. That cannot deadlock: the
-// body holds no guard here (collections release theirs before an
-// open-nested section returns, and stmlint's guard-order rule reports a
-// Nested call inside a hold window), and the lockwords an encounter-time
-// attempt still holds are only ever try-locked by other transactions,
-// so nobody who holds a guard waits for this one.
-func (tx *Tx) compensate(from, stop *level) {
-	t := tx.thread
-	t.guardBuf = t.guardBuf[:0]
-	for l := from; l != stop; l = l.parent {
-		t.guardBuf = gatherGuards(t.guardBuf, l.onAbort)
+	if panicked != nil {
+		panic(panicked)
 	}
-	gs := sortGuards(t.guardBuf)
-	acquireGuards(tx, gs)
-	for l := from; l != stop; l = l.parent {
-		for i := len(l.onAbort) - 1; i >= 0; i-- {
-			if fn := l.onAbort[i].fn; fn != nil {
-				fn()
-			}
-		}
-	}
-	releaseGuards(gs)
-	tx.top().edgeGuardWaits()
 }

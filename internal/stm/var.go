@@ -109,6 +109,21 @@ func (c *varCore) displayLabel() string {
 	return "var#" + strconv.FormatUint(c.id, 10)
 }
 
+// spinWait is the one way an attempt waits on a word another transaction
+// holds (a lockword mid-install, NOrec's sequence lock mid-commit): poll
+// number spin, from 0, waits spinCycles and reports true; with spinBudget
+// polls spent it reports false at once and the caller gives up. The two
+// callers that pass a constant 0 wait without bound (ROADMAP item 1).
+const spinBudget, spinCycles = 64, 4
+
+func spinWait(clock Clock, spin int) bool {
+	if spin >= spinBudget {
+		return false
+	}
+	clock.Wait(spinCycles)
+	return true
+}
+
 // sample returns a consistent (value, version) pair without taking any
 // lock: load the word, load the value box, and re-load the word. If the
 // two word loads agree and the word is unlocked, no install completed in
@@ -133,14 +148,13 @@ func (c *varCore) sample(tx *Tx) (any, uint64) {
 			return c.val.Load().val, wordVersion(w)
 		}
 		tx.check()
-		if spin >= 64 {
+		if !spinWait(tx.thread.Clock, spin) {
 			// The owner may itself be stalled behind us in some
 			// larger scheme; give up the attempt rather than spin
 			// forever.
 			tx.noteConflict(c, c.owner.Load(), causeLockedVar)
 			tx.bail(sigRetry, "variable locked by committer")
 		}
-		tx.thread.Clock.Wait(4)
 	}
 }
 
@@ -220,12 +234,11 @@ func (c *varCore) readAt(clock Clock, rv uint64) (any, bool) {
 			}
 			return nil, false
 		}
-		if spin >= 64 {
+		if !spinWait(clock, spin) {
 			// A stalled committer holds the word; give up the attempt
 			// rather than spin forever (the restart resamples rv).
 			return nil, false
 		}
-		clock.Wait(4)
 	}
 }
 
@@ -264,12 +277,11 @@ func (v *Var[T]) Label() string { return v.core.label }
 func (v *Var[T]) Get(tx *Tx) T {
 	tx.check()
 	c := v.core
-	top := tx.top()
-	if top.snapshot {
+	if tx.snapshot {
 		// Snapshot mode: invisible read against the frozen clock-space
 		// read version. Nothing is recorded, validated, or extended; a
 		// writer can never observe — let alone abort — this reader.
-		val, ok := c.readAt(tx.thread.Clock, top.readVersion)
+		val, ok := c.readAt(tx.thread.Clock, tx.readVersion)
 		if !ok {
 			tx.bail(sigFallback, fallbackShallowHistory)
 		}
@@ -295,7 +307,7 @@ func (v *Var[T]) Get(tx *Tx) T {
 // attempt restarts on the ordinary retry path instead.
 func (v *Var[T]) Set(tx *Tx, val T) {
 	tx.check()
-	if tx.top().snapshot {
+	if tx.snapshot {
 		tx.bail(sigFallback, fallbackWrite)
 	}
 	tx.thread.proto.observeWrite(tx, v.core)
