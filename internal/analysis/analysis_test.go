@@ -148,6 +148,12 @@ func TestCommitBlockingFixture(t *testing.T) {
 func TestProtocolWindowsFixture(t *testing.T) { runFixture(t, "protocolwindows") }
 func TestWriteInReadonlyFixture(t *testing.T) { runFixture(t, "writeinreadonly") }
 
+// TestOpenSectionFixture covers the directives of a helper that runs the
+// function it is handed under a guard (//stmlint:window around) or as a
+// transaction body (//stmlint:txbody); its Atomic cases reach the guard
+// acquisition and the emission inside the STM.
+func TestOpenSectionFixture(t *testing.T) { runFixture(t, "opensection", "internal/stm") }
+
 // TestSuppress proves //stmlint:ignore silences exactly the named
 // rule: three suppressed violations yield nothing, and a directive for
 // the wrong rule leaves its diagnostic standing.
@@ -200,48 +206,65 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestWindowDirectiveNotName: hold-window helpers are found by the
-// //stmlint:window directive in their doc comment, not by what they are
-// called. The protocolwindows fixture with every helper renamed yields
-// the same diagnostics on the same lines; with the directives stripped
-// (names intact) it has no windows left and yields none.
+// TestWindowDirectiveNotName: hold-window helpers, and the helpers that run
+// the function they are handed under a guard or as a transaction body, are
+// found by the //stmlint: directive in their doc comment, not by what they
+// are called. A fixture with every helper renamed yields the same
+// diagnostics on the same lines; with the directives stripped (names
+// intact) it has no windows and no such bodies left and yields none —
+// outside opensection's lexical.go, the half of that fixture that is
+// written without them.
 func TestWindowDirectiveNotName(t *testing.T) {
 	l := getLoader(t)
-	src := filepath.Join(l.ModuleDir, "internal", "analysis", "testdata", "protocolwindows")
-	entries, err := os.ReadDir(src)
+	stm, err := l.LoadDir(filepath.Join(l.ModuleDir, "internal", "stm"), l.ModulePath+"/internal/stm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant := func(name string, edit *strings.Replacer) []string {
-		dir := t.TempDir()
-		for _, e := range entries {
-			text, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if err != nil {
-				t.Fatal(err)
+	for fixture, rename := range map[string]*strings.Replacer{
+		"protocolwindows": strings.NewReplacer(
+			"lockWriteSet", "takeWords", "installWriteSet", "publishWords",
+			"norecSeqAcquire", "seqTake", "norecSeqRelease", "seqGive"),
+		"opensection": strings.NewReplacer(
+			"lockSpan", "sweep", "unlockSpan", "unsweep",
+			"held(", "pinned(", "section(", "enter(", "open(", "child("),
+	} {
+		src := filepath.Join(l.ModuleDir, "internal", "analysis", "testdata", fixture)
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		variant := func(name string, edit *strings.Replacer) []string {
+			dir := t.TempDir()
+			for _, e := range entries {
+				text, err := os.ReadFile(filepath.Join(src, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte(edit.Replace(string(text))), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte(edit.Replace(string(text))), 0o644); err != nil {
-				t.Fatal(err)
+			pkg, err := l.LoadDir(dir, "tcc/internal/analysis/testdata/"+fixture+"_"+name)
+			if err != nil || len(pkg.TypeErrors) > 0 {
+				t.Fatalf("load %s %s: %v %v", fixture, name, err, pkg.TypeErrors)
+			}
+			var got []string
+			graph := analysis.BuildCallGraph(l.Fset, []*analysis.Package{pkg, stm})
+			for _, d := range analysis.CheckWithGraph(l.Fset, pkg, graph).Diagnostics {
+				got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
+			}
+			return got
+		}
+		base := variant("asis", strings.NewReplacer())
+		renamed := variant("renamed", rename)
+		stripped := variant("stripped", strings.NewReplacer("//stmlint:window", "// window", "//stmlint:txbody", "// txbody"))
+		if len(base) == 0 || !reflect.DeepEqual(base, renamed) {
+			t.Errorf("%s: renaming the helpers changed the findings:\n as is   %v\n renamed %v", fixture, base, renamed)
+		}
+		for _, d := range stripped {
+			if !strings.HasPrefix(d, "lexical.go:") {
+				t.Errorf("%s: without directives the fixture has no windows, yet: %s", fixture, d)
 			}
 		}
-		pkg, err := l.LoadDir(dir, "tcc/internal/analysis/testdata/"+name)
-		if err != nil || len(pkg.TypeErrors) > 0 {
-			t.Fatalf("load %s: %v %v", name, err, pkg.TypeErrors)
-		}
-		var got []string
-		for _, d := range analysis.Check(l.Fset, pkg) {
-			got = append(got, fmt.Sprintf("%s:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Rule))
-		}
-		return got
-	}
-	base := variant("pw_asis", strings.NewReplacer())
-	renamed := variant("pw_renamed", strings.NewReplacer(
-		"lockWriteSet", "takeWords", "installWriteSet", "publishWords",
-		"norecSeqAcquire", "seqTake", "norecSeqRelease", "seqGive"))
-	stripped := variant("pw_stripped", strings.NewReplacer("//stmlint:window", "// window"))
-	if len(base) == 0 || !reflect.DeepEqual(base, renamed) {
-		t.Errorf("renaming the helpers changed the findings:\n as is   %v\n renamed %v", base, renamed)
-	}
-	if len(stripped) != 0 {
-		t.Errorf("without directives the fixture has no windows, yet: %v", stripped)
 	}
 }

@@ -73,8 +73,10 @@ type CallGraph struct {
 	readonlyBodyFuncs map[*types.Func]bool
 
 	// windowOps records the functions whose doc comment carries a
-	// //stmlint:window directive (see windows.go).
-	windowOps map[*types.Func]windowOp
+	// //stmlint:window directive (see windows.go), txBodyHelpers those
+	// that carry //stmlint:txbody (see classifyArgs).
+	windowOps     map[*types.Func]windowOp
+	txBodyHelpers map[*types.Func]bool
 
 	// concretes indexes every named type declared in the module by its
 	// explicit method-name set, in deterministic order, for CHA
@@ -159,17 +161,13 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 		txBodyFuncs:       make(map[*types.Func]bool),
 		readonlyBodyFuncs: make(map[*types.Func]bool),
 		windowOps:         make(map[*types.Func]windowOp),
+		txBodyHelpers:     make(map[*types.Func]bool),
 		chaCache:          make(map[*types.Func][]*types.Func),
 	}
 
-	// Pass 1: nodes, window directives, literal kinds, named
-	// handler/body registration, and the CHA type index.
+	// Pass 1: nodes, directives and the CHA type index.
 	for _, pkg := range sorted {
 		for _, f := range pkg.Files {
-			for lit, k := range classifyFuncLits(pkg.Info, f) {
-				g.litKinds[lit] = k
-			}
-			g.classifyNamedArgs(pkg.Info, f)
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -180,13 +178,25 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 					if op := windowDirective(fd.Doc); op != 0 {
 						g.windowOps[fn] = op
 					}
+					if hasDirective(fd.Doc, "//stmlint:txbody") {
+						g.txBodyHelpers[fn] = true
+					}
 				}
 			}
 		}
 		g.indexTypes(pkg)
 	}
 
-	// Pass 2: resolve each node's outgoing edges. Iterate files, not
+	// Pass 2: literal kinds and named handler/body registration — after
+	// the directives, which classify what is passed to a helper declared
+	// in any package.
+	for _, pkg := range sorted {
+		for _, f := range pkg.Files {
+			g.classifyArgs(pkg.Info, f)
+		}
+	}
+
+	// Pass 3: resolve each node's outgoing edges. Iterate files, not
 	// the node map, so edge order is deterministic.
 	for _, pkg := range sorted {
 		for _, f := range pkg.Files {
@@ -228,45 +238,6 @@ func (g *CallGraph) indexTypes(pkg *Package) {
 		}
 		g.concretes = append(g.concretes, tm)
 	}
-}
-
-// classifyNamedArgs records named functions passed where classifyFuncLits
-// records literals: as transaction bodies (Atomic/Open/Nested) or as
-// handlers (the handlerRegistrations methods).
-func (g *CallGraph) classifyNamedArgs(info *types.Info, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fnAt := func(i int) *types.Func {
-			if i >= len(call.Args) {
-				return nil
-			}
-			return exprFunc(info, call.Args[i])
-		}
-		switch {
-		case isSTMMethod(info, call, "Thread", "Atomic"),
-			isSTMMethod(info, call, "Tx", "Open"),
-			isSTMMethod(info, call, "Tx", "Nested"):
-			if fn := fnAt(0); fn != nil {
-				g.txBodyFuncs[fn] = true
-			}
-		case isSTMMethod(info, call, "Thread", "AtomicRead"):
-			// A read-only body is still a transaction body (it runs with
-			// a live *stm.Tx, so the tx-context rules apply) and is
-			// additionally rooted by the write-in-readonly rule.
-			if fn := fnAt(0); fn != nil {
-				g.txBodyFuncs[fn] = true
-				g.readonlyBodyFuncs[fn] = true
-			}
-		case isHandlerRegistration(info, call):
-			if fn := fnAt(1); fn != nil {
-				g.handlerFuncs[fn] = true
-			}
-		}
-		return true
-	})
 }
 
 // collectCallees resolves every call on the synchronous path under

@@ -9,17 +9,19 @@ import (
 // guard-order: multi-guard acquisition must go through the footprint
 // machinery or be provably ordered. The commit protocol is deadlock-
 // free because every path that holds more than one stm.Guard acquires
-// them in ascending ID order — acquireGuards over a sorted footprint,
-// or a striped collection's lockSpan sweep. A manual second
-// Guard.Lock while one is held (directly in the window, or anywhere a
-// call from the window reaches) reintroduces exactly the lock-order
-// inversion the protocol exists to rule out. Three shapes are flagged:
+// them in ascending ID order — the commit protocol's footprint
+// acquisition over a sorted set, or a striped collection's span sweep,
+// each of which says so with a //stmlint:window directive. A second
+// guard taken while one is held (directly in the window, or anywhere a
+// call from the window reaches — the machinery itself included: it
+// orders its own set, not what the caller already holds) reintroduces
+// exactly the lock-order inversion the protocol exists to rule out.
+// Three shapes are flagged:
 //
 //   - a loop that acquires guards without releasing inside the body
 //     (a footprint sweep), unless the enclosing function is itself the
-//     sanctioned machinery (named lockSpan or acquireGuards);
-//   - a direct acquisition — Guard.Lock, lockSpan, acquireGuards —
-//     inside a window or handler body;
+//     sanctioned machinery (it carries a //stmlint:window directive);
+//   - a direct acquisition (guardTake) inside a window or handler body;
 //   - an acquisition reachable through calls from a window or handler.
 //
 // The escape hatch for genuinely ordered manual code: nest the
@@ -51,10 +53,10 @@ func runGuardOrder(p *Pass) {
 			p.reportLexical(stmts, func(root ast.Node) []effect {
 				return guardAcquireEffectsIn(g, info, root)
 			}, seen, func(desc string) string {
-				return desc + " while a guard is already held " + where + "; acquire multi-guard footprints through lockSpan/acquireGuards (ascending ID order), or guard the nesting with an explicit ID() comparison"
+				return desc + " while a guard is already held " + where + "; acquire multi-guard footprints in one call of a //stmlint:window helper that sweeps in ascending ID order, or guard the nesting with an explicit ID() comparison"
 			})
 			p.reportReach(stmts, searcher, seen, func(head, chain string) string {
-				return "call to " + head + " " + where + " acquires another guard (" + chain + "); acquire multi-guard footprints through lockSpan/acquireGuards (ascending ID order)"
+				return "call to " + head + " " + where + " acquires another guard (" + chain + "); acquire multi-guard footprints in one call of a //stmlint:window helper that sweeps in ascending ID order"
 			})
 		}
 		p.forEachGuardWindow(f, func(w guardWindow) {
@@ -91,7 +93,7 @@ func (p *Pass) checkAcquisitionLoops(f *ast.File, seen map[string]bool) {
 				// Either way, don't descend: a nested loop's ops were
 				// already counted against this one.
 				if lock != token.NoPos && !unlock {
-					msg := "loop acquires a guard every iteration without releasing it; a manual footprint sweep deadlocks against the commit protocol unless it is the lockSpan/acquireGuards machinery itself (ascending ID order)"
+					msg := "loop acquires a guard every iteration without releasing it; a manual footprint sweep deadlocks against the commit protocol unless it is the machinery itself (a //stmlint:window helper sweeping in ascending ID order)"
 					key := dedupKey(lock, msg)
 					if !seen[key] {
 						seen[key] = true
@@ -128,26 +130,36 @@ func loopGuardOps(info *types.Info, body *ast.BlockStmt) (lock token.Pos, unlock
 }
 
 // guardAcquireEffectsIn collects guard acquisitions lexically on the
-// synchronous path under root: Guard.Lock calls and calls to a
-// multi-guard opener — the striped collections' lockSpan sweep or the
-// footprint machinery's acquireGuards — which count as acquiring more
-// guards when they happen with one already held.
+// synchronous path under root. A call to a multi-guard opener is not one
+// in its own right — the directive it carries is shared with the openers
+// of lockword and sequence-lock windows, which take no guard — but the
+// reachability search finds the acquisition inside it like any other.
 func guardAcquireEffectsIn(g *CallGraph, info *types.Info, root ast.Node) []effect {
 	var effs []effect
 	g.inspectSyncPath(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isSTMMethod(info, call, "Guard", "Lock") {
-			effs = append(effs, effect{call.Pos(), "Guard.Lock"})
-		} else if fn := calleeFunc(info, call); fn != nil &&
-			(fn.Name() == "lockSpan" || (fn.Name() == "acquireGuards" && recvNamed(fn) == nil)) {
-			effs = append(effs, effect{call.Pos(), "call to " + fn.Name()})
+		if call, ok := n.(*ast.CallExpr); ok {
+			if desc, ok := guardTake(info, call); ok {
+				effs = append(effs, effect{call.Pos(), desc})
+			}
 		}
 		return true
 	})
 	return effs
+}
+
+// guardTake recognizes, by type, a call that takes a commit guard:
+// Guard.Lock, or — how the stm package takes one itself — Lock or TryLock
+// on a field of a Guard.
+func guardTake(info *types.Info, call *ast.CallExpr) (string, bool) {
+	if isSTMMethod(info, call, "Guard", "Lock") {
+		return "Guard.Lock", true
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "TryLock") {
+		if field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && stmNamedPtr(info.TypeOf(field.X), "Guard") {
+			return "Guard." + field.Sel.Name + "." + sel.Sel.Name, true
+		}
+	}
+	return "", false
 }
 
 // orderProvenBlocks collects the blocks exempted by the ascending-ID

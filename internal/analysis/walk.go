@@ -120,7 +120,7 @@ type bodyKind int
 
 const (
 	bodyPlain      bodyKind = iota
-	bodyTx                  // argument to Thread.Atomic, Tx.Open or Tx.Nested
+	bodyTx                  // argument to Thread.Atomic, Tx.Open, Tx.Nested or a //stmlint:txbody helper
 	bodyReadOnlyTx          // argument to Thread.AtomicRead (a transaction body that must not write)
 	bodyHandler             // handler argument of a handlerRegistrations method
 	bodyGo                  // launched by a go statement
@@ -139,43 +139,59 @@ type funcCtx struct {
 	txInScope bool
 }
 
-// classifyFuncLits maps every function literal in f to its bodyKind.
-func classifyFuncLits(info *types.Info, f *ast.File) map[*ast.FuncLit]bodyKind {
-	kinds := make(map[*ast.FuncLit]bodyKind)
+// classifyArgs records how the STM will run each function f hands it: a
+// literal's bodyKind in litKinds, a named function in the map of its kind
+// — the interprocedural generalization, so that a function declared in
+// package A and registered in package B is classified when either is
+// analyzed. A helper that runs the function it is handed as a
+// transaction body — core's open, the one tx.Open of every collection —
+// says so with //stmlint:txbody in its doc comment (txBodyHelpers).
+func (g *CallGraph) classifyArgs(info *types.Info, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				kinds[lit] = bodyGo
+				g.litKinds[lit] = bodyGo
 			}
 		case *ast.CallExpr:
-			litAt := func(i int) *ast.FuncLit {
+			mark := func(i int, kind bodyKind) {
 				if i >= len(n.Args) {
-					return nil
+					return
 				}
-				lit, _ := ast.Unparen(n.Args[i]).(*ast.FuncLit)
-				return lit
+				if lit, ok := ast.Unparen(n.Args[i]).(*ast.FuncLit); ok {
+					g.litKinds[lit] = kind
+				} else if fn := exprFunc(info, n.Args[i]); fn != nil {
+					// A read-only body is still a transaction body (it runs
+					// with a live *stm.Tx, so the tx-context rules apply) and
+					// is additionally rooted by the write-in-readonly rule.
+					switch kind {
+					case bodyHandler:
+						g.handlerFuncs[fn] = true
+					case bodyReadOnlyTx:
+						g.readonlyBodyFuncs[fn] = true
+						fallthrough
+					case bodyTx:
+						g.txBodyFuncs[fn] = true
+					}
+				}
 			}
 			switch {
 			case isSTMMethod(info, n, "Thread", "Atomic"),
 				isSTMMethod(info, n, "Tx", "Open"),
 				isSTMMethod(info, n, "Tx", "Nested"):
-				if lit := litAt(0); lit != nil {
-					kinds[lit] = bodyTx
-				}
+				mark(0, bodyTx)
 			case isSTMMethod(info, n, "Thread", "AtomicRead"):
-				if lit := litAt(0); lit != nil {
-					kinds[lit] = bodyReadOnlyTx
-				}
+				mark(0, bodyReadOnlyTx)
 			case isHandlerRegistration(info, n):
-				if lit := litAt(1); lit != nil {
-					kinds[lit] = bodyHandler
+				mark(1, bodyHandler)
+			case g.txBodyHelpers[originFunc(calleeFunc(info, n))]:
+				for i := range n.Args {
+					mark(i, bodyTx)
 				}
 			}
 		}
 		return true
 	})
-	return kinds
 }
 
 // hasTxParam reports whether the function type declares a *stm.Tx

@@ -20,7 +20,9 @@ import (
 //     and the closer is included (it still runs with the guard held).
 //     A window never closed in its block extends to the block's end,
 //     which is also how a deferred Unlock behaves: the guard is held
-//     until the function returns.
+//     until the function returns. The body of a function literal passed
+//     to a helper annotated //stmlint:window around is a window too, all
+//     of it: the helper opens, runs the literal and closes.
 //
 //   - Handler bodies: function literals registered as commit/abort
 //     handlers, and named functions the module registers anywhere (per
@@ -30,8 +32,6 @@ type guardWindow struct {
 	// block is the enclosing block, for context-sensitive exemptions
 	// (guard-order's ascending-ID idiom).
 	block *ast.BlockStmt
-	// open is the statement that opened the window.
-	open ast.Stmt
 	// body is the statements that run with the guard held, closer
 	// included.
 	body []ast.Stmt
@@ -45,6 +45,13 @@ type guardWindow struct {
 func (p *Pass) forEachGuardWindow(f *ast.File, visit func(w guardWindow)) {
 	info := p.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && p.Graph.windowOps[originFunc(calleeFunc(info, call))] == windowAround {
+			for _, arg := range call.Args {
+				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+					visit(guardWindow{block: lit.Body, body: lit.Body.List})
+				}
+			}
+		}
 		block, ok := n.(*ast.BlockStmt)
 		if !ok {
 			return true
@@ -58,12 +65,12 @@ func (p *Pass) forEachGuardWindow(f *ast.File, visit func(w guardWindow)) {
 				continue
 			}
 			if p.Graph.stmtGuardOp(info, stmt, "Unlock", windowClose) {
-				visit(guardWindow{block: block, open: block.List[open], body: block.List[open+1 : i+1]})
+				visit(guardWindow{block: block, body: block.List[open+1 : i+1]})
 				open = -1
 			}
 		}
 		if open >= 0 {
-			visit(guardWindow{block: block, open: block.List[open], body: block.List[open+1:]})
+			visit(guardWindow{block: block, body: block.List[open+1:]})
 		}
 		return true
 	})
@@ -97,13 +104,21 @@ func (p *Pass) forEachHandlerBody(f *ast.File, visit func(body *ast.BlockStmt)) 
 //
 //	//stmlint:window open
 //	//stmlint:window close
+//	//stmlint:window around
+//
+// An around helper opens a window, runs the function it is handed and
+// closes it: the window is the body of the literal at the call site, and
+// what runs before or after the call (a defer registered ahead of it
+// included) is outside. Only a literal is followed — like every function
+// value, a variable or a method value has no edge in the call graph.
 //
 // The module annotates three layers this way:
 //
 //   - Commit guards: acquireGuards/releaseGuards (the commit
 //     protocol's footprint acquisition) and core's lockSpan/unlockSpan,
 //     the one multi-guard sweep every striped collection shares (a
-//     contiguous span of stripes or lanes, all of them included).
+//     contiguous span of stripes or lanes, all of them included), which
+//     core reaches only through its around helpers, held and section.
 //   - Write-set lockwords: lockWriteSet acquires every written var's
 //     lockword in id order; unlockWriteSet (failed commit) and
 //     installWriteSet (successful publish) release them. Between the
@@ -125,22 +140,34 @@ type windowOp int
 const (
 	windowOpen windowOp = iota + 1
 	windowClose
+	windowAround
 )
 
 // windowDirective reads a //stmlint:window directive out of a
 // declaration's doc comment (0 when there is none).
 func windowDirective(doc *ast.CommentGroup) windowOp {
+	switch {
+	case hasDirective(doc, "//stmlint:window open"):
+		return windowOpen
+	case hasDirective(doc, "//stmlint:window close"):
+		return windowClose
+	case hasDirective(doc, "//stmlint:window around"):
+		return windowAround
+	}
+	return 0
+}
+
+// hasDirective reports whether a declaration's doc comment carries the
+// directive line.
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc != nil {
 		for _, c := range doc.List {
-			switch strings.TrimSpace(c.Text) {
-			case "//stmlint:window open":
-				return windowOpen
-			case "//stmlint:window close":
-				return windowClose
+			if strings.TrimSpace(c.Text) == directive {
+				return true
 			}
 		}
 	}
-	return 0
+	return false
 }
 
 // stmtGuardOp reports whether stmt directly opens (or closes) a hold

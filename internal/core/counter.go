@@ -62,27 +62,23 @@ func (c *Counter) newLocal(*stm.Thread) *counterLocal {
 // on abort).
 func (c *Counter) Add(tx *stm.Tx, delta int64) {
 	l := c.local(tx)
-	_ = tx.Open(func(o *stm.Tx) error {
+	open(tx, 8, func() {
 		c.guard.Lock()
 		c.value += delta
 		c.guard.Unlock()
-		return nil
+		l.delta += delta
 	})
-	l.delta += delta
-	tx.Thread().Clock.Tick(8)
 }
 
-// Get returns the instantaneous value (reduced isolation: no lock, no
-// conflict).
+// Get returns the instantaneous value (reduced isolation: no semantic
+// lock, no conflict).
 func (c *Counter) Get(tx *stm.Tx) int64 {
 	var v int64
-	_ = tx.Open(func(o *stm.Tx) error {
+	open(tx, 4, func() {
 		c.guard.Lock()
 		v = c.value
 		c.guard.Unlock()
-		return nil
 	})
-	tx.Thread().Clock.Tick(4)
 	return v
 }
 
@@ -112,32 +108,28 @@ func NewUIDGen(start int64) *UIDGen { return &UIDGen{next: start} }
 // compensation on abort — see the type comment).
 func (g *UIDGen) Next(tx *stm.Tx) int64 {
 	var id int64
-	_ = tx.Open(func(o *stm.Tx) error {
+	open(tx, 8, func() {
 		g.mu.Lock()
 		id = g.next
 		g.next++
 		g.mu.Unlock()
-		return nil
 	})
-	tx.Thread().Clock.Tick(8)
 	return id
 }
 
 // Current returns the next identifier that would be handed out, without
-// consuming it and without taking any lock — a reduced-isolation read
+// consuming it and with no semantic lock — a reduced-isolation read
 // like Counter.Get. TPC-C's Stock-Level transaction uses exactly this
 // (reading D_NEXT_O_ID to bound its scan of recent orders), and because
 // the read creates no dependency it never conflicts with concurrent
 // Next calls.
 func (g *UIDGen) Current(tx *stm.Tx) int64 {
 	var v int64
-	_ = tx.Open(func(o *stm.Tx) error {
+	open(tx, 4, func() {
 		g.mu.Lock()
 		v = g.next
 		g.mu.Unlock()
-		return nil
 	})
-	tx.Thread().Clock.Tick(4)
 	return v
 }
 

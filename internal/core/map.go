@@ -21,14 +21,10 @@
 //   - A single abort handler releases locks and discards buffers
 //     (compensation for the open-nested lock acquisitions).
 //
-// The open-nested regions execute as tx.Open children whose body is a
-// short critical section on a commit guard (stm.Guard) — the same guard
-// the instance's handlers are registered under, so lock-table reads
-// stay atomic with respect to commits; this is the substitution for the
-// paper's low-level open-nested hardware transactions described in
-// DESIGN.md §4 — immediate global visibility, compensation via abort
-// handlers, and lock ownership by the top-level transaction are all
-// preserved.
+// Every open-nested region is one call of stripeSet.section
+// (stripeset.go), which states how a collection enters a partition — the
+// substitution for the paper's low-level open-nested hardware
+// transactions described in DESIGN.md §4.
 //
 // # Striping
 //
@@ -51,8 +47,8 @@
 // partitions the *key space* into contiguous intervals instead, so
 // point operations and range scans confined to one interval stay on one
 // guard, and only scans and endpoint walks that genuinely span
-// intervals touch several stripes (one guard at a time, in ascending
-// interval order; see sortedmap_striped.go and DESIGN.md §4.5).
+// intervals touch several stripes (one section per stripe, in interval
+// order; see sortedmap_striped.go and DESIGN.md §4.5).
 //
 // TransactionalQueue picks a lane by thread
 // (NewSegmentedTransactionalQueue): semantic FIFO is preserved per
@@ -224,9 +220,10 @@ func (x *sortedExt[K, V]) stripeFor(k K) int {
 }
 
 // mapStripe is one shard of a TransactionalMap: a slice of the
-// committed state and of the semantic-lock tables, fused with its own
-// commit guard. Every key hashes to exactly one stripe, which holds
-// that key's committed mapping and key-lock entry; the size and empty
+// committed state and of the semantic-lock tables, protected by its entry
+// of the stripeSet's guard vector. Every key hashes to exactly one
+// stripe, which holds that key's committed mapping and key-lock entry;
+// the size and empty
 // lock sets are sharded too — a size/empty reader registers in every
 // stripe's set, and a committing writer sweeps only the stripes whose
 // local size (or local emptiness) its buffer changed, under guards it
@@ -234,8 +231,6 @@ func (x *sortedExt[K, V]) stripeFor(k K) int {
 // insert or remove (the paper's Table 2 size semantics), but writers on
 // disjoint keys never touch a shared counter line or a shared lock set.
 type mapStripe[K comparable, V any] struct {
-	// guard is this stripe's entry of the stripeSet's guard vector.
-	guard *stm.Guard
 	// m holds the stripe's committed state (Table 3: "the underlying
 	// Map instance").
 	m collections.Map[K, V]
@@ -280,9 +275,8 @@ type TransactionalMap[K comparable, V any] struct {
 }
 
 // newMapStripe builds one stripe around the given committed shard.
-func newMapStripe[K comparable, V any](g *stm.Guard, m collections.Map[K, V]) *mapStripe[K, V] {
+func newMapStripe[K comparable, V any](m collections.Map[K, V]) *mapStripe[K, V] {
 	return &mapStripe[K, V]{
-		guard:        g,
 		m:            m,
 		key2lockers:  semlock.NewKeyTable[K](),
 		sizeLockers:  semlock.NewOwnerSet(),
@@ -310,8 +304,8 @@ func NewStripedTransactionalMap[K comparable, V any](newShard func() collections
 		stripeSet: newStripeSet(n),
 		stripes:   make([]*mapStripe[K, V], n),
 	}
-	for i, g := range tm.guards {
-		tm.stripes[i] = newMapStripe(g, newShard())
+	for i := range tm.stripes {
+		tm.stripes[i] = newMapStripe(newShard())
 	}
 	tm.SetName("map")
 	return tm
@@ -341,7 +335,7 @@ func (tm *TransactionalMap[K, V]) Name() string { return tm.name }
 // Guard returns stripe 0's commit guard — the instance guard of a
 // single-stripe map. Code composing its own guarded handlers with a
 // striped map should use StripeGuard(k) for the key it works with.
-func (tm *TransactionalMap[K, V]) Guard() *stm.Guard { return tm.stripes[0].guard }
+func (tm *TransactionalMap[K, V]) Guard() *stm.Guard { return tm.guards[0] }
 
 // Stripes returns the number of stripes (1 unless built by
 // NewStripedTransactionalMap).
@@ -362,7 +356,7 @@ func (tm *TransactionalMap[K, V]) StripeOf(k K) int {
 // StripeGuard returns the commit guard of k's stripe, for code that
 // composes its own guarded handlers with operations on k.
 func (tm *TransactionalMap[K, V]) StripeGuard(k K) *stm.Guard {
-	return tm.stripes[tm.StripeOf(k)].guard
+	return tm.guards[tm.StripeOf(k)]
 }
 
 // newRangeLock returns an unbounded range lock owned by l.h, published
@@ -419,18 +413,12 @@ func (tm *TransactionalMap[K, V]) newLocal(th *stm.Thread) *mapLocal[K, V] {
 	return l
 }
 
-// touch puts stripe si into the transaction's footprint (see
-// stripeSet.touch) and returns the stripe.
-func (tm *TransactionalMap[K, V]) touch(tx *stm.Tx, l *mapLocal[K, V], si int) *mapStripe[K, V] {
-	tm.stripeSet.touch(tx, &l.footprint, si)
-	return tm.stripes[si]
-}
-
-// touchAll puts every stripe into the footprint (whole-map operations:
-// Size, IsEmpty, iteration).
+// touchAll puts every stripe into the footprint, for the whole-map scans
+// that visit the stripes one guard at a time (Size, IsEmpty, an exhausted
+// iterator).
 func (tm *TransactionalMap[K, V]) touchAll(tx *stm.Tx, l *mapLocal[K, V]) {
 	for si := range tm.stripes {
-		tm.touch(tx, l, si)
+		tm.touch(tx, &l.footprint, si)
 	}
 }
 
@@ -507,7 +495,7 @@ func (tm *TransactionalMap[K, V]) PutUnread(tx *stm.Tx, k K, v V) {
 		l.storeBuffer[k] = w
 		return
 	}
-	tm.touch(tx, l, tm.StripeOf(k))
+	tm.touch(tx, &l.footprint, tm.StripeOf(k))
 	l.storeBuffer[k] = mapWrite[V]{val: v}
 	l.bufferKey(k)
 	tx.Thread().Clock.Tick(DefaultOpCost / 4)
@@ -543,7 +531,7 @@ func (tm *TransactionalMap[K, V]) RemoveUnread(tx *stm.Tx, k K) {
 		l.storeBuffer[k] = w
 		return
 	}
-	tm.touch(tx, l, tm.StripeOf(k))
+	tm.touch(tx, &l.footprint, tm.StripeOf(k))
 	l.storeBuffer[k] = mapWrite[V]{removed: true}
 	l.bufferKey(k)
 	tx.Thread().Clock.Tick(DefaultOpCost / 4)
@@ -562,20 +550,16 @@ func (tm *TransactionalMap[K, V]) PutAll(tx *stm.Tx, src map[K]V) {
 // performs the key-conflict detection immediately.
 func (tm *TransactionalMap[K, V]) readCommitted(tx *stm.Tx, l *mapLocal[K, V], k K, forWrite bool) (V, bool) {
 	si := tm.StripeOf(k)
-	st := tm.touch(tx, l, si)
+	st := tm.stripes[si]
 	var v V
 	var present bool
-	_ = tx.Open(func(*stm.Tx) error {
-		st.guard.Lock()
-		defer st.guard.Unlock()
+	tm.section(tx, &l.footprint, si, si+1, DefaultOpCost, func() {
 		tm.lockKeyLocked(l, k)
 		if forWrite && tm.eagerWriteCheck {
 			tm.noteViolations(si, st.key2lockers.ViolateOthers(k, l.h, tm.reasonKey))
 		}
 		v, present = st.m.Get(k)
-		return nil
 	})
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return v, present
 }
 
@@ -615,9 +599,9 @@ func (tm *TransactionalMap[K, V]) deltaLocked(l *mapLocal[K, V]) int {
 // any committing transaction that changes any stripe's size aborts this
 // one (Table 2's "size conflicts with any insert or remove").
 //
-// The stripes are scanned one at a time — lock the stripe guard,
-// register in its size-lock table, read its committed size, unlock —
-// rather than under all guards at once. The sum is still serializable:
+// The stripes are scanned one at a time — hold the stripe guard, register
+// in its size-lock table, read its committed size, release — rather than
+// under all guards at once. The sum is still serializable:
 // a writer committing between two of the scan's steps sweeps the
 // size-lock tables of every stripe it changes, and this transaction is
 // already registered in the stripes it has passed, so any commit that
@@ -641,34 +625,25 @@ func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, empty bool) int {
 	l := tm.local(tx)
 	tm.touchAll(tx, l)
 	n := 0
-	_ = tx.Open(func(*stm.Tx) error {
+	open(tx, DefaultOpCost, func() {
 		for si, st := range tm.stripes {
-			n += tm.stripeSize(st, si, l, empty)
+			tm.held(si, si+1, func() {
+				// Recorded with the first stripe's lock: a scan cut short
+				// (Size runs user code that may panic) releases them all.
+				if empty {
+					st.emptyLockers.Lock(l.h)
+					l.emptyLocked = true
+				} else {
+					st.sizeLockers.Lock(l.h)
+					l.sizeLocked = true
+				}
+				tm.resolveBlindStripeLocked(st, si, l)
+				n += st.m.Size()
+			})
 		}
 		n += tm.deltaLocked(l)
-		return nil
 	})
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return n
-}
-
-// stripeSize is one step of lockedSize's scan, under stripe si's guard
-// alone — in a function of its own, so that defer releases the guard (the
-// wrapped structure runs user code that may panic: a comparator, == on an
-// interface key) without a defer in a loop, which would allocate. The lock
-// is recorded with the first stripe's: a scan cut short releases them all.
-func (tm *TransactionalMap[K, V]) stripeSize(st *mapStripe[K, V], si int, l *mapLocal[K, V], empty bool) int {
-	st.guard.Lock()
-	defer st.guard.Unlock()
-	if empty {
-		st.emptyLockers.Lock(l.h)
-		l.emptyLocked = true
-	} else {
-		st.sizeLockers.Lock(l.h)
-		l.sizeLocked = true
-	}
-	tm.resolveBlindStripeLocked(st, si, l)
-	return st.m.Size()
 }
 
 // IsEmpty reports whether the map is empty. As the paper's §5.1

@@ -51,8 +51,8 @@ type mapEntry[K comparable, V any] struct {
 // Enumeration order is implementation-defined (like HashMap's).
 //
 // The committed-keys snapshot is taken with every stripe guard held at
-// once (lockSpan): a stripe-at-a-time scan could observe half of a
-// multi-stripe commit — its insert on a later stripe but not its insert
+// once (one section over all of them): a stripe-at-a-time scan could
+// observe half of a multi-stripe commit — its insert on a later stripe but not its insert
 // on an earlier one — with no violation to save it, since enumeration
 // takes no lock that such a commit sweeps until the keys are visited.
 func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
@@ -62,12 +62,9 @@ func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
 		return it
 	}
 	l := tm.local(tx)
-	tm.touchAll(tx, l)
 	//stmlint:ignore tx-escape iterator is per-transaction local state (Table 2) and documented not to outlive tx
 	it := &MapIterator[K, V]{tm: tm, tx: tx, l: l}
-	_ = tx.Open(func(o *stm.Tx) error {
-		tm.lockSpan(0, len(tm.stripes))
-		defer tm.unlockSpan(0, len(tm.stripes))
+	tm.section(tx, &l.footprint, 0, len(tm.stripes), DefaultOpCost, func() {
 		for _, st := range tm.stripes {
 			it.snapshot = append(it.snapshot, st.m.Keys()...)
 		}
@@ -80,9 +77,7 @@ func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
 				it.extras = append(it.extras, k)
 			}
 		}
-		return nil
 	})
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return it
 }
 
@@ -98,19 +93,15 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 		}
 		var val V
 		var live bool
-		st := tm.stripes[tm.StripeOf(k)]
-		_ = it.tx.Open(func(*stm.Tx) error {
-			st.guard.Lock()
-			defer st.guard.Unlock()
+		si := tm.StripeOf(k)
+		tm.section(it.tx, &l.footprint, si, si+1, DefaultOpCost, func() {
 			tm.lockKeyLocked(l, k)
 			if w, ok := l.storeBuffer[k]; ok {
 				val, live = w.val, !w.removed
 			} else {
-				val, live = st.m.Get(k)
+				val, live = tm.stripes[si].m.Get(k)
 			}
-			return nil
 		})
-		it.tx.Thread().Clock.Tick(DefaultOpCost)
 		if !live {
 			// Removed by another committed transaction since the
 			// snapshot; the key lock we now hold preserves the
@@ -126,13 +117,8 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 		if !ok || w.removed {
 			continue
 		}
-		st := tm.stripes[tm.StripeOf(k)]
-		_ = it.tx.Open(func(*stm.Tx) error {
-			st.guard.Lock()
-			defer st.guard.Unlock()
-			tm.lockKeyLocked(l, k)
-			return nil
-		})
+		si := tm.StripeOf(k)
+		tm.section(it.tx, &l.footprint, si, si+1, 0, func() { tm.lockKeyLocked(l, k) })
 		return k, w.val, true
 	}
 	var zk K
@@ -156,14 +142,12 @@ func (it *MapIterator[K, V]) HasNext() bool {
 	if !ok {
 		it.done = true
 		tm, l := it.tm, it.l
-		_ = it.tx.Open(func(*stm.Tx) error {
-			for _, st := range tm.stripes {
-				st.guard.Lock()
-				st.sizeLockers.Lock(l.h)
-				st.guard.Unlock()
+		tm.touchAll(it.tx, l)
+		open(it.tx, 0, func() {
+			for si, st := range tm.stripes {
+				tm.held(si, si+1, func() { st.sizeLockers.Lock(l.h) })
 			}
 			l.sizeLocked = true
-			return nil
 		})
 		return false
 	}

@@ -34,10 +34,8 @@ import (
 // consumers drain their own lane first and steal from the others only
 // when it is empty, so disjoint-lane traffic commits fully in
 // parallel. Observing *global* emptiness (null Poll/Peek) takes every
-// lane's empty lock, under every lane's guard (lockSpan, ascending
-// id order — deadlock-free against the commit protocol's sorted
-// footprint acquisition); with one lane the lane probe itself is that
-// observation.
+// lane's empty lock, in one section over every lane (stripeSet.section);
+// with one lane the lane probe itself is that observation.
 type TransactionalQueue[T any] struct {
 	// stripeSet holds the lanes' guards and footprint machinery; mask ==
 	// 0 means single-lane.
@@ -250,19 +248,14 @@ func (tq *TransactionalQueue[T]) frontLocked(l *queueLocal[T], li int, remove bo
 	return zero, false
 }
 
-// frontSpan is one open-nested probe of lanes [lo, hi), all their
-// guards held at once: the front element of the first lane that has one
-// or, when none does and lockIfEmpty is set, the empty lock of every
-// lane of the span taken under that same hold.
+// frontSpan is one section over lanes [lo, hi), all their guards held at
+// once: the front element of the first lane that has one or, when none
+// does and lockIfEmpty is set, the empty lock of every lane of the span
+// taken under that same hold.
 func (tq *TransactionalQueue[T]) frontSpan(tx *stm.Tx, l *queueLocal[T], lo, hi int, remove, lockIfEmpty bool) (T, bool) {
-	for li := lo; li < hi; li++ {
-		tq.touch(tx, &l.footprint, li)
-	}
 	var out T
 	var ok bool
-	_ = tx.Open(func(*stm.Tx) error {
-		tq.lockSpan(lo, hi)
-		defer tq.unlockSpan(lo, hi)
+	tq.section(tx, &l.footprint, lo, hi, DefaultOpCost, func() {
 		for li := lo; li < hi && !ok; li++ {
 			out, ok = tq.frontLocked(l, li, remove)
 		}
@@ -274,9 +267,7 @@ func (tq *TransactionalQueue[T]) frontSpan(tx *stm.Tx, l *queueLocal[T], lo, hi 
 				}
 			}
 		}
-		return nil
 	})
-	tx.Thread().Clock.Tick(DefaultOpCost)
 	return out, ok
 }
 
@@ -347,11 +338,11 @@ func (tq *TransactionalQueue[T]) Peek(tx *stm.Tx) (T, bool) {
 // CommittedSize returns the size of the committed queue, for inspection
 // after transactions have quiesced.
 func (tq *TransactionalQueue[T]) CommittedSize() int {
-	tq.lockSpan(0, len(tq.lanes))
-	defer tq.unlockSpan(0, len(tq.lanes))
 	n := 0
-	for _, ln := range tq.lanes {
-		n += ln.q.Size()
-	}
+	tq.held(0, len(tq.lanes), func() {
+		for _, ln := range tq.lanes {
+			n += ln.q.Size()
+		}
+	})
 	return n
 }

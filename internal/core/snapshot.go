@@ -8,11 +8,10 @@ package core
 // compensate. Instead every read-only operation is answered directly
 // from the committed structure under the stripe guard(s) it needs:
 //
-//   - Get/ContainsKey lock one stripe guard, read the committed shard,
-//     and unlock — no key lock, no open-nested child.
-//   - Size/IsEmpty/Iterator pin every stripe guard at once
-//     (lockSpan), so a whole-map answer can never observe half of a
-//     multi-stripe commit.
+//   - Get/ContainsKey hold one stripe guard and read the committed
+//     shard — no key lock, no open-nested child.
+//   - Size/IsEmpty/Iterator hold every stripe guard at once, so a
+//     whole-map answer can never observe half of a multi-stripe commit.
 //
 // Consistency caveat: unlike stm.Var reads — which the snapshot path
 // serializes at one read version via the per-var history chain — the
@@ -28,28 +27,26 @@ package core
 // lock-table traffic in exchange for per-operation (rather than
 // per-transaction) atomicity on collections.
 
-// Each answer below is one guard hold, released by defer (see stripeSize);
-// the caller charges the operation once the guards are free.
+// Each answer below is one guard hold (stripeSet.held); the caller charges
+// the operation once the guards are free.
 
 // snapshotGet answers Get for a snapshot transaction: the committed
 // mapping, read under k's stripe guard only.
-func (tm *TransactionalMap[K, V]) snapshotGet(k K) (V, bool) {
-	st := tm.stripes[tm.StripeOf(k)]
-	st.guard.Lock()
-	defer st.guard.Unlock()
-	return st.m.Get(k)
+func (tm *TransactionalMap[K, V]) snapshotGet(k K) (v V, ok bool) {
+	si := tm.StripeOf(k)
+	tm.held(si, si+1, func() { v, ok = tm.stripes[si].m.Get(k) })
+	return v, ok
 }
 
 // snapshotSize answers Size for a snapshot transaction: the committed
 // size summed with every stripe guard held, so a multi-stripe commit is
 // either fully counted or not at all.
-func (tm *TransactionalMap[K, V]) snapshotSize() int {
-	tm.lockSpan(0, len(tm.stripes))
-	defer tm.unlockSpan(0, len(tm.stripes))
-	n := 0
-	for _, st := range tm.stripes {
-		n += st.m.Size()
-	}
+func (tm *TransactionalMap[K, V]) snapshotSize() (n int) {
+	tm.held(0, len(tm.stripes), func() {
+		for _, st := range tm.stripes {
+			n += st.m.Size()
+		}
+	})
 	return n
 }
 
@@ -59,14 +56,14 @@ func (tm *TransactionalMap[K, V]) snapshotSize() int {
 // is one atomic view of the map (see the caveat above for sequences).
 func (tm *TransactionalMap[K, V]) snapshotIterator() *MapIterator[K, V] {
 	it := &MapIterator[K, V]{frozen: true}
-	tm.lockSpan(0, len(tm.stripes))
-	defer tm.unlockSpan(0, len(tm.stripes))
-	for _, st := range tm.stripes {
-		for _, k := range st.m.Keys() {
-			if v, ok := st.m.Get(k); ok {
-				it.entries = append(it.entries, mapEntry[K, V]{Key: k, Val: v})
+	tm.held(0, len(tm.stripes), func() {
+		for _, st := range tm.stripes {
+			for _, k := range st.m.Keys() {
+				if v, ok := st.m.Get(k); ok {
+					it.entries = append(it.entries, mapEntry[K, V]{Key: k, Val: v})
+				}
 			}
 		}
-	}
+	})
 	return it
 }

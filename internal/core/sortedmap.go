@@ -92,7 +92,7 @@ func (it *SortedIterator[K, V]) init(t *TransactionalSortedMap[K, V], tx *stm.Tx
 	// Creating the iterator is the operation that puts the map into the
 	// transaction: the handler pair registers now, ahead of any other
 	// collection the body uses before the first Next.
-	t.touch(tx, it.l, it.si)
+	t.touch(tx, &it.l.footprint, it.si)
 }
 
 // HasNext reports whether another entry exists in the view.

@@ -21,12 +21,9 @@ package core
 //   - Iterators own one widening entry per stripe entered, so a scan
 //     confined to one interval holds exactly one stripe's locks.
 //
-// Guards are only ever taken one at a time on the retry path (each
-// stripe probe is its own open-nested critical section), and in
-// ascending id order by lockSpan on the snapshot path, so every hold is
-// compatible with the commit protocol's sorted footprint acquisition.
-// Each stripe joins the transaction's guard footprint (touch) before
-// its probe, exactly like the hash-striped map.
+// Each stripe probe is its own one-stripe section (stripeSet.section), so
+// guards are only ever taken one at a time on the retry path; the
+// snapshot path holds a contiguous span at once (stripeSet.held).
 
 import (
 	"sort"
@@ -70,12 +67,12 @@ func NewRangeStripedTransactionalSortedMap[K comparable, V any](newShard func() 
 		boundaries:   bs,
 		rangeLockers: make([]*semlock.RangeTable[K], n),
 	}
-	for i, g := range t.guards {
+	for i := range t.stripes {
 		sm := first
 		if i > 0 {
 			sm = newShard()
 		}
-		t.stripes[i] = newMapStripe[K, V](g, sm)
+		t.stripes[i] = newMapStripe[K, V](sm)
 		ext.sms[i] = sm
 		ext.rangeLockers[i] = semlock.NewRangeTable[K](cmp)
 	}
@@ -209,9 +206,8 @@ func (t *TransactionalSortedMap[K, V]) snapshotRouted(tx *stm.Tx) bool {
 // walk finds the live key nearest *from in direction d (strict excludes
 // *from), or the map's first (last) key when from == nil, walking
 // interval stripes upward (downward). Each stripe probe is its own
-// open-nested critical section under that stripe's guard alone (touched
-// first, so the commit footprint is in place), and leaves a range-lock
-// entry in that stripe's table: the probed gap plus the result in the
+// section on that stripe alone, and leaves a range-lock entry in that
+// stripe's table: the probed gap plus the result in the
 // stripe that answers, the whole scanned interval in stripes observed
 // empty. A navigation query (from != nil) also key-locks its result —
 // CeilingKey(k) == k reads that key, so its value writer must conflict;
@@ -235,11 +231,7 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 	var res K
 	var found bool
 	for si := start; si >= 0 && si < len(t.stripes) && !found; si += int(d) {
-		si := si
-		st := t.touch(tx, l, si)
-		_ = tx.Open(func(*stm.Tx) error {
-			st.guard.Lock()
-			defer st.guard.Unlock()
+		t.section(tx, &l.footprint, si, si+1, DefaultOpCost, func() {
 			e := t.newRangeLock(l, si)
 			// The origin pins the bound the walk leaves behind (Lo going
 			// up, Hi going down); the result pins the other, inclusively.
@@ -266,9 +258,7 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 				}
 				res, found = r, true
 			}
-			return nil
 		})
-		tx.Thread().Clock.Tick(DefaultOpCost)
 	}
 	return res, found
 }
@@ -276,7 +266,7 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 // advance finds the next live merged key after it.last (or from it.lo),
 // locking and recording it: the scan owns one widening range-lock entry
 // in the stripe it is positioned in (it.lock, it.si) and probes that
-// stripe under its guard alone. Exhausting a stripe pins its entry to
+// stripe in a section of its own. Exhausting a stripe pins its entry to
 // the view bound (when the bound lies in that stripe) or extends it to
 // the stripe's upper edge and moves on.
 func (it *SortedIterator[K, V]) advance() (K, V, bool) {
@@ -287,10 +277,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 	found := false
 	for !found && it.si < n {
 		si := it.si
-		st := t.touch(it.tx, l, si)
-		_ = it.tx.Open(func(*stm.Tx) error {
-			st.guard.Lock()
-			defer st.guard.Unlock()
+		t.section(it.tx, &l.footprint, si, si+1, DefaultOpCost, func() {
 			e := it.lock
 			if e == nil {
 				e = t.newRangeLock(l, si)
@@ -320,7 +307,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 					v, _ := t.sorted.sms[si].Get(res)
 					outK, outV, found = res, v, true
 				}
-				return nil
+				return
 			}
 			// Stripe exhausted within the view.
 			if it.hi != nil && t.sorted.stripeFor(*it.hi) == si {
@@ -334,9 +321,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 				e.HiExcl = false
 				it.si, it.lock = si+1, nil
 			}
-			return nil
 		})
-		it.tx.Thread().Clock.Tick(DefaultOpCost)
 	}
 	return outK, outV, found
 }
@@ -353,13 +338,13 @@ func (t *TransactionalSortedMap[K, V]) snapshotWalk(d dir, start int, k *K, stri
 	}
 	var res K
 	var found bool
-	t.lockSpan(lo, hi)
-	defer t.unlockSpan(lo, hi) // seek runs the comparator, which may panic
-	for si := start; si >= lo && si < hi && !found; si += int(d) {
-		if si != start {
-			k = nil // later stripes are entered from their edge
+	t.held(lo, hi, func() {
+		for si := start; si >= lo && si < hi && !found; si += int(d) {
+			if si != start {
+				k = nil // later stripes are entered from their edge
+			}
+			res, found = seek(t.sorted.sms[si], d, k, strict)
 		}
-		res, found = seek(t.sorted.sms[si], d, k, strict)
-	}
+	})
 	return res, found
 }

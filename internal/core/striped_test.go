@@ -110,7 +110,7 @@ func TestStripedMapGuardLabels(t *testing.T) {
 	tm.SetName("hot")
 	for i := 0; i < 4; i++ {
 		want := "hot.stripe[" + []string{"0", "1", "2", "3"}[i] + "]"
-		if got := tm.stripes[i].guard.Label(); got != want {
+		if got := tm.guards[i].Label(); got != want {
 			t.Errorf("stripe %d label = %q, want %q", i, got, want)
 		}
 	}

@@ -18,12 +18,10 @@ import (
 type stripeSet struct {
 	// guards has power-of-two length in [1, maxStripes]; guard ids ascend
 	// in slice order (newStripeSet mints them in order), which is what
-	// lets lockSpan hold several at once without deadlocking against the
+	// lets held take several at once without deadlocking against the
 	// commit protocol's sorted footprint acquisition. guards[i] is fused
 	// with the mutex protecting partition i's slice of the wrapped
-	// structure and of the semantic-lock tables: open-nested critical
-	// sections on a partition are short and lock only its guard, playing
-	// the role of the paper's low-level open-nested transactions.
+	// structure and of the semantic-lock tables (see section).
 	guards []*stm.Guard
 	// mask is len(guards)-1; 0 means a single partition.
 	mask uint64
@@ -133,10 +131,9 @@ func (s *stripeSet) setName(name, kind string) {
 // touch adds partition i to the transaction's footprint: the first touch
 // of the instance registers the handler pair under guards[i], so the
 // footprint starts with the partition actually used; later ones widen
-// it. It must run before (not inside) the open-nested critical section
-// that locks the partition's guard: registration itself takes no lock,
-// and the footprint must be in place before the transaction can reach a
-// handler window that walks the partition.
+// it. Operations that only buffer (PutUnread, PutLane) call it directly;
+// every read of the wrapped structure goes through section, which owns
+// when it runs.
 func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
 	bit := uint64(1) << uint(i)
 	switch {
@@ -152,15 +149,67 @@ func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
 	f.touched |= bit
 }
 
-// lockSpan locks the guards of partitions [lo, hi), in ascending
-// guard-id order (slice order). Answers that need several partitions
-// pinned at once — whole-collection snapshots, global emptiness, a
-// snapshot-mode navigation query over a contiguous interval span — go
-// through it: a partition-at-a-time scan could see half of a
-// multi-partition commit, and the ascending order keeps the hold
-// compatible with the commit protocol's sorted footprint acquisition, so
-// it cannot deadlock. stmlint classifies a lockSpan call as opening a
-// commit-guard hold window.
+// section is the one way a collection enters partitions [lo, hi) on the
+// retry path — the paper's §5 rule that the wrapped structure is read only
+// inside an open-nested region that also takes the semantic locks
+// (DESIGN.md §4, "Open sections"): touch the span, then run fn as the body
+// of an open-nested child (open) with the span's guards held (held), and
+// charge cost once the child has committed and the guards are free.
+//
+// The touch runs before, not inside, the child: registration takes no
+// lock, and the footprint must be in place before the transaction can
+// reach a handler window that walks the partition. The guards are the
+// ones the instance's handlers are registered under, so what fn reads of
+// the lock tables and the structure is atomic with respect to commits;
+// what it publishes — a semantic lock, a dequeued element — is visible at
+// once, owned by the top-level transaction and compensated by the
+// footprint's abort handler. fn reads no Var: a short mutex section stands
+// in for the paper's low-level open-nested hardware transaction.
+//
+//stmlint:txbody
+//stmlint:window around
+func (s *stripeSet) section(tx *stm.Tx, f *footprint, lo, hi int, cost uint64, fn func()) {
+	for i := lo; i < hi; i++ {
+		s.touch(tx, f, i)
+	}
+	open(tx, cost, func() { s.held(lo, hi, fn) })
+}
+
+// open runs fn as an open-nested child of tx — the package's only tx.Open
+// — and charges cost cycles when the child has committed. A Clock must not
+// be ticked under a lock other workers share, so whatever fn locks it
+// releases before it returns; cost 0 makes no Clock call at all, because
+// on the simulator every Tick is a scheduling point.
+//
+//stmlint:txbody
+func open(tx *stm.Tx, cost uint64, fn func()) {
+	_ = tx.Open(func(*stm.Tx) error {
+		fn()
+		return nil
+	})
+	if cost != 0 {
+		tx.Thread().Clock.Tick(cost)
+	}
+}
+
+// held runs fn with the guards of partitions [lo, hi) held, released by
+// defer: fn calls into the wrapped structure, which runs user code that may
+// panic (a comparator, == on an interface key). An answer that must not
+// see half of a multi-partition commit — a whole-collection snapshot,
+// global emptiness, a navigation query over an interval span — passes the
+// whole span. A snapshot-mode answer, which takes no semantic lock and so
+// needs no child, calls held alone.
+//
+//stmlint:window around
+func (s *stripeSet) held(lo, hi int, fn func()) {
+	s.lockSpan(lo, hi)
+	defer s.unlockSpan(lo, hi)
+	fn()
+}
+
+// lockSpan locks the guards of partitions [lo, hi) in ascending guard-id
+// order (slice order), which keeps the hold compatible with the commit
+// protocol's sorted footprint acquisition: it cannot deadlock.
 //
 //stmlint:window open
 func (s *stripeSet) lockSpan(lo, hi int) {
@@ -169,8 +218,7 @@ func (s *stripeSet) lockSpan(lo, hi int) {
 	}
 }
 
-// unlockSpan unlocks the guards of partitions [lo, hi) (closing the hold
-// window).
+// unlockSpan unlocks the guards of partitions [lo, hi).
 //
 //stmlint:window close
 func (s *stripeSet) unlockSpan(lo, hi int) {

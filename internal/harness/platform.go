@@ -30,6 +30,20 @@ type Worker struct {
 	RNG *rand.Rand
 }
 
+// newWorker builds worker i of a run on clock: the thread and RNG seeds
+// every platform derives from its own seed, the worker's index as the
+// thread's TraceID (its affine queue lane) and the platform's protocol.
+func newWorker(i int, clock stm.Clock, seed int64, protocol string) *Worker {
+	w := &Worker{
+		Index:  i,
+		Thread: stm.NewThread(clock, seed<<8|int64(i)),
+		RNG:    rand.New(rand.NewSource(seed<<16 | int64(i+1))),
+	}
+	w.Thread.TraceID = i
+	setProtocol(w.Thread, protocol)
+	return w
+}
+
 // Compute charges pure computation time — the "surrounding computation"
 // of the paper's micro-benchmarks.
 func (w *Worker) Compute(cycles uint64) { w.Thread.Clock.Tick(cycles) }
@@ -80,13 +94,7 @@ func (p *SimPlatform) Run(workers int, body func(w *Worker)) Result {
 	var mu sync.Mutex
 	var agg stm.Stats
 	s.Run(func(cpu *sim.CPU) {
-		w := &Worker{
-			Index:  cpu.ID(),
-			Thread: stm.NewThread(cpu, p.Seed<<8|int64(cpu.ID())),
-			RNG:    rand.New(rand.NewSource(p.Seed<<16 | int64(cpu.ID()+1))),
-		}
-		w.Thread.TraceID = cpu.ID()
-		setProtocol(w.Thread, p.Protocol)
+		w := newWorker(cpu.ID(), cpu, p.Seed, p.Protocol)
 		body(w)
 		mu.Lock()
 		agg.Add(w.Thread.Stats)
@@ -115,9 +123,9 @@ type RealPlatform struct {
 	Protocol string
 }
 
-// setProtocol applies a platform's protocol selection to a freshly
-// created worker thread. An unknown name panics: a sweep comparing
-// protocols must not silently fall back to the default and report its
+// setProtocol applies a platform's protocol selection ("": the default)
+// to a freshly created worker thread. An unknown name panics: a sweep
+// comparing protocols must not silently fall back to the default and report its
 // numbers under the wrong label.
 func setProtocol(th *stm.Thread, proto string) {
 	if proto == "" {
@@ -139,13 +147,7 @@ func (p *RealPlatform) Run(workers int, body func(w *Worker)) Result {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := &Worker{
-				Index:  i,
-				Thread: stm.NewThread(&stm.RealClock{}, p.Seed<<8|int64(i)),
-				RNG:    rand.New(rand.NewSource(p.Seed<<16 | int64(i+1))),
-			}
-			w.Thread.TraceID = i
-			setProtocol(w.Thread, p.Protocol)
+			w := newWorker(i, &stm.RealClock{}, p.Seed, p.Protocol)
 			body(w)
 			mu.Lock()
 			agg.Add(w.Thread.Stats)

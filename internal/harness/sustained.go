@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"math/rand"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -66,12 +65,7 @@ func RunSustained(workers int, seed int64, stop <-chan struct{}) SustainedResult
 			if snapshotReads {
 				mode = "snapshot"
 			}
-			w := &Worker{
-				Index:  i,
-				Thread: stm.NewThread(&stm.RealClock{}, seed<<8|int64(i)),
-				RNG:    rand.New(rand.NewSource(seed<<16 | int64(i+1))),
-			}
-			w.Thread.TraceID = i
+			w := newWorker(i, &stm.RealClock{}, seed, "")
 			labels := pprof.Labels(
 				"workload", "sustained",
 				"collection", name,
