@@ -436,9 +436,19 @@ func (tm *TransactionalMap[K, V]) lockKeyLocked(l *mapLocal[K, V], k K) {
 // own buffered write if any, otherwise the committed value read under a
 // key lock inside an open-nested region (Table 2: get takes a "key lock
 // on argument").
+//
+// Inside AtomicRead, Get is the one core operation answered on the
+// snapshot path (DESIGN.md §4.4): the committed mapping, read under k's
+// stripe guard alone, with no key lock, no handler and no open-nested
+// child. Each such Get is atomic, but a sequence of them is not one cut
+// of the map — a commit may land between two. Every other operation
+// touches its stripes, which drops the transaction to the retry path.
 func (tm *TransactionalMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
 	if tx.IsSnapshot() {
-		v, ok := tm.snapshotGet(k)
+		var v V
+		var ok bool
+		si := tm.StripeOf(k)
+		tm.held(si, si+1, func() { v, ok = tm.stripes[si].m.Get(k) })
 		tx.Thread().Clock.Tick(DefaultOpCost)
 		return v, ok
 	}
@@ -609,11 +619,6 @@ func (tm *TransactionalMap[K, V]) deltaLocked(l *mapLocal[K, V]) int {
 // cannot commit (the same opacity-by-violation argument as the paper's
 // open-nested reads).
 func (tm *TransactionalMap[K, V]) Size(tx *stm.Tx) int {
-	if tx.IsSnapshot() {
-		n := tm.snapshotSize()
-		tx.Thread().Clock.Tick(DefaultOpCost)
-		return n
-	}
 	return tm.lockedSize(tx, false)
 }
 
@@ -657,7 +662,7 @@ func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, empty bool) int {
 // non-empty) but never missing a global transition, since a global flip
 // requires some stripe to flip.
 func (tm *TransactionalMap[K, V]) IsEmpty(tx *stm.Tx) bool {
-	if tm.isEmptyViaSize || tx.IsSnapshot() {
+	if tm.isEmptyViaSize {
 		return tm.Size(tx) == 0
 	}
 	return tm.lockedSize(tx, true) == 0

@@ -34,11 +34,6 @@ type MapIterator[K comparable, V any] struct {
 	pending    mapEntry[K, V]
 	hasPending bool
 	done       bool
-	// frozen marks a snapshot-mode iterator: entries holds the whole
-	// committed view captured at creation (snapshotIterator), tm/tx/l
-	// are nil, and enumeration takes no locks at all.
-	frozen  bool
-	entries []mapEntry[K, V]
 }
 
 // mapEntry is one key/value pair returned by an iterator.
@@ -56,11 +51,6 @@ type mapEntry[K comparable, V any] struct {
 // on an earlier one — with no violation to save it, since enumeration
 // takes no lock that such a commit sweeps until the keys are visited.
 func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
-	if tx.IsSnapshot() {
-		it := tm.snapshotIterator()
-		tx.Thread().Clock.Tick(DefaultOpCost)
-		return it
-	}
 	l := tm.local(tx)
 	//stmlint:ignore tx-escape iterator is per-transaction local state (Table 2) and documented not to outlive tx
 	it := &MapIterator[K, V]{tm: tm, tx: tx, l: l}
@@ -129,9 +119,6 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 // HasNext reports whether another entry exists; a false answer reveals
 // the map's size, so it takes the size lock.
 func (it *MapIterator[K, V]) HasNext() bool {
-	if it.frozen {
-		return it.i < len(it.entries)
-	}
 	if it.done {
 		return false
 	}
@@ -160,11 +147,6 @@ func (it *MapIterator[K, V]) HasNext() bool {
 func (it *MapIterator[K, V]) Next() (k K, v V, ok bool) {
 	if !it.HasNext() {
 		return k, v, false
-	}
-	if it.frozen {
-		e := it.entries[it.i]
-		it.i++
-		return e.Key, e.Val, true
 	}
 	it.hasPending = false
 	return it.pending.Key, it.pending.Val, true

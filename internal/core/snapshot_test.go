@@ -1,18 +1,19 @@
 package core
 
 import (
-	"sort"
+	"fmt"
 	"testing"
 
 	"tcc/internal/stm"
 )
 
-// Snapshot-reader matrix: the interleavings of tables_test.go with the
-// reader switched to the MVCC-lite snapshot path. Every cell that
-// conflicts on the retry path (reader aborted and re-executed) must
-// commute here — a snapshot reader takes no semantic locks, so there is
-// nothing for the writer's commit handler to violate, and the reader
-// completes in exactly one body execution with zero fallbacks.
+// Snapshot-reader matrix: the Get cells of tables_test.go with the
+// reader switched to the MVCC-lite snapshot path. Get is the one core
+// operation answered there; each cell that conflicts on the retry path
+// (reader aborted and re-executed) must commute here — a snapshot Get
+// takes no semantic lock, so there is nothing for the writer's commit
+// handler to violate, and the reader completes in exactly one body
+// execution with zero fallbacks.
 
 // runSnapshotInterleaved parks a snapshot reader mid-body, commits a
 // writer under it, and resumes the reader. It fails the test if the
@@ -52,8 +53,8 @@ func runSnapshotInterleaved(t *testing.T, setup, read, write func(tx *stm.Tx)) {
 	}
 }
 
-// TestSnapshotReaderMatrix re-runs the conflicting cells of Table 1
-// with a snapshot reader: every one commutes.
+// TestSnapshotReaderMatrix re-runs the conflicting Get cells of Table 1
+// with a snapshot reader: both commute.
 func TestSnapshotReaderMatrix(t *testing.T) {
 	seed := func(tm *TransactionalMap[int, int], pairs ...int) func(tx *stm.Tx) {
 		return func(tx *stm.Tx) {
@@ -83,102 +84,6 @@ func TestSnapshotReaderMatrix(t *testing.T) {
 			func(tx *stm.Tx) { tm.Remove(tx, 1) },
 		)
 	})
-	t.Run("size/put-new-key", func(t *testing.T) {
-		tm := newIntMap()
-		runSnapshotInterleaved(t,
-			seed(tm, 1, 1),
-			func(tx *stm.Tx) {
-				if n := tm.Size(tx); n != 1 {
-					t.Errorf("snapshot size = %d, want 1", n)
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 2, 2) },
-		)
-	})
-	t.Run("isEmpty/put-into-empty-map", func(t *testing.T) {
-		tm := newIntMap()
-		runSnapshotInterleaved(t,
-			nil,
-			func(tx *stm.Tx) {
-				if !tm.IsEmpty(tx) {
-					t.Error("fresh map not empty")
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 1, 1) },
-		)
-	})
-	t.Run("iterate-exhausted/put-new-key", func(t *testing.T) {
-		tm := newIntMap()
-		runSnapshotInterleaved(t,
-			seed(tm, 1, 1),
-			func(tx *stm.Tx) {
-				it := tm.Iterator(tx)
-				n := 0
-				for it.HasNext() {
-					it.Next()
-					n++
-				}
-				if n != 1 {
-					t.Errorf("snapshot iterator saw %d entries, want 1", n)
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 2, 2) },
-		)
-	})
-	t.Run("striped-size/put-new-key", func(t *testing.T) {
-		tm := newStripedIntMap(8)
-		runSnapshotInterleaved(t,
-			seed(tm, 1, 1, 2, 2, 3, 3),
-			func(tx *stm.Tx) {
-				if n := tm.Size(tx); n != 3 {
-					t.Errorf("snapshot size = %d, want 3", n)
-				}
-			},
-			func(tx *stm.Tx) { tm.Put(tx, 4, 4) },
-		)
-	})
-}
-
-// TestSnapshotIteratorFrozenView: the snapshot iterator's view is
-// captured whole at creation — entries committed mid-walk do not appear
-// and do not disturb the walk.
-func TestSnapshotIteratorFrozenView(t *testing.T) {
-	tm := newStripedIntMap(4)
-	th := stm.NewThread(&stm.RealClock{}, 1)
-	writer := stm.NewThread(&stm.RealClock{}, 2)
-	atomically(t, th, func(tx *stm.Tx) {
-		for i := 0; i < 10; i++ {
-			tm.Put(tx, i, i*10)
-		}
-	})
-	var keys []int
-	must(t, th.AtomicRead(func(tx *stm.Tx) error {
-		it := tm.Iterator(tx)
-		first := true
-		for {
-			k, v, ok := it.Next()
-			if !ok {
-				break
-			}
-			if first {
-				// A commit mid-walk must not leak into this view.
-				first = false
-				atomically(t, writer, func(wtx *stm.Tx) { tm.Put(wtx, 100, 1) })
-			}
-			if v != k*10 {
-				t.Errorf("entry (%d, %d) torn", k, v)
-			}
-			keys = append(keys, k)
-		}
-		return nil
-	}))
-	sort.Ints(keys)
-	if len(keys) != 10 || keys[0] != 0 || keys[9] != 9 {
-		t.Fatalf("frozen walk saw keys %v, want exactly 0..9", keys)
-	}
-	if th.Stats.SnapshotFallbacks != 0 {
-		t.Fatalf("iterator walk fell back: %+v", th.Stats)
-	}
 }
 
 // TestSnapshotFallbackOnCollectionWrite: a collection write inside
@@ -201,9 +106,10 @@ func TestSnapshotFallbackOnCollectionWrite(t *testing.T) {
 	})
 }
 
-// TestSnapshotReadStress: concurrent snapshot readers against a
-// committing writer on a striped map, under -race in CI. Readers check
-// the writer's pair invariant within one frozen iterator walk.
+// TestSnapshotReadStress: concurrent AtomicRead readers against a
+// committing writer on a striped map, under -race in CI. An iterator walk
+// falls back to the retry path once per reader transaction, and the
+// writer's pair invariant holds within the walk that commits.
 func TestSnapshotReadStress(t *testing.T) {
 	tm := newStripedIntMap(8)
 	th0 := stm.NewThread(&stm.RealClock{}, 0)
@@ -236,8 +142,9 @@ func TestSnapshotReadStress(t *testing.T) {
 		iters = 50
 	}
 	for i := 0; i < iters; i++ {
+		var got map[int]int
 		must(t, reader.AtomicRead(func(tx *stm.Tx) error {
-			got := map[int]int{}
+			got = map[int]int{}
 			it := tm.Iterator(tx)
 			for {
 				k, v, ok := it.Next()
@@ -246,58 +153,158 @@ func TestSnapshotReadStress(t *testing.T) {
 				}
 				got[k] = v
 			}
-			if got[0] != got[1] {
-				t.Errorf("frozen walk tore the pair: %v", got)
-			}
 			return nil
 		}))
+		if got[0] != got[1] {
+			t.Errorf("a committed walk tore the pair: %v", got)
+		}
 	}
 	close(stop)
 	<-writerDone
-	if reader.Stats.SnapshotFallbacks != 0 || reader.Stats.Aborts != 0 {
-		t.Fatalf("reader stats = %+v, want no fallbacks/aborts", reader.Stats)
+	if reader.Stats.SnapshotFallbacks != uint64(iters) || reader.Stats.SnapshotCommits != 0 {
+		t.Fatalf("reader stats = %+v, want %d fallbacks and no snapshot commit", reader.Stats, iters)
 	}
 }
 
-// TestSnapshotNavigationRouting pins the one layout-dependent branch the
-// stripe engine keeps (snapshotRouted): inside AtomicRead a range-striped
-// map answers navigation queries on the snapshot path, a single-stripe
-// map falls back to the retry path — once per transaction.
+// TestSnapshotNavigationRouting pins where each core read runs inside
+// AtomicRead: every operation but Get/ContainsKey — whole-map answers,
+// iterators, navigation and view scans — touches its stripes, falls back
+// to the retry path once, and answers under the semantic locks, whatever
+// the stripe layout.
 func TestSnapshotNavigationRouting(t *testing.T) {
-	type sm = *TransactionalSortedMap[int, int]
-	ops := []struct {
+	type (
+		tmap = *TransactionalMap[int, int]
+		smap = *TransactionalSortedMap[int, int]
+	)
+	// A layout yields the map under test and, for a sorted layout, the
+	// sorted map that embeds it.
+	type layout struct {
 		name string
-		run  func(tm sm, tx *stm.Tx) (int, bool)
-		want int
+		new  func() (tmap, smap)
+	}
+	var layouts []layout
+	for _, stripes := range []int{1, 8} {
+		layouts = append(layouts, layout{fmt.Sprintf("map%d", stripes), func() (tmap, smap) {
+			return newStripedIntMap(stripes), nil
+		}})
+	}
+	for _, ly := range sortedLayouts {
+		layouts = append(layouts, layout{ly.name, func() (tmap, smap) {
+			sm := ly.new()
+			return &sm.TransactionalMap, sm
+		}})
+	}
+	key := func(k int, ok bool) int {
+		if !ok {
+			return -1
+		}
+		return k
+	}
+	ops := []struct {
+		name   string
+		sorted bool // runs on sorted layouts only
+		run    func(tm tmap, sm smap, tx *stm.Tx) int
+		want   int
 	}{
-		{"firstKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.FirstKey(tx) }, 10},
-		{"lastKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.LastKey(tx) }, 30},
-		{"ceilingKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.CeilingKey(tx, 15) }, 30},
-		{"lowerKey", func(tm sm, tx *stm.Tx) (int, bool) { return tm.LowerKey(tx, 30) }, 10},
+		{"size", false, func(tm tmap, _ smap, tx *stm.Tx) int { return tm.Size(tx) }, 2},
+		{"isEmpty", false, func(tm tmap, _ smap, tx *stm.Tx) int {
+			if tm.IsEmpty(tx) {
+				return 1
+			}
+			return 0
+		}, 0},
+		{"iterate", false, func(tm tmap, _ smap, tx *stm.Tx) int {
+			sum := 0
+			for it := tm.Iterator(tx); it.HasNext(); {
+				k, _, _ := it.Next()
+				sum += k
+			}
+			return sum
+		}, 40},
+		{"firstKey", true, func(_ tmap, sm smap, tx *stm.Tx) int { return key(sm.FirstKey(tx)) }, 10},
+		{"lastKey", true, func(_ tmap, sm smap, tx *stm.Tx) int { return key(sm.LastKey(tx)) }, 30},
+		{"ceilingKey", true, func(_ tmap, sm smap, tx *stm.Tx) int { return key(sm.CeilingKey(tx, 15)) }, 30},
+		{"lowerKey", true, func(_ tmap, sm smap, tx *stm.Tx) int { return key(sm.LowerKey(tx, 30)) }, 10},
+		{"subMap", true, func(_ tmap, sm smap, tx *stm.Tx) int {
+			sum := 0
+			sm.SubMap(5, 35).ForEach(tx, func(k, _ int) bool { sum += k; return true })
+			return sum
+		}, 40},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			forEachSortedLayout(t, func(t *testing.T, tm sm) {
-				atomically(t, newTh(1), func(tx *stm.Tx) {
-					tm.Put(tx, 10, 10)
-					tm.Put(tx, 30, 30)
-				})
-				th := newTh(2)
-				must(t, th.AtomicRead(func(tx *stm.Tx) error {
-					if k, ok := op.run(tm, tx); !ok || k != op.want {
-						t.Errorf("answer = (%d,%v), want %d", k, ok, op.want)
-					}
-					return nil
-				}))
-				wantFallbacks := uint64(1)
-				if tm.Stripes() > 1 {
-					wantFallbacks = 0
+			for _, ly := range layouts {
+				tm, sm := ly.new()
+				if op.sorted && sm == nil {
+					continue
 				}
-				if th.Stats.SnapshotFallbacks != wantFallbacks {
-					t.Errorf("%d-stripe map: SnapshotFallbacks = %d, want %d",
-						tm.Stripes(), th.Stats.SnapshotFallbacks, wantFallbacks)
+				t.Run(ly.name, func(t *testing.T) {
+					atomically(t, newTh(1), func(tx *stm.Tx) {
+						tm.Put(tx, 10, 10)
+						tm.Put(tx, 30, 30)
+					})
+					th := newTh(2)
+					must(t, th.AtomicRead(func(tx *stm.Tx) error {
+						if got := op.run(tm, sm, tx); got != op.want {
+							t.Errorf("answer = %d, want %d", got, op.want)
+						}
+						return nil
+					}))
+					if th.Stats.SnapshotFallbacks != 1 || th.Stats.SnapshotCommits != 0 {
+						t.Errorf("%d-stripe map: stats = %+v, want 1 fallback and no snapshot commit",
+							tm.Stripes(), th.Stats)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestAtomicReadSizeThenIteratorAgree: two whole-map answers inside one
+// AtomicRead see one map. The reader parks between Size and an iterator
+// count while another thread commits an insert; the attempt that commits
+// must have counted the same number of entries both ways.
+func TestAtomicReadSizeThenIteratorAgree(t *testing.T) {
+	for _, proto := range stm.Protocols() {
+		for _, stripes := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/%d stripes", proto, stripes), func(t *testing.T) {
+				tm := newStripedIntMap(stripes)
+				reader, writer := newTh(1), newTh(2)
+				must(t, reader.SetProtocol(proto))
+				must(t, writer.SetProtocol(proto))
+				atomically(t, writer, func(tx *stm.Tx) { tm.Put(tx, 1, 1) })
+
+				parked := make(chan struct{})
+				release := make(chan struct{})
+				done := make(chan error, 1)
+				var size, walked int
+				go func() {
+					parkedOnce := false
+					done <- reader.AtomicRead(func(tx *stm.Tx) error {
+						size = tm.Size(tx)
+						if !parkedOnce {
+							parkedOnce = true
+							parked <- struct{}{}
+							<-release
+						}
+						walked = 0
+						for it := tm.Iterator(tx); it.HasNext(); it.Next() {
+							walked++
+						}
+						return nil
+					})
+				}()
+				<-parked
+				atomically(t, writer, func(tx *stm.Tx) { tm.Put(tx, 2, 2) })
+				close(release)
+				must(t, <-done)
+				if size != walked {
+					t.Fatalf("Size = %d but the iterator walked %d entries in the committed attempt", size, walked)
+				}
+				if size != 2 {
+					t.Fatalf("Size = %d after the insert committed, want 2", size)
 				}
 			})
-		})
+		}
 	}
 }

@@ -22,8 +22,7 @@ package core
 //     confined to one interval holds exactly one stripe's locks.
 //
 // Each stripe probe is its own one-stripe section (stripeSet.section), so
-// guards are only ever taken one at a time on the retry path; the
-// snapshot path holds a contiguous span at once (stripeSet.held).
+// a walk takes guards one at a time.
 
 import (
 	"sort"
@@ -192,17 +191,6 @@ func (t *TransactionalSortedMap[K, V]) mergedInStripe(l *mapLocal[K, V], si int,
 	return best, ok
 }
 
-// snapshotRouted is the one gate between the two ways a navigation query
-// runs inside AtomicRead: a range-striped map answers from the committed
-// shards under a guard span (snapshotWalk); a
-// single-stripe map has no such branch, so its walk's first touch drops
-// the transaction to the retry path (Stats.SnapshotFallbacks). Which of
-// the two survives is the history oracle's decision (ROADMAP aim 3), not
-// this file's.
-func (t *TransactionalSortedMap[K, V]) snapshotRouted(tx *stm.Tx) bool {
-	return t.mask != 0 && tx.IsSnapshot()
-}
-
 // walk finds the live key nearest *from in direction d (strict excludes
 // *from), or the map's first (last) key when from == nil, walking
 // interval stripes upward (downward). Each stripe probe is its own
@@ -221,11 +209,6 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 	}
 	if from != nil {
 		start = t.sorted.stripeFor(*from)
-	}
-	if t.snapshotRouted(tx) {
-		res, found := t.snapshotWalk(d, start, from, strict)
-		tx.Thread().Clock.Tick(DefaultOpCost)
-		return res, found
 	}
 	l := t.local(tx)
 	var res K
@@ -324,27 +307,4 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 		})
 	}
 	return outK, outV, found
-}
-
-// snapshotWalk answers walk for a snapshot transaction: the committed
-// answer, read with the guards of every stripe from start to the end of
-// the key space the walk heads for held at once (ascending, so the hold
-// is compatible with the commit protocol's sorted footprint
-// acquisition), so a multi-stripe commit is seen entirely or not at all.
-func (t *TransactionalSortedMap[K, V]) snapshotWalk(d dir, start int, k *K, strict bool) (K, bool) {
-	lo, hi := start, len(t.stripes)
-	if d == down {
-		lo, hi = 0, start+1
-	}
-	var res K
-	var found bool
-	t.held(lo, hi, func() {
-		for si := start; si >= lo && si < hi && !found; si += int(d) {
-			if si != start {
-				k = nil // later stripes are entered from their edge
-			}
-			res, found = seek(t.sorted.sms[si], d, k, strict)
-		}
-	})
-	return res, found
 }

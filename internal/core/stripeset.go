@@ -195,10 +195,9 @@ func open(tx *stm.Tx, cost uint64, fn func()) {
 // held runs fn with the guards of partitions [lo, hi) held, released by
 // defer: fn calls into the wrapped structure, which runs user code that may
 // panic (a comparator, == on an interface key). An answer that must not
-// see half of a multi-partition commit — a whole-collection snapshot,
-// global emptiness, a navigation query over an interval span — passes the
-// whole span. A snapshot-mode answer, which takes no semantic lock and so
-// needs no child, calls held alone.
+// see half of a multi-partition commit — an iterator's committed keys, a
+// queue's total — passes the whole span. A snapshot-mode Get, which takes
+// no semantic lock and so needs no child, calls held alone.
 //
 //stmlint:window around
 func (s *stripeSet) held(lo, hi int, fn func()) {

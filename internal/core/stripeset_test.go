@@ -133,7 +133,7 @@ func TestSectionContract(t *testing.T) {
 			lockers []sync.Locker
 			// fill commits what the operations then meet; ops runs every
 			// public operation, reads only those that stay on the snapshot
-			// path inside AtomicRead.
+			// path inside AtomicRead (Get and ContainsKey).
 			fill, ops, reads func(tx *stm.Tx)
 		}
 		fillMap := func(tm *TransactionalMap[int, int]) func(tx *stm.Tx) {
@@ -148,6 +148,14 @@ func TestSectionContract(t *testing.T) {
 				tm.Get(tx, 1)
 				tm.ContainsKey(tx, 2)
 				tm.GetOrDefault(tx, 99, 0)
+			}
+			ops = func(tx *stm.Tx) {
+				tm.Put(tx, 40, 40)
+				tm.PutUnread(tx, 41, 41)
+				tm.PutAll(tx, map[int]int{42: 42, 43: 43})
+				tm.Remove(tx, 1)
+				tm.RemoveUnread(tx, 2)
+				reads(tx)
 				tm.Size(tx)
 				tm.IsEmpty(tx)
 				for it := tm.Iterator(tx); it.HasNext(); {
@@ -157,14 +165,6 @@ func TestSectionContract(t *testing.T) {
 				tm.Keys(tx)
 				tm.Values(tx)
 				tm.Entries(tx)
-			}
-			ops = func(tx *stm.Tx) {
-				tm.Put(tx, 40, 40)
-				tm.PutUnread(tx, 41, 41)
-				tm.PutAll(tx, map[int]int{42: 42, 43: 43})
-				tm.Remove(tx, 1)
-				tm.RemoveUnread(tx, 2)
-				reads(tx)
 				tm.Clear(tx)
 			}
 			return ops, reads
@@ -201,7 +201,7 @@ func TestSectionContract(t *testing.T) {
 				mOps(tx)
 				nav(tx) // once more, over the buffered removals
 			}
-			return ops, func(tx *stm.Tx) { mReads(tx); nav(tx) }
+			return ops, mReads
 		}
 		queueOps := func(tq *TransactionalQueue[int]) func(tx *stm.Tx) {
 			return func(tx *stm.Tx) {
@@ -334,23 +334,37 @@ func TestSectionContract(t *testing.T) {
 // from growing back: outside their one home, the package's non-test files
 // neither call tx.Open, nor name the span sweep, nor lock a mutex — a guard
 // (the lock-table methods all take arguments; Lock() and Unlock() do not).
+// Nor does a snapshot-mode answer grow back beside its retry-path twin:
+// TransactionalMap.Get is the one branch on IsSnapshot.
 func TestOneOpenSection(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	must(t, err)
 	fset := token.NewFileSet()
-	opens := 0
+	opens, snapshots := 0, 0
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		if name == "snapshot.go" {
+			t.Errorf("%s exists; a snapshot answer lives on the operation it answers", name)
+		}
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		must(t, err)
+		var fn *ast.FuncDecl
 		ast.Inspect(f, func(n ast.Node) bool {
 			at := func() token.Position { return fset.Position(n.Pos()) }
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				fn = n
 			case *ast.Ident:
 				if (n.Name == "lockSpan" || n.Name == "unlockSpan") && name != "stripeset.go" {
 					t.Errorf("%s: %s outside stripeset.go; hold guards through stripeSet.held", at(), n.Name)
+				}
+				if n.Name == "IsSnapshot" {
+					snapshots++
+					if name != "map.go" || fn == nil || fn.Name.Name != "Get" {
+						t.Errorf("%s: IsSnapshot outside TransactionalMap.Get; only Get has a snapshot answer", at())
+					}
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -373,5 +387,8 @@ func TestOneOpenSection(t *testing.T) {
 	}
 	if opens != 1 {
 		t.Errorf("%d Open calls in the package, want the one in open", opens)
+	}
+	if snapshots != 1 {
+		t.Errorf("%d IsSnapshot references in the package, want the one in TransactionalMap.Get", snapshots)
 	}
 }

@@ -73,8 +73,8 @@ func TestPanicInWrappedStructureUnwinds(t *testing.T) {
 		}},
 	}
 	// The poison is armed between prep and do; atomicRead runs both inside
-	// AtomicRead (on a single stripe FirstKey falls back, and trips on the
-	// retry path, re-armed by the re-executed body).
+	// AtomicRead (every op but Get falls back, and trips on the retry path,
+	// re-armed by the re-executed body).
 	type sortedMap = TransactionalSortedMap[int, int]
 	ops := []struct {
 		name       string

@@ -369,9 +369,9 @@ func (tx *Tx) Handle() *Handle { return tx.handle }
 func (tx *Tx) Attempt() int { return tx.attempt }
 
 // IsSnapshot reports whether the top-level transaction is running in
-// snapshot (read-only) mode. Collections branch on it to take their
-// lock-free or lean read paths and to avoid registering handlers that
-// would force a fallback.
+// snapshot (read-only) mode. A collection branches on it only for a read
+// it can answer from committed state without registering a handler;
+// any registration falls the transaction back to the retry path.
 func (tx *Tx) IsSnapshot() bool { return tx.snapshot }
 
 // OnCommitGuarded registers fn to run if the transaction commits. The
