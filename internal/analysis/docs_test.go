@@ -160,11 +160,13 @@ func TestDocsNameExistingFiles(t *testing.T) {
 // API, so a PR that deletes a method cannot leave its ghost in the docs:
 // inside the backticks of README.md, DESIGN.md and EXPERIMENTS.md, every
 // `tx.X` and `Tx.X` names a field or method of stm.Tx, every `th.X` and
-// `Thread.X` one of stm.Thread, and every `stm.X` (`stm.X.Y`) a
-// package-level name (and its member) — resolved through the loader's
-// type information. After the variables `tx.` and `th.` and after `stm.`
-// only exported names are checked: lower-case ones there are event and
-// metric names (`tx.begin`, `stm.open_commits_per_tx`).
+// `Thread.X` one of stm.Thread, every `proto.X` a method of stm.Protocol,
+// and every `stm.X` (`stm.X.Y`) a package-level name (and its member) —
+// resolved through the loader's type information. After the variables
+// `tx.` and `th.` and after `stm.` only exported names are checked:
+// lower-case ones there are event and metric names (`tx.begin`,
+// `stm.open_commits_per_tx`). No event or metric is spelled `proto.`, so
+// there the unexported hooks are checked too.
 func TestDocsNameExistingAPI(t *testing.T) {
 	l := getLoader(t)
 	stm, err := l.Import(l.ModulePath + "/internal/stm")
@@ -180,8 +182,8 @@ func TestDocsNameExistingAPI(t *testing.T) {
 		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, stm, name)
 		return obj != nil
 	}
-	receivers := map[string]string{"tx": "Tx", "Tx": "Tx", "th": "Thread", "Thread": "Thread"}
-	name := regexp.MustCompile(`\b(tx|Tx|th|Thread|stm)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	receivers := map[string]string{"tx": "Tx", "Tx": "Tx", "th": "Thread", "Thread": "Thread", "proto": "Protocol"}
+	name := regexp.MustCompile(`\b(tx|Tx|th|Thread|stm|proto)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
 	checked := 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(filepath.Join(l.ModuleDir, doc))
@@ -214,7 +216,7 @@ func TestDocsNameExistingAPI(t *testing.T) {
 							continue
 						}
 						ok = stm.Scope().Lookup(m[2]) != nil && (m[3] == "" || member(m[2], m[3]))
-					case m[1] != typ && !ast.IsExported(m[2]):
+					case m[1] != typ && m[1] != "proto" && !ast.IsExported(m[2]):
 						continue
 					default:
 						ok = member(typ, m[2])

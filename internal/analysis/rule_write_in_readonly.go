@@ -23,11 +23,12 @@ import (
 //   - Lexically in the AtomicRead body itself, the fallback-forcing
 //     registrations too: Tx.Open, the four handler registrations
 //     (walk.go's handlerRegistrations), Tx.AddTopGuard. These are only
-//     flagged at the root — library code reached from a snapshot read
-//     (the internal/core collections in particular) branches on
-//     Tx.IsSnapshot before its registration paths, so a reachable
-//     registration is not evidence of a write the way a reachable
-//     Var.Set is.
+//     flagged at the root. internal/core's TransactionalMap.Get branches
+//     on Tx.IsSnapshot: its snapshot branch answers from committed state
+//     and registers nothing, its retry branch registers. A reachability
+//     search cannot tell the two branches apart, so a reachable
+//     registration is not evidence of a fallback the way a reachable
+//     Var.Set is of a write.
 //
 // Function literals that begin a *different* transaction (bodies of
 // Atomic/AtomicRead/Open/Nested) are not traversed: their writes

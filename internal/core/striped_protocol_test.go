@@ -8,7 +8,7 @@ import (
 )
 
 // TestStripedStructuresAcrossProtocols is the protocol-conformance
-// pass: every registered concurrency-control protocol must preserve the
+// pass: every listed concurrency-control protocol must preserve the
 // striped structures' invariants under concurrent mixed load (this file
 // runs under -race in verify.sh). Each worker hammers its own key
 // interval of a range-striped sorted map and its own lane of a

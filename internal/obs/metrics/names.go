@@ -21,13 +21,6 @@ const (
 	StmGuardWaits  = "tcc_stm_guard_waits_total"
 	StmGuardWaitNs = "tcc_stm_guard_wait_ns_total"
 
-	// Concurrency-control protocol plane (internal/stm): commits by
-	// protocol, and how many Threads are configured for each. Both
-	// carry a protocol label, so /metrics scrapes of a sweep run can
-	// tell configurations apart.
-	StmProtocolCommits = "tcc_stm_protocol_commits_total" // label: protocol
-	StmProtocolThreads = "tcc_stm_protocol_threads"       // label: protocol
-
 	// StmClock is the TL2 global version clock, as a gauge: its slope
 	// is the system-wide commit rate.
 	StmClock = "tcc_stm_clock"

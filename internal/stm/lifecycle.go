@@ -213,9 +213,6 @@ func (tx *Tx) edgeCommit() {
 	dur := since(t.Clock.Now(), tx.firstBirth)
 	if tx.mon {
 		mCommits.AddLane(t.TraceID, 1)
-		if t.protoCommits != nil {
-			t.protoCommits.AddLane(t.TraceID, 1)
-		}
 		if tx.snapshot {
 			mSnapCommits.AddLane(t.TraceID, 1)
 		}

@@ -7,6 +7,11 @@ package stm
 // teeth.)
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,9 +102,47 @@ func TestSampleSelfOwned(t *testing.T) {
 	th := NewThread(&RealClock{}, 1)
 	tx := &Tx{thread: th, handle: &Handle{}}
 	c.tryLock(tx.handle)
-	val, ver := c.sample(tx)
-	if val.(int) != 5 || ver != 0 {
-		t.Fatalf("self-owned sample = (%v, %d), want (5, 0)", val, ver)
+	box := c.sample(tx)
+	if box.val.(int) != 5 || box.ver != 0 {
+		t.Fatalf("self-owned sample = (%v, %d), want (5, 0)", box.val, box.ver)
+	}
+}
+
+// TestSpinWaitsAreBudgeted keeps every in-attempt wait bounded: a
+// spinWait call whose poll number is a literal never spends the budget,
+// so it waits for as long as the other transaction holds the word.
+func TestSpinWaitsAreBudgeted(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	calls := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 2 {
+				return true
+			}
+			if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "spinWait" {
+				return true
+			}
+			calls++
+			if _, lit := call.Args[1].(*ast.BasicLit); lit {
+				t.Errorf("%s: spinWait with a literal poll number waits without bound", fset.Position(call.Pos()))
+			}
+			return true
+		})
+	}
+	if calls == 0 {
+		t.Fatal("no spinWait call found: the test has rotted")
 	}
 }
 

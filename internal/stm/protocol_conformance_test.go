@@ -1,16 +1,19 @@
 package stm
 
-// Protocol conformance suite: every registered concurrency-control
+// Protocol conformance suite: every concurrency-control
 // protocol must pass the same serializability matrix — interleaved
 // cuts, torn-pair stress (run under -race by verify.sh), write skew,
 // nesting, open nesting, violations, and the snapshot-path fallbacks.
-// The suite iterates Protocols(), so a newly registered protocol gets
+// The suite iterates Protocols(), so a newly listed protocol gets
 // this coverage for free (and fails loudly until it earns it).
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // protoThread returns a worker on the real clock running the named
@@ -25,21 +28,8 @@ func protoThread(t testing.TB, name string, seed int64) *Thread {
 }
 
 func TestProtocolRegistry(t *testing.T) {
-	names := Protocols()
-	if len(names) < 3 {
-		t.Fatalf("Protocols() = %v, want at least tl2, norec, tl2-eager", names)
-	}
-	if names[0] != DefaultProtocol {
-		t.Fatalf("Protocols()[0] = %q, want default %q first", names[0], DefaultProtocol)
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-	}
-	for _, want := range []string{"tl2", "norec", "tl2-eager"} {
-		if !seen[want] {
-			t.Fatalf("protocol %q not registered (have %v)", want, names)
-		}
+	if got, want := Protocols(), []string{"tl2", "norec", "tl2-eager"}; !slices.Equal(got, want) {
+		t.Fatalf("Protocols() = %v, want %v", got, want)
 	}
 	th := newTestThread()
 	if th.Protocol() != DefaultProtocol {
@@ -808,5 +798,84 @@ func TestNOrecSequenceLockShape(t *testing.T) {
 	}
 	if got := norecSeq.Load(); got != after {
 		t.Fatalf("read-only commit moved the sequence lock %d→%d", after, got)
+	}
+}
+
+// TestNOrecWaitsAreBounded: a committer stalled on the sequence lock
+// holds no NOrec attempt forever. begin adopts the sequence without
+// waiting, a read's extension gives up after the spinWait budget and the
+// attempt retries; once the committer is gone the transaction commits.
+// Not parallel: it holds the process-wide sequence lock.
+func TestNOrecWaitsAreBounded(t *testing.T) {
+	th := protoThread(t, "norec", 1)
+	v := NewVar(1)
+	if norecSeq.Load()&1 != 0 {
+		t.Fatal("sequence lock odd at rest")
+	}
+	norecSeq.Add(1) // a committer stalled inside its window
+	var entered atomic.Int64
+	again := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- th.Atomic(func(tx *Tx) error {
+			if entered.Add(1) == 2 {
+				close(again)
+			}
+			_ = v.Get(tx)
+			return nil
+		})
+	}()
+	select {
+	case <-again:
+	case <-time.After(5 * time.Second):
+	}
+	n := entered.Load()
+	norecSeq.Add(^uint64(0)) // the committer gives up
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n < 2 {
+		t.Fatalf("body entered %d times in 5s under a held sequence lock, want at least 2", n)
+	}
+	if th.Stats.Aborts < 1 {
+		t.Fatalf("Aborts = %d, want at least 1", th.Stats.Aborts)
+	}
+}
+
+// TestNOrecNestedRetryReportsViolation: a violation that lands while a
+// nested retry waits out a held sequence lock ends the attempt as a
+// violation, not as an abort, once the extension runs out of budget.
+// Not parallel: it holds the process-wide sequence lock.
+func TestNOrecNestedRetryReportsViolation(t *testing.T) {
+	th := protoThread(t, "norec", 1)
+	v := NewVar(1)
+	if norecSeq.Load()&1 != 0 {
+		t.Fatal("sequence lock odd at rest")
+	}
+	held := false
+	release := func() {
+		if held {
+			norecSeq.Add(^uint64(0)) // the committer gives up
+			held = false
+		}
+	}
+	t.Cleanup(release)
+	MustAtomicT(t, th, func(tx *Tx) error {
+		release()
+		if tx.Attempt() > 0 {
+			return nil
+		}
+		return tx.Nested(func() error {
+			_ = v.Get(tx)
+			norecSeq.Add(1) // a committer stalled inside its window
+			held = true
+			tx.handle.Violate("violated during the wait")
+			tx.bail(sigRetry, "stale read")
+			return nil
+		})
+	})
+	if th.Stats.NestedRetries != 1 || th.Stats.Violations != 1 || th.Stats.Aborts != 0 {
+		t.Fatalf("NestedRetries, Violations, Aborts = %d, %d, %d, want 1, 1, 0",
+			th.Stats.NestedRetries, th.Stats.Violations, th.Stats.Aborts)
 	}
 }

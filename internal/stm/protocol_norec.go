@@ -26,8 +26,6 @@ import "sync/atomic"
 // only safe, as documented, for single-threaded setup.
 type norecProtocol struct{}
 
-var protoNOrec Protocol = registerProtocol(norecProtocol{})
-
 // norecSeq is the global sequence lock: even = free, odd = a writer is
 // committing. Read versions under NOrec are (even) values of this
 // sequence, not of the global clock.
@@ -35,58 +33,57 @@ var norecSeq atomic.Uint64
 
 func (norecProtocol) Name() string { return "norec" }
 
-// begin waits for a quiescent (even) sequence value and adopts it as
-// the attempt's read version.
-func (norecProtocol) begin(t *Thread) uint64 {
-	for {
-		s := norecSeq.Load()
-		if s&1 == 0 {
-			return s
-		}
-		spinWait(t.Clock, 0) // no budget: nothing to give up yet
-	}
-}
+// begin adopts the sequence value without waiting, rounded down to
+// even if a writer holds the lock: with nothing read yet there is
+// nothing to validate, and the first read or commit that finds the
+// sequence moved extends past the writer.
+func (norecProtocol) begin(t *Thread) uint64 { return norecSeq.Load() &^ 1 }
 
 // read loads the variable's current box — immutable, so one atomic
 // load yields a coherent (value, version) pair — and post-validates
 // against the sequence lock: if any writer committed since this
 // transaction's read version, every recorded value is re-compared and
-// the read version moves forward (or the attempt aborts).
+// the read version moves forward (or the attempt aborts, as a
+// violation if one landed during the wait).
 func (norecProtocol) read(tx *Tx, c *varCore) any {
 	box := c.val.Load()
 	for tx.readVersion != norecSeq.Load() {
-		if !norecExtend(tx) {
+		if !norecExtend(tx, causeStaleRead) {
+			tx.check()
 			tx.bail(sigRetry, "stale read")
 		}
 		box = c.val.Load()
 	}
-	tx.cur.reads.put(c, 0, box)
+	tx.cur.reads.put(c, box)
 	return box.val
 }
 
 // observeWrite does nothing: NOrec is lazy, like TL2.
 func (norecProtocol) observeWrite(tx *Tx, c *varCore) {}
 
-func (norecProtocol) extend(tx *Tx) bool { return norecExtend(tx) }
+func (norecProtocol) extend(tx *Tx) bool { return norecExtend(tx, causeStaleRead) }
 
-// norecExtend is NOrec value-based extension: wait for a quiescent
-// sequence value, re-compare every recorded read's current value with
-// its observed value, and re-check the sequence; on success the read
-// version moves to the validated sequence value. Called from read and
-// nested-retry contexts only — it may unwind via tx.check (violation),
-// so it must never run inside the commit window (norecValidate is the
-// in-window variant).
-func norecExtend(tx *Tx) bool {
-	for {
+// norecExtend is NOrec value-based extension: wait, within the spinWait
+// budget, for a quiescent sequence value, re-compare every recorded
+// read's current value with its observed value, and re-check the
+// sequence; on success the read version moves to the validated sequence
+// value. A changed value is attributed to cause, a writer that sits on
+// the sequence lock past the budget to causeCommitLock. It never
+// unwinds — a pending violation is left for the caller's check or the
+// toPrepared CAS — so norecSeqAcquire runs it inside the commit window.
+func norecExtend(tx *Tx, cause string) bool {
+	for spin := 0; ; spin++ {
 		s := norecSeq.Load()
 		if s&1 != 0 {
-			tx.check()
-			spinWait(tx.thread.Clock, 0) // no budget: only a violation ends it
+			if !spinWait(tx.thread.Clock, spin) {
+				tx.noteConflict(nil, nil, causeCommitLock)
+				return false
+			}
 			continue
 		}
 		for l := tx.cur; l != nil; l = l.parent {
 			if c := l.reads.firstChangedValue(); c != nil {
-				tx.noteConflict(c, nil, causeStaleRead)
+				tx.noteConflict(c, nil, cause)
 				return false
 			}
 		}
@@ -102,8 +99,8 @@ func norecExtend(tx *Tx) bool {
 // sequence when it happened, so the transaction serializes at its read
 // version. Writers acquire the sequence lock by CAS(readVersion →
 // readVersion+1); a failed CAS means some writer committed since the
-// last validation, so the read set is revalidated by value (in-window
-// variant, no unwinding) and the CAS retried at the newer sequence.
+// last validation, so the read set is revalidated by value and the CAS
+// retried at the newer sequence.
 // Once the lock is held no concurrent writer exists, so the held
 // window only needs the per-Var installs — done through the lockwords,
 // before the global-clock tick, to keep snapshot readers safe.
@@ -141,7 +138,7 @@ func (norecProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 //stmlint:window open
 func norecSeqAcquire(tx *Tx) bool {
 	for !norecSeq.CompareAndSwap(tx.readVersion, tx.readVersion+1) {
-		if !norecValidate(tx) {
+		if !norecExtend(tx, causeCommitStale) {
 			return false
 		}
 	}
@@ -158,37 +155,6 @@ func norecSeqRelease(s uint64) {
 	norecSeq.Store(s)
 }
 
-// norecValidate is norecExtend without unwinding, for the commit
-// window: a pending violation is left for the toPrepared CAS (or the
-// next attempt's check) to observe, and a writer that sits on the
-// sequence lock past the spin budget fails the commit instead of
-// blocking forever.
-func norecValidate(tx *Tx) bool {
-	for spin := 0; ; spin++ {
-		s := norecSeq.Load()
-		if s&1 != 0 {
-			if !spinWait(tx.thread.Clock, spin) {
-				tx.noteConflict(nil, nil, causeCommitLock)
-				return false
-			}
-			continue
-		}
-		for l := tx.cur; l != nil; l = l.parent {
-			if c := l.reads.firstChangedValue(); c != nil {
-				tx.noteConflict(c, nil, causeCommitStale)
-				return false
-			}
-		}
-		if norecSeq.Load() == s {
-			tx.readVersion = s
-			return true
-		}
-	}
-}
-
-func (norecProtocol) abandon(tx *Tx)                {}
-func (norecProtocol) abandonLevel(tx *Tx, l *level) {}
-
 // firstChangedValue returns the first recorded read whose current
 // committed value differs from the observed one (nil if none) — the
 // value-based validation predicate. Box pointer equality is the fast
@@ -201,8 +167,8 @@ func (s *readSet) firstChangedValue() *varCore {
 			return e.c
 		}
 	}
-	for c, ev := range s.spill {
-		if cur := c.val.Load(); cur != ev.box && !valuesEqual(cur.val, ev.box.val) {
+	for c, box := range s.spill {
+		if cur := c.val.Load(); cur != box && !valuesEqual(cur.val, box.val) {
 			return c
 		}
 	}

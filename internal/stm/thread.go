@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"tcc/internal/obs"
-	"tcc/internal/obs/metrics"
 )
 
 // Stats counts transactional events on one worker. Harnesses aggregate
@@ -115,10 +114,7 @@ type Thread struct {
 	inTx bool
 	// proto is the worker's concurrency-control protocol (see Protocol);
 	// NewThread starts on the TL2 default and SetProtocol switches it.
-	// protoCommits caches the protocol's labeled commit counter so the
-	// commit path never touches the registry maps.
-	proto        Protocol
-	protoCommits *metrics.Counter
+	proto Protocol
 	// deferred accumulates cycles charged by commit/abort handlers via
 	// DeferTick; they are flushed to the Clock once the commit guard is
 	// released.
@@ -173,15 +169,9 @@ func (t *Thread) SetAttachment(key, val any) {
 // backoff RNG seeded by seed. The worker starts on the default (TL2)
 // concurrency-control protocol; see SetProtocol.
 func NewThread(clock Clock, seed int64) *Thread {
-	t := &Thread{
-		Clock:        clock,
-		seed:         seed,
-		proto:        protocolRegistry[DefaultProtocol],
-		protoCommits: protoCommitCounters[DefaultProtocol],
-	}
+	t := &Thread{Clock: clock, seed: seed, proto: protocols[0]}
 	t.tx.thread = t
-	t.Stats.Protocol = DefaultProtocol
-	protoThreadCounts[DefaultProtocol].Add(1)
+	t.Stats.Protocol = t.proto.Name()
 	return t
 }
 
@@ -435,9 +425,9 @@ func (tx *Tx) Open(fn func(o *Tx) error) error {
 			outer.onAbort = append(outer.onAbort, child.onAbort...)
 			tx.edgeOpenCommit(child)
 		}
-		// What the protocol held only for the child goes with it (after a
-		// commit the install released it; this clears the tracking).
-		t.proto.abandonLevel(tx, child)
+		// The eager lockwords held only for the child go with it (after a
+		// commit the install released them; this clears the tracking).
+		tx.releaseLevelLocks(child)
 		t.putLevel(child)
 		switch {
 		case committed:

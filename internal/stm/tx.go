@@ -79,58 +79,48 @@ type registration struct {
 // head, a size field, a counter), so the common case allocates nothing.
 const inlineSet = 8
 
-// readEvidence is what one sampled read recorded for later validation.
-// Version-validating protocols (TL2 and its eager variant) record the
-// observed lockword version; the value-validating protocol (NOrec)
-// records the observed value box instead. Exactly one of the two is
-// meaningful per protocol.
-type readEvidence struct {
-	ver uint64
+// readEntry records one sampled read: the variable and the committed
+// value box the transaction observed. Version-validating protocols (TL2
+// and its eager variant) compare the box's version with the lockword;
+// the value-validating protocol (NOrec) compares its value.
+type readEntry struct {
+	c   *varCore
 	box *valBox
 }
 
-// readEntry records one sampled read: the variable and the evidence the
-// transaction observed.
-type readEntry struct {
-	c *varCore
-	readEvidence
-}
-
-// readSet is a small-size-optimized map from varCore to observed
-// evidence: the first inlineSet distinct vars live in an inline array,
-// the rest spill to a lazily allocated map. Entries are deduplicated by
-// core (matching the previous map semantics: re-reading a var
-// overwrites its recorded evidence).
+// readSet is a small-size-optimized map from varCore to observed box:
+// the first inlineSet distinct vars live in an inline array, the rest
+// spill to a lazily allocated map. Entries are deduplicated by core
+// (re-reading a var overwrites its recorded box).
 type readSet struct {
 	n      int // entries used in inline
 	inline [inlineSet]readEntry
-	spill  map[*varCore]readEvidence
+	spill  map[*varCore]*valBox
 }
 
-// put records (c, ver, box), overwriting any existing entry for c.
-func (s *readSet) put(c *varCore, ver uint64, box *valBox) {
-	ev := readEvidence{ver, box}
+// put records (c, box), overwriting any existing entry for c.
+func (s *readSet) put(c *varCore, box *valBox) {
 	for i := 0; i < s.n; i++ {
 		if s.inline[i].c == c {
-			s.inline[i].readEvidence = ev
+			s.inline[i].box = box
 			return
 		}
 	}
 	if s.spill != nil {
 		if _, ok := s.spill[c]; ok {
-			s.spill[c] = ev
+			s.spill[c] = box
 			return
 		}
 	}
 	if s.n < inlineSet {
-		s.inline[s.n] = readEntry{c, ev}
+		s.inline[s.n] = readEntry{c, box}
 		s.n++
 		return
 	}
 	if s.spill == nil {
-		s.spill = make(map[*varCore]readEvidence)
+		s.spill = make(map[*varCore]*valBox)
 	}
-	s.spill[c] = ev
+	s.spill[c] = box
 }
 
 // has reports whether c has a recorded read.
@@ -156,13 +146,13 @@ func (s *readSet) len() int { return s.n + len(s.spill) }
 func (s *readSet) firstInvalid(self *Handle) *varCore {
 	for i := 0; i < s.n; i++ {
 		cur, lockedByOther := s.inline[i].c.peek(self)
-		if lockedByOther || cur != s.inline[i].ver {
+		if lockedByOther || cur != s.inline[i].box.ver {
 			return s.inline[i].c
 		}
 	}
-	for c, ev := range s.spill {
+	for c, box := range s.spill {
 		cur, lockedByOther := c.peek(self)
-		if lockedByOther || cur != ev.ver {
+		if lockedByOther || cur != box.ver {
 			return c
 		}
 	}
@@ -306,14 +296,16 @@ type Tx struct {
 	handle *Handle
 	// readVersion is the read point of the level chain in force, in
 	// whatever space the active protocol's begin hook samples (TL2: the
-	// global version clock; NOrec: the commit sequence lock); Open
+	// global version clock; NOrec: the commit sequence lock, even, and
+	// possibly already passed by a writer that held it at begin); Open
 	// samples a newer one for each attempt of its child. A pure snapshot
 	// attempt never calls the hook: its read point is the global clock
 	// under every protocol, the space readAt compares versions in.
 	readVersion uint64
 	// eagerLocks tracks the lockwords the attempt acquired at Set time, at
-	// any depth, under an encounter-time protocol, for release on
-	// rollback. Empty under lazy protocols.
+	// any depth, under tl2-eager, for releaseEagerLocks and
+	// releaseLevelLocks to release on rollback. Always empty under tl2 and
+	// norec, which makes both calls no-ops there.
 	eagerLocks []*varCore
 	cur        *level
 	// attempt counts restarts, feeding the contention manager's backoff.
@@ -508,9 +500,9 @@ func (tx *Tx) Nested(fn func() error) error {
 			t.putLevel(child)
 			return nil
 		}
-		// The child level is rolled back, whatever ended it: release what
-		// the protocol held only for it, compensate, recycle.
-		t.proto.abandonLevel(tx, child)
+		// The child level is rolled back, whatever ended it: release the
+		// eager lockwords held only for it, compensate, recycle.
+		tx.releaseLevelLocks(child)
 		panicked := tx.compensate(child, child.parent)
 		t.putLevel(child)
 		if panicked != nil {
@@ -529,6 +521,7 @@ func (tx *Tx) Nested(fn func() error) error {
 		// commit; otherwise an enclosing read is stale and everything restarts.
 		tx.edgeNestedRetry()
 		if !t.proto.extend(tx) {
+			tx.check() // a violation that landed during the wait wins
 			panic(sig)
 		}
 		tx.stall(childAttempt)
@@ -542,12 +535,12 @@ func (child *level) mergeInto(parent *level) {
 	for i := 0; i < child.reads.n; i++ {
 		e := child.reads.inline[i]
 		if !parent.reads.has(e.c) {
-			parent.reads.put(e.c, e.ver, e.box)
+			parent.reads.put(e.c, e.box)
 		}
 	}
-	for c, ev := range child.reads.spill {
+	for c, box := range child.reads.spill {
 		if !parent.reads.has(c) {
-			parent.reads.put(c, ev.ver, ev.box)
+			parent.reads.put(c, box)
 		}
 	}
 	for i := 0; i < child.writes.n; i++ {
@@ -740,9 +733,9 @@ func (tx *Tx) rollback(kind obs.Kind, reason string) {
 	if !tx.snapshot {
 		tx.handle.setAborted()
 		t := tx.thread
-		// Release what the protocol still holds for the attempt (eager
-		// lockwords) before blocking on the abort-guard footprint.
-		t.proto.abandon(tx)
+		// Release the attempt's eager lockwords before blocking on the
+		// abort-guard footprint.
+		tx.releaseEagerLocks()
 		panicked = tx.compensate(tx.cur, nil)
 		tx.tick(CostAbort)
 		t.flushDeferred()

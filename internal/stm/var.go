@@ -112,8 +112,9 @@ func (c *varCore) displayLabel() string {
 // spinWait is the one way an attempt waits on a word another transaction
 // holds (a lockword mid-install, NOrec's sequence lock mid-commit): poll
 // number spin, from 0, waits spinCycles and reports true; with spinBudget
-// polls spent it reports false at once and the caller gives up. The two
-// callers that pass a constant 0 wait without bound (ROADMAP item 1).
+// polls spent it reports false at once and the caller gives up. Every
+// caller counts its polls, so no wait is unbounded
+// (TestSpinWaitsAreBudgeted).
 const spinBudget, spinCycles = 64, 4
 
 func spinWait(clock Clock, spin int) bool {
@@ -124,19 +125,20 @@ func spinWait(clock Clock, spin int) bool {
 	return true
 }
 
-// sample returns a consistent (value, version) pair without taking any
-// lock: load the word, load the value box, and re-load the word. If the
-// two word loads agree and the word is unlocked, no install completed in
-// between (versions are monotonic, so the word cannot ABA), hence the
-// box belongs to exactly that version. While another transaction is
-// mid-install the reader spins in virtual time and eventually bails.
-func (c *varCore) sample(tx *Tx) (any, uint64) {
+// sample returns the committed box of c without taking any lock: load
+// the word, load the value box, and re-load the word. If the two word
+// loads agree and the word is unlocked, no install completed in between
+// (versions are monotonic, so the word cannot ABA), hence the box is the
+// one installed at that version: its ver is the sampled version. While
+// another transaction is mid-install the reader spins in virtual time
+// and eventually bails.
+func (c *varCore) sample(tx *Tx) *valBox {
 	for spin := 0; ; spin++ {
 		w := c.word.Load()
 		if !wordLocked(w) {
-			val := c.val.Load().val
+			box := c.val.Load()
 			if c.word.Load() == w {
-				return val, wordVersion(w)
+				return box
 			}
 			// An install completed between the two word loads; the box
 			// may not match the sampled version. Re-sample.
@@ -144,8 +146,8 @@ func (c *varCore) sample(tx *Tx) (any, uint64) {
 		}
 		if c.owner.Load() == tx.handle {
 			// Locked by this transaction's own commit machinery; the
-			// current box and version bits are still ours to read.
-			return c.val.Load().val, wordVersion(w)
+			// current box is still the one at the word's version.
+			return c.val.Load()
 		}
 		tx.check()
 		if !spinWait(tx.thread.Clock, spin) {
