@@ -156,6 +156,48 @@ func TestDocsNameExistingFiles(t *testing.T) {
 	}
 }
 
+// TestChangesEntriesAreShort holds CHANGES.md to its cap: an entry
+// headed `PR N:` with N >= 29 has at most 250 words outside fenced
+// blocks (its result tables). An entry runs to the next `PR N:` line.
+// Earlier entries predate the cap and are not checked.
+func TestChangesEntriesAreShort(t *testing.T) {
+	const firstCapped, maxWords = 29, 250
+	data, err := os.ReadFile(filepath.Join(getLoader(t).ModuleDir, "CHANGES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile(`^PR (\d+):`)
+	pr, words, fenced := 0, 0, false
+	check := func() {
+		if pr >= firstCapped && words > maxWords {
+			t.Errorf("CHANGES.md: the PR %d entry has %d words outside fenced blocks, want at most %d", pr, words, maxWords)
+		}
+	}
+	checked := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		if m := head.FindStringSubmatch(line); m != nil {
+			check()
+			pr, _ = strconv.Atoi(m[1])
+			words = 0
+			if pr >= firstCapped {
+				checked++
+			}
+		}
+		words += len(strings.Fields(line))
+	}
+	check()
+	if checked == 0 {
+		t.Fatalf("CHANGES.md has no entry headed `PR N:` with N >= %d", firstCapped)
+	}
+}
+
 // TestDocsNameExistingAPI keeps the prose honest about internal/stm's
 // API, so a PR that deletes a method cannot leave its ghost in the docs:
 // inside the backticks of README.md, DESIGN.md and EXPERIMENTS.md, every

@@ -13,17 +13,20 @@ import (
 // the retry loop: a steady-state transaction on a warm thread allocates
 // its Handle and what the wrapped structure itself allocates, and nothing
 // for the wrapper — the transaction-locals (mapLocal, queueLocal,
-// counterLocal) with their containers and handlers, the key-lock entries
-// and the range entries are all recycled (DESIGN.md §4.6), and a sorted
-// scan's iterator stays on the stack. Each count is the exact steady
-// state, so one object more is a failure (a one-Get transaction going
-// from 1 to 2 doubles map-long's allocs_per_tx); the closures handed to
-// Atomic are built once, outside the measured run, so the numbers are the
-// wrapper's. Every count holds for the 1-partition and the striped
-// layout alike: one partition is the degenerate case, not a second path.
-// Before the recycling the same transactions cost 11 (Get), 29 (Put then
-// Remove), 30 (8 operations), 13 (sorted Get), 61 (scan), 11 (Poll, Put,
-// Counter.Add), 7 (Poll) and 3 (Counter.Add) objects.
+// counterLocal) with their containers and handlers, the sorted map's
+// buffer index, the key-lock entries and the range entries are all
+// recycled (DESIGN.md §4.6); a sorted view is a value and a scan's
+// iterator stays on the stack. Each count is the exact steady state, so
+// one object more is a failure (a one-Get transaction going from 1 to 2
+// doubles map-long's allocs_per_tx); the closures handed to Atomic are
+// built once, outside the measured run, so the numbers are the wrapper's.
+// Every count holds for the 1-partition and the striped layout alike:
+// one partition is the degenerate case, not a second path. Before the
+// recycling the same transactions cost 11 (Get), 29 (Put then Remove),
+// 30 (8 operations), 13 (sorted Get), 61 (scan), 11 (Poll, Put,
+// Counter.Add), 7 (Poll) and 3 (Counter.Add) objects; while the buffer
+// index was a tree and the view a pointer, 5 (sorted Put then Remove), 5
+// (sorted-scan body) and 2 (scan).
 
 const allocKeys = 1024
 
@@ -109,7 +112,10 @@ func TestSortedMapAllocationGuardrails(t *testing.T) {
 			th := newTh(1)
 			fillEven(t, th, &tm.TransactionalMap)
 			i := 0
+			odd := func(i int) int { return (2*i + 1) % allocKeys } // absent keys
 			get := func(tx *stm.Tx) error { tm.Get(tx, i%allocKeys); return nil }
+			put := func(tx *stm.Tx) error { tm.Put(tx, odd(i), i); return nil }
+			remove := func(tx *stm.Tx) error { tm.Remove(tx, odd(i)); return nil }
 			scanned := 0
 			visit := func(int, int) bool { scanned++; return true }
 			scan := func(tx *stm.Tx) error {
@@ -117,10 +123,32 @@ func TestSortedMapAllocationGuardrails(t *testing.T) {
 				tm.SubMap(lo, lo+32).ForEach(tx, visit) // 16 present keys
 				return nil
 			}
+			skip := func(int, int) bool { return true }
+			// bench's sorted-scan body. The Remove takes out what the
+			// previous run's Put inserted.
+			body := func(tx *stm.Tx) error {
+				tm.Get(tx, (i*7)%allocKeys)
+				tm.CeilingKey(tx, (i*131)%allocKeys)
+				tm.Put(tx, odd(i), i)
+				tm.Remove(tx, odd(i-1))
+				lo := (i * 37) % (allocKeys - 32)
+				tm.SubMap(lo, lo+32).ForEach(tx, skip)
+				return nil
+			}
 			assertAllocs(t, "sorted one-Get transaction", 1, func() { i++; _ = th.Atomic(get) })
-			// The handle and the view, which holds its bounds; the iterator
-			// stays on ForEach's stack: nothing per scan loop or scanned key.
-			assertAllocs(t, "16-key SubMap scan", 2, func() { i++; _ = th.Atomic(scan) })
+			// Two handles and the tree's node: the buffer index keeps its
+			// array between transactions.
+			assertAllocs(t, "sorted Put then Remove transactions", 3, func() {
+				i++
+				_ = th.Atomic(put)
+				_ = th.Atomic(remove)
+			})
+			// The handle. The view is a value and the iterator stays on
+			// ForEach's stack: nothing per scan loop or scanned key.
+			assertAllocs(t, "16-key SubMap scan", 1, func() { i++; _ = th.Atomic(scan) })
+			// The handle and the tree's node. Last: it leaves one odd key
+			// behind, which the scan above would count.
+			assertAllocs(t, "sorted-scan body", 2, func() { i++; _ = th.Atomic(body) })
 			if scanned == 0 || scanned%16 != 0 {
 				t.Fatalf("scans visited %d keys, want 16 each", scanned)
 			}

@@ -67,6 +67,7 @@ package core
 
 import (
 	"hash/maphash"
+	"slices"
 
 	"tcc/internal/collections"
 	"tcc/internal/semlock"
@@ -146,17 +147,27 @@ type mapLocal[K comparable, V any] struct {
 	spareRanges []*rangeLock[K]
 	storeBuffer map[K]mapWrite[V]
 	// sortedKeys is Table 6's sortedStoreBuffer: for sorted maps, the
-	// buffered keys in comparator order, so iterators and navigation
-	// queries enumerate local changes ordered instead of scanning the
-	// buffer (values and removal markers stay in storeBuffer).
-	sortedKeys *collections.TreeMap[K, struct{}]
+	// keys of storeBuffer in comparator order, so iterators and
+	// navigation queries enumerate local changes ordered instead of
+	// scanning the buffer (values and removal markers stay in
+	// storeBuffer). A sorted slice, recycled with the local: buffering
+	// in ascending order, as bulk loads do, is an append.
+	sortedKeys []K
 }
 
-// bufferKey records k in the buffer index (no-op for unsorted maps).
-func (l *mapLocal[K, V]) bufferKey(k K) {
-	if l.sortedKeys != nil {
-		l.sortedKeys.Put(k, struct{}{})
+// bufferKey records k, which storeBuffer has just gained, in the buffer
+// index (no-op for unsorted maps).
+func (tm *TransactionalMap[K, V]) bufferKey(l *mapLocal[K, V], k K) {
+	if tm.sorted == nil {
+		return
 	}
+	cmp := tm.sorted.cmp
+	if n := len(l.sortedKeys); n == 0 || cmp(l.sortedKeys[n-1], k) < 0 {
+		l.sortedKeys = append(l.sortedKeys, k)
+		return
+	}
+	i, _ := slices.BinarySearchFunc(l.sortedKeys, k, cmp)
+	l.sortedKeys = slices.Insert(l.sortedKeys, i, k)
 }
 
 // rangeLock is one range lock a transaction holds: the entry published
@@ -398,9 +409,6 @@ func (tm *TransactionalMap[K, V]) newLocal(th *stm.Thread) *mapLocal[K, V] {
 		keyLocks:    make(map[K]struct{}),
 		storeBuffer: make(map[K]mapWrite[V]),
 	}
-	if tm.sorted != nil {
-		l.sortedKeys = collections.NewTreeMapFunc[K, struct{}](tm.sorted.cmp)
-	}
 	l.onCommit = func() {
 		n := len(l.storeBuffer)
 		tm.applyLocked(l)
@@ -489,7 +497,7 @@ func (tm *TransactionalMap[K, V]) Put(tx *stm.Tx, k K, v V) (V, bool) {
 	}
 	old, had := tm.readCommitted(tx, l, k, true)
 	l.storeBuffer[k] = mapWrite[V]{val: v, committed: presenceOf(had)}
-	l.bufferKey(k)
+	tm.bufferKey(l, k)
 	return old, had
 }
 
@@ -507,7 +515,7 @@ func (tm *TransactionalMap[K, V]) PutUnread(tx *stm.Tx, k K, v V) {
 	}
 	tm.touch(tx, &l.footprint, tm.StripeOf(k))
 	l.storeBuffer[k] = mapWrite[V]{val: v}
-	l.bufferKey(k)
+	tm.bufferKey(l, k)
 	tx.Thread().Clock.Tick(DefaultOpCost / 4)
 }
 
@@ -528,7 +536,7 @@ func (tm *TransactionalMap[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 	}
 	old, had := tm.readCommitted(tx, l, k, true)
 	l.storeBuffer[k] = mapWrite[V]{removed: true, committed: presenceOf(had)}
-	l.bufferKey(k)
+	tm.bufferKey(l, k)
 	return old, had
 }
 
@@ -543,7 +551,7 @@ func (tm *TransactionalMap[K, V]) RemoveUnread(tx *stm.Tx, k K) {
 	}
 	tm.touch(tx, &l.footprint, tm.StripeOf(k))
 	l.storeBuffer[k] = mapWrite[V]{removed: true}
-	l.bufferKey(k)
+	tm.bufferKey(l, k)
 	tx.Thread().Clock.Tick(DefaultOpCost / 4)
 }
 
@@ -763,9 +771,8 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V]) {
 	}
 	clear(l.keyLocks)
 	clear(l.storeBuffer)
-	if l.sortedKeys != nil {
-		l.sortedKeys.Clear()
-	}
+	clear(l.sortedKeys)
+	l.sortedKeys = l.sortedKeys[:0]
 	for i, r := range l.rangeLocks {
 		// A spare entry must not pin the attempt's handle or keys.
 		*r = rangeLock[K]{}

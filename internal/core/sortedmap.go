@@ -56,10 +56,12 @@ func (t *TransactionalSortedMap[K, V]) LastKey(tx *stm.Tx) (K, bool) {
 // key is, Table 5's last lock) or pins it to the view's upper bound
 // (bounded views).
 type SortedIterator[K comparable, V any] struct {
-	t      *TransactionalSortedMap[K, V]
-	tx     *stm.Tx
-	l      *mapLocal[K, V]
-	lo, hi *K // view bounds: lo inclusive, hi exclusive; nil = unbounded
+	// view is what the iterator enumerates: the map and the bounds. A
+	// named field, not embedded, so the view's Get and Put stay out of
+	// the iterator's method set.
+	view SortedView[K, V]
+	tx   *stm.Tx
+	l    *mapLocal[K, V]
 	// last is the last returned key, meaningful once returned is set.
 	last     K
 	returned bool
@@ -78,21 +80,21 @@ type SortedIterator[K comparable, V any] struct {
 
 // Iterator creates an ascending iterator over the whole map.
 func (t *TransactionalSortedMap[K, V]) Iterator(tx *stm.Tx) *SortedIterator[K, V] {
-	return (&SortedView[K, V]{t: t}).Iterator(tx)
+	return SortedView[K, V]{t: t}.Iterator(tx)
 }
 
 // init starts it — in place, so ForEach can keep it on its stack — at
-// the bottom of the view [lo, hi) of t.
-func (it *SortedIterator[K, V]) init(t *TransactionalSortedMap[K, V], tx *stm.Tx, lo, hi *K) {
+// the bottom of the view v.
+func (it *SortedIterator[K, V]) init(v SortedView[K, V], tx *stm.Tx) {
 	//stmlint:ignore tx-escape iterator is per-transaction local state (Table 5) and documented not to outlive tx
-	*it = SortedIterator[K, V]{t: t, tx: tx, l: t.local(tx), lo: lo, hi: hi}
-	if lo != nil {
-		it.si = t.sorted.stripeFor(*lo)
+	*it = SortedIterator[K, V]{view: v, tx: tx, l: v.t.local(tx)}
+	if v.hasLo {
+		it.si = v.t.sorted.stripeFor(v.loKey)
 	}
 	// Creating the iterator is the operation that puts the map into the
 	// transaction: the handler pair registers now, ahead of any other
 	// collection the body uses before the first Next.
-	t.touch(tx, &it.l.footprint, it.si)
+	v.t.touch(tx, &it.l.footprint, it.si)
 }
 
 // HasNext reports whether another entry exists in the view.
@@ -126,12 +128,12 @@ func (it *SortedIterator[K, V]) Next() (k K, v V, ok bool) {
 
 // ForEach enumerates the whole map in key order until fn returns false.
 func (t *TransactionalSortedMap[K, V]) ForEach(tx *stm.Tx, fn func(k K, v V) bool) {
-	(&SortedView[K, V]{t: t}).ForEach(tx, fn)
+	SortedView[K, V]{t: t}.ForEach(tx, fn)
 }
 
 // Keys returns all keys in ascending order as seen by tx.
 func (t *TransactionalSortedMap[K, V]) Keys(tx *stm.Tx) []K {
-	return (&SortedView[K, V]{t: t}).Keys(tx)
+	return SortedView[K, V]{t: t}.Keys(tx)
 }
 
 // SortedView is a subMap/headMap/tailMap view: the [lo, hi) slice of a
@@ -139,80 +141,75 @@ func (t *TransactionalSortedMap[K, V]) Keys(tx *stm.Tx) []K {
 // "mutable SortedMap views returned by subMap, headMap, and tailMap").
 type SortedView[K comparable, V any] struct {
 	t *TransactionalSortedMap[K, V]
-	// lo and hi are nil or point at loKey and hiKey: like a rangeLock, a
-	// view is one object with the storage of its bounds inside.
-	lo, hi       *K
+	// loKey (inclusive) and hiKey (exclusive) bound the view where hasLo
+	// and hasHi say so; a missing bound is the end of the key space. The
+	// view holds its bounds by value, so taking one allocates nothing.
 	loKey, hiKey K
+	hasLo, hasHi bool
 }
 
 // SubMap returns the view of keys in [lo, hi).
-func (t *TransactionalSortedMap[K, V]) SubMap(lo, hi K) *SortedView[K, V] {
+func (t *TransactionalSortedMap[K, V]) SubMap(lo, hi K) SortedView[K, V] {
 	if t.sorted.cmp(lo, hi) > 0 {
 		panic("core: SubMap bounds out of order")
 	}
-	v := &SortedView[K, V]{t: t, loKey: lo, hiKey: hi}
-	v.lo, v.hi = &v.loKey, &v.hiKey
-	return v
+	return SortedView[K, V]{t: t, loKey: lo, hiKey: hi, hasLo: true, hasHi: true}
 }
 
 // HeadMap returns the view of keys below hi.
-func (t *TransactionalSortedMap[K, V]) HeadMap(hi K) *SortedView[K, V] {
-	v := &SortedView[K, V]{t: t, hiKey: hi}
-	v.hi = &v.hiKey
-	return v
+func (t *TransactionalSortedMap[K, V]) HeadMap(hi K) SortedView[K, V] {
+	return SortedView[K, V]{t: t, hiKey: hi, hasHi: true}
 }
 
 // TailMap returns the view of keys at or above lo.
-func (t *TransactionalSortedMap[K, V]) TailMap(lo K) *SortedView[K, V] {
-	v := &SortedView[K, V]{t: t, loKey: lo}
-	v.lo = &v.loKey
-	return v
+func (t *TransactionalSortedMap[K, V]) TailMap(lo K) SortedView[K, V] {
+	return SortedView[K, V]{t: t, loKey: lo, hasLo: true}
 }
 
 // inRange panics when k is outside the view, mirroring java.util's
 // IllegalArgumentException.
-func (v *SortedView[K, V]) inRange(k K) {
+func (v SortedView[K, V]) inRange(k K) {
 	cmp := v.t.sorted.cmp
-	if v.lo != nil && cmp(k, *v.lo) < 0 || v.hi != nil && cmp(k, *v.hi) >= 0 {
+	if v.hasLo && cmp(k, v.loKey) < 0 || v.hasHi && cmp(k, v.hiKey) >= 0 {
 		panic("core: key outside sorted view range")
 	}
 }
 
 // Get returns the value mapped to k, which must lie inside the view.
-func (v *SortedView[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
+func (v SortedView[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
 	v.inRange(k)
 	return v.t.Get(tx, k)
 }
 
 // ContainsKey reports whether k (inside the view) is mapped.
-func (v *SortedView[K, V]) ContainsKey(tx *stm.Tx, k K) bool {
+func (v SortedView[K, V]) ContainsKey(tx *stm.Tx, k K) bool {
 	v.inRange(k)
 	return v.t.ContainsKey(tx, k)
 }
 
 // Put buffers a mapping; k must lie inside the view.
-func (v *SortedView[K, V]) Put(tx *stm.Tx, k K, val V) (V, bool) {
+func (v SortedView[K, V]) Put(tx *stm.Tx, k K, val V) (V, bool) {
 	v.inRange(k)
 	return v.t.Put(tx, k, val)
 }
 
 // Remove buffers a removal; k must lie inside the view.
-func (v *SortedView[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
+func (v SortedView[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 	v.inRange(k)
 	return v.t.Remove(tx, k)
 }
 
 // Iterator returns an ascending iterator over the view.
-func (v *SortedView[K, V]) Iterator(tx *stm.Tx) *SortedIterator[K, V] {
+func (v SortedView[K, V]) Iterator(tx *stm.Tx) *SortedIterator[K, V] {
 	it := new(SortedIterator[K, V])
-	it.init(v.t, tx, v.lo, v.hi)
+	it.init(v, tx)
 	return it
 }
 
 // ForEach enumerates the view in key order until fn returns false.
-func (v *SortedView[K, V]) ForEach(tx *stm.Tx, fn func(k K, val V) bool) {
+func (v SortedView[K, V]) ForEach(tx *stm.Tx, fn func(k K, val V) bool) {
 	var it SortedIterator[K, V] // never leaves this stack
-	it.init(v.t, tx, v.lo, v.hi)
+	it.init(v, tx)
 	for {
 		k, val, ok := it.Next()
 		if !ok || !fn(k, val) {
@@ -222,7 +219,7 @@ func (v *SortedView[K, V]) ForEach(tx *stm.Tx, fn func(k K, val V) bool) {
 }
 
 // Keys returns the view's keys in ascending order.
-func (v *SortedView[K, V]) Keys(tx *stm.Tx) []K {
+func (v SortedView[K, V]) Keys(tx *stm.Tx) []K {
 	var out []K
 	v.ForEach(tx, func(k K, _ V) bool {
 		out = append(out, k)

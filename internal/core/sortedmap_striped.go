@@ -25,6 +25,7 @@ package core
 // a walk takes guards one at a time.
 
 import (
+	"slices"
 	"sort"
 
 	"tcc/internal/collections"
@@ -160,12 +161,28 @@ func (t *TransactionalSortedMap[K, V]) bufferedInStripe(l *mapLocal[K, V], si in
 			k, strict = &t.sorted.boundaries[si], true
 		}
 	}
-	cand, ok := seek(l.sortedKeys, d, k, strict)
-	for ok && t.sorted.stripeFor(cand) == si {
-		if w, buffered := l.storeBuffer[cand]; buffered && !w.removed {
-			return cand, true
+	keys := l.sortedKeys
+	// i is the first candidate: the far end of the index without a probe,
+	// else the nearest key to *k in d.
+	i := 0
+	if k == nil && d == down {
+		i = len(keys) - 1
+	} else if k != nil {
+		// keys[j] is the first key >= *k.
+		j, found := slices.BinarySearchFunc(keys, *k, t.sorted.cmp)
+		switch {
+		case d == up && found && strict:
+			i = j + 1
+		case d == up, found && !strict:
+			i = j
+		default:
+			i = j - 1
 		}
-		cand, ok = seek(l.sortedKeys, d, &cand, true)
+	}
+	for ; i >= 0 && i < len(keys) && t.sorted.stripeFor(keys[i]) == si; i += int(d) {
+		if w, buffered := l.storeBuffer[keys[i]]; buffered && !w.removed {
+			return keys[i], true
+		}
 	}
 	var zero K
 	return zero, false
@@ -246,14 +263,15 @@ func (t *TransactionalSortedMap[K, V]) walk(tx *stm.Tx, d dir, from *K, strict b
 	return res, found
 }
 
-// advance finds the next live merged key after it.last (or from it.lo),
-// locking and recording it: the scan owns one widening range-lock entry
-// in the stripe it is positioned in (it.lock, it.si) and probes that
-// stripe in a section of its own. Exhausting a stripe pins its entry to
-// the view bound (when the bound lies in that stripe) or extends it to
-// the stripe's upper edge and moves on.
+// advance finds the next live merged key after it.last (or from the
+// view's lower bound), locking and recording it: the scan owns one
+// widening range-lock entry in the stripe it is positioned in (it.lock,
+// it.si) and probes that stripe in a section of its own. Exhausting a
+// stripe pins its entry to the view's upper bound (when the bound lies
+// in that stripe) or extends it to the stripe's upper edge and moves on.
 func (it *SortedIterator[K, V]) advance() (K, V, bool) {
-	t, l := it.t, it.l
+	v, l := &it.view, it.l
+	t := v.t
 	n := len(t.stripes)
 	var outK K
 	var outV V
@@ -264,8 +282,8 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			e := it.lock
 			if e == nil {
 				e = t.newRangeLock(l, si)
-				if it.lo != nil && t.sorted.stripeFor(*it.lo) == si {
-					e.setLo(*it.lo, false)
+				if v.hasLo && t.sorted.stripeFor(v.loKey) == si {
+					e.setLo(v.loKey, false)
 				}
 				it.lock = e
 			}
@@ -277,7 +295,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 				from, strict = &it.last, true
 			}
 			res, ok := t.mergedInStripe(l, si, up, from, strict)
-			if ok && it.hi != nil && t.sorted.cmp(res, *it.hi) >= 0 {
+			if ok && v.hasHi && t.sorted.cmp(res, v.hiKey) >= 0 {
 				ok = false
 			}
 			if ok {
@@ -287,16 +305,16 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 				if w, buffered := l.storeBuffer[res]; buffered {
 					outK, outV, found = res, w.val, true
 				} else {
-					v, _ := t.sorted.sms[si].Get(res)
-					outK, outV, found = res, v, true
+					val, _ := t.sorted.sms[si].Get(res)
+					outK, outV, found = res, val, true
 				}
 				return
 			}
 			// Stripe exhausted within the view.
-			if it.hi != nil && t.sorted.stripeFor(*it.hi) == si {
+			if v.hasHi && t.sorted.stripeFor(v.hiKey) == si {
 				// The view bound lies in this stripe: pin the entry to
 				// it ([.., hi) observed empty) and stop the scan.
-				e.setHi(*it.hi, true)
+				e.setHi(v.hiKey, true)
 				it.si = n
 			} else {
 				// Extend to the stripe's upper edge and move on.

@@ -187,7 +187,7 @@ func TestSectionContract(t *testing.T) {
 				}
 				m.ForEach(tx, func(int, int) bool { return true })
 				m.Keys(tx)
-				for _, v := range []*SortedView[int, int]{m.SubMap(15, 55), m.HeadMap(45), m.TailMap(25)} {
+				for _, v := range []SortedView[int, int]{m.SubMap(15, 55), m.HeadMap(45), m.TailMap(25)} {
 					v.Get(tx, 30)
 					v.ContainsKey(tx, 30)
 					v.Put(tx, 31, 31)

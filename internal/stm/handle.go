@@ -51,9 +51,11 @@ func (s Status) String() string {
 // aborts, Violate calls become no-ops, so stale handles left in lock
 // tables are harmless until the owner's handlers clean them up.
 type Handle struct {
-	status atomic.Int32
-	// reason records why the transaction was violated, for diagnostics.
-	reason atomic.Value // string
+	// state publishes the status and the violation reason in one word, so
+	// whoever sees a violation also sees why: nil is Active, Prepared,
+	// Committed and Aborted are shared values, and each successful Violate
+	// publishes its own {Violated, reason}.
+	state atomic.Pointer[handleState]
 	// id is a process-global unique identity assigned when the attempt
 	// begins. Semantic lock tables violate conflicting owners in
 	// ascending id order, so violation order — and hence trace order —
@@ -71,11 +73,28 @@ type Handle struct {
 	txid uint64
 }
 
+// handleState is what Handle.state points at.
+type handleState struct {
+	status Status
+	reason string
+}
+
+var (
+	statePrepared  = &handleState{status: StatusPrepared}
+	stateCommitted = &handleState{status: StatusCommitted}
+	stateAborted   = &handleState{status: StatusAborted}
+)
+
 // handleIDs hands out Handle identities; see Handle.id.
 var handleIDs atomic.Uint64
 
 // Status returns the current lifecycle state.
-func (h *Handle) Status() Status { return Status(h.status.Load()) }
+func (h *Handle) Status() Status {
+	if s := h.state.Load(); s != nil {
+		return s.status
+	}
+	return StatusActive
+}
 
 // ID returns the handle's process-global identity (0 for handles not
 // created by a transaction attempt). Lock tables use it as the
@@ -89,18 +108,25 @@ func (h *Handle) ID() uint64 { return h.id }
 // reports whether the victim will abort: false means the victim already
 // serialized (Prepared/Committed) or is gone, and no conflict exists.
 func (h *Handle) Violate(reason string) bool {
-	if h.status.CompareAndSwap(int32(StatusActive), int32(StatusViolated)) {
-		h.reason.Store(reason)
-		return true
+	s := h.state.Load()
+	if s == nil {
+		s = &handleState{status: StatusViolated, reason: reason}
+		if h.state.CompareAndSwap(nil, s) {
+			return true
+		}
+		s = h.state.Load()
 	}
-	return Status(h.status.Load()) == StatusViolated
+	return s.status == StatusViolated
 }
 
 // ViolationReason returns the reason recorded by the successful Violate
-// call, or "" if the transaction was never violated.
+// call, or "" if the transaction was never violated. The status and the
+// reason are published together: whoever sees Violated sees the reason.
+// Once the attempt has rolled back, the handle is Aborted and has no
+// reason.
 func (h *Handle) ViolationReason() string {
-	if r, ok := h.reason.Load().(string); ok {
-		return r
+	if s := h.state.Load(); s != nil {
+		return s.reason
 	}
 	return ""
 }
@@ -111,8 +137,8 @@ func (h *Handle) violated() bool { return h.Status() == StatusViolated }
 // toPrepared moves Active→Prepared, the point of no return. A failed
 // CAS means a violator won the race and the commit must be abandoned.
 func (h *Handle) toPrepared() bool {
-	return h.status.CompareAndSwap(int32(StatusActive), int32(StatusPrepared))
+	return h.state.CompareAndSwap(nil, statePrepared)
 }
 
-func (h *Handle) setCommitted() { h.status.Store(int32(StatusCommitted)) }
-func (h *Handle) setAborted()   { h.status.Store(int32(StatusAborted)) }
+func (h *Handle) setCommitted() { h.state.Store(stateCommitted) }
+func (h *Handle) setAborted()   { h.state.Store(stateAborted) }

@@ -285,7 +285,7 @@ func (tx *Tx) begin(attempt int, snap bool) {
 			t.snapHandle = &Handle{}
 		}
 		tx.handle = t.snapHandle
-		tx.handle.status.Store(int32(StatusActive))
+		tx.handle.state.Store(nil)
 		tx.handle.birth = t.Clock.Now()
 		tx.readVersion = globalClock.Load()
 	} else {
