@@ -468,13 +468,11 @@ func BenchmarkAblationContentionManagement(b *testing.B) {
 			}
 		}
 	}
-	var exp, lin, agg harness.Result
+	var exp, agg harness.Result
 	for i := 0; i < b.N; i++ {
 		exp = ablationRunFull(512, mk(nil))
-		lin = ablationRunFull(512, mk(stm.LinearBackoff{Base: 32}))
 		agg = ablationRunFull(512, mk(stm.AggressiveRetry{}))
 	}
-	b.ReportMetric(lin.Elapsed/exp.Elapsed, "linearVsExpTime")
 	b.ReportMetric(agg.Elapsed/exp.Elapsed, "aggressiveVsExpTime")
 	b.ReportMetric(float64(agg.Stats.Violations)/float64(exp.Stats.Violations+1), "aggressiveWastedWorkX")
 }

@@ -31,15 +31,9 @@ type MapIterator[K comparable, V any] struct {
 	j      int
 	// pending is the prefetched next entry (HasNext peeks by advancing),
 	// meaningful while hasPending is set.
-	pending    mapEntry[K, V]
+	pending    Entry[K, V]
 	hasPending bool
 	done       bool
-}
-
-// mapEntry is one key/value pair returned by an iterator.
-type mapEntry[K comparable, V any] struct {
-	Key K
-	Val V
 }
 
 // Iterator creates an iterator over the map's entries as seen by tx.
@@ -138,7 +132,7 @@ func (it *MapIterator[K, V]) HasNext() bool {
 		})
 		return false
 	}
-	it.pending, it.hasPending = mapEntry[K, V]{Key: k, Val: v}, true
+	it.pending, it.hasPending = Entry[K, V]{Key: k, Val: v}, true
 	return true
 }
 

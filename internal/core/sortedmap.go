@@ -67,7 +67,7 @@ type SortedIterator[K comparable, V any] struct {
 	returned bool
 	// pending is the prefetched next entry (HasNext peeks by advancing),
 	// meaningful while hasPending is set.
-	pending    mapEntry[K, V]
+	pending    Entry[K, V]
 	hasPending bool
 	done       bool
 	// si is the stripe the scan is positioned in and lock the widening
@@ -113,7 +113,7 @@ func (it *SortedIterator[K, V]) HasNext() bool {
 		it.done = true
 		return false
 	}
-	it.pending, it.hasPending = mapEntry[K, V]{Key: k, Val: v}, true
+	it.pending, it.hasPending = Entry[K, V]{Key: k, Val: v}, true
 	return true
 }
 

@@ -14,6 +14,7 @@
 package semlock
 
 import (
+	"cmp"
 	"slices"
 
 	"tcc/internal/stm"
@@ -38,15 +39,9 @@ func orderedOwners(buf []Owner, set map[Owner]struct{}) []Owner {
 	return buf
 }
 
-// sortOwners orders buf ascending by Handle.ID. Insertion sort: owner
-// sets are a handful of transactions, and unlike sort.Slice this keeps
-// the sweep allocation-free (no interface boxing, no closure).
+// sortOwners orders buf ascending by Handle.ID, without allocating.
 func sortOwners(buf []Owner) {
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j].ID() < buf[j-1].ID(); j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
+	slices.SortFunc(buf, func(a, b Owner) int { return cmp.Compare(a.ID(), b.ID()) })
 }
 
 // recycleSweep clears a sweep buffer for reuse: the Owner pointers are

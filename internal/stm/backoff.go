@@ -33,17 +33,6 @@ func (p ExponentialBackoff) Backoff(attempt int, rng *rand.Rand) uint64 {
 	return base + uint64(rng.Int63n(int64(base)))
 }
 
-// LinearBackoff grows the stall linearly with the failure count.
-type LinearBackoff struct {
-	Base uint64
-}
-
-// Backoff implements BackoffPolicy.
-func (p LinearBackoff) Backoff(attempt int, rng *rand.Rand) uint64 {
-	base := p.Base * uint64(attempt+1)
-	return base + uint64(rng.Int63n(int64(p.Base)))
-}
-
 // AggressiveRetry barely waits at all — the "Aggressive" contention
 // manager: maximal optimism, maximal livelock exposure.
 type AggressiveRetry struct{}

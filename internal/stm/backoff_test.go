@@ -33,16 +33,6 @@ func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
 	}
 }
 
-func TestLinearBackoffGrowsLinearly(t *testing.T) {
-	p := LinearBackoff{Base: 10}
-	rng := rand.New(rand.NewSource(1))
-	b0 := p.Backoff(0, rng)
-	b9 := p.Backoff(9, rng)
-	if b9 < 5*b0 {
-		t.Fatalf("linear growth too shallow: %d vs %d", b0, b9)
-	}
-}
-
 func TestAggressiveRetryIsTiny(t *testing.T) {
 	p := AggressiveRetry{}
 	rng := rand.New(rand.NewSource(1))
@@ -53,10 +43,15 @@ func TestAggressiveRetryIsTiny(t *testing.T) {
 	}
 }
 
+// fixedBackoff stalls a constant number of cycles per failure.
+type fixedBackoff uint64
+
+func (p fixedBackoff) Backoff(int, *rand.Rand) uint64 { return uint64(p) }
+
 func TestSetBackoffPolicyIsUsed(t *testing.T) {
 	clock := &RealClock{}
 	th := NewThread(clock, 1)
-	th.SetBackoffPolicy(LinearBackoff{Base: 1000})
+	th.SetBackoffPolicy(fixedBackoff(1000))
 	attempts := 0
 	if err := th.Atomic(func(tx *Tx) error {
 		attempts++
@@ -67,7 +62,7 @@ func TestSetBackoffPolicyIsUsed(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// One forced retry must have charged at least the linear base via
+	// One forced retry must have charged at least the fixed stall via
 	// Clock.Wait (RealClock counts waited cycles in Now).
 	if clock.Now() < 1000 {
 		t.Fatalf("custom policy not applied: clock = %d", clock.Now())

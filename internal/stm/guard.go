@@ -1,6 +1,8 @@
 package stm
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,21 +89,10 @@ func gatherGuards(buf []*Guard, regs []registration) []*Guard {
 
 // sortGuards orders buf ascending by id and removes duplicates in
 // place (one per registration under the same guard), returning the
-// compacted slice. Insertion sort: footprints are tiny.
+// compacted slice.
 func sortGuards(buf []*Guard) []*Guard {
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j].id < buf[j-1].id; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	out := buf[:0]
-	for i, g := range buf {
-		if i > 0 && g == buf[i-1] {
-			continue
-		}
-		out = append(out, g)
-	}
-	return out
+	slices.SortFunc(buf, func(a, b *Guard) int { return cmp.Compare(a.id, b.id) })
+	return slices.Compact(buf)
 }
 
 // acquireGuards locks every guard in gs, which must be sorted by id

@@ -221,7 +221,7 @@ func (tx *Tx) edgeCommit() {
 	if tx.tracer != nil {
 		e := tx.event(obs.KindTxCommit)
 		e.Snapshot, e.Dur = tx.snapshot, dur
-		e.Reads, e.Writes, e.Handlers = tx.cur.reads.len(), tx.cur.writes.len(), len(tx.cur.onCommit)
+		e.Reads, e.Writes, e.Handlers = len(tx.cur.reads.entries), len(tx.cur.writes.entries), len(tx.cur.onCommit)
 		tx.tracer.Trace(e)
 	}
 }
@@ -296,7 +296,7 @@ func (tx *Tx) edgeOpenCommit(child *level) {
 	}
 	if tx.tracer != nil {
 		e := tx.event(obs.KindOpenCommit)
-		e.Writes = child.writes.len()
+		e.Writes = len(child.writes.entries)
 		tx.tracer.Trace(e)
 	}
 }

@@ -62,9 +62,6 @@ type Protocol interface {
 	commit(tx *Tx, l *level, doPrepare bool) bool
 }
 
-// DefaultProtocol is the name NewThread starts every worker on.
-const DefaultProtocol = "tl2"
-
 // protocols is the fixed protocol list, default first — the iteration
 // order of the conformance suite and the sweep driver, and the names
 // SetProtocol accepts.

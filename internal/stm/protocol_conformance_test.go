@@ -32,11 +32,11 @@ func TestProtocolRegistry(t *testing.T) {
 		t.Fatalf("Protocols() = %v, want %v", got, want)
 	}
 	th := newTestThread()
-	if th.Protocol() != DefaultProtocol {
-		t.Fatalf("new thread protocol = %q, want %q", th.Protocol(), DefaultProtocol)
+	if th.Protocol() != "tl2" {
+		t.Fatalf("new thread protocol = %q, want tl2", th.Protocol())
 	}
-	if th.Stats.Protocol != DefaultProtocol {
-		t.Fatalf("Stats.Protocol = %q, want %q", th.Stats.Protocol, DefaultProtocol)
+	if th.Stats.Protocol != "tl2" {
+		t.Fatalf("Stats.Protocol = %q, want tl2", th.Stats.Protocol)
 	}
 	if err := th.SetProtocol("no-such-protocol"); err == nil {
 		t.Fatal("SetProtocol of unknown name did not error")

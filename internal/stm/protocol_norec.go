@@ -82,7 +82,7 @@ func norecExtend(tx *Tx, cause string) bool {
 			continue
 		}
 		for l := tx.cur; l != nil; l = l.parent {
-			if c := l.reads.firstChangedValue(); c != nil {
+			if c := firstChangedValue(l.reads.entries); c != nil {
 				tx.noteConflict(c, nil, cause)
 				return false
 			}
@@ -105,7 +105,7 @@ func norecExtend(tx *Tx, cause string) bool {
 // window only needs the per-Var installs — done through the lockwords,
 // before the global-clock tick, to keep snapshot readers safe.
 func (norecProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
-	if l.writes.len() == 0 {
+	if len(l.writes.entries) == 0 {
 		return !doPrepare || tx.handle.toPrepared()
 	}
 	if !norecSeqAcquire(tx) {
@@ -155,21 +155,15 @@ func norecSeqRelease(s uint64) {
 	norecSeq.Store(s)
 }
 
-// firstChangedValue returns the first recorded read whose current
+// firstChangedValue returns the first read in reads whose current
 // committed value differs from the observed one (nil if none) — the
 // value-based validation predicate. Box pointer equality is the fast
 // path; distinct boxes holding equal values (a silent re-store) still
 // validate, which is NOrec's advantage over version validation.
-func (s *readSet) firstChangedValue() *varCore {
-	for i := 0; i < s.n; i++ {
-		e := &s.inline[i]
-		if cur := e.c.val.Load(); cur != e.box && !valuesEqual(cur.val, e.box.val) {
+func firstChangedValue(reads []varEntry[*valBox]) *varCore {
+	for _, e := range reads {
+		if cur := e.c.val.Load(); cur != e.val && !valuesEqual(cur.val, e.val.val) {
 			return e.c
-		}
-	}
-	for c, box := range s.spill {
-		if cur := c.val.Load(); cur != box && !valuesEqual(cur.val, box.val) {
-			return c
 		}
 	}
 	return nil

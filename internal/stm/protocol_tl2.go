@@ -1,7 +1,7 @@
 package stm
 
 // TL2 through the Protocol seam: the global-version-clock protocol the
-// STM was built around (DESIGN.md §4) — inline read/write sets,
+// STM was built around (DESIGN.md §4) — per-level read/write sets,
 // lockword packing, read-version extension and the commit sequence.
 // The eager variant embeds it and replaces observeWrite alone.
 type tl2Protocol struct{}
@@ -39,7 +39,7 @@ func (tl2Protocol) observeWrite(tx *Tx, c *varCore) {}
 func (tl2Protocol) extend(tx *Tx) bool {
 	now := globalClock.Load()
 	for l := tx.cur; l != nil; l = l.parent {
-		if c := l.reads.firstInvalid(tx.handle); c != nil {
+		if c := firstInvalid(l.reads.entries, tx.handle); c != nil {
 			tx.noteConflict(c, nil, causeStaleRead)
 			return false
 		}
@@ -58,7 +58,7 @@ func (tl2Protocol) extend(tx *Tx) bool {
 // and for doPrepare the handle is left un-Prepared so the caller rolls
 // back.
 func (tl2Protocol) commit(tx *Tx, l *level, doPrepare bool) bool {
-	if l.writes.len() == 0 {
+	if len(l.writes.entries) == 0 {
 		// Read-only fast path: every read was validated against the
 		// snapshot when it happened, so the transaction is serializable
 		// at readVersion. For a top-level commit only the violation
@@ -69,7 +69,7 @@ func (tl2Protocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 	if !lockWriteSet(tx, buf) {
 		return false
 	}
-	if c := l.reads.firstInvalid(tx.handle); c != nil {
+	if c := firstInvalid(l.reads.entries, tx.handle); c != nil {
 		tx.noteConflict(c, nil, causeCommitStale)
 		unlockWriteSet(buf)
 		return false
@@ -90,7 +90,7 @@ func (tl2Protocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 // must not block (stmlint commit-window-blocking).
 //
 //stmlint:window open
-func lockWriteSet(tx *Tx, buf []writeEntry) bool {
+func lockWriteSet(tx *Tx, buf []varEntry[any]) bool {
 	for i, e := range buf {
 		if !e.c.tryLock(tx.handle) {
 			tx.noteConflict(e.c, e.c.owner.Load(), causeCommitLock)
@@ -105,7 +105,7 @@ func lockWriteSet(tx *Tx, buf []writeEntry) bool {
 // commit, leaving versions unchanged. Closes the lockword hold window.
 //
 //stmlint:window close
-func unlockWriteSet(buf []writeEntry) {
+func unlockWriteSet(buf []varEntry[any]) {
 	for _, e := range buf {
 		e.c.unlock()
 	}
@@ -116,7 +116,7 @@ func unlockWriteSet(buf []writeEntry) {
 // window on the success path.
 //
 //stmlint:window close
-func installWriteSet(buf []writeEntry, wv uint64) {
+func installWriteSet(buf []varEntry[any], wv uint64) {
 	for _, e := range buf {
 		e.c.install(e.val, wv)
 	}

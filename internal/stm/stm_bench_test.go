@@ -46,7 +46,7 @@ func BenchmarkSTMReadOnly4Var(b *testing.B) {
 
 // BenchmarkSTMSmallWriteSet measures a read-modify-write transaction
 // over four vars: lockword CAS acquisition, read validation, and
-// install of a 4-entry write set held entirely in the inline array.
+// install of a 4-entry write set, below the index threshold.
 func BenchmarkSTMSmallWriteSet(b *testing.B) {
 	var vars [4]*stm.Var[int]
 	for i := range vars {

@@ -91,7 +91,7 @@ func (s *Stats) Add(other Stats) {
 //
 // The Thread also owns what makes the retry loop allocation-free in
 // steady state: its one Tx, the pool of nesting levels (with their
-// inline read/write sets and spill maps) and the sorted write-set
+// read/write sets' entry slices and index maps) and the sorted write-set
 // scratch used at commit are reused across attempts and transactions,
 // as is whatever the collections keep in the attachment slot. Only the
 // per-attempt Handle is allocated fresh: handles outlive attempts in
@@ -126,7 +126,7 @@ type Thread struct {
 	// write-set scratch and guardBuf the scratch a guard footprint is
 	// gathered and sorted in.
 	levelPool []*level
-	commitBuf writeBuf
+	commitBuf []varEntry[any]
 	guardBuf  []*Guard
 	// snapHandle is the recycled handle for snapshot attempts. A
 	// snapshot transaction never enters a semantic lock table and

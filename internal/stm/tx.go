@@ -1,8 +1,9 @@
 package stm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tcc/internal/obs"
 )
@@ -73,169 +74,103 @@ type registration struct {
 	fn func()
 }
 
-// inlineSet is how many read-set and write-set entries a nesting level
-// holds in fixed arrays before spilling to a map. Most transactions in
-// the paper's workloads touch a handful of vars per level (a bucket
-// head, a size field, a counter), so the common case allocates nothing.
-const inlineSet = 8
+// indexAt is how many entries a var set holds before it builds an index
+// map. Most transactions in the paper's workloads touch a handful of vars
+// per level (a bucket head, a size field, a counter), so the common case
+// finds an entry by a short scan and keeps no map.
+const indexAt = 8
 
-// readEntry records one sampled read: the variable and the committed
-// value box the transaction observed. Version-validating protocols (TL2
-// and its eager variant) compare the box's version with the lockword;
-// the value-validating protocol (NOrec) compares its value.
-type readEntry struct {
+// varEntry is one var-set entry: the variable and what the level holds
+// for it — in a read set the committed value box the transaction
+// observed (TL2 and its eager variant compare the box's version with
+// the lockword, NOrec its value), in a write set the pending value.
+type varEntry[V any] struct {
 	c   *varCore
-	box *valBox
+	val V
 }
 
-// readSet is a small-size-optimized map from varCore to observed box:
-// the first inlineSet distinct vars live in an inline array, the rest
-// spill to a lazily allocated map. Entries are deduplicated by core
-// (re-reading a var overwrites its recorded box).
-type readSet struct {
-	n      int // entries used in inline
-	inline [inlineSet]readEntry
-	spill  map[*varCore]*valBox
+// varSet maps varCore to V, deduplicated by core: a read set (V =
+// *valBox) or a write set (V = any) of one nesting level. entries is in
+// first-access order, which is the order every walker — validation,
+// merge, attribution — visits it in; index locates an entry once there
+// are more than indexAt. Both are kept across reset, so a recycled level
+// allocates nothing in steady state.
+type varSet[V any] struct {
+	entries []varEntry[V]
+	index   map[*varCore]int
 }
 
-// put records (c, box), overwriting any existing entry for c.
-func (s *readSet) put(c *varCore, box *valBox) {
-	for i := 0; i < s.n; i++ {
-		if s.inline[i].c == c {
-			s.inline[i].box = box
-			return
+// find returns the position of c's entry, or -1.
+func (s *varSet[V]) find(c *varCore) int {
+	if len(s.entries) > indexAt {
+		if i, ok := s.index[c]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range s.entries {
+		if s.entries[i].c == c {
+			return i
 		}
 	}
-	if s.spill != nil {
-		if _, ok := s.spill[c]; ok {
-			s.spill[c] = box
-			return
-		}
+	return -1
+}
+
+// get returns the value held for c, if any.
+func (s *varSet[V]) get(c *varCore) (val V, ok bool) {
+	if i := s.find(c); i >= 0 {
+		return s.entries[i].val, true
 	}
-	if s.n < inlineSet {
-		s.inline[s.n] = readEntry{c, box}
-		s.n++
+	return val, false
+}
+
+// put holds val for c, overwriting any existing entry.
+func (s *varSet[V]) put(c *varCore, val V) {
+	if i := s.find(c); i >= 0 {
+		s.entries[i].val = val
 		return
 	}
-	if s.spill == nil {
-		s.spill = make(map[*varCore]*valBox)
-	}
-	s.spill[c] = box
+	s.add(c, val)
 }
 
-// has reports whether c has a recorded read.
-func (s *readSet) has(c *varCore) bool {
-	for i := 0; i < s.n; i++ {
-		if s.inline[i].c == c {
-			return true
+// add appends an entry for c, which must not have one.
+func (s *varSet[V]) add(c *varCore, val V) {
+	s.entries = append(s.entries, varEntry[V]{c, val})
+	switch n := len(s.entries); {
+	case n == indexAt+1:
+		if s.index == nil {
+			s.index = make(map[*varCore]int)
 		}
+		for i, e := range s.entries {
+			s.index[e.c] = i
+		}
+	case n > indexAt+1:
+		s.index[c] = n - 1
 	}
-	_, ok := s.spill[c]
-	return ok
 }
 
-// len returns the number of recorded reads.
-func (s *readSet) len() int { return s.n + len(s.spill) }
+// reset empties the set for reuse, dropping core pointers and values so
+// recycled levels do not pin dead variables.
+func (s *varSet[V]) reset() {
+	clear(s.entries)
+	s.entries = s.entries[:0]
+	clear(s.index)
+}
 
-// firstInvalid returns the first recorded read that is no longer at
-// its recorded version or is locked by a transaction other than self
-// (nil if the whole set is valid) — the shared predicate of TL2
-// read-version extension and commit-time read validation, returning
-// the offending variable so rollbacks can be attributed to it. One
-// atomic load per unlocked entry.
-func (s *readSet) firstInvalid(self *Handle) *varCore {
-	for i := 0; i < s.n; i++ {
-		cur, lockedByOther := s.inline[i].c.peek(self)
-		if lockedByOther || cur != s.inline[i].box.ver {
-			return s.inline[i].c
-		}
-	}
-	for c, box := range s.spill {
-		cur, lockedByOther := c.peek(self)
-		if lockedByOther || cur != box.ver {
-			return c
+// firstInvalid returns the first read in reads that is no longer at its
+// recorded version or is locked by a transaction other than self (nil
+// if all are valid) — the shared predicate of TL2 read-version
+// extension and commit-time read validation, returning the offending
+// variable so rollbacks can be attributed to it. One atomic load per
+// unlocked entry.
+func firstInvalid(reads []varEntry[*valBox], self *Handle) *varCore {
+	for _, e := range reads {
+		cur, lockedByOther := e.c.peek(self)
+		if lockedByOther || cur != e.val.ver {
+			return e.c
 		}
 	}
 	return nil
-}
-
-// reset clears the set for reuse, dropping core pointers so recycled
-// levels do not pin dead variables.
-func (s *readSet) reset() {
-	for i := 0; i < s.n; i++ {
-		s.inline[i] = readEntry{}
-	}
-	s.n = 0
-	if s.spill != nil {
-		clear(s.spill)
-	}
-}
-
-// writeEntry is one buffered write: the variable and the pending value.
-type writeEntry struct {
-	c   *varCore
-	val any
-}
-
-// writeSet is the write-set analogue of readSet: inline array first,
-// map spill after, deduplicated by core with last-write-wins values.
-type writeSet struct {
-	n      int
-	inline [inlineSet]writeEntry
-	spill  map[*varCore]any
-}
-
-// get returns the buffered value for c, if any.
-func (s *writeSet) get(c *varCore) (any, bool) {
-	for i := 0; i < s.n; i++ {
-		if s.inline[i].c == c {
-			return s.inline[i].val, true
-		}
-	}
-	if s.spill != nil {
-		val, ok := s.spill[c]
-		return val, ok
-	}
-	return nil, false
-}
-
-// put buffers val for c, overwriting any existing entry.
-func (s *writeSet) put(c *varCore, val any) {
-	for i := 0; i < s.n; i++ {
-		if s.inline[i].c == c {
-			s.inline[i].val = val
-			return
-		}
-	}
-	if s.spill != nil {
-		if _, ok := s.spill[c]; ok {
-			s.spill[c] = val
-			return
-		}
-	}
-	if s.n < inlineSet {
-		s.inline[s.n] = writeEntry{c, val}
-		s.n++
-		return
-	}
-	if s.spill == nil {
-		s.spill = make(map[*varCore]any)
-	}
-	s.spill[c] = val
-}
-
-// len returns the number of buffered writes.
-func (s *writeSet) len() int { return s.n + len(s.spill) }
-
-// reset clears the set for reuse.
-func (s *writeSet) reset() {
-	for i := 0; i < s.n; i++ {
-		s.inline[i] = writeEntry{}
-	}
-	s.n = 0
-	if s.spill != nil {
-		clear(s.spill)
-	}
 }
 
 // level is one nesting level of a transaction: private read and write
@@ -257,8 +192,8 @@ func (s *writeSet) reset() {
 type level struct {
 	parent   *level
 	outer    *level
-	reads    readSet
-	writes   writeSet
+	reads    varSet[*valBox]
+	writes   varSet[any]
 	onCommit []registration
 	onAbort  []registration
 }
@@ -532,23 +467,13 @@ func (tx *Tx) Nested(fn func() error) error {
 // added if the parent has no entry (the parent's older observation
 // wins), writes overwrite, handlers append in registration order.
 func (child *level) mergeInto(parent *level) {
-	for i := 0; i < child.reads.n; i++ {
-		e := child.reads.inline[i]
-		if !parent.reads.has(e.c) {
-			parent.reads.put(e.c, e.box)
+	for _, e := range child.reads.entries {
+		if parent.reads.find(e.c) < 0 {
+			parent.reads.add(e.c, e.val)
 		}
 	}
-	for c, box := range child.reads.spill {
-		if !parent.reads.has(c) {
-			parent.reads.put(c, box)
-		}
-	}
-	for i := 0; i < child.writes.n; i++ {
-		e := child.writes.inline[i]
+	for _, e := range child.writes.entries {
 		parent.writes.put(e.c, e.val)
-	}
-	for c, val := range child.writes.spill {
-		parent.writes.put(c, val)
 	}
 	parent.onCommit = append(parent.onCommit, child.onCommit...)
 	parent.onAbort = append(parent.onAbort, child.onAbort...)
@@ -609,7 +534,7 @@ func (tx *Tx) commit() (ok bool, panicked any) {
 	}
 	ok, panicked = tx.window(l, nil, true)
 	if ok {
-		tx.tick(CostCommitBase + CostCommitPerWrite*uint64(l.writes.len()))
+		tx.tick(CostCommitBase + CostCommitPerWrite*uint64(len(l.writes.entries)))
 		tx.thread.flushDeferred()
 	}
 	return ok, panicked
@@ -690,33 +615,11 @@ func protect(fn func(), first *any) {
 	fn()
 }
 
-// writeBuf is the per-thread sorted write-set scratch; the pointer
-// receiver keeps sort.Sort from allocating an interface box.
-type writeBuf []writeEntry
-
-func (b *writeBuf) Len() int           { return len(*b) }
-func (b *writeBuf) Less(i, j int) bool { return (*b)[i].c.id < (*b)[j].c.id }
-func (b *writeBuf) Swap(i, j int)      { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
-
-// sortedWrites copies l's write set into the thread's scratch buffer
-// sorted by variable ID. The buffer is reused across commits; small
-// sets use insertion sort to stay out of sort.Sort's interface calls.
-func (t *Thread) sortedWrites(l *level) []writeEntry {
-	buf := t.commitBuf[:0]
-	buf = append(buf, l.writes.inline[:l.writes.n]...)
-	for c, val := range l.writes.spill {
-		buf = append(buf, writeEntry{c, val})
-	}
-	t.commitBuf = buf
-	if len(buf) <= 16 {
-		for i := 1; i < len(buf); i++ {
-			for j := i; j > 0 && buf[j].c.id < buf[j-1].c.id; j-- {
-				buf[j], buf[j-1] = buf[j-1], buf[j]
-			}
-		}
-	} else {
-		sort.Sort(&t.commitBuf)
-	}
+// sortedWrites copies l's write set into the thread's scratch buffer,
+// reused across commits, sorted by variable ID.
+func (t *Thread) sortedWrites(l *level) []varEntry[any] {
+	t.commitBuf = append(t.commitBuf[:0], l.writes.entries...)
+	slices.SortFunc(t.commitBuf, func(a, b varEntry[any]) int { return cmp.Compare(a.c.id, b.c.id) })
 	return t.commitBuf
 }
 
