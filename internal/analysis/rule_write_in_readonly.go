@@ -30,9 +30,9 @@ import (
 //     registration is not evidence of a fallback the way a reachable
 //     Var.Set is of a write.
 //
-// Function literals that begin a *different* transaction (bodies of
-// Atomic/AtomicRead/Open/Nested) are not traversed: their writes
-// belong to that transaction, and starting one from a read-only body
+// Function literals passed to Atomic/AtomicRead/Open/Nested are not
+// traversed: a new transaction's writes belong to it, an Open section
+// may touch no Var at all, and starting either from a read-only body
 // is its own finding (the Open/registration call site is flagged here;
 // a nested Thread.Atomic is nested-atomic's). Var.SetCommitted inside
 // a transaction is naked-var-access's finding and is not re-reported

@@ -33,10 +33,10 @@ func nondetHandler(th *stm.Thread) error {
 }
 
 // bad: global RNG inside an open-nested body.
-func nondetOpen(th *stm.Thread, v *stm.Var[float64]) error {
+func nondetOpen(th *stm.Thread, out *float64) error {
 	return th.Atomic(func(tx *stm.Tx) error {
 		return tx.Open(func(o *stm.Tx) error {
-			v.Set(o, rand.Float64()) // want nondeterminism
+			*out = rand.Float64() // want nondeterminism
 			return nil
 		})
 	})

@@ -25,7 +25,7 @@ func (s *striped) held(lo, hi int, fn func()) {
 	fn()
 }
 
-// open runs fn as an open-nested child and charges for it afterwards.
+// open runs fn as an open-nested section and charges for it afterwards.
 //
 //stmlint:txbody
 func open(tx *stm.Tx, cost uint64, fn func()) {
@@ -36,7 +36,7 @@ func open(tx *stm.Tx, cost uint64, fn func()) {
 	tx.Thread().Clock.Tick(cost)
 }
 
-// section is both: fn is the body of a child and runs under the guards.
+// section is both: fn is the body of a section and runs under the guards.
 //
 //stmlint:txbody
 //stmlint:window around

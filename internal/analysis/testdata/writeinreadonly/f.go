@@ -77,13 +77,12 @@ func namedWriter(tx *stm.Tx) error {
 	return nil
 }
 
-// openInBody: open nesting needs commit machinery the snapshot path
-// does not run; the Open call itself is the finding (the write inside
-// belongs to the open-nested child, not to this transaction).
+// openInBody: an open-nested section publishes effects and takes locks,
+// which the snapshot path cannot; the Open call itself is the finding,
+// even with an empty section.
 func openInBody(th *stm.Thread) error {
 	return th.AtomicRead(func(tx *stm.Tx) error {
 		return tx.Open(func(otx *stm.Tx) error { // want write-in-readonly
-			v.Set(otx, 3)
 			return nil
 		})
 	})

@@ -25,9 +25,11 @@ type Counter struct {
 // single abort handler — bound once, like a footprint's pair — can
 // compensate for all of it. It is recycled (attach) under a rule of its
 // own: a commit has nothing to undo, so Counter registers no commit
-// handler (its guard stays out of every commit footprint) and nothing
-// cleans the local when its attempt ends. No table refers to it either,
-// so the next attempt to attach it — h is not its handle — resets delta.
+// handler and nothing cleans the local when its attempt ends. (Its guard
+// is still in the commit footprint: the commit window takes the guard of
+// every root-level abort registration too.) No table refers to the local
+// either, so the next attempt to attach it — h is not its handle — resets
+// delta.
 type counterLocal struct {
 	c       *Counter
 	h       *stm.Handle

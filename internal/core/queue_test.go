@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"tcc/internal/collections"
 	"tcc/internal/stm"
@@ -271,6 +272,63 @@ func TestCounterConcurrentAddsNeverConflict(t *testing.T) {
 	}
 	if retries != 0 {
 		t.Errorf("open-nested counter increments caused %d rollbacks", retries)
+	}
+}
+
+// TestCounterCommitFootprint pins where Counter's guard is at commit. Add
+// registers no commit handler, but its compensating abort handler is a
+// root-level abort registration, and the commit window takes the guard of
+// every such registration: a committing Add transaction waits for whoever
+// holds the guard. Get registers nothing, so a transaction that only read
+// the counter commits past a holder.
+func TestCounterCommitFootprint(t *testing.T) {
+	c := NewCounter(0)
+	// commitWaits runs a transaction that calls op and then, before it
+	// commits, lets the test take c's guard. It reports whether the
+	// transaction was still uncommitted after wait, and checks that it
+	// ran no handler.
+	commitWaits := func(op func(tx *stm.Tx), wait time.Duration) bool {
+		th := newTh(1)
+		ready, proceed, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			first := true
+			done <- th.Atomic(func(tx *stm.Tx) error {
+				op(tx)
+				if first {
+					first = false
+					close(ready)
+					<-proceed
+				}
+				return nil
+			})
+		}()
+		<-ready
+		c.guard.Lock()
+		close(proceed)
+		waited := false
+		select {
+		case err := <-done:
+			must(t, err)
+		case <-time.After(wait):
+			waited = true
+		}
+		c.guard.Unlock()
+		if waited {
+			must(t, <-done)
+		}
+		if th.Stats.Commits != 1 || th.Stats.HandlerRuns != 0 {
+			t.Errorf("stats %+v, want one commit and no handler run", th.Stats)
+		}
+		return waited
+	}
+	if !commitWaits(func(tx *stm.Tx) { c.Add(tx, 1) }, 50*time.Millisecond) {
+		t.Error("an Add transaction committed while another goroutine held Counter's guard")
+	}
+	if commitWaits(func(tx *stm.Tx) { c.Get(tx) }, 5*time.Second) {
+		t.Error("a Get transaction waited at commit for Counter's guard")
+	}
+	if c.Value() != 1 {
+		t.Fatalf("value = %d, want 1", c.Value())
 	}
 }
 

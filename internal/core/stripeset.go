@@ -153,18 +153,19 @@ func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
 // retry path — the paper's §5 rule that the wrapped structure is read only
 // inside an open-nested region that also takes the semantic locks
 // (DESIGN.md §4, "Open sections"): touch the span, then run fn as the body
-// of an open-nested child (open) with the span's guards held (held), and
-// charge cost once the child has committed and the guards are free.
+// of an open-nested section (open) with the span's guards held (held), and
+// charge cost once the section has returned and the guards are free.
 //
-// The touch runs before, not inside, the child: registration takes no
+// The touch runs before, not inside, the section: registration takes no
 // lock, and the footprint must be in place before the transaction can
 // reach a handler window that walks the partition. The guards are the
 // ones the instance's handlers are registered under, so what fn reads of
 // the lock tables and the structure is atomic with respect to commits;
 // what it publishes — a semantic lock, a dequeued element — is visible at
 // once, owned by the top-level transaction and compensated by the
-// footprint's abort handler. fn reads no Var: a short mutex section stands
-// in for the paper's low-level open-nested hardware transaction.
+// footprint's abort handler. fn reads no Var (a Var access inside tx.Open
+// panics): a short mutex section stands in for the paper's low-level
+// open-nested hardware transaction.
 //
 //stmlint:txbody
 //stmlint:window around
@@ -175,8 +176,8 @@ func (s *stripeSet) section(tx *stm.Tx, f *footprint, lo, hi int, cost uint64, f
 	open(tx, cost, func() { s.held(lo, hi, fn) })
 }
 
-// open runs fn as an open-nested child of tx — the package's only tx.Open
-// — and charges cost cycles when the child has committed. A Clock must not
+// open runs fn as an open-nested section of tx — the package's only
+// tx.Open — and charges cost cycles when the section has returned. A Clock must not
 // be ticked under a lock other workers share, so whatever fn locks it
 // releases before it returns; cost 0 makes no Clock call at all, because
 // on the simulator every Tick is a scheduling point.
@@ -197,7 +198,7 @@ func open(tx *stm.Tx, cost uint64, fn func()) {
 // panic (a comparator, == on an interface key). An answer that must not
 // see half of a multi-partition commit — an iterator's committed keys, a
 // queue's total — passes the whole span. A snapshot-mode Get, which takes
-// no semantic lock and so needs no child, calls held alone.
+// no semantic lock and so needs no section, calls held alone.
 //
 //stmlint:window around
 func (s *stripeSet) held(lo, hi int, fn func()) {

@@ -170,7 +170,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		case KindBackoff:
 			te.Cat = "backoff"
 			span(e.Dur)
-		case KindNestedRetry, KindOpenRetry:
+		case KindNestedRetry:
 			te.Ph = "i"
 			te.Cat = "conflict"
 			te.S = "t"
@@ -179,7 +179,6 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			te.Ph = "i"
 			te.Cat = "tx"
 			te.S = "t"
-			te.Args.Writes = e.Writes
 		case KindGuardWait:
 			te.Ph = "i"
 			te.Cat = "guard"

@@ -13,7 +13,6 @@ const (
 	StmUserAborts        = "tcc_stm_user_aborts_total"
 	StmNestedRetries     = "tcc_stm_nested_retries_total"
 	StmOpenCommits       = "tcc_stm_open_commits_total"
-	StmOpenRetries       = "tcc_stm_open_retries_total"
 	StmSnapshotCommits   = "tcc_stm_snapshot_commits_total"
 	StmSnapshotFallbacks = "tcc_stm_snapshot_fallbacks_total"
 

@@ -50,11 +50,9 @@ const (
 	// KindNestedRetry marks a closed-nested child rolling back and
 	// retrying without aborting its parent (partial rollback).
 	KindNestedRetry
-	// KindOpenCommit marks an open-nested child committing its writes
-	// to shared memory while the parent continues.
+	// KindOpenCommit marks an open-nested section completing (tx.Open
+	// returning nil) while the transaction continues.
 	KindOpenCommit
-	// KindOpenRetry marks an open-nested child retrying.
-	KindOpenRetry
 	// KindBackoff marks a contention-manager pause; Dur is the cycles
 	// waited, Attempt the retry count that provoked it.
 	KindBackoff
@@ -68,7 +66,7 @@ const (
 
 var kindNames = [...]string{
 	"tx.begin", "tx.commit", "tx.abort", "tx.violated", "tx.user-abort",
-	"nested.retry", "open.commit", "open.retry", "backoff", "guard.wait",
+	"nested.retry", "open.commit", "backoff", "guard.wait",
 }
 
 func (k Kind) String() string {

@@ -202,7 +202,7 @@ func TestWriteTraceValidJSON(t *testing.T) {
 	r.Trace(Event{Kind: KindTxAbort, TxID: 7, CPU: 0, Time: 90, Dur: 80, Where: "HashMap.size", Reason: "stale read"})
 	r.Trace(Event{Kind: KindBackoff, TxID: 7, CPU: 0, Time: 120, Dur: 30, Attempt: 1})
 	r.Trace(Event{Kind: KindTxCommit, TxID: 7, CPU: 0, Time: 200, Dur: 190, Attempt: 1, Reads: 2, Writes: 1})
-	r.Trace(Event{Kind: KindOpenCommit, TxID: 9, CPU: 1, Time: 150, Writes: 1})
+	r.Trace(Event{Kind: KindOpenCommit, TxID: 9, CPU: 1, Time: 150})
 	r.Trace(Event{Kind: KindNestedRetry, TxID: 9, CPU: 1, Time: 160, Where: "TreeMap.root"})
 
 	var buf bytes.Buffer

@@ -22,7 +22,7 @@ import (
 // already the slow path).
 type Profile struct {
 	begins, commits, aborts, violations, userAborts atomic.Uint64
-	nestedRetries, openCommits, openRetries         atomic.Uint64
+	nestedRetries, openCommits                      atomic.Uint64
 	backoffs, backoffCycles, lostCycles             atomic.Uint64
 	guardWaits, snapshotCommits                     atomic.Uint64
 
@@ -37,7 +37,6 @@ type hotspot struct {
 	kind          string // "var", "semantic" or "guard"
 	rollbacks     uint64 // top-level aborts + violations attributed here
 	nestedRetries uint64
-	openRetries   uint64
 	guardWaits    uint64 // contended commit-guard acquisitions
 	lostCycles    uint64
 }
@@ -68,7 +67,7 @@ func (p *Profile) Trace(e Event) {
 	case KindTxAbort:
 		p.aborts.Add(1)
 		p.lostCycles.Add(e.Dur)
-		p.note(e.Where, "var", e.Dur, rollbackTop)
+		p.note(e.Where, "var", e.Dur, false)
 	case KindTxViolated:
 		p.violations.Add(1)
 		p.lostCycles.Add(e.Dur)
@@ -76,17 +75,14 @@ func (p *Profile) Trace(e Event) {
 		if where == "" {
 			where, kind = e.Reason, "semantic"
 		}
-		p.note(where, kind, e.Dur, rollbackTop)
+		p.note(where, kind, e.Dur, false)
 	case KindTxUserAbort:
 		p.userAborts.Add(1)
 	case KindNestedRetry:
 		p.nestedRetries.Add(1)
-		p.note(e.Where, "var", e.Dur, rollbackNested)
+		p.note(e.Where, "var", e.Dur, true)
 	case KindOpenCommit:
 		p.openCommits.Add(1)
-	case KindOpenRetry:
-		p.openRetries.Add(1)
-		p.note(e.Where, "var", e.Dur, rollbackOpen)
 	case KindBackoff:
 		p.backoffs.Add(1)
 		p.backoffCycles.Add(e.Dur)
@@ -96,15 +92,7 @@ func (p *Profile) Trace(e Event) {
 	}
 }
 
-type rollbackClass uint8
-
-const (
-	rollbackTop rollbackClass = iota
-	rollbackNested
-	rollbackOpen
-)
-
-func (p *Profile) note(where, kind string, lost uint64, class rollbackClass) {
+func (p *Profile) note(where, kind string, lost uint64, nested bool) {
 	if where == "" {
 		where, kind = unattributed, "?"
 	}
@@ -114,13 +102,10 @@ func (p *Profile) note(where, kind string, lost uint64, class rollbackClass) {
 		h = &hotspot{kind: kind}
 		p.spot[where] = h
 	}
-	switch class {
-	case rollbackTop:
-		h.rollbacks++
-	case rollbackNested:
+	if nested {
 		h.nestedRetries++
-	case rollbackOpen:
-		h.openRetries++
+	} else {
+		h.rollbacks++
 	}
 	h.lostCycles += lost
 	p.mu.Unlock()
@@ -150,7 +135,6 @@ type Hotspot struct {
 	Kind          string  `json:"kind"` // "var" | "semantic" | "?"
 	Rollbacks     uint64  `json:"rollbacks"`
 	NestedRetries uint64  `json:"nested_retries,omitempty"`
-	OpenRetries   uint64  `json:"open_retries,omitempty"`
 	GuardWaits    uint64  `json:"guard_waits,omitempty"`
 	LostCycles    uint64  `json:"lost_cycles"`
 	Share         float64 `json:"share"` // fraction of attributed rollbacks
@@ -166,7 +150,6 @@ type ProfileReport struct {
 	UserAborts      uint64 `json:"user_aborts,omitempty"`
 	NestedRetries   uint64 `json:"nested_retries,omitempty"`
 	OpenCommits     uint64 `json:"open_commits,omitempty"`
-	OpenRetries     uint64 `json:"open_retries,omitempty"`
 	Backoffs        uint64 `json:"backoffs,omitempty"`
 	BackoffCycles   uint64 `json:"backoff_cycles,omitempty"`
 	GuardWaits      uint64 `json:"guard_waits,omitempty"`
@@ -195,7 +178,6 @@ func (p *Profile) Report() *ProfileReport {
 		UserAborts:      p.userAborts.Load(),
 		NestedRetries:   p.nestedRetries.Load(),
 		OpenCommits:     p.openCommits.Load(),
-		OpenRetries:     p.openRetries.Load(),
 		Backoffs:        p.backoffs.Load(),
 		BackoffCycles:   p.backoffCycles.Load(),
 		GuardWaits:      p.guardWaits.Load(),
@@ -222,7 +204,6 @@ func (p *Profile) Report() *ProfileReport {
 			Kind:          h.kind,
 			Rollbacks:     h.rollbacks,
 			NestedRetries: h.nestedRetries,
-			OpenRetries:   h.openRetries,
 			GuardWaits:    h.guardWaits,
 			LostCycles:    h.lostCycles,
 		}
@@ -292,8 +273,8 @@ func (r *ProfileReport) Format(top int) string {
 	}
 	for _, h := range r.Hotspots[:n] {
 		extra := ""
-		if h.NestedRetries > 0 || h.OpenRetries > 0 {
-			extra = fmt.Sprintf("  (nested=%d open=%d)", h.NestedRetries, h.OpenRetries)
+		if h.NestedRetries > 0 {
+			extra = fmt.Sprintf("  (nested=%d)", h.NestedRetries)
 		}
 		if h.GuardWaits > 0 {
 			extra += fmt.Sprintf("  (guard-waits=%d)", h.GuardWaits)

@@ -37,7 +37,7 @@ type CPU struct {
 	done    bool
 }
 
-// ID returns the CPU's index, in [0, NumCPUs).
+// ID returns the CPU's index, in [0, n) for a simulator of n CPUs.
 func (c *CPU) ID() int { return c.id }
 
 // Now returns the CPU's local virtual time in cycles.
@@ -110,9 +110,6 @@ func New(n int) *Simulator {
 	}
 	return s
 }
-
-// NumCPUs returns the number of virtual CPUs.
-func (s *Simulator) NumCPUs() int { return len(s.cpus) }
 
 // Run executes body once per virtual CPU and returns when every CPU has
 // finished. It panics if all live CPUs become blocked (a virtual-time

@@ -94,7 +94,7 @@ const (
 	// CostAbort is the fixed rollback cost; the real price of an abort
 	// is re-executing the body, which re-charges naturally.
 	CostAbort = 16
-	// CostOpenCommit is charged when an open-nested child commits.
+	// CostOpenCommit is charged when an Open section returns nil.
 	CostOpenCommit = 6
 	// backoffBase seeds the randomized exponential backoff run between
 	// attempts of a conflicted transaction (contention management,

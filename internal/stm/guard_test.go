@@ -262,7 +262,7 @@ func TestNestedFootprintMerge(t *testing.T) {
 // TestAddTopGuardWidensFootprint: AddTopGuard must land the guard in
 // the footprint of the commit and of the whole-transaction rollback,
 // from any nesting depth — including a closed-nested child and an
-// open-nested child, which is where the striped map's touch() calls it
+// open-nested section, which is where the striped map's touch() calls it
 // from.
 func TestAddTopGuardWidensFootprint(t *testing.T) {
 	for _, wantErr := range []error{nil, errRollback} {
@@ -421,7 +421,7 @@ func TestPartialRollbackHoldsGuard(t *testing.T) {
 // TestHandlerWindowHoldsNamedGuards is the registration seam by
 // behaviour: whichever way a guard gets named — by a commit handler, an
 // abort handler at the top or in a closed-nested child, a handler
-// registered inside an open-nested child, AddTopGuard with no handler
+// registered inside an open-nested section, AddTopGuard with no handler
 // of its own, or two thousand registrations over two guards — every
 // guard in `held` is locked while the probing handler runs, every
 // guard in `free` (named by registrations that window has no business

@@ -79,15 +79,14 @@ func TestNestedPartialRollbackHandlerOrder(t *testing.T) {
 }
 
 // TestViolateDuringOpenCommit violates the top-level transaction while
-// an open-nested child is between finishing its body and installing its
-// writes. The install must still complete (open effects are published
-// unconditionally), the parent must observe the violation at its next
-// transactional operation, and the rollback must run the compensation
-// the child attached — the race Open documents.
+// an open-nested section is publishing. The section must still complete
+// (open effects are published unconditionally), the parent must observe
+// the violation at its next transactional operation, and the rollback
+// must run the compensation the section registered.
 func TestViolateDuringOpenCommit(t *testing.T) {
 	th := NewThread(&RealClock{}, 2)
 	v := NewVar(0)
-	ov := NewVar(0)
+	published := 0
 
 	attempts := 0
 	compensations := 0
@@ -97,22 +96,17 @@ func TestViolateDuringOpenCommit(t *testing.T) {
 		attempts++
 		if attempt == 0 {
 			if err := tx.Open(func(o *Tx) error {
-				ov.Set(o, 99)
 				o.OnAbortGuarded(testGuard, func() { compensations++ })
 				o.OnCommitGuarded(testGuard, func() { openCommitHandlerRan = true })
-				// The violator wins the race against this attempt while the
-				// child's write is still uninstalled.
+				// The violator wins the race against this attempt before
+				// the section has published.
 				if !tx.Handle().Violate("test-violation") {
 					t.Error("Violate refused while the owner was still active")
 				}
+				published = 99
 				return nil
 			}); err != nil {
 				t.Errorf("Open: %v", err)
-			}
-			// The open child committed: its effect is already public even
-			// though this attempt is doomed.
-			if ov.GetCommitted() != 99 {
-				t.Errorf("open effect not installed: ov = %d, want 99", ov.GetCommitted())
 			}
 			_ = v.Get(tx) // observes the violation and unwinds
 			t.Error("read on a violated transaction did not unwind")
@@ -130,13 +124,13 @@ func TestViolateDuringOpenCommit(t *testing.T) {
 		t.Errorf("compensations = %d, want 1", compensations)
 	}
 	if openCommitHandlerRan {
-		t.Error("open child's commit handler ran although the parent aborted")
+		t.Error("the section's commit handler ran although the parent aborted")
 	}
 	if v.GetCommitted() != 1 {
 		t.Errorf("v = %d, want 1", v.GetCommitted())
 	}
-	if ov.GetCommitted() != 99 {
-		t.Errorf("ov = %d, want 99 (open effects survive the parent's rollback)", ov.GetCommitted())
+	if published != 99 {
+		t.Errorf("published = %d, want 99 (open effects survive the parent's rollback)", published)
 	}
 	if th.Stats.Violations != 1 || th.Stats.ViolationsByReason["test-violation"] != 1 {
 		t.Errorf("violations = %d (%v), want 1 attributed to test-violation",

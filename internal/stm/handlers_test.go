@@ -106,53 +106,15 @@ func TestSignalStringAndTxThread(t *testing.T) {
 		}
 		return tx.Open(func(o *Tx) error {
 			if o.Thread() != th {
-				t.Error("open child Thread mismatch")
+				t.Error("open section Thread mismatch")
 			}
 			if o.Handle() != tx.Handle() {
-				t.Error("open child must share the top-level handle")
+				t.Error("open section must share the top-level handle")
 			}
 			return nil
 		})
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOpenRetryOnMemoryConflict(t *testing.T) {
-	// Force an open child's immediate commit to fail once: another
-	// transaction commits a conflicting write between the child's read
-	// and its install. The open child alone must retry.
-	v := NewVar(0)
-	th1 := newTestThread()
-	th2 := NewThread(&RealClock{}, 2)
-	openRuns := 0
-	err := th1.Atomic(func(tx *Tx) error {
-		return tx.Open(func(o *Tx) error {
-			openRuns++
-			got := v.Get(o)
-			if openRuns == 1 {
-				if err := th2.Atomic(func(tx2 *Tx) error {
-					v.Set(tx2, got+50)
-					return nil
-				}); err != nil {
-					return err
-				}
-			}
-			v.Set(o, got+1)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if openRuns != 2 {
-		t.Fatalf("open child ran %d times, want 2", openRuns)
-	}
-	if v.GetCommitted() != 51 {
-		t.Fatalf("v = %d, want 51", v.GetCommitted())
-	}
-	if th1.Stats.OpenRetries != 1 {
-		t.Fatalf("open retries = %d", th1.Stats.OpenRetries)
 	}
 }
 

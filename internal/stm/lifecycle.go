@@ -10,9 +10,9 @@ import (
 
 // This file is the transaction lifecycle as the outside sees it: every
 // edge a transaction crosses — begin, commit, rollback, snapshot
-// fallback, open-nested commit and retry, nested retry, guard waits,
-// backoff — is one function here, and that function is the only place
-// the edge is reported. The control flow (Thread.run, Tx.Open,
+// fallback, open-nested section, nested retry, guard waits, backoff —
+// is one function here, and that function is the only place the edge
+// is reported. The control flow (Thread.run, Tx.Open,
 // Tx.Nested, Tx.rollback, Tx.window) calls the edge and knows nothing
 // about sinks. There are three: Thread.Stats (always on), the live
 // metrics plane (internal/obs/metrics) and the event tracer
@@ -49,9 +49,7 @@ var (
 	mNestedRetries = metrics.Default.Counter(metrics.StmNestedRetries,
 		"Partial rollbacks of closed-nested levels")
 	mOpenCommits = metrics.Default.CounterSharded(metrics.StmOpenCommits,
-		"Open-nested child commits", 8)
-	mOpenRetries = metrics.Default.Counter(metrics.StmOpenRetries,
-		"Open-nested child conflict retries")
+		"Open-nested sections completed", 8)
 	mSnapCommits = metrics.Default.CounterSharded(metrics.StmSnapshotCommits,
 		"Top-level commits completed on the MVCC-lite snapshot path", 8)
 	mSnapFallbacks = metrics.Default.Counter(metrics.StmSnapshotFallbacks,
@@ -193,18 +191,19 @@ func (tx *Tx) edgeBegin() {
 	}
 	tx.handle.txid = tx.txid
 	e := tx.event(obs.KindTxBegin)
-	e.Snapshot = tx.snapshot
+	e.Snapshot = tx.mode == modeSnapshot
 	tx.tracer.Trace(e)
 }
 
-// edgeCommit closes a committed top-level transaction. tx.snapshot
-// says whether it finished on the snapshot path (an AtomicRead that
-// never fell back); the latency is the whole transaction's, first
-// attempt to now.
+// edgeCommit closes a committed top-level transaction. tx.mode says
+// whether it finished on the snapshot path (an AtomicRead that never
+// fell back); the latency is the whole transaction's, first attempt to
+// now.
 func (tx *Tx) edgeCommit() {
 	t := tx.thread
+	snap := tx.mode == modeSnapshot
 	t.Stats.Commits++
-	if tx.snapshot {
+	if snap {
 		t.Stats.SnapshotCommits++
 	}
 	if !tx.observed() {
@@ -213,14 +212,14 @@ func (tx *Tx) edgeCommit() {
 	dur := since(t.Clock.Now(), tx.firstBirth)
 	if tx.mon {
 		mCommits.AddLane(t.TraceID, 1)
-		if tx.snapshot {
+		if snap {
 			mSnapCommits.AddLane(t.TraceID, 1)
 		}
 		mTxLatency.Observe(t.TraceID, dur)
 	}
 	if tx.tracer != nil {
 		e := tx.event(obs.KindTxCommit)
-		e.Snapshot, e.Dur = tx.snapshot, dur
+		e.Snapshot, e.Dur = snap, dur
 		e.Reads, e.Writes, e.Handlers = len(tx.cur.reads.entries), len(tx.cur.writes.entries), len(tx.cur.onCommit)
 		tx.tracer.Trace(e)
 	}
@@ -285,8 +284,8 @@ func (tx *Tx) edgeFallback() {
 	}
 }
 
-// edgeOpenCommit records the commit of the open-nested level child.
-func (tx *Tx) edgeOpenCommit(child *level) {
+// edgeOpenCommit records an Open section that returned nil.
+func (tx *Tx) edgeOpenCommit() {
 	tx.thread.Stats.OpenCommits++
 	if !tx.observed() {
 		return
@@ -295,40 +294,26 @@ func (tx *Tx) edgeOpenCommit(child *level) {
 		mOpenCommits.AddLane(tx.thread.TraceID, 1)
 	}
 	if tx.tracer != nil {
-		e := tx.event(obs.KindOpenCommit)
-		e.Writes = len(child.writes.entries)
-		tx.tracer.Trace(e)
+		tx.tracer.Trace(tx.event(obs.KindOpenCommit))
 	}
 }
 
-// edgeOpenRetry records an open-nested child's conflict retry.
-func (tx *Tx) edgeOpenRetry() {
-	tx.thread.Stats.OpenRetries++
-	tx.partialRetry(mOpenRetries, obs.KindOpenRetry)
-}
-
 // edgeNestedRetry records the partial rollback of a closed-nested
-// level.
+// level: a conflict below the top level, attributed like an abort. It
+// consumes the conflict record, so a later abort of the enclosing
+// attempt is counted under its own cause.
 func (tx *Tx) edgeNestedRetry() {
 	tx.thread.Stats.NestedRetries++
-	tx.partialRetry(mNestedRetries, obs.KindNestedRetry)
-}
-
-// partialRetry is the sink half the two retry edges share: a conflict
-// below the top level, attributed like an abort. It consumes the
-// conflict record, so a later abort of the enclosing attempt is counted
-// under its own cause.
-func (tx *Tx) partialRetry(m *metrics.Counter, kind obs.Kind) {
 	if !tx.observed() {
 		return
 	}
 	rec := tx.conflict
 	tx.conflict = conflictRec{}
 	if tx.mon {
-		m.Add(1)
+		mNestedRetries.Add(1)
 	}
 	if tx.tracer != nil {
-		e := tx.event(kind)
+		e := tx.event(obs.KindNestedRetry)
 		rec.attribute(&e)
 		tx.tracer.Trace(e)
 	}

@@ -66,7 +66,7 @@ func TestAtomicReadFallbackIsOneTransaction(t *testing.T) {
 // sinks can be read in.
 type edgeCounts struct {
 	commits, snapCommits, aborts, violations, userAborts, fallbacks uint64
-	openCommits, openRetries, nestedRetries, guardWaits, backoffs   uint64
+	openCommits, nestedRetries, guardWaits, backoffs                uint64
 }
 
 // statsCounts reads Thread.Stats, summed over the scenario's workers.
@@ -81,9 +81,9 @@ func statsCounts(ths []*Thread, guardWaits uint64) edgeCounts {
 	return edgeCounts{
 		commits: s.Commits, snapCommits: s.SnapshotCommits, aborts: s.Aborts,
 		violations: s.Violations, userAborts: s.UserAborts, fallbacks: s.SnapshotFallbacks,
-		openCommits: s.OpenCommits, openRetries: s.OpenRetries, nestedRetries: s.NestedRetries,
+		openCommits: s.OpenCommits, nestedRetries: s.NestedRetries,
 		guardWaits: guardWaits,
-		backoffs:   s.Aborts + s.Violations + s.OpenRetries + s.NestedRetries,
+		backoffs:   s.Aborts + s.Violations + s.NestedRetries,
 	}
 }
 
@@ -99,9 +99,9 @@ func registryCounts() (edgeCounts, map[string]uint64) {
 	return edgeCounts{
 		commits: mCommits.Total(), snapCommits: mSnapCommits.Total(), aborts: aborts,
 		violations: mViolations.Total(), userAborts: mUserAborts.Total(), fallbacks: mSnapFallbacks.Total(),
-		openCommits: mOpenCommits.Total(), openRetries: mOpenRetries.Total(), nestedRetries: mNestedRetries.Total(),
+		openCommits: mOpenCommits.Total(), nestedRetries: mNestedRetries.Total(),
 		guardWaits: mGuardWaits.Total(),
-		backoffs:   mRetries.Total() + mOpenRetries.Total() + mNestedRetries.Total(),
+		backoffs:   mRetries.Total() + mNestedRetries.Total(),
 	}, byCause
 }
 
@@ -109,7 +109,7 @@ func (a edgeCounts) minus(b edgeCounts) edgeCounts {
 	return edgeCounts{
 		a.commits - b.commits, a.snapCommits - b.snapCommits, a.aborts - b.aborts,
 		a.violations - b.violations, a.userAborts - b.userAborts, a.fallbacks - b.fallbacks,
-		a.openCommits - b.openCommits, a.openRetries - b.openRetries, a.nestedRetries - b.nestedRetries,
+		a.openCommits - b.openCommits, a.nestedRetries - b.nestedRetries,
 		a.guardWaits - b.guardWaits, a.backoffs - b.backoffs,
 	}
 }
@@ -148,9 +148,6 @@ func eventCounts(events []obs.Event) (edgeCounts, map[string]uint64) {
 			c.userAborts++
 		case obs.KindOpenCommit:
 			c.openCommits++
-			continue
-		case obs.KindOpenRetry:
-			c.openRetries++
 			continue
 		case obs.KindNestedRetry:
 			c.nestedRetries++
@@ -202,7 +199,6 @@ func TestLifecycleSinksAgree(t *testing.T) {
 	userAborts := func(c edgeCounts) uint64 { return c.userAborts }
 	fallbacks := func(c edgeCounts) uint64 { return c.fallbacks }
 	openCommits := func(c edgeCounts) uint64 { return c.openCommits }
-	openRetries := func(c edgeCounts) uint64 { return c.openRetries }
 	nestedRetries := func(c edgeCounts) uint64 { return c.nestedRetries }
 	guardWaits := func(c edgeCounts) uint64 { return c.guardWaits }
 	backoffs := func(c edgeCounts) uint64 { return c.backoffs }
@@ -315,24 +311,8 @@ func TestLifecycleSinksAgree(t *testing.T) {
 			_ = th.AtomicRead(func(tx *Tx) error { return tx.Open(func(*Tx) error { return nil }) })
 		}},
 		{"open commit", openCommits, "", func(t *testing.T, th, _ *Thread) {
-			v := NewVar(0)
 			MustAtomicT(t, th, func(tx *Tx) error {
-				return tx.Open(func(o *Tx) error { v.Set(o, 1); return nil })
-			})
-		}},
-		{"open retry", openRetries, "", func(t *testing.T, th, th2 *Thread) {
-			a, b := NewVar(0), NewVar(0)
-			first := true
-			MustAtomicT(t, th, func(tx *Tx) error {
-				return tx.Open(func(o *Tx) error {
-					_ = a.Get(o)
-					if first {
-						first = false
-						bump(t, th2, a, b)
-					}
-					_ = b.Get(o)
-					return nil
-				})
+				return tx.Open(func(o *Tx) error { o.OnAbortGuarded(testGuard, func() {}); return nil })
 			})
 		}},
 		{"nested retry", nestedRetries, "", func(t *testing.T, th, th2 *Thread) {

@@ -65,19 +65,18 @@ func TestForeignPanicUnwinds(t *testing.T) {
 		})
 		tx.OnCommitGuarded(g, func() { p.log = append(p.log, "commit:"+name) })
 	}
-	// open commits an open-nested child that registers a handler pair,
-	// which thereby attaches to the level tx is in.
+	// open runs an open-nested section that registers a handler pair on
+	// the level tx is in.
 	open := func(p *probe, name string) {
 		if err := p.tx.Open(func(o *Tx) error { onAbort(p, o, name); return nil }); err != nil {
 			panic(err)
 		}
 	}
-	// dying is an open-nested child that writes, registers and panics: it
-	// never commits, so its registration is dropped with it.
+	// dying is an open-nested section that registers and panics: its
+	// registration stays on the level, so the rollback compensates it.
 	dying := func(p *probe) {
 		_ = p.tx.Open(func(o *Tx) error {
-			onAbort(p, o, "unborn")
-			p.v.Set(o, 2)
+			onAbort(p, o, "dying")
 			panic(boom)
 		})
 	}
@@ -94,7 +93,7 @@ func TestForeignPanicUnwinds(t *testing.T) {
 			p.v.Set(p.tx, 1)
 			panic(boom)
 		}},
-		{"open", false, 2, []string{"open1", "root1"}, func(p *probe) error {
+		{"open", false, 1, []string{"dying", "open1", "root1"}, func(p *probe) error {
 			onAbort(p, p.tx, "root1")
 			open(p, "open1")
 			p.v.Set(p.tx, 1)
@@ -110,7 +109,7 @@ func TestForeignPanicUnwinds(t *testing.T) {
 				panic(boom)
 			})
 		}},
-		{"open-in-nested", false, 3, []string{"open1", "nested1", "root1"}, func(p *probe) error {
+		{"open-in-nested", false, 2, []string{"dying", "open1", "nested1", "root1"}, func(p *probe) error {
 			onAbort(p, p.tx, "root1")
 			return p.tx.Nested(func() error {
 				onAbort(p, p.tx, "nested1")
@@ -222,7 +221,7 @@ func TestForeignPanicUnwinds(t *testing.T) {
 // TestPanicInHandlerWindowUnwinds: a handler that panics inside the
 // handler window — a commit handler past the point of no return, or an
 // abort handler in a top-level rollback, in Nested's partial rollback, or
-// attached by an open-nested child — does not stop the handlers after it,
+// registered by an open-nested section — does not stop the handlers after it,
 // leaves no guard locked, and reaches the caller of Atomic as the value it
 // was once the commit or the rollback is complete. The commit-handler
 // case committed: its write is there and Stats says so.

@@ -37,8 +37,7 @@ type Protocol interface {
 	// begin samples whatever begin-of-attempt state the protocol needs
 	// and returns the attempt's read version (TL2: the global clock;
 	// NOrec: the sequence lock rounded down to even, which a writer may
-	// still hold). Also used for each attempt of an open-nested child,
-	// which reads at its own, newer point.
+	// still hold). Called once per ordinary attempt.
 	begin(t *Thread) uint64
 	// read returns a committed value of c consistent with everything
 	// tx has read so far, recording the value box it returns for later
@@ -53,13 +52,13 @@ type Protocol interface {
 	// moves tx's read version forward to the present — the partial-
 	// rollback retry's way of keeping the enclosing transaction viable.
 	extend(tx *Tx) bool
-	// commit publishes level l: acquire whatever the protocol locks,
-	// validate, pass the point of no return when doPrepare (top-level
-	// commits; open-nested children skip it), install at a fresh global
-	// clock tick, release. On failure nothing is installed and every
-	// lock the call itself took is released. Must not unwind: it runs
-	// inside the commit-guard window.
-	commit(tx *Tx, l *level, doPrepare bool) bool
+	// commit publishes the root level l of a top-level transaction:
+	// acquire whatever the protocol locks, validate, pass the point of no
+	// return (Handle.toPrepared), install at a fresh global clock tick,
+	// release. On failure nothing is installed and every lock the call
+	// itself took is released. Must not unwind: it runs inside the
+	// commit-guard window.
+	commit(tx *Tx, l *level) bool
 }
 
 // protocols is the fixed protocol list, default first — the iteration

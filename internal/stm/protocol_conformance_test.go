@@ -406,88 +406,46 @@ func confNestedPartialAbort(t *testing.T, proto string) {
 }
 
 func confOpenNesting(t *testing.T, proto string) {
-	counter := NewVar(0)
 	v := NewVar(0)
 	th := protoThread(t, proto, 1)
-	compensated := false
+	published, compensated := 0, false
 	wantErr := errors.New("parent rolls back")
 	err := th.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
-			counter.Set(o, counter.Get(o)+1)
+			published++
 			o.OnAbortGuarded(testGuard, func() { compensated = true })
 			return nil
 		}); err != nil {
 			return err
 		}
-		// The open child's effect is already committed and visible.
-		if got := counter.GetCommitted(); got != 1 {
-			t.Fatalf("open-nested effect not published: counter = %d", got)
-		}
-		v.Set(tx, 1)
+		// The body's own Vars work again once the section has returned.
+		v.Set(tx, v.Get(tx)+1)
 		return wantErr
 	})
 	if err != wantErr {
 		t.Fatal(err)
 	}
+	if published != 1 {
+		t.Fatalf("open section ran %d times, want once", published)
+	}
 	if !compensated {
-		t.Fatal("abort handler from open child did not run on parent rollback")
+		t.Fatal("abort handler from the open section did not run on parent rollback")
 	}
 	if v.GetCommitted() != 0 {
 		t.Fatal("parent write survived rollback")
 	}
 }
 
-// confOpenIsolation pins what separates an open-nested child from the
-// levels around it, however the child is represented: it reads committed
-// state, not the enclosing levels' buffered writes; its reads are its
-// own, not the parent's; its writes are published when it commits, not
-// when the parent does; a handler it registers belongs to the level Open
-// was called in; and what the protocol holds for it goes when it ends.
+// confOpenIsolation pins what separates an open-nested section from the
+// levels around it: a handler it registers belongs to the level Open was
+// called in, however the calls nest, and a section that returns an error
+// leaves nothing of its own behind and nothing of the parent's released.
 func confOpenIsolation(t *testing.T, proto string) {
-	th, other := protoThread(t, proto, 1), protoThread(t, proto, 2)
+	th := protoThread(t, proto, 1)
 	childErr := errors.New("child abort")
 
-	// Reads and writes.
-	a, b, c, d := NewVar(1), NewVar(1), NewVar(1), NewVar(1)
-	runs := 0
-	if err := th.Atomic(func(tx *Tx) error {
-		runs++
-		_ = c.Get(tx)
-		a.Set(tx, 5)
-		if err := tx.Open(func(o *Tx) error {
-			if got := a.Get(o); got != 1 {
-				t.Errorf("child read a = %d, want the committed 1, not the parent's buffered 5", got)
-			}
-			_ = b.Get(o)
-			d.Set(o, 7)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if got := a.Get(tx); got != 5 {
-			t.Errorf("parent read a = %d after the child, want its own buffered 5", got)
-		}
-		// Another thread sees the child's write before the parent commits,
-		// and overwrites what only the child read: not the parent's concern.
-		return other.Atomic(func(tx2 *Tx) error {
-			if got := d.Get(tx2); got != 7 {
-				t.Errorf("another thread read d = %d before the parent committed, want the child's 7", got)
-			}
-			b.Set(tx2, 2)
-			return nil
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 || th.Stats.Aborts != 0 {
-		t.Errorf("parent ran %d times with %d aborts: a var only its child read is in its read set", runs, th.Stats.Aborts)
-	}
-	if a.GetCommitted() != 5 || b.GetCommitted() != 2 || d.GetCommitted() != 7 {
-		t.Errorf("committed a=%d b=%d d=%d, want 5, 2, 7", a.GetCommitted(), b.GetCommitted(), d.GetCommitted())
-	}
-
-	// Handlers: Open inside Nested inside Open. The innermost child's abort
-	// handler attaches to the Nested level, whose rollback runs it — once,
+	// Handlers: Open inside Nested inside Open. The innermost section's
+	// abort handler attaches to the Nested level, whose rollback runs it — once,
 	// whatever is rolled back afterwards.
 	compensated := 0
 	wantErr := errors.New("parent rolls back")
@@ -519,33 +477,30 @@ func confOpenIsolation(t *testing.T, proto string) {
 		t.Errorf("abort handler ran %d times in all, want once", compensated)
 	}
 
-	// Protocol state: a child that returns an error leaves nothing of its
-	// own behind and nothing of the parent's released.
-	held := func(v *Var[int], tx *Tx) bool {
-		return wordLocked(v.core.word.Load()) && v.core.owner.Load() == tx.handle
-	}
-	p, q := NewVar(0), NewVar(0)
+	// Protocol state: a section that returns an error leaves nothing of
+	// its own behind and nothing of the parent's released.
+	p := NewVar(0)
+	dropped := false
 	if err := th.Atomic(func(tx *Tx) error {
 		p.Set(tx, 1)
 		if err := tx.Open(func(o *Tx) error {
-			q.Set(o, 1)
-			p.Set(o, 2)
+			o.OnAbortGuarded(testGuard, func() { dropped = true })
 			return childErr
 		}); err != childErr {
 			t.Errorf("open err = %v, want %v", err, childErr)
 		}
-		if wordLocked(q.core.word.Load()) {
-			t.Errorf("a lockword first taken by the child is still held after it aborted")
+		if proto == "tl2-eager" && (!wordLocked(p.core.word.Load()) || p.core.owner.Load() != tx.handle) {
+			t.Errorf("a lockword the parent took was released by its section's error")
 		}
-		if proto == "tl2-eager" && !held(p, tx) {
-			t.Errorf("a lockword the parent took was released by its child's abort")
-		}
-		return nil
-	}); err != nil {
+		return wantErr
+	}); err != wantErr {
 		t.Fatal(err)
 	}
-	if p.GetCommitted() != 1 || q.GetCommitted() != 0 {
-		t.Errorf("committed p=%d q=%d, want 1, 0", p.GetCommitted(), q.GetCommitted())
+	if dropped {
+		t.Errorf("the rollback ran an abort handler of a section that returned an error")
+	}
+	if p.GetCommitted() != 0 || wordLocked(p.core.word.Load()) {
+		t.Errorf("committed p=%d, locked=%v; want 0, unlocked", p.GetCommitted(), wordLocked(p.core.word.Load()))
 	}
 }
 

@@ -15,8 +15,8 @@ package stm
 // in Tx.eagerLocks, one list for the attempt at every nesting depth,
 // and released by Tx.releaseEagerLocks and Tx.releaseLevelLocks on
 // every rollback path, of the attempt or of one level; release is
-// conditional on still owning the word because a child's install or a
-// failed commit's unlock may already have released it.
+// conditional on still owning the word because a failed commit's unlock
+// may already have released it.
 type eagerProtocol struct{ tl2Protocol }
 
 func (eagerProtocol) Name() string { return "tl2-eager" }
@@ -52,11 +52,9 @@ func (tx *Tx) releaseEagerLocks() {
 }
 
 // releaseLevelLocks releases the lockwords held only for level l's
-// writes, l being a level that is gone — a closed-nested child rolled
-// back, an open-nested child's attempt over, committed or not (after a
-// commit the install released the words; this clears the tracking). l
-// is already unlinked from tx.cur: a variable also written by a
-// surviving level keeps its lock.
+// writes, l being a closed-nested child that rolled back. l is already
+// unlinked from tx.cur: a variable also written by a surviving level
+// keeps its lock.
 func (tx *Tx) releaseLevelLocks(l *level) {
 	if len(tx.eagerLocks) == 0 {
 		return
@@ -74,10 +72,10 @@ func (tx *Tx) releaseLevelLocks(l *level) {
 }
 
 // writtenElsewhere reports whether c is written by any live level of
-// tx, across open-nesting boundaries (the discarded level is not
-// reachable from tx.cur when releaseLevelLocks runs).
+// tx (the discarded level is not reachable from tx.cur when
+// releaseLevelLocks runs).
 func writtenElsewhere(tx *Tx, c *varCore) bool {
-	for lv := tx.cur; lv != nil; lv = lv.outer {
+	for lv := tx.cur; lv != nil; lv = lv.parent {
 		if _, ok := lv.writes.get(c); ok {
 			return true
 		}

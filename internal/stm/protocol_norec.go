@@ -104,9 +104,9 @@ func norecExtend(tx *Tx, cause string) bool {
 // Once the lock is held no concurrent writer exists, so the held
 // window only needs the per-Var installs — done through the lockwords,
 // before the global-clock tick, to keep snapshot readers safe.
-func (norecProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
+func (norecProtocol) commit(tx *Tx, l *level) bool {
 	if len(l.writes.entries) == 0 {
-		return !doPrepare || tx.handle.toPrepared()
+		return tx.handle.toPrepared()
 	}
 	if !norecSeqAcquire(tx) {
 		return false
@@ -119,7 +119,7 @@ func (norecProtocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 		norecSeqRelease(rv)
 		return false
 	}
-	if doPrepare && !tx.handle.toPrepared() {
+	if !tx.handle.toPrepared() {
 		unlockWriteSet(buf)
 		norecSeqRelease(rv)
 		return false

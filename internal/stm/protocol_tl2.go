@@ -48,22 +48,19 @@ func (tl2Protocol) extend(tx *Tx) bool {
 	return true
 }
 
-// commit is the single lock-sort-validate-install sequence shared by
-// top-level and open-nested commits (and by the eager variant, whose
-// Set-time acquisitions make lockWriteSet's tryLocks instant): acquire
-// the write set's lockwords in variable-ID order (deadlock freedom),
-// validate the read set, for a top-level commit (doPrepare) pass the
-// point of no return, and install every write at one fresh global-clock
-// tick. On any failure all locks are released, nothing is installed,
-// and for doPrepare the handle is left un-Prepared so the caller rolls
-// back.
-func (tl2Protocol) commit(tx *Tx, l *level, doPrepare bool) bool {
+// commit is the lock-sort-validate-install sequence (shared with the
+// eager variant, whose Set-time acquisitions make lockWriteSet's tryLocks
+// instant): acquire the write set's lockwords in variable-ID order
+// (deadlock freedom), validate the read set, pass the point of no return,
+// and install every write at one fresh global-clock tick. On any failure
+// all locks are released, nothing is installed, and the handle is left
+// un-Prepared so the caller rolls back.
+func (tl2Protocol) commit(tx *Tx, l *level) bool {
 	if len(l.writes.entries) == 0 {
 		// Read-only fast path: every read was validated against the
 		// snapshot when it happened, so the transaction is serializable
-		// at readVersion. For a top-level commit only the violation
-		// race remains; an open-nested child has nothing to do.
-		return !doPrepare || tx.handle.toPrepared()
+		// at readVersion. Only the violation race remains.
+		return tx.handle.toPrepared()
 	}
 	buf := tx.thread.sortedWrites(l)
 	if !lockWriteSet(tx, buf) {
@@ -74,7 +71,7 @@ func (tl2Protocol) commit(tx *Tx, l *level, doPrepare bool) bool {
 		unlockWriteSet(buf)
 		return false
 	}
-	if doPrepare && !tx.handle.toPrepared() {
+	if !tx.handle.toPrepared() {
 		unlockWriteSet(buf)
 		return false
 	}

@@ -138,11 +138,10 @@ func BenchmarkSTMNestedRetry(b *testing.B) {
 	}
 }
 
-// BenchmarkSTMOpenNestedCommit measures an open-nested child that
-// writes one var and attaches a commit handler to the parent — the
-// paper's semantic-lock acquisition shape.
+// BenchmarkSTMOpenNestedCommit measures an open-nested section that
+// takes its guard and registers a commit handler under it — the paper's
+// semantic-lock acquisition shape.
 func BenchmarkSTMOpenNestedCommit(b *testing.B) {
-	v := stm.NewVar(0)
 	g := stm.NewGuard()
 	th := newBenchThread()
 	nop := func() {}
@@ -151,7 +150,8 @@ func BenchmarkSTMOpenNestedCommit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = th.Atomic(func(tx *stm.Tx) error {
 			return tx.Open(func(o *stm.Tx) error {
-				v.Set(o, i)
+				g.Lock()
+				g.Unlock()
 				o.OnCommitGuarded(g, nop)
 				return nil
 			})

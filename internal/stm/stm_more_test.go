@@ -116,7 +116,7 @@ func TestNestingDepthProperty(t *testing.T) {
 
 func TestOpenInsideNested(t *testing.T) {
 	v := NewVar(0)
-	openEffect := NewVar(0)
+	openEffect := 0
 	th := newTestThread()
 	childErr := errors.New("child aborts")
 	var compensated bool
@@ -124,7 +124,7 @@ func TestOpenInsideNested(t *testing.T) {
 		_ = tx.Nested(func() error {
 			v.Set(tx, 1)
 			if err := tx.Open(func(o *Tx) error {
-				openEffect.Set(o, 42)
+				openEffect = 42
 				o.OnAbortGuarded(testGuard, func() { compensated = true })
 				return nil
 			}); err != nil {
@@ -138,17 +138,17 @@ func TestOpenInsideNested(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The nested child aborted: its memory write is gone, but the
-	// open-nested effect committed — and the abort handler registered
-	// by the open child (attached to the aborting level) must have run
-	// as compensation.
+	// open-nested effect stands — and the abort handler registered by
+	// the open section (on the aborting level) must have run as
+	// compensation.
 	if v.GetCommitted() != 0 {
 		t.Fatal("aborted child's memory write survived")
 	}
-	if openEffect.GetCommitted() != 42 {
+	if openEffect != 42 {
 		t.Fatal("open-nested effect was rolled back with the closed-nested child")
 	}
 	if !compensated {
-		t.Fatal("abort handler from the open child did not run when its level aborted")
+		t.Fatal("abort handler from the open section did not run when its level aborted")
 	}
 }
 
@@ -272,33 +272,6 @@ func TestSetCommittedVisibleToTransactions(t *testing.T) {
 	}
 	if got != 5 {
 		t.Fatalf("got %d, want 5", got)
-	}
-}
-
-func TestOpenNestedSeesOwnWritesNotParents(t *testing.T) {
-	v := NewVar(0)
-	th := newTestThread()
-	err := th.Atomic(func(tx *Tx) error {
-		v.Set(tx, 10) // buffered in the parent
-		return tx.Open(func(o *Tx) error {
-			// Open children read committed state, not the parent's
-			// uncommitted buffer (they commit independently of it).
-			if got := v.Get(o); got != 0 {
-				t.Fatalf("open child saw parent's uncommitted write: %d", got)
-			}
-			v.Set(o, 5)
-			if got := v.Get(o); got != 5 {
-				t.Fatalf("open child missed own write: %d", got)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The parent's buffered write overwrote the open child's at commit.
-	if got := v.GetCommitted(); got != 10 {
-		t.Fatalf("final = %d, want 10 (parent commits after child)", got)
 	}
 }
 

@@ -243,47 +243,57 @@ func TestNestedAbortIsPartial(t *testing.T) {
 }
 
 func TestOpenNestingPublishesImmediately(t *testing.T) {
-	v := NewVar(0)
-	th := newTestThread()
+	// What a section publishes under its own lock is visible to another
+	// thread while the parent still runs, and outlives the parent's
+	// rollback.
+	published := 0
+	th, other := newTestThread(), NewThread(&RealClock{}, 2)
 	wantErr := errors.New("parent aborts")
 	err := th.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
-			v.Set(o, 7)
+			testGuard.Lock()
+			defer testGuard.Unlock()
+			published = 7
 			return nil
 		}); err != nil {
 			return err
 		}
-		// The open child's write is globally committed even though the
-		// parent is still running.
-		if got := v.GetCommitted(); got != 7 {
-			t.Fatalf("open write not published: %d", got)
-		}
-		return wantErr // parent aborts; open write must survive
+		MustAtomicT(t, other, func(tx2 *Tx) error {
+			tx2.OnCommitGuarded(testGuard, func() {
+				if published != 7 {
+					t.Errorf("open effect not published: %d", published)
+				}
+			})
+			return nil
+		})
+		return wantErr // parent aborts; the open effect must survive
 	})
 	if err != wantErr {
 		t.Fatal(err)
 	}
-	if got := v.GetCommitted(); got != 7 {
-		t.Fatalf("open write rolled back with parent: %d", got)
+	if published != 7 {
+		t.Fatalf("open effect rolled back with parent: %d", published)
 	}
 }
 
 func TestOpenNestingDoesNotPolluteParentReadSet(t *testing.T) {
-	// Parent reads v only inside an open child. Another transaction
-	// then commits a change to v. The parent must still commit: the
-	// read dependency was released with the open child.
-	v := NewVar(0)
+	// Parent reads shared state only inside an open section. Another
+	// transaction then commits a change to it. The parent must still
+	// commit at its first attempt: the section left no read dependency.
+	shared := 0
 	w := NewVar(0)
 	th1, th2 := NewThread(&RealClock{}, 1), NewThread(&RealClock{}, 2)
 	err := th1.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
-			_ = v.Get(o)
+			testGuard.Lock()
+			defer testGuard.Unlock()
+			_ = shared
 			return nil
 		}); err != nil {
 			return err
 		}
 		if err := th2.Atomic(func(tx2 *Tx) error {
-			v.Set(tx2, 99)
+			tx2.OnCommitGuarded(testGuard, func() { shared = 99 })
 			return nil
 		}); err != nil {
 			return err
@@ -428,18 +438,17 @@ func TestOpenChildHandlersAttachToParent(t *testing.T) {
 		return bad
 	})
 	if commits != 1 || aborts != 1 {
-		t.Fatalf("(commits,aborts) = (%d,%d), want (1,1): parent abort must run the open child's compensation", commits, aborts)
+		t.Fatalf("(commits,aborts) = (%d,%d), want (1,1): parent abort must run the open section's compensation", commits, aborts)
 	}
 }
 
 func TestOpenChildErrorHasNoEffects(t *testing.T) {
-	v := NewVar(0)
 	th := newTestThread()
 	var handlerRan bool
-	childErr := errors.New("open child aborts")
+	childErr := errors.New("open section fails")
 	err := th.Atomic(func(tx *Tx) error {
 		if err := tx.Open(func(o *Tx) error {
-			v.Set(o, 5)
+			o.OnCommitGuarded(testGuard, func() { handlerRan = true })
 			o.OnAbortGuarded(testGuard, func() { handlerRan = true })
 			return childErr
 		}); err != childErr {
@@ -450,11 +459,8 @@ func TestOpenChildErrorHasNoEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.GetCommitted() != 0 {
-		t.Fatal("aborted open child published a write")
-	}
 	if handlerRan {
-		t.Fatal("handler from aborted open child ran")
+		t.Fatal("handler from a failed open section ran")
 	}
 }
 

@@ -25,9 +25,11 @@ type Stats struct {
 	UserAborts uint64
 	// NestedRetries counts partial rollbacks of closed-nested levels.
 	NestedRetries uint64
-	// OpenCommits and OpenRetries count open-nested child commits and
-	// their internal conflict retries.
+	// OpenCommits counts Open sections that returned nil.
 	OpenCommits uint64
+	// OpenRetries is always 0: an Open section runs inside the attempt
+	// and has no retry of its own. Kept only for the benchmark report
+	// that still reads it.
 	OpenRetries uint64
 	// HandlerRuns counts executed commit handlers.
 	HandlerRuns uint64
@@ -73,7 +75,6 @@ func (s *Stats) Add(other Stats) {
 	s.UserAborts += other.UserAborts
 	s.NestedRetries += other.NestedRetries
 	s.OpenCommits += other.OpenCommits
-	s.OpenRetries += other.OpenRetries
 	s.HandlerRuns += other.HandlerRuns
 	s.SnapshotCommits += other.SnapshotCommits
 	s.SnapshotFallbacks += other.SnapshotFallbacks
@@ -175,16 +176,16 @@ func NewThread(clock Clock, seed int64) *Thread {
 	return t
 }
 
-// getLevel pops a recycled level or allocates one, linked as given.
-func (t *Thread) getLevel(parent, outer *level) *level {
+// getLevel pops a recycled level or allocates one, pushed on parent.
+func (t *Thread) getLevel(parent *level) *level {
 	if n := len(t.levelPool) - 1; n >= 0 {
 		l := t.levelPool[n]
 		t.levelPool[n] = nil
 		t.levelPool = t.levelPool[:n]
-		l.parent, l.outer = parent, outer
+		l.parent = parent
 		return l
 	}
-	return &level{parent: parent, outer: outer}
+	return &level{parent: parent}
 }
 
 // putLevel resets a level and returns it to the pool.
@@ -196,7 +197,7 @@ func (t *Thread) putLevel(l *level) {
 // releaseLevels returns every level tx has pushed to the pool.
 func (t *Thread) releaseLevels(tx *Tx) {
 	for l := tx.cur; l != nil; {
-		next := l.outer
+		next := l.parent
 		t.putLevel(l)
 		l = next
 	}
@@ -218,8 +219,8 @@ func (t *Thread) flushDeferred() {
 	}
 }
 
-// stall is the go-around of every retry loop — Thread.run's, Tx.Open's
-// and Tx.Nested's: back off before attempt+1 and report the stall.
+// stall is the go-around of both retry loops, Thread.run's and
+// Tx.Nested's: back off before attempt+1 and report the stall.
 func (tx *Tx) stall(attempt int) { tx.edgeBackoff(tx.thread.backoff(attempt)) }
 
 // backoff stalls according to the worker's contention-management
@@ -257,7 +258,7 @@ func (t *Thread) Atomic(fn func(tx *Tx) error) error { return t.run(fn, false) }
 // for a writer to abort it, even while writers commit continuously.
 //
 // If the snapshot cannot complete — fn writes, registers a handler,
-// opens an open-nested child, or a var's one-deep retained history was
+// calls Open, or a var's one-deep retained history was
 // truncated past the read version on every restart — the transaction
 // transparently continues on the ordinary retry path (counted in
 // Stats.SnapshotFallbacks; still one transaction to every observer), so
@@ -292,9 +293,12 @@ func (tx *Tx) begin(attempt int, snap bool) {
 		tx.handle = &Handle{id: handleIDs.Add(1), birth: t.Clock.Now()}
 		tx.readVersion = t.proto.begin(t)
 	}
-	tx.cur = t.getLevel(nil, nil)
+	tx.cur = t.getLevel(nil)
 	tx.attempt = attempt
-	tx.snapshot = snap
+	tx.mode = modeTx
+	if snap {
+		tx.mode = modeSnapshot
+	}
 	if len(t.attachments) > maxAttachments {
 		clear(t.attachments)
 	}
@@ -369,8 +373,8 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 				// lockword for the whole spin budget: resample the clock.
 				continue
 			}
-			// The body wrote, registered a handler, opened an open-nested
-			// child, was violated through a handle the caller shared — or
+			// The body wrote, registered a handler, called Open, was
+			// violated through a handle the caller shared — or
 			// the restart budget is spent.
 			snap = false
 			tx.edgeFallback()
@@ -385,61 +389,40 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 	}
 }
 
-// Open runs fn as an open-nested child transaction: its effects commit
-// immediately and become visible to all transactions regardless of
-// whether the parent later commits — the enabling mechanism for taking
-// semantic locks without retaining memory dependencies (paper §2.4,
-// §4). Handlers registered inside fn attach to the level Open was called
-// in, guard and all, when the child commits, so a later rollback of that
-// level runs the compensation and a commit applies the buffered updates.
+// Open runs fn as an open-nested section of the running attempt: the
+// paper's open nesting (§2.4, §4), reduced to its two uses — taking
+// semantic locks and publishing effects that abort handlers compensate.
+// fn publishes under a lock of its own (a collection's guard), not through
+// Vars, so what it publishes is visible at once and stays published
+// whether or not the transaction commits. A Var Get or Set inside fn
+// panics.
 //
-// Memory conflicts inside fn retry only fn. If fn returns an error the
-// child aborts: no effects, no handlers, and the error is returned with
-// the parent still viable.
+// fn receives tx itself and runs on the current level: handlers it
+// registers attach to that level, guard and all, so a later rollback of
+// the level runs the compensation and a commit applies the buffered
+// updates. If fn returns an error, the registrations fn made are dropped
+// and the error is returned with the transaction still viable. A signal
+// or panic out of fn unwinds the enclosing attempt, and fn's abort
+// handlers compensate what it had already published.
 //
-// The child is a level chain of the running transaction, not a second
-// one: fn receives tx itself, on a detached root level (see level) and a
-// read version sampled for the attempt, both put back when it ends. It
-// commits like a top-level transaction but leaves the handle Active and
-// runs no handlers. A transaction violated mid-install still completes
-// the install — the attached abort handlers will compensate — and sees
-// the violation at its next check.
+// Open polls for a violation on entry. Inside a snapshot attempt it falls
+// back to the retry path instead: a read-only snapshot neither publishes
+// nor takes semantic locks.
 func (tx *Tx) Open(fn func(o *Tx) error) error {
-	if tx.snapshot {
-		// An open-nested child exists to publish effects and take
-		// semantic locks — neither is available to a read-only
-		// snapshot; restart on the retry path.
+	if tx.mode == modeSnapshot {
 		tx.bail(sigFallback, fallbackOpen)
 	}
-	t := tx.thread
-	outer, outerVersion := tx.cur, tx.readVersion
-	for attempt := 0; ; attempt++ {
-		tx.check()
-		child := t.getLevel(nil, outer)
-		tx.cur, tx.readVersion = child, t.proto.begin(t)
-		err, sig := runTx(fn, tx)
-		committed := sig == nil && err == nil && t.proto.commit(tx, child, false)
-		tx.cur, tx.readVersion = outer, outerVersion
-		if committed {
-			outer.onCommit = append(outer.onCommit, child.onCommit...)
-			outer.onAbort = append(outer.onAbort, child.onAbort...)
-			tx.edgeOpenCommit(child)
-		}
-		// The eager lockwords held only for the child go with it (after a
-		// commit the install released them; this clears the tracking).
-		tx.releaseLevelLocks(child)
-		t.putLevel(child)
-		switch {
-		case committed:
-			tx.tick(CostOpenCommit)
-			return nil
-		case sig == nil && err != nil:
-			return err
-		case sig != nil && sig.kind != sigRetry:
-			// Violation, user abort or panic of the whole transaction.
-			panic(sig)
-		}
-		tx.edgeOpenRetry()
-		tx.stall(attempt)
+	tx.check()
+	cur, root, prev := tx.cur, tx.rootLevel(), tx.mode
+	nc, na, rc, ra := len(cur.onCommit), len(cur.onAbort), len(root.onCommit), len(root.onAbort)
+	tx.mode = modeOpen
+	defer func() { tx.mode = prev }()
+	if err := fn(tx); err != nil {
+		root.truncate(rc, ra)
+		cur.truncate(nc, na)
+		return err
 	}
+	tx.edgeOpenCommit()
+	tx.tick(CostOpenCommit)
+	return nil
 }

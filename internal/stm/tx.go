@@ -178,20 +178,12 @@ func firstInvalid(reads []varEntry[*valBox], self *Handle) *varCore {
 // Committing a closed-nested level merges everything into its parent;
 // aborting it discards the sets, runs its abort handlers (compensation
 // for open-nested effects made at this level), and discards its commit
-// handlers — the handler semantics of paper §4. Levels are recycled
-// through the owning Thread's pool, so steady-state transactions
-// allocate no per-attempt bookkeeping.
-//
-// outer is the level this one was pushed on, by either kind of nesting.
-// parent is that same level for a closed-nested child and nil for the
-// root of an open-nested one, which is thereby detached: whatever walks
-// parent — reads, validation, compensation — stops there, so the child
-// neither sees the enclosing levels' buffered writes nor adds to their
-// read sets. rootLevel and the eager protocol's writtenElsewhere, which
-// must look across that boundary, walk outer.
+// handlers — the handler semantics of paper §4. The root level, the one
+// begin pushes, has no parent. An Open section pushes no level: it runs
+// on the current one. Levels are recycled through the owning Thread's
+// pool, so steady-state transactions allocate no per-attempt bookkeeping.
 type level struct {
 	parent   *level
-	outer    *level
 	reads    varSet[*valBox]
 	writes   varSet[any]
 	onCommit []registration
@@ -199,43 +191,63 @@ type level struct {
 }
 
 // reset clears the level for reuse. Handler slices keep their backing
-// arrays (the capacity is the point of recycling) but drop the closure
-// references so captured state is not pinned between transactions.
+// arrays (the capacity is the point of recycling).
 func (l *level) reset() {
-	l.parent, l.outer = nil, nil
+	l.parent = nil
 	l.reads.reset()
 	l.writes.reset()
-	for i := range l.onCommit {
-		l.onCommit[i] = registration{}
-	}
-	l.onCommit = l.onCommit[:0]
-	for i := range l.onAbort {
-		l.onAbort[i] = registration{}
-	}
-	l.onAbort = l.onAbort[:0]
+	l.truncate(0, 0)
 }
 
+// truncate drops every registration past the first nc commit and na abort
+// ones, clearing the dropped entries so captured state is not pinned
+// between transactions.
+func (l *level) truncate(nc, na int) {
+	clear(l.onCommit[nc:])
+	l.onCommit = l.onCommit[:nc]
+	clear(l.onAbort[na:])
+	l.onAbort = l.onAbort[:na]
+}
+
+// txMode is what a Var access does (Tx.mode).
+type txMode uint8
+
+const (
+	// modeTx: the ordinary path — reads and writes go through the
+	// protocol and the level chain.
+	modeTx txMode = iota
+	// modeSnapshot marks a read-only MVCC-lite attempt: Var.Get reads the
+	// newest value box at or below readVersion (readAt) without
+	// recording, validating, locking, or CASing anything, Var.Set falls
+	// back, and commit is a no-op. Set by begin for each pure snapshot
+	// attempt of Thread.AtomicRead and by nothing else.
+	modeSnapshot
+	// modeOpen: the body of an Open section, where a Var access panics.
+	modeOpen
+)
+
+// errVarInOpen is what a Var access inside an Open section panics with.
+const errVarInOpen = "stm: Var access inside tx.Open"
+
 // Tx is the transaction; a Thread owns exactly one and reuses it for
-// every transaction it runs. Nesting of either kind is a level, not a
-// second Tx: Nested pushes one on the current level, Open pushes a
-// detached one (see level) and commits it on the spot. Only the Handle —
-// which outlives the attempt in semantic lock tables — is allocated
-// fresh per attempt.
+// every transaction it runs. Nesting is never a second Tx: Nested pushes a
+// level on the current one, Open runs a section on the current level (see
+// Open). Only the Handle — which outlives the attempt in semantic lock
+// tables — is allocated fresh per attempt.
 type Tx struct {
 	thread *Thread
 	// handle identifies the attempt at every nesting depth, so a semantic
-	// lock an open-nested child takes is owned by the transaction (paper
+	// lock an open-nested section takes is owned by the transaction (paper
 	// §3.1: "The owner of a lock is the top-level transaction at the time
 	// of the read operation, not the open-nested transaction that
 	// actually performs the read").
 	handle *Handle
-	// readVersion is the read point of the level chain in force, in
-	// whatever space the active protocol's begin hook samples (TL2: the
-	// global version clock; NOrec: the commit sequence lock, even, and
-	// possibly already passed by a writer that held it at begin); Open
-	// samples a newer one for each attempt of its child. A pure snapshot
-	// attempt never calls the hook: its read point is the global clock
-	// under every protocol, the space readAt compares versions in.
+	// readVersion is the attempt's read point, in whatever space the
+	// active protocol's begin hook samples (TL2: the global version clock;
+	// NOrec: the commit sequence lock, even, and possibly already passed by
+	// a writer that held it at begin); extend moves it forward. A pure
+	// snapshot attempt never calls the hook: its read point is the global
+	// clock under every protocol, the space readAt compares versions in.
 	readVersion uint64
 	// eagerLocks tracks the lockwords the attempt acquired at Set time, at
 	// any depth, under tl2-eager, for releaseEagerLocks and
@@ -245,12 +257,9 @@ type Tx struct {
 	cur        *level
 	// attempt counts restarts, feeding the contention manager's backoff.
 	attempt int
-	// snapshot marks a read-only MVCC-lite transaction: Var.Get reads
-	// the newest value box at or below readVersion (readAt) without
-	// recording, validating, locking, or CASing anything, and commit
-	// is a no-op. Set by begin for each pure snapshot attempt of
-	// Thread.AtomicRead and by nothing else.
-	snapshot bool
+	// mode is what a Var access does at this point of the attempt; one
+	// test of it keeps both exceptions off Var.Get's fast path.
+	mode txMode
 
 	// Lifecycle-reporting state (lifecycle.go). tracer and mon are the
 	// two optional sinks as edgeBegin found them at the start of the
@@ -299,15 +308,14 @@ func (tx *Tx) Attempt() int { return tx.attempt }
 // snapshot (read-only) mode. A collection branches on it only for a read
 // it can answer from committed state without registering a handler;
 // any registration falls the transaction back to the retry path.
-func (tx *Tx) IsSnapshot() bool { return tx.snapshot }
+func (tx *Tx) IsSnapshot() bool { return tx.mode == modeSnapshot }
 
 // OnCommitGuarded registers fn to run if the transaction commits. The
 // handler is associated with the current nesting level: it is discarded
 // if that level aborts, promoted to the parent when the level commits,
 // and runs (in registration order) after the top-level transaction's
-// memory commit succeeds. Registering inside an open-nested child
-// attaches the handler to the level Open was called in once the child
-// commits.
+// memory commit succeeds. An Open section registers on the level it
+// runs in.
 //
 // Every registration names its guard: the commit protocol acquires g
 // (with the rest of the transaction's guard footprint, in id order)
@@ -325,7 +333,7 @@ func (tx *Tx) OnCommitGuarded(g *Guard, fn func()) {
 // body does something a read-only transaction cannot honor (handler
 // registration implies effects to publish or compensate).
 func (tx *Tx) snapshotFallback() {
-	if tx.snapshot {
+	if tx.mode == modeSnapshot {
 		tx.bail(sigFallback, fallbackHandler)
 	}
 }
@@ -335,7 +343,7 @@ func (tx *Tx) snapshotFallback() {
 // (newest-first) when that level or any enclosing level aborts, and is
 // discarded once the top-level transaction commits. Abort handlers are
 // the compensation mechanism that undoes effects published by
-// open-nested children (paper §4). g is held while fn compensates,
+// open-nested sections (paper §4). g is held while fn compensates,
 // whether the whole transaction or only a closed-nested level rolls
 // back (and, because an abort handler may still be pending when the
 // transaction commits, also during the commit window).
@@ -379,8 +387,8 @@ func (tx *Tx) AddTopGuard(g *Guard) { tx.OnTopAbortGuarded(g, nil) }
 // rootLevel returns the level begin pushed, at any nesting depth.
 func (tx *Tx) rootLevel() *level {
 	l := tx.cur
-	for l.outer != nil {
-		l = l.outer
+	for l.parent != nil {
+		l = l.parent
 	}
 	return l
 }
@@ -401,6 +409,14 @@ func (tx *Tx) Abort(err error) {
 func (tx *Tx) check() {
 	if tx.handle.violated() {
 		panic(&signal{kind: sigViolated, reason: tx.handle.ViolationReason()})
+	}
+}
+
+// banInOpen panics inside an Open section: the section has no read
+// version or write set of its own (see Tx.Open).
+func (tx *Tx) banInOpen() {
+	if tx.mode == modeOpen {
+		panic(errVarInOpen)
 	}
 }
 
@@ -425,7 +441,7 @@ func (tx *Tx) Nested(fn func() error) error {
 	t := tx.thread
 	for childAttempt := 0; ; childAttempt++ {
 		tx.check()
-		child := t.getLevel(tx.cur, tx.cur)
+		child := t.getLevel(tx.cur)
 		tx.cur = child
 		err, sig := runBody(fn)
 		tx.cur = child.parent
@@ -525,7 +541,7 @@ func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
 // commit handler panicked with: that is past the point of no return, so
 // the transaction committed, and the caller re-panics once it has said so.
 func (tx *Tx) commit() (ok bool, panicked any) {
-	if tx.snapshot {
+	if tx.mode == modeSnapshot {
 		return true, nil
 	}
 	l := tx.cur
@@ -584,7 +600,7 @@ func (tx *Tx) window(from, stop *level, commit bool) (committed bool, panicked a
 	acquireGuards(tx, gs)
 	defer releaseGuards(gs)
 	if commit {
-		if !t.proto.commit(tx, from, true) {
+		if !t.proto.commit(tx, from) {
 			return false, nil
 		}
 		tx.handle.setCommitted()
@@ -633,7 +649,7 @@ func (t *Thread) sortedWrites(l *level) []varEntry[any] {
 // anyone. An abort handler's panic goes on once the rollback is reported.
 func (tx *Tx) rollback(kind obs.Kind, reason string) {
 	var panicked any
-	if !tx.snapshot {
+	if tx.mode != modeSnapshot {
 		tx.handle.setAborted()
 		t := tx.thread
 		// Release the attempt's eager lockwords before blocking on the

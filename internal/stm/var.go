@@ -276,10 +276,12 @@ func (v *Var[T]) Label() string { return v.core.label }
 // pending write if it has one (innermost nesting level first), otherwise
 // a validated committed value. On a consistency violation the enclosing
 // transaction (or nested level) aborts and retries via panic unwinding.
+// Inside an Open section it panics.
 func (v *Var[T]) Get(tx *Tx) T {
 	tx.check()
 	c := v.core
-	if tx.snapshot {
+	if tx.mode != modeTx {
+		tx.banInOpen()
 		// Snapshot mode: invisible read against the frozen clock-space
 		// read version. Nothing is recorded, validated, or extended; a
 		// writer can never observe — let alone abort — this reader.
@@ -306,10 +308,12 @@ func (v *Var[T]) Get(tx *Tx) T {
 // transaction commits. Inside a snapshot (read-only) transaction a
 // write cannot be honored — snapshot reads were never recorded, so
 // there is nothing to validate a writing commit against — and the
-// attempt restarts on the ordinary retry path instead.
+// attempt restarts on the ordinary retry path instead. Inside an Open
+// section it panics.
 func (v *Var[T]) Set(tx *Tx, val T) {
 	tx.check()
-	if tx.snapshot {
+	if tx.mode != modeTx {
+		tx.banInOpen()
 		tx.bail(sigFallback, fallbackWrite)
 	}
 	tx.thread.proto.observeWrite(tx, v.core)
