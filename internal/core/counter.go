@@ -28,11 +28,13 @@ type Counter struct {
 // handler and nothing cleans the local when its attempt ends. (Its guard
 // is still in the commit footprint: the commit window takes the guard of
 // every root-level abort registration too.) No table refers to the local
-// either, so the next attempt to attach it — h is not its handle — resets
-// delta.
+// either, so the next attempt to attach it — id is not its attempt's —
+// resets delta.
 type counterLocal struct {
-	c       *Counter
-	h       *stm.Handle
+	c *Counter
+	// id stamps the local with the Handle.ID of the attempt it serves;
+	// 0, a snapshot attempt's, is never a stamp.
+	id      uint64
 	delta   int64
 	onAbort func()
 }
@@ -40,9 +42,9 @@ type counterLocal struct {
 // reattach readies l for the attempt tx unless it already serves it: the
 // compensating handler registered, then a zero contribution and the stamp.
 func (l *counterLocal) reattach(tx *stm.Tx) bool {
-	if l.h != tx.Handle() {
+	if id := tx.Handle().ID(); id == 0 || l.id != id {
 		tx.OnTopAbortGuarded(l.c.guard, l.onAbort)
-		l.h, l.delta = tx.Handle(), 0
+		l.id, l.delta = id, 0
 	}
 	return true
 }

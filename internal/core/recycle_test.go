@@ -669,26 +669,37 @@ func TestAttachmentSweepSparesLiveLocals(t *testing.T) {
 
 // TestAtomicReadWriterStampsOnRetryPath: a Put or a Counter.Add inside
 // AtomicRead bails out of its handler registration on the snapshot
-// attempt — which runs under the thread's recycled snapshot handle — and
-// does its work on the retry attempt. The snapshot attempt must leave no
-// stamp behind: the thread's next AtomicRead runs under the same handle
-// and would take a local stamped with it for one it had registered.
+// attempt — which runs under the thread's one handle, with id 0 — and
+// does its work on the retry attempt, under the same handle and a fresh
+// id. The snapshot attempt must leave no stamp behind: every AtomicRead's
+// snapshot attempt has id 0, so a local stamped 0 would pass for one the
+// thread's next snapshot attempt had registered.
 func TestAtomicReadWriterStampsOnRetryPath(t *testing.T) {
 	tm, q, c := newIntMap(), newSegmentedQueue(1), NewCounter(0)
 	th := newTh(1)
-	var snap *stm.Handle
+	// stamp is the id of the last attempt that reached Counter.Add on the
+	// retry path: the one the counter's local must be stamped with.
+	var stamp uint64
+	add := func(tx *stm.Tx, d int64) {
+		if !tx.IsSnapshot() {
+			stamp = tx.Handle().ID()
+		}
+		c.Add(tx, d)
+	}
 	// read runs body in an AtomicRead that must fall back exactly once,
 	// and then checks the stamps the attempts left.
 	read := func(name string, wantErr error, body func(tx *stm.Tx) error) {
 		t.Helper()
 		before, attempts := th.Stats, 0
+		var h *stm.Handle
 		err := th.AtomicRead(func(tx *stm.Tx) error {
 			attempts++
-			if tx.IsSnapshot() {
-				if snap != nil && tx.Handle() != snap {
-					t.Errorf("%s: the snapshot handle is not the thread's recycled one", name)
-				}
-				snap = tx.Handle()
+			if h != nil && tx.Handle() != h {
+				t.Errorf("%s: the fallback attempt runs under a handle of its own", name)
+			}
+			h = tx.Handle()
+			if id := h.ID(); tx.IsSnapshot() != (id == 0) {
+				t.Errorf("%s: attempt (snapshot %v) has handle id %d", name, tx.IsSnapshot(), id)
 			}
 			return body(tx)
 		})
@@ -702,15 +713,15 @@ func TestAtomicReadWriterStampsOnRetryPath(t *testing.T) {
 		if ml != nil && (ml.h != nil || ml.touched != 0) || ql != nil && (ql.h != nil || ql.touched != 0) {
 			t.Errorf("%s: a finished transaction's local is still stamped or touched", name)
 		}
-		if cl != nil && cl.h == snap {
-			t.Errorf("%s: the counter's local is stamped with the snapshot handle", name)
+		if cl != nil && cl.id != stamp {
+			t.Errorf("%s: the counter's local is stamped %d, want %d, the last retry-path Add's attempt", name, cl.id, stamp)
 		}
 	}
 	gen := 1 // what writes puts under key 1
 	writes := func(tx *stm.Tx) error {
 		tm.Put(tx, 1, gen)
 		q.Put(tx, 7)
-		c.Add(tx, 5)
+		add(tx, 5)
 		return nil
 	}
 	committed := func(wantVal, wantQueued int, wantCount int64) {
@@ -752,7 +763,7 @@ func TestAtomicReadWriterStampsOnRetryPath(t *testing.T) {
 	})
 	read("counter, snapshot attempt only", nil, func(tx *stm.Tx) error {
 		if tx.IsSnapshot() {
-			c.Add(tx, -1)
+			add(tx, -1)
 		}
 		return nil
 	})

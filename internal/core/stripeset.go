@@ -45,10 +45,13 @@ type stripeSet struct {
 // otherwise by another attempt — release discarded it as oversized
 // (maxRecycledEntries) — is never reused (DESIGN.md §4.6).
 type footprint struct {
-	// h stamps the local with the handle of the attempt it serves, owner
-	// of every semantic lock it records: set by the first touch, once the
-	// handler pair is registered, cleared by the handlers' tail.
-	h semlock.Owner
+	// h is the handle of the attempt the local serves, owner of every
+	// semantic lock it records: set by the first touch, once the handler
+	// pair is registered, cleared by the handlers' tail. A thread's
+	// attempts all run under one handle, so the stamp that tells them
+	// apart is id, the attempt's Handle.ID, set with h.
+	h  semlock.Owner
+	id uint64
 	// touched is the bitmask of partitions the transaction read, wrote,
 	// or registered a lock in. The handler pair is registered under the
 	// first touched partition's guard; each later one widens the
@@ -60,16 +63,19 @@ type footprint struct {
 }
 
 // reattach reports whether the local can serve tx: pristine, or tx's own.
+// Only a retry-path attempt can have touched it (a snapshot attempt bails
+// out of registering), so its id is never 0.
 func (f *footprint) reattach(tx *stm.Tx) bool {
-	return f.touched == 0 || f.h == tx.Handle()
+	return f.touched == 0 || f.id == tx.Handle().ID()
 }
 
 // attach is the one recycling rule of every transaction-local and its one
 // lookup: the thread's local for the instance key (stm.Thread.Attachment)
 // once reattach finds it serving this attempt or readies it to — rebuilt
-// when there is none or reattach refuses. The stamp follows the handler
-// registration (touch; counterLocal.reattach): an AtomicRead attempt bails
-// out of registering, under a handle the thread's next AtomicRead reuses.
+// when there is none or reattach refuses. The stamp is the attempt's
+// Handle.ID, not the handle, which every attempt on the thread shares;
+// it follows the handler registration (touch; counterLocal.reattach), so
+// an AtomicRead attempt, which bails out of registering, leaves none.
 func attach[L interface{ reattach(*stm.Tx) bool }](tx *stm.Tx, key any, build func(*stm.Thread) L) L {
 	th := tx.Thread()
 	l, ok := th.Attachment(key).(L)
@@ -143,6 +149,7 @@ func (s *stripeSet) touch(tx *stm.Tx, f *footprint, i int) {
 		tx.OnTopCommitGuarded(s.guards[i], f.onCommit)
 		tx.OnTopAbortGuarded(s.guards[i], f.onAbort)
 		f.h = tx.Handle()
+		f.id = f.h.ID()
 	default:
 		tx.AddTopGuard(s.guards[i])
 	}

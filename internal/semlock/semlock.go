@@ -29,8 +29,9 @@ type Owner = *stm.Handle
 // randomize the order in which victims are violated, and with it the
 // event order of every trace taken under contention; sorting by the
 // process-global handle id keeps deterministic-replay runs
-// byte-identical. Handles created outside a transaction have id 0 and
-// sort together; their relative order is unspecified (tests only).
+// byte-identical. Id 0 — a snapshot attempt's, which never reaches a
+// table, or a handle made outside a transaction (tests) — sorts first, in
+// unspecified relative order.
 func orderedOwners(buf []Owner, set map[Owner]struct{}) []Owner {
 	for o := range set {
 		buf = append(buf, o)

@@ -1,6 +1,7 @@
 package semlock
 
 import (
+	"slices"
 	"testing"
 
 	"tcc/internal/stm"
@@ -95,18 +96,23 @@ func TestKeyTableViolateOthersIsPerKey(t *testing.T) {
 	}
 }
 
-// committedHandles returns n handles minted by n successive
-// transactions, so their ids ascend in slice order.
+// committedHandles returns the handles of n transactions run one after
+// another, each on a thread of its own — every attempt on a thread runs
+// under the thread's one handle, so n distinct handles need n threads —
+// and checks that they are distinct and their ids ascend in slice order.
 func committedHandles(t *testing.T, n int) []Owner {
 	t.Helper()
-	th := stm.NewThread(&stm.RealClock{}, 1)
 	hs := make([]Owner, n)
 	for i := range hs {
+		th := stm.NewThread(&stm.RealClock{}, int64(i+1))
 		if err := th.Atomic(func(tx *stm.Tx) error {
 			hs[i] = tx.Handle()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+		if i > 0 && (slices.Contains(hs[:i], hs[i]) || hs[i].ID() <= hs[i-1].ID()) {
+			t.Fatalf("handle %d (id %d) repeats or does not follow id %d", i, hs[i].ID(), hs[i-1].ID())
 		}
 	}
 	return hs
@@ -176,7 +182,8 @@ func TestViolateSkipsSerializedOwners(t *testing.T) {
 	s.Lock(done)
 	// done is now Violated; a second violate reports true (it will
 	// abort), so use a Prepared/Committed-like owner instead: build one
-	// by committing a real transaction.
+	// by committing a real transaction. Its thread runs nothing after,
+	// so the handle keeps naming the committed attempt.
 	th := stm.NewThread(&stm.RealClock{}, 1)
 	var committed Owner
 	if err := th.Atomic(func(tx *stm.Tx) error {

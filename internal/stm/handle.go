@@ -40,28 +40,33 @@ func (s Status) String() string {
 	}
 }
 
-// Handle is a shareable reference to a top-level transaction, used as
-// the owner of semantic locks. The paper (§4, "Program-directed
-// transaction abort") requires that an open-nested transaction can
-// obtain a reference to its top-level transaction, store it in a lock
-// table, and that another transaction can later use it to abort the
-// owner; Handle is that reference.
+// Handle is a shareable reference to a running top-level transaction
+// attempt, used as the owner of semantic locks. The paper (§4,
+// "Program-directed transaction abort") requires that an open-nested
+// transaction can obtain a reference to its top-level transaction, store
+// it in a lock table, and that another transaction can later use it to
+// abort the owner; Handle is that reference.
 //
-// A Handle outlives the attempt it names: after the attempt commits or
-// aborts, Violate calls become no-ops, so stale handles left in lock
-// tables are harmless until the owner's handlers clean them up.
+// Each Thread has one Handle, and every attempt on the thread runs under
+// it: a handle names its thread's running attempt. Whoever stores it —
+// a lock table, a lockword's owner slot — drops it by the time that
+// attempt's handlers have run. Between the attempt's end and the next
+// begin, Violate is a no-op; a Violate on a handle kept past that point
+// can abort a later attempt of the same thread, which costs that attempt
+// a spurious retry and nothing else.
 type Handle struct {
 	// state publishes the status and the violation reason in one word, so
 	// whoever sees a violation also sees why: nil is Active, Prepared,
 	// Committed and Aborted are shared values, and each successful Violate
 	// publishes its own {Violated, reason}.
 	state atomic.Pointer[handleState]
-	// id is a process-global unique identity assigned when the attempt
-	// begins. Semantic lock tables violate conflicting owners in
-	// ascending id order, so violation order — and hence trace order —
-	// is deterministic under the simulator's deterministic schedules
-	// (Go map iteration would randomize it). Zero for handles created
-	// outside a transaction (tests).
+	// id is a process-global unique identity drawn when a retry-path
+	// attempt begins; snapshot attempts, which enter no lock table, and
+	// handles made outside a transaction (tests) have id 0. Semantic lock
+	// tables violate conflicting owners in ascending id order, so
+	// violation order — and hence trace order — is deterministic under
+	// the simulator's deterministic schedules (Go map iteration would
+	// randomize it).
 	id uint64
 	// birth is the worker-local time the attempt began, available to
 	// age-based contention policies.
@@ -69,8 +74,9 @@ type Handle struct {
 	// txid is the observability id of the owning top-level transaction
 	// (0 when tracing was disabled at begin). It lets a conflicting
 	// transaction that finds this handle in a lockword attribute its
-	// abort to the holder.
-	txid uint64
+	// abort to the holder. Atomic: that reader may load it after the
+	// holder released the word, while the holder's next begin rewrites it.
+	txid atomic.Uint64
 }
 
 // handleState is what Handle.state points at.
@@ -96,9 +102,10 @@ func (h *Handle) Status() Status {
 	return StatusActive
 }
 
-// ID returns the handle's process-global identity (0 for handles not
-// created by a transaction attempt). Lock tables use it as the
-// canonical violation order.
+// ID returns the identity of the running attempt: process-global and
+// ascending for retry-path attempts, 0 for snapshot attempts and handles
+// not created by a transaction. Lock tables use it as the canonical
+// violation order; collections use it to tell one attempt from the next.
 func (h *Handle) ID() uint64 { return h.id }
 
 // Violate requests that the owning transaction abort (program-directed

@@ -124,7 +124,7 @@ func (tx *Tx) noteConflict(c *varCore, owner *Handle, cause string) {
 	}
 	rec := conflictRec{c: c, cause: cause}
 	if owner != nil {
-		rec.other = owner.txid
+		rec.other = owner.txid.Load()
 	}
 	tx.conflict = rec
 }
@@ -189,7 +189,7 @@ func (tx *Tx) edgeBegin() {
 	if tx.txid == 0 {
 		tx.txid = txIDs.Add(1)
 	}
-	tx.handle.txid = tx.txid
+	tx.handle.txid.Store(tx.txid)
 	e := tx.event(obs.KindTxBegin)
 	e.Snapshot = tx.mode == modeSnapshot
 	tx.tracer.Trace(e)

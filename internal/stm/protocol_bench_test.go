@@ -78,8 +78,8 @@ func BenchmarkSTMProtocolSmallWriteSet(b *testing.B) {
 }
 
 // TestProtocolReadOnlyAllocationGuardrail pins the read-only budget for
-// every alternative protocol to the TL2 budget (2 objects: the
-// per-attempt Handle plus pool-growth slack). NOrec's recorded box
+// every alternative protocol to the TL2 budget (1 object of pool-growth
+// slack). NOrec's recorded box
 // pointers ride the existing read-set entries; nothing new may touch
 // the heap.
 func TestProtocolReadOnlyAllocationGuardrail(t *testing.T) {
@@ -102,16 +102,16 @@ func TestProtocolReadOnlyAllocationGuardrail(t *testing.T) {
 				})
 			}
 			run() // warm the Tx/level pools
-			if got := testing.AllocsPerRun(100, run); got > 2 {
-				t.Fatalf("%s read-only 4-var transaction allocates %.1f objects/run, budget is 2", proto, got)
+			if got := testing.AllocsPerRun(100, run); got > 1 {
+				t.Fatalf("%s read-only 4-var transaction allocates %.1f objects/run, budget is 1", proto, got)
 			}
 		})
 	}
 }
 
 // TestProtocolSmallWriteAllocationGuardrail pins the write-path budget
-// for every alternative protocol to the TL2 budget (9 objects: 1 Handle
-// + 4 Set boxings + 4 install boxes). Eager TL2's Set-time acquisition
+// for every alternative protocol to the TL2 budget (8 objects: 4 Set
+// boxings + 4 install boxes). Eager TL2's Set-time acquisition
 // must reuse the Tx-recycled eagerLocks slice after warmup.
 func TestProtocolSmallWriteAllocationGuardrail(t *testing.T) {
 	if obs.Active() != nil {
@@ -133,8 +133,8 @@ func TestProtocolSmallWriteAllocationGuardrail(t *testing.T) {
 				})
 			}
 			run()
-			if got := testing.AllocsPerRun(1000, run); got > 9 {
-				t.Fatalf("%s 4-var write transaction allocates %.1f objects/run, budget is 9", proto, got)
+			if got := testing.AllocsPerRun(1000, run); got > 8 {
+				t.Fatalf("%s 4-var write transaction allocates %.1f objects/run, budget is 8", proto, got)
 			}
 		})
 	}

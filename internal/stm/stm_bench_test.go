@@ -24,8 +24,7 @@ func newBenchThread() *stm.Thread {
 
 // BenchmarkSTMReadOnly4Var is the headline fast-path bench: a
 // transaction that reads four vars and commits read-only. Unlocked
-// reads are plain atomic loads; the only allocation is the per-attempt
-// Handle.
+// reads are plain atomic loads, and a warm thread allocates nothing.
 func BenchmarkSTMReadOnly4Var(b *testing.B) {
 	var vars [4]*stm.Var[int]
 	for i := range vars {
@@ -233,9 +232,10 @@ func BenchmarkSTMDisjointHandlerWindow(b *testing.B) {
 
 // TestReadOnlyAllocationGuardrail pins the allocation budget of the
 // recycled fast path: after warmup, a read-only 4-var transaction must
-// allocate at most 2 objects per run (the per-attempt Handle, plus
-// slack for one pool-growth amortization). Before the lockword and
-// recycling work this path cost 6 allocations.
+// allocate at most 1 object per run (slack for one pool-growth
+// amortization; it measures 0). Before the lockword and recycling work
+// this path cost 6 allocations, and 1 more while each attempt minted a
+// fresh Handle.
 func TestReadOnlyAllocationGuardrail(t *testing.T) {
 	var vars [4]*stm.Var[int]
 	for i := range vars {
@@ -257,8 +257,8 @@ func TestReadOnlyAllocationGuardrail(t *testing.T) {
 		})
 	}
 	run() // warm the level pool
-	if got := testing.AllocsPerRun(100, run); got > 2 {
-		t.Fatalf("read-only 4-var transaction allocates %.1f objects/run, budget is 2", got)
+	if got := testing.AllocsPerRun(100, run); got > 1 {
+		t.Fatalf("read-only 4-var transaction allocates %.1f objects/run, budget is 1", got)
 	}
 }
 
@@ -291,8 +291,8 @@ func TestTracerDisableRestoresAllocBudget(t *testing.T) {
 		t.Fatal("profile saw no commits while enabled")
 	}
 	run() // warm pools in the disabled regime
-	if got := testing.AllocsPerRun(100, run); got > 2 {
-		t.Fatalf("after disabling tracer, read-only transaction allocates %.1f objects/run, budget is 2", got)
+	if got := testing.AllocsPerRun(100, run); got > 1 {
+		t.Fatalf("after disabling tracer, read-only transaction allocates %.1f objects/run, budget is 1", got)
 	}
 }
 
@@ -322,7 +322,7 @@ func BenchmarkSTMReadOnly4VarProfiled(b *testing.B) {
 
 // BenchmarkSTMSnapshotReadOnly4Var is the MVCC-lite counterpart of
 // BenchmarkSTMReadOnly4Var: the same four reads under AtomicRead ride
-// the snapshot path — no per-attempt Handle allocation, no read-set
+// the snapshot path — no lockword sampling, no read-set
 // bookkeeping, no validation, and a commit that publishes nothing. The
 // gap between the two benches is the per-transaction price of the
 // retry machinery on a read-only workload.
@@ -349,7 +349,7 @@ func BenchmarkSTMSnapshotReadOnly4Var(b *testing.B) {
 }
 
 // TestSnapshotReadOnlyAllocationGuardrail pins the snapshot path's
-// allocation budget at zero: with the Tx, level, and snapshot Handle
+// allocation budget at zero: with the Tx, level, and Handle
 // all recycled through the Thread and no read set recorded, a warmed
 // 4-var AtomicRead must not touch the heap at all.
 func TestSnapshotReadOnlyAllocationGuardrail(t *testing.T) {
@@ -369,7 +369,7 @@ func TestSnapshotReadOnlyAllocationGuardrail(t *testing.T) {
 			return nil
 		})
 	}
-	run() // warm the level pool and the snapshot handle
+	run() // warm the level pool
 	if got := testing.AllocsPerRun(100, run); got > 0 {
 		t.Fatalf("snapshot read-only 4-var transaction allocates %.1f objects/run, budget is 0", got)
 	}
@@ -379,7 +379,7 @@ func TestSnapshotReadOnlyAllocationGuardrail(t *testing.T) {
 }
 
 // TestSmallWriteAllocationGuardrail pins the write path: a 4-var
-// read-modify-write allocates the Handle, one immutable value box per
+// read-modify-write allocates one immutable value box per
 // installed write (boxes cannot be recycled — concurrent readers may
 // still hold them), and up to one interface conversion per Set once
 // the values leave the runtime's small-int cache.
@@ -398,16 +398,17 @@ func TestSmallWriteAllocationGuardrail(t *testing.T) {
 		})
 	}
 	run()
-	// 1 Handle + 4 Set boxings + 4 install boxes = 9.
-	if got := testing.AllocsPerRun(1000, run); got > 9 {
-		t.Fatalf("4-var write transaction allocates %.1f objects/run, budget is 9", got)
+	// 4 Set boxings + 4 install boxes = 8.
+	if got := testing.AllocsPerRun(1000, run); got > 8 {
+		t.Fatalf("4-var write transaction allocates %.1f objects/run, budget is 8", got)
 	}
 }
 
 // TestNestingAllocationGuardrail pins what nesting costs: nothing. A
-// child of either kind is a level from the thread's pool pushed on the
-// thread's one Tx, so after warm-up a transaction allocates exactly its
-// attempt's Handle however deep it nests.
+// child is a level from the thread's pool pushed on the thread's one Tx,
+// an Open section runs on the current level, and every attempt runs under
+// the thread's one Handle, so after warm-up a transaction allocates
+// nothing however deep it nests.
 func TestNestingAllocationGuardrail(t *testing.T) {
 	if obs.Active() != nil {
 		t.Fatal("guardrail requires tracing disabled")
@@ -433,15 +434,15 @@ func TestNestingAllocationGuardrail(t *testing.T) {
 		th := newBenchThread()
 		run := func() { _ = th.Atomic(b.body) }
 		run() // warm the level pool
-		if got := testing.AllocsPerRun(100, run); got != 1 {
-			t.Errorf("%s allocates %.1f objects/run, want exactly 1 (the Handle)", b.name, got)
+		if got := testing.AllocsPerRun(100, run); got != 0 {
+			t.Errorf("%s allocates %.1f objects/run, want 0", b.name, got)
 		}
 	}
 }
 
 // TestMetricsOnWriteAllocationGuardrail proves metric increments are
 // allocation-free on the commit path: with the live metrics plane
-// enabled, the 4-var write transaction stays inside the same 9-object
+// enabled, the 4-var write transaction stays inside the same 8-object
 // budget as with metrics off — counting is a per-attempt bool capture,
 // field stores, and atomic adds into pre-registered instruments.
 func TestMetricsOnWriteAllocationGuardrail(t *testing.T) {
@@ -464,8 +465,8 @@ func TestMetricsOnWriteAllocationGuardrail(t *testing.T) {
 		})
 	}
 	run()
-	if got := testing.AllocsPerRun(1000, run); got > 9 {
-		t.Fatalf("with metrics on, 4-var write transaction allocates %.1f objects/run, budget is 9", got)
+	if got := testing.AllocsPerRun(1000, run); got > 8 {
+		t.Fatalf("with metrics on, 4-var write transaction allocates %.1f objects/run, budget is 8", got)
 	}
 }
 
@@ -530,8 +531,8 @@ func TestMetricsDisableRestoresFastPath(t *testing.T) {
 		t.Fatalf("registry saw %d commits while enabled, want >= 50", commits.Total()-before)
 	}
 	run() // warm pools in the disabled regime
-	if got := testing.AllocsPerRun(100, run); got > 2 {
-		t.Fatalf("after disabling metrics, read-only transaction allocates %.1f objects/run, budget is 2", got)
+	if got := testing.AllocsPerRun(100, run); got > 1 {
+		t.Fatalf("after disabling metrics, read-only transaction allocates %.1f objects/run, budget is 1", got)
 	}
 }
 

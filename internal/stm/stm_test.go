@@ -496,6 +496,8 @@ func TestViolateAbortsVictim(t *testing.T) {
 
 func TestViolateLosesToPreparedCommit(t *testing.T) {
 	th := newTestThread()
+	// h is used after Atomic returns: th begins no further attempt, so
+	// its handle still names the committed one.
 	var h *Handle
 	if err := th.Atomic(func(tx *Tx) error {
 		h = tx.Handle()

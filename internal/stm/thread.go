@@ -91,12 +91,11 @@ func (s *Stats) Add(other Stats) {
 // concurrent worker (goroutine or virtual CPU) needs its own Thread.
 //
 // The Thread also owns what makes the retry loop allocation-free in
-// steady state: its one Tx, the pool of nesting levels (with their
-// read/write sets' entry slices and index maps) and the sorted write-set
-// scratch used at commit are reused across attempts and transactions,
-// as is whatever the collections keep in the attachment slot. Only the
-// per-attempt Handle is allocated fresh: handles outlive attempts in
-// semantic lock tables.
+// steady state: its one Tx, its one Handle, the pool of nesting levels
+// (with their read/write sets' entry slices and index maps) and the
+// sorted write-set scratch used at commit are reused across attempts and
+// transactions, as is whatever the collections keep in the attachment
+// slot.
 type Thread struct {
 	// Clock charges this worker's time; on the simulator it is the
 	// worker's virtual CPU.
@@ -129,12 +128,8 @@ type Thread struct {
 	levelPool []*level
 	commitBuf []varEntry[any]
 	guardBuf  []*Guard
-	// snapHandle is the recycled handle for snapshot attempts. A
-	// snapshot transaction never enters a semantic lock table and
-	// never acquires a lockword, so no other transaction can hold (or
-	// violate) its handle across attempts — reusing one per thread is
-	// what makes the snapshot path allocation-free.
-	snapHandle *Handle
+	// handle names the running attempt, whichever it is (see Handle).
+	handle Handle
 	// attachments is the one store of transaction-local state (see
 	// Attachment).
 	attachments map[any]any
@@ -270,35 +265,32 @@ func (t *Thread) AtomicRead(fn func(tx *Tx) error) error { return t.run(fn, true
 // stalled on a lockword) before giving up on the snapshot path.
 const maxSnapshotRestarts = 8
 
-// begin starts one attempt: charge the begin cost, take a handle and a
-// read version, push the root level, drop an attachment set that outgrew
-// maxAttachments. A pure snapshot attempt (snap) runs under the thread's
-// recycled snapshot handle — it never enters a lock table and never
-// acquires a lockword, so nobody else can hold the handle between
-// attempts, which is what makes the path allocation-free — and reads at a
+// begin starts one attempt: charge the begin cost, reset the thread's
+// handle and take a read version, push the root level, drop an attachment
+// set that outgrew maxAttachments. A retry-path attempt draws the next
+// handle id; a pure snapshot attempt (snap) keeps id 0 — it never enters
+// a lock table and never acquires a lockword — and reads at a
 // global-clock version whatever space the protocol's own read version
 // lives in: the snapshot path is protocol-independent MVCC.
 func (tx *Tx) begin(attempt int, snap bool) {
 	t := tx.thread
 	t.Clock.Tick(CostTxBegin)
+	h := &t.handle
+	h.state.Store(nil)
+	h.txid.Store(0)
+	h.birth = t.Clock.Now()
+	tx.handle = h
 	if snap {
-		if t.snapHandle == nil {
-			t.snapHandle = &Handle{}
-		}
-		tx.handle = t.snapHandle
-		tx.handle.state.Store(nil)
-		tx.handle.birth = t.Clock.Now()
+		h.id = 0
 		tx.readVersion = globalClock.Load()
+		tx.mode = modeSnapshot
 	} else {
-		tx.handle = &Handle{id: handleIDs.Add(1), birth: t.Clock.Now()}
+		h.id = handleIDs.Add(1)
 		tx.readVersion = t.proto.begin(t)
+		tx.mode = modeTx
 	}
 	tx.cur = t.getLevel(nil)
 	tx.attempt = attempt
-	tx.mode = modeTx
-	if snap {
-		tx.mode = modeSnapshot
-	}
 	if len(t.attachments) > maxAttachments {
 		clear(t.attachments)
 	}

@@ -226,7 +226,8 @@ func TestTraceLockedByCommitterCarriesOwnerTx(t *testing.T) {
 
 	// Simulate a committer parked on v's lockword: lock it directly
 	// with a handle that carries a txid, as the commit machinery would.
-	holder := &Handle{txid: 4242}
+	holder := &Handle{}
+	holder.txid.Store(4242)
 	if !v.core.tryLock(holder) {
 		t.Fatal("setup: tryLock failed")
 	}

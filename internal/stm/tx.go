@@ -232,15 +232,15 @@ const errVarInOpen = "stm: Var access inside tx.Open"
 // Tx is the transaction; a Thread owns exactly one and reuses it for
 // every transaction it runs. Nesting is never a second Tx: Nested pushes a
 // level on the current one, Open runs a section on the current level (see
-// Open). Only the Handle — which outlives the attempt in semantic lock
-// tables — is allocated fresh per attempt.
+// Open). Nor does an attempt get a Handle of its own: every one runs
+// under the Thread's.
 type Tx struct {
 	thread *Thread
-	// handle identifies the attempt at every nesting depth, so a semantic
-	// lock an open-nested section takes is owned by the transaction (paper
-	// §3.1: "The owner of a lock is the top-level transaction at the time
-	// of the read operation, not the open-nested transaction that
-	// actually performs the read").
+	// handle is the Thread's, naming the running attempt at every nesting
+	// depth, so a semantic lock an open-nested section takes is owned by
+	// the transaction (paper §3.1: "The owner of a lock is the top-level
+	// transaction at the time of the read operation, not the open-nested
+	// transaction that actually performs the read").
 	handle *Handle
 	// readVersion is the attempt's read point, in whatever space the
 	// active protocol's begin hook samples (TL2: the global version clock;
@@ -296,8 +296,9 @@ func (tx *Tx) rest() {
 // Thread returns the worker this transaction runs on.
 func (tx *Tx) Thread() *Thread { return tx.thread }
 
-// Handle returns the transaction's handle, suitable for use as the
-// owner of semantic locks and as a target of Violate.
+// Handle returns the handle of the running attempt, suitable for use as
+// the owner of semantic locks and as a target of Violate. It names this
+// attempt only; see Handle for how long a holder may keep it.
 func (tx *Tx) Handle() *Handle { return tx.handle }
 
 // Attempt returns how many times this top-level transaction has been
