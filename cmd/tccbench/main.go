@@ -164,9 +164,7 @@ func runSustained(addr string, runFor time.Duration, workers int, seed int64) in
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	mon := metrics.NewMonitor(metrics.Default, metrics.MonitorConfig{
-		Logger: log.New(os.Stderr, "", log.LstdFlags),
-	})
+	mon := metrics.NewMonitor(metrics.Default, log.New(os.Stderr, "", log.LstdFlags))
 	mon.Start()
 
 	stop := make(chan struct{})

@@ -24,7 +24,7 @@ func realScrape(t *testing.T) []byte {
 
 	// The monitor registers tcc_monitor_*, a named collection
 	// registers tcc_collection_violations_total.
-	metrics.NewMonitor(metrics.Default, metrics.MonitorConfig{}).Tick()
+	metrics.NewMonitor(metrics.Default, nil).Tick()
 	core.NewTransactionalQueue[int](collections.NewLinkedQueue[int]()).SetName("check.queue")
 
 	th := stm.NewThread(&stm.RealClock{}, 1)

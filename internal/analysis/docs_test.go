@@ -156,12 +156,11 @@ func TestDocsNameExistingFiles(t *testing.T) {
 	}
 }
 
-// TestChangesEntriesAreShort holds CHANGES.md to its cap: an entry
-// headed `PR N:` with N >= 29 has at most 250 words outside fenced
-// blocks (its result tables). An entry runs to the next `PR N:` line.
-// Earlier entries predate the cap and are not checked.
+// TestChangesEntriesAreShort holds CHANGES.md to its cap: every entry
+// headed `PR N:` has at most 250 words outside fenced blocks (its
+// result tables). An entry runs to the next `PR N:` line.
 func TestChangesEntriesAreShort(t *testing.T) {
-	const firstCapped, maxWords = 29, 250
+	const firstCapped, maxWords = 1, 250
 	data, err := os.ReadFile(filepath.Join(getLoader(t).ModuleDir, "CHANGES.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -198,34 +197,54 @@ func TestChangesEntriesAreShort(t *testing.T) {
 	}
 }
 
-// TestDocsNameExistingAPI keeps the prose honest about internal/stm's
-// API, so a PR that deletes a method cannot leave its ghost in the docs:
+// TestDocsNameExistingAPI keeps the prose honest about the module's
+// API, so a PR that deletes a name cannot leave its ghost in the docs:
 // inside the backticks of README.md, DESIGN.md and EXPERIMENTS.md, every
-// `tx.X` and `Tx.X` names a field or method of stm.Tx, every `th.X` and
-// `Thread.X` one of stm.Thread, every `proto.X` a method of stm.Protocol,
-// and every `stm.X` (`stm.X.Y`) a package-level name (and its member) —
-// resolved through the loader's type information. After the variables
-// `tx.` and `th.` and after `stm.` only exported names are checked:
-// lower-case ones there are event and metric names (`tx.begin`,
-// `stm.open_commits_per_tx`). No event or metric is spelled `proto.`, so
-// there the unexported hooks are checked too.
+// `pkg.X` (`pkg.X.Y`) whose pkg is the name of a non-main package of the
+// module names a package-level object of it (and a field or method of
+// that object's type); every `tx.X` and `Tx.X` names a field or method
+// of stm.Tx, every `th.X` and `Thread.X` one of stm.Thread, and every
+// `proto.X` a method of stm.Protocol — resolved through the loader's
+// type information. After a package name and after the variables `tx.`
+// and `th.` only exported names are checked: lower-case ones there are
+// event, metric and file names (`tx.begin`, `stm.open_commits_per_tx`,
+// `metrics.go`). No event or metric is spelled `proto.`, so there the
+// unexported hooks are checked too.
 func TestDocsNameExistingAPI(t *testing.T) {
 	l := getLoader(t)
-	stm, err := l.Import(l.ModulePath + "/internal/stm")
+	paths, err := l.ModulePackages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// member reports whether stm's type typ has a field or method name.
-	member := func(typ, name string) bool {
-		tn, ok := stm.Scope().Lookup(typ).(*types.TypeName)
-		if !ok {
-			return false
+	pkgs := map[string]*types.Package{}
+	for _, path := range paths {
+		pkg, err := l.Import(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, stm, name)
-		return obj != nil
+		if pkg.Name() == "main" {
+			continue
+		}
+		if pkgs[pkg.Name()] != nil {
+			t.Fatalf("two module packages are named %s: `%s.X` in the docs is ambiguous", pkg.Name(), pkg.Name())
+		}
+		pkgs[pkg.Name()] = pkg
+	}
+	stm := pkgs["stm"]
+	if stm == nil {
+		t.Fatal("no module package is named stm")
+	}
+	// member reports whether pkg's object obj has a field or method name.
+	member := func(pkg *types.Package, obj types.Object, name string) bool {
+		found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, name)
+		return found != nil
 	}
 	receivers := map[string]string{"tx": "Tx", "Tx": "Tx", "th": "Thread", "Thread": "Thread", "proto": "Protocol"}
-	name := regexp.MustCompile(`\b(tx|Tx|th|Thread|stm|proto)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+	prefixes := []string{"tx", "Tx", "th", "Thread", "proto"}
+	for name := range pkgs {
+		prefixes = append(prefixes, name)
+	}
+	name := regexp.MustCompile(`\b(` + strings.Join(prefixes, "|") + `)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
 	checked := 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(filepath.Join(l.ModuleDir, doc))
@@ -252,20 +271,21 @@ func TestDocsNameExistingAPI(t *testing.T) {
 				}
 				for _, m := range name.FindAllStringSubmatch(seg, -1) {
 					var ok bool
-					switch typ := receivers[m[1]]; {
-					case m[1] == "stm":
+					switch typ, pkg := receivers[m[1]], pkgs[m[1]]; {
+					case pkg != nil:
 						if !ast.IsExported(m[2]) {
 							continue
 						}
-						ok = stm.Scope().Lookup(m[2]) != nil && (m[3] == "" || member(m[2], m[3]))
+						obj := pkg.Scope().Lookup(m[2])
+						ok = obj != nil && (m[3] == "" || member(pkg, obj, m[3]))
 					case m[1] != typ && m[1] != "proto" && !ast.IsExported(m[2]):
 						continue
 					default:
-						ok = member(typ, m[2])
+						ok = member(stm, stm.Scope().Lookup(typ), m[2])
 					}
 					checked++
 					if !ok {
-						t.Errorf("%s:%d: `%s` names nothing in internal/stm", doc, i+1, m[0])
+						t.Errorf("%s:%d: `%s` names nothing in the module", doc, i+1, m[0])
 					}
 				}
 			}

@@ -1,10 +1,10 @@
-// Package concurrent provides coarse-lock thread-safe wrappers around
-// the plain collections — the moral equivalent of Java's
-// Collections.synchronizedMap / synchronized blocks that the paper's
-// "Java" configurations use. They are the non-transactional baselines:
-// individually atomic operations, no way to compose several operations
-// atomically except by holding an external lock across them (which is
-// exactly what the TestCompound experiment measures).
+// Package concurrent holds the non-transactional structures the bench
+// layer ladder measures beside the transactional ones: a map under one
+// lock (Java's Collections.synchronizedMap) and the Michael-Scott
+// lock-free queue (ConcurrentLinkedQueue). Each operation is atomic on
+// its own; nothing composes several atomically. The figures' Java lines
+// do not use this package: they lock a plain collection with
+// Platform.NewLock, so the simulator charges the lock's virtual time.
 package concurrent
 
 import (
@@ -24,18 +24,17 @@ func NewSyncMap[K comparable, V any](m collections.Map[K, V]) *SyncMap[K, V] {
 	return &SyncMap[K, V]{m: m}
 }
 
+// NewSyncSortedMap wraps the sorted map m the same way: under one lock
+// a sorted map is just a map.
+func NewSyncSortedMap[K comparable, V any](m collections.SortedMap[K, V]) *SyncMap[K, V] {
+	return NewSyncMap[K, V](m)
+}
+
 // Get returns the value mapped to k.
 func (s *SyncMap[K, V]) Get(k K) (V, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.m.Get(k)
-}
-
-// ContainsKey reports whether k is mapped.
-func (s *SyncMap[K, V]) ContainsKey(k K) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.ContainsKey(k)
 }
 
 // Put maps k to v, returning the previous value if present.
@@ -50,133 +49,4 @@ func (s *SyncMap[K, V]) Remove(k K) (V, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m.Remove(k)
-}
-
-// Size returns the number of mappings.
-func (s *SyncMap[K, V]) Size() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Size()
-}
-
-// ForEach visits every mapping under the lock until fn returns false;
-// fn must not call back into the map.
-func (s *SyncMap[K, V]) ForEach(fn func(k K, v V) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.m.ForEach(fn)
-}
-
-// Atomically runs fn with the map exclusively locked — the coarse-lock
-// composition idiom the Java TestCompound baseline uses.
-func (s *SyncMap[K, V]) Atomically(fn func(m collections.Map[K, V])) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.m)
-}
-
-// SyncSortedMap is a SortedMap guarded by one RWMutex.
-type SyncSortedMap[K comparable, V any] struct {
-	mu sync.RWMutex
-	m  collections.SortedMap[K, V]
-}
-
-// NewSyncSortedMap wraps m; the wrapper assumes exclusive ownership.
-func NewSyncSortedMap[K comparable, V any](m collections.SortedMap[K, V]) *SyncSortedMap[K, V] {
-	return &SyncSortedMap[K, V]{m: m}
-}
-
-// Get returns the value mapped to k.
-func (s *SyncSortedMap[K, V]) Get(k K) (V, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Get(k)
-}
-
-// Put maps k to v, returning the previous value if present.
-func (s *SyncSortedMap[K, V]) Put(k K, v V) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Put(k, v)
-}
-
-// Remove deletes k's mapping, returning the removed value if present.
-func (s *SyncSortedMap[K, V]) Remove(k K) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Remove(k)
-}
-
-// Size returns the number of mappings.
-func (s *SyncSortedMap[K, V]) Size() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.Size()
-}
-
-// FirstKey returns the minimum key.
-func (s *SyncSortedMap[K, V]) FirstKey() (K, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.FirstKey()
-}
-
-// LastKey returns the maximum key.
-func (s *SyncSortedMap[K, V]) LastKey() (K, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m.LastKey()
-}
-
-// AscendRange visits mappings with lo <= key < hi under the read lock.
-func (s *SyncSortedMap[K, V]) AscendRange(lo, hi *K, fn func(k K, v V) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.m.AscendRange(lo, hi, fn)
-}
-
-// Atomically runs fn with the map exclusively locked.
-func (s *SyncSortedMap[K, V]) Atomically(fn func(m collections.SortedMap[K, V])) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn(s.m)
-}
-
-// SyncQueue is a Queue guarded by one mutex.
-type SyncQueue[T any] struct {
-	mu sync.Mutex
-	q  collections.Queue[T]
-}
-
-// NewSyncQueue wraps q; the wrapper assumes exclusive ownership.
-func NewSyncQueue[T any](q collections.Queue[T]) *SyncQueue[T] {
-	return &SyncQueue[T]{q: q}
-}
-
-// Enqueue appends v at the tail.
-func (s *SyncQueue[T]) Enqueue(v T) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.q.Enqueue(v)
-}
-
-// Dequeue removes and returns the head element.
-func (s *SyncQueue[T]) Dequeue() (T, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.Dequeue()
-}
-
-// Peek returns the head element without removing it.
-func (s *SyncQueue[T]) Peek() (T, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.Peek()
-}
-
-// Size returns the number of queued elements.
-func (s *SyncQueue[T]) Size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.Size()
 }

@@ -11,7 +11,6 @@ import "sync/atomic"
 type MSQueue[T any] struct {
 	head atomic.Pointer[msNode[T]]
 	tail atomic.Pointer[msNode[T]]
-	size atomic.Int64
 }
 
 type msNode[T any] struct {
@@ -44,7 +43,6 @@ func (q *MSQueue[T]) Enqueue(v T) {
 		}
 		if tail.next.CompareAndSwap(nil, n) {
 			q.tail.CompareAndSwap(tail, n)
-			q.size.Add(1)
 			return
 		}
 	}
@@ -69,33 +67,7 @@ func (q *MSQueue[T]) Dequeue() (T, bool) {
 			continue
 		}
 		if q.head.CompareAndSwap(head, next) {
-			q.size.Add(-1)
 			return next.val, true
 		}
 	}
 }
-
-// Peek returns the head element without removing it. The result is a
-// linearizable snapshot that may be stale by return time (the standard
-// concurrent-queue caveat).
-func (q *MSQueue[T]) Peek() (T, bool) {
-	for {
-		head := q.head.Load()
-		tail := q.tail.Load()
-		next := head.next.Load()
-		if head != q.head.Load() {
-			continue
-		}
-		if head == tail && next == nil {
-			var zero T
-			return zero, false
-		}
-		if next != nil {
-			return next.val, true
-		}
-	}
-}
-
-// Size returns the approximate number of queued elements (exact when
-// quiescent).
-func (q *MSQueue[T]) Size() int { return int(q.size.Load()) }

@@ -10,25 +10,16 @@ func TestMSQueueSequential(t *testing.T) {
 	if _, ok := q.Dequeue(); ok {
 		t.Fatal("dequeue on empty succeeded")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("peek on empty succeeded")
-	}
 	for i := 0; i < 100; i++ {
 		q.Enqueue(i)
-	}
-	if q.Size() != 100 {
-		t.Fatalf("size = %d", q.Size())
-	}
-	if v, ok := q.Peek(); !ok || v != 0 {
-		t.Fatalf("peek = (%d,%v)", v, ok)
 	}
 	for i := 0; i < 100; i++ {
 		if v, ok := q.Dequeue(); !ok || v != i {
 			t.Fatalf("dequeue = (%d,%v), want %d", v, ok, i)
 		}
 	}
-	if q.Size() != 0 {
-		t.Fatalf("size after drain = %d", q.Size())
+	if _, ok := q.Dequeue(); ok {
+		t.Fatal("dequeue after drain succeeded")
 	}
 }
 

@@ -415,42 +415,29 @@ func TestCompoundConfigs(p MapBenchParams) []Config {
 				}
 			},
 		},
-		{
-			Name: "Atomos HashMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				m := populated(setupThread(), atomosHashMap(), 0, p.Prepopulate)
-				return func(w *Worker) {
-					k1 := w.RNG.Intn(p.KeySpace)
-					k2 := w.RNG.Intn(p.KeySpace)
-					MustAtomic(w.Thread, func(tx *stm.Tx) error {
-						w.Compute(p.Compute / 3)
-						v, _ := m.Get(tx, k1)
-						w.Compute(p.Compute / 3)
-						m.Put(tx, k2, v+1)
-						w.Compute(p.Compute / 3)
-						return nil
-					})
-				}
-			},
-		},
-		{
-			Name: "Atomos TransactionalMap",
-			Setup: func(pl Platform) func(w *Worker) {
-				tm := populated(setupThread(), transactionalMap(), 0, p.Prepopulate)
-				return func(w *Worker) {
-					k1 := w.RNG.Intn(p.KeySpace)
-					k2 := w.RNG.Intn(p.KeySpace)
-					MustAtomic(w.Thread, func(tx *stm.Tx) error {
-						w.Compute(p.Compute / 3)
-						v, _ := tm.Get(tx, k1)
-						w.Compute(p.Compute / 3)
-						tm.Put(tx, k2, v+1)
-						w.Compute(p.Compute / 3)
-						return nil
-					})
-				}
-			},
-		},
+		{Name: "Atomos HashMap", Setup: p.compoundSetup(atomosHashMap)},
+		{Name: "Atomos TransactionalMap", Setup: p.compoundSetup(transactionalMap)},
+	}
+}
+
+// compoundSetup is the Setup of an Atomos Figure 3 configuration: each
+// iteration reads one key and writes another in one transaction, with
+// the computation before, between and after the two accesses.
+func (p MapBenchParams) compoundSetup(newMap func() txMap) func(pl Platform) func(w *Worker) {
+	return func(Platform) func(w *Worker) {
+		m := populated(setupThread(), newMap(), 0, p.Prepopulate)
+		return func(w *Worker) {
+			k1 := w.RNG.Intn(p.KeySpace)
+			k2 := w.RNG.Intn(p.KeySpace)
+			MustAtomic(w.Thread, func(tx *stm.Tx) error {
+				w.Compute(p.Compute / 3)
+				v, _ := m.Get(tx, k1)
+				w.Compute(p.Compute / 3)
+				m.Put(tx, k2, v+1)
+				w.Compute(p.Compute / 3)
+				return nil
+			})
+		}
 	}
 }
 

@@ -7,38 +7,32 @@ import (
 	"tcc/internal/thread"
 )
 
-// MonitorConfig tunes the background monitor's cadence and alert
-// thresholds. The zero value gets sensible defaults from NewMonitor.
-type MonitorConfig struct {
-	// Interval between samples (default 1s).
-	Interval time.Duration
-	// AbortRateThreshold raises the abort-rate alert when
-	// windowed (aborts+violations) / (commits+aborts+violations)
-	// exceeds it (default 0.5).
-	AbortRateThreshold float64
-	// MinWindowTx suppresses the abort-rate alert until the window
+// The monitor's cadence and alert thresholds.
+const (
+	// monitorInterval is the time between samples.
+	monitorInterval = time.Second
+	// abortRateThreshold raises the abort-rate alert when the windowed
+	// (aborts+violations+user aborts) / finished transactions exceeds it.
+	abortRateThreshold = 0.5
+	// minWindowTx suppresses the abort-rate alert until the window
 	// holds at least this many finished transactions, so idle or
-	// just-started processes do not flap (default 100).
-	MinWindowTx uint64
-	// GuardWaitThreshold raises the guard-wait alert when the
-	// trailing-window commit-guard blocking time exceeds it
-	// (default 100ms per window).
-	GuardWaitThreshold time.Duration
-	// Logger receives alert transitions (RAISED/cleared) and thread
-	// lifecycle messages. Nil drops them.
-	Logger *log.Logger
-}
+	// just-started processes do not flap.
+	minWindowTx = 100
+	// guardWaitThreshold raises the guard-wait alert when the
+	// trailing-window commit-guard blocking time exceeds it.
+	guardWaitThreshold = 100 * time.Millisecond
+)
 
-// Monitor is the background metrics thread: every Interval it
+// Monitor is the background metrics thread: every second it
 // advances the registry window, recomputes the windowed abort rate
 // and guard-wait totals, publishes them as gauges
 // (tcc_monitor_abort_rate, tcc_monitor_alert{alert=...}), and logs
 // alert transitions. Built on the internal/thread periodic-thread
 // idiom; Start/Stop are cheap and idempotent.
 type Monitor struct {
-	reg *Registry
-	cfg MonitorConfig
-	th  *thread.Thread
+	reg    *Registry
+	logger *log.Logger
+	th     *thread.Thread
 
 	gRate       *Gauge
 	gAbortAl    *Gauge
@@ -47,28 +41,18 @@ type Monitor struct {
 	guardRaised bool
 }
 
-// NewMonitor returns an unstarted monitor over r.
-func NewMonitor(r *Registry, cfg MonitorConfig) *Monitor {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
-	if cfg.AbortRateThreshold <= 0 {
-		cfg.AbortRateThreshold = 0.5
-	}
-	if cfg.MinWindowTx == 0 {
-		cfg.MinWindowTx = 100
-	}
-	if cfg.GuardWaitThreshold <= 0 {
-		cfg.GuardWaitThreshold = 100 * time.Millisecond
-	}
+// NewMonitor returns an unstarted monitor over r. logger receives
+// alert transitions (RAISED/cleared) and thread lifecycle messages;
+// nil drops them.
+func NewMonitor(r *Registry, logger *log.Logger) *Monitor {
 	m := &Monitor{
 		reg:      r,
-		cfg:      cfg,
+		logger:   logger,
 		gRate:    r.Gauge(MonitorAbortRate, "Windowed abort rate: (aborts+violations)/(commits+aborts+violations) over the trailing window"),
 		gAbortAl: r.Gauge(MonitorAlert, "Monitor alert state: 1 raised, 0 clear", L("alert", "abort_rate")),
 		gGuardAl: r.Gauge(MonitorAlert, "Monitor alert state: 1 raised, 0 clear", L("alert", "guard_wait")),
 	}
-	m.th = thread.New(cfg.Logger, "metrics-monitor", cfg.Interval, m.Tick)
+	m.th = thread.New(logger, "metrics-monitor", monitorInterval, m.Tick)
 	return m
 }
 
@@ -118,23 +102,19 @@ func WindowedAbortRate(r *Registry) (rate float64, total uint64) {
 func (m *Monitor) Tick() {
 	m.reg.Advance(time.Now())
 
-	commits, aborts, gwaitNs := windowedStm(m.reg)
-	total := commits + aborts
-	rate := 0.0
-	if total > 0 {
-		rate = float64(aborts) / float64(total)
-	}
+	rate, total := WindowedAbortRate(m.reg)
 	m.gRate.Set(rate)
 
-	abortHot := total >= m.cfg.MinWindowTx && rate > m.cfg.AbortRateThreshold
+	abortHot := total >= minWindowTx && rate > abortRateThreshold
 	m.transition(&m.abortRaised, abortHot, m.gAbortAl,
 		"abort-rate alert", "windowed rate %.3f (threshold %.3f, %d tx in window)",
-		rate, m.cfg.AbortRateThreshold, total)
+		rate, abortRateThreshold, total)
 
-	guardHot := gwaitNs > uint64(m.cfg.GuardWaitThreshold.Nanoseconds())
+	_, _, gwaitNs := windowedStm(m.reg)
+	guardHot := gwaitNs > uint64(guardWaitThreshold)
 	m.transition(&m.guardRaised, guardHot, m.gGuardAl,
 		"guard-wait alert", "windowed guard wait %v (threshold %v)",
-		time.Duration(gwaitNs), m.cfg.GuardWaitThreshold)
+		time.Duration(gwaitNs), guardWaitThreshold)
 }
 
 func (m *Monitor) transition(raised *bool, hot bool, g *Gauge, name, format string, args ...any) {
@@ -152,7 +132,7 @@ func (m *Monitor) transition(raised *bool, hot bool, g *Gauge, name, format stri
 }
 
 func (m *Monitor) logf(format string, args ...any) {
-	if m.cfg.Logger != nil {
-		m.cfg.Logger.Printf(format, args...)
+	if m.logger != nil {
+		m.logger.Printf(format, args...)
 	}
 }

@@ -33,11 +33,7 @@ func TestMonitorAbortRateAlert(t *testing.T) {
 	aborts := r.Counter(StmAborts, "aborts", L("cause", "stale read"))
 
 	var buf syncBuf
-	m := NewMonitor(r, MonitorConfig{
-		AbortRateThreshold: 0.5,
-		MinWindowTx:        10,
-		Logger:             log.New(&buf, "", 0),
-	})
+	m := NewMonitor(r, log.New(&buf, "", 0))
 
 	// Quiet window: no alert even though the rate is 0/0.
 	m.Tick()
@@ -45,7 +41,7 @@ func TestMonitorAbortRateAlert(t *testing.T) {
 		t.Fatalf("alert raised on an empty window")
 	}
 
-	// Hot window: 80 aborts vs 20 commits.
+	// Hot window: 80 aborts vs 20 commits, minWindowTx in all.
 	commits.Add(20)
 	aborts.Add(80)
 	m.Tick()
@@ -83,11 +79,11 @@ func TestMonitorAbortRateAlert(t *testing.T) {
 func TestMonitorBelowMinWindowTx(t *testing.T) {
 	r := NewRegistry(10 * time.Second)
 	r.Counter(StmCommits, "commits").Add(1)
-	r.Counter(StmAborts, "aborts", L("cause", "stale read")).Add(9)
-	m := NewMonitor(r, MonitorConfig{MinWindowTx: 100})
+	r.Counter(StmAborts, "aborts", L("cause", "stale read")).Add(minWindowTx - 2)
+	m := NewMonitor(r, nil)
 	m.Tick()
 	if m.gAbortAl.Value() != 0 {
-		t.Fatalf("alert raised with only 10 tx in window (MinWindowTx 100)")
+		t.Fatalf("alert raised with only %d tx in window (minWindowTx %d)", minWindowTx-1, minWindowTx)
 	}
 }
 
@@ -95,14 +91,16 @@ func TestMonitorGuardWaitAlert(t *testing.T) {
 	r := NewRegistry(10 * time.Second)
 	gw := r.Counter(StmGuardWaitNs, "guard wait ns")
 	var buf syncBuf
-	m := NewMonitor(r, MonitorConfig{
-		GuardWaitThreshold: time.Millisecond,
-		Logger:             log.New(&buf, "", 0),
-	})
-	gw.Add(uint64(2 * time.Millisecond))
+	m := NewMonitor(r, log.New(&buf, "", 0))
+	gw.Add(uint64(guardWaitThreshold))
+	m.Tick()
+	if m.gGuardAl.Value() != 0 {
+		t.Fatalf("guard-wait alert raised at exactly the threshold")
+	}
+	gw.Add(1)
 	m.Tick()
 	if m.gGuardAl.Value() != 1 {
-		t.Fatalf("guard-wait alert not raised at 2ms windowed wait")
+		t.Fatalf("guard-wait alert not raised past %v windowed wait", guardWaitThreshold)
 	}
 	if !strings.Contains(buf.String(), "guard-wait alert RAISED") {
 		t.Fatalf("raise not logged:\n%s", buf.String())
@@ -111,7 +109,7 @@ func TestMonitorGuardWaitAlert(t *testing.T) {
 
 func TestMonitorStartStop(t *testing.T) {
 	r := NewRegistry(time.Second)
-	m := NewMonitor(r, MonitorConfig{Interval: 5 * time.Millisecond})
+	m := NewMonitor(r, nil)
 	m.Start()
 	time.Sleep(20 * time.Millisecond)
 	m.Stop()

@@ -15,21 +15,13 @@ type BackoffPolicy interface {
 	Backoff(attempt int, rng *rand.Rand) uint64
 }
 
-// ExponentialBackoff doubles a randomized base per failure up to a cap;
-// the default policy.
-type ExponentialBackoff struct {
-	// Base is the first-failure stall; MaxShift caps the doubling.
-	Base     uint64
-	MaxShift int
-}
+// ExponentialBackoff doubles a randomized base stall per failure, up to
+// a fixed cap; the default policy.
+type ExponentialBackoff struct{}
 
 // Backoff implements BackoffPolicy.
-func (p ExponentialBackoff) Backoff(attempt int, rng *rand.Rand) uint64 {
-	shift := attempt
-	if shift > p.MaxShift {
-		shift = p.MaxShift
-	}
-	base := p.Base << shift
+func (ExponentialBackoff) Backoff(attempt int, rng *rand.Rand) uint64 {
+	base := uint64(backoffBase) << min(attempt, backoffMaxShift)
 	return base + uint64(rng.Int63n(int64(base)))
 }
 
@@ -42,8 +34,7 @@ func (AggressiveRetry) Backoff(attempt int, rng *rand.Rand) uint64 {
 	return 1 + uint64(rng.Int63n(4))
 }
 
-// defaultPolicy matches the historical built-in behaviour.
-var defaultPolicy BackoffPolicy = ExponentialBackoff{Base: backoffBase, MaxShift: backoffMaxShift}
+var defaultPolicy BackoffPolicy = ExponentialBackoff{}
 
 // SetBackoffPolicy installs a contention-management policy for this
 // worker; nil restores the default randomized exponential backoff.

@@ -6,10 +6,10 @@ import (
 )
 
 func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
-	p := ExponentialBackoff{Base: 16, MaxShift: 4}
+	p := ExponentialBackoff{}
 	rng := rand.New(rand.NewSource(1))
 	prev := uint64(0)
-	for attempt := 0; attempt < 4; attempt++ {
+	for attempt := 0; attempt <= backoffMaxShift; attempt++ {
 		// Average over jitter.
 		var sum uint64
 		for i := 0; i < 100; i++ {
@@ -21,15 +21,12 @@ func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
 		}
 		prev = avg
 	}
-	// Beyond MaxShift the bound stops growing.
-	max := uint64(0)
+	// Beyond backoffMaxShift the bound stops growing.
+	capped := uint64(backoffBase) << backoffMaxShift
 	for i := 0; i < 1000; i++ {
-		if b := p.Backoff(100, rng); b > max {
-			max = b
+		if b := p.Backoff(100, rng); b < capped || b >= 2*capped {
+			t.Fatalf("capped backoff produced %d, want [%d, %d)", b, capped, 2*capped)
 		}
-	}
-	if max > 16<<4*2 {
-		t.Fatalf("capped backoff produced %d", max)
 	}
 }
 
