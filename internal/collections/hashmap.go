@@ -16,6 +16,10 @@ type HashMap[K comparable, V any] struct {
 	buckets   []*hmNode[K, V]
 	size      int
 	threshold int
+	// free lists nfree removed nodes, zeroed and chained through next,
+	// for Put to reuse (see maxFreeNodes).
+	free  *hmNode[K, V]
+	nfree int
 }
 
 type hmNode[K comparable, V any] struct {
@@ -81,7 +85,15 @@ func (m *HashMap[K, V]) Put(k K, v V) (V, bool) {
 			return old, true
 		}
 	}
-	m.buckets[i] = &hmNode[K, V]{hash: h, key: k, val: v, next: m.buckets[i]}
+	n := m.free
+	if n != nil {
+		m.free = n.next
+		m.nfree--
+	} else {
+		n = new(hmNode[K, V])
+	}
+	*n = hmNode[K, V]{hash: h, key: k, val: v, next: m.buckets[i]}
+	m.buckets[i] = n
 	m.size++
 	if m.size > m.threshold {
 		m.rehash()
@@ -103,7 +115,13 @@ func (m *HashMap[K, V]) Remove(k K) (V, bool) {
 				prev.next = n.next
 			}
 			m.size--
-			return n.val, true
+			old := n.val
+			if m.nfree < maxFreeNodes {
+				*n = hmNode[K, V]{next: m.free}
+				m.free = n
+				m.nfree++
+			}
+			return old, true
 		}
 		prev = n
 	}

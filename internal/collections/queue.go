@@ -5,6 +5,10 @@ package collections
 type LinkedQueue[T any] struct {
 	head, tail *lqNode[T]
 	size       int
+	// free lists nfree dequeued nodes, zeroed and chained through next,
+	// for Enqueue to reuse (see maxFreeNodes).
+	free  *lqNode[T]
+	nfree int
 }
 
 type lqNode[T any] struct {
@@ -17,7 +21,14 @@ func NewLinkedQueue[T any]() *LinkedQueue[T] { return &LinkedQueue[T]{} }
 
 // Enqueue appends v at the tail.
 func (q *LinkedQueue[T]) Enqueue(v T) {
-	n := &lqNode[T]{val: v}
+	n := q.free
+	if n != nil {
+		q.free = n.next
+		q.nfree--
+	} else {
+		n = new(lqNode[T])
+	}
+	*n = lqNode[T]{val: v}
 	if q.tail == nil {
 		q.head, q.tail = n, n
 	} else {
@@ -39,7 +50,13 @@ func (q *LinkedQueue[T]) Dequeue() (T, bool) {
 		q.tail = nil
 	}
 	q.size--
-	return n.val, true
+	v := n.val
+	if q.nfree < maxFreeNodes {
+		*n = lqNode[T]{next: q.free}
+		q.free = n
+		q.nfree++
+	}
+	return v, true
 }
 
 // Peek returns the head element without removing it.

@@ -14,6 +14,10 @@ type TreeMap[K comparable, V any] struct {
 	nilN *tmNode[K, V] // sentinel: black, self-linked
 	root *tmNode[K, V]
 	size int
+	// free lists nfree removed nodes, zeroed and chained through parent,
+	// for Put to reuse (see maxFreeNodes).
+	free  *tmNode[K, V]
+	nfree int
 }
 
 type tmNode[K comparable, V any] struct {
@@ -129,7 +133,14 @@ func (t *TreeMap[K, V]) Put(k K, v V) (V, bool) {
 			return old, true
 		}
 	}
-	z := &tmNode[K, V]{key: k, val: v, left: t.nilN, right: t.nilN, parent: y, red: true}
+	z := t.free
+	if z != nil {
+		t.free = z.parent
+		t.nfree--
+	} else {
+		z = new(tmNode[K, V])
+	}
+	*z = tmNode[K, V]{key: k, val: v, left: t.nilN, right: t.nilN, parent: y, red: true}
 	switch {
 	case y == t.nilN:
 		t.root = z
@@ -249,6 +260,12 @@ func (t *TreeMap[K, V]) Remove(k K) (V, bool) {
 	t.size--
 	// Re-point the sentinel at itself in case fixup dirtied it.
 	t.nilN.parent = t.nilN
+	// z is unlinked in both cases: with two children y took its place.
+	if t.nfree < maxFreeNodes {
+		*z = tmNode[K, V]{parent: t.free}
+		t.free = z
+		t.nfree++
+	}
 	return removed, true
 }
 

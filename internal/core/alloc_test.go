@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -11,15 +12,17 @@ import (
 
 // Allocation counts for the semantic wrappers, next to internal/stm's for
 // the retry loop: a steady-state transaction on a warm thread allocates
-// what the wrapped structure itself allocates, and nothing for the STM or
-// the wrapper — the attempt runs under the thread's one Handle, and the
-// transaction-locals (mapLocal, queueLocal,
-// counterLocal) with their containers and handlers, the sorted map's
-// buffer index, the key-lock entries and the range entries are all
-// recycled (DESIGN.md §4.6); a sorted view is a value and a scan's
-// iterator stays on the stack. Each count is the exact steady state, so
-// one object more is a failure (a one-Get transaction going from 0 to 1
-// is map-long's whole allocs_per_tx); the closures handed to Atomic are
+// nothing, committed or aborted. The attempt runs under the thread's one
+// Handle and unwinds with the thread's one signal; the transaction-locals
+// (mapLocal, queueLocal, counterLocal) with their containers and
+// handlers, the sorted map's buffer index, the key-lock entries with
+// their overflow arrays and the range entries are all recycled
+// (DESIGN.md §4.6); a violation publishes a Reason the collection built
+// once; a sorted view is a value and a scan's iterator stays on the
+// stack; and the wrapped structures reuse the nodes that Remove and
+// Dequeue unlinked. Each count is the exact steady state, so one object
+// more is a failure (a one-Get transaction going from 0 to 1 is
+// map-long's whole allocs_per_tx); the closures handed to Atomic are
 // built once, outside the measured run, so the numbers are the wrapper's.
 // Every count holds for the 1-partition and the striped layout alike:
 // one partition is the degenerate case, not a second path. Before the
@@ -27,8 +30,10 @@ import (
 // 30 (8 operations), 13 (sorted Get), 61 (scan), 11 (Poll, Put,
 // Counter.Add), 7 (Poll) and 3 (Counter.Add) objects; while the buffer
 // index was a tree and the view a pointer, 5 (sorted Put then Remove), 5
-// (sorted-scan body) and 2 (scan); and while each attempt minted a fresh
-// Handle, one more per transaction than the counts below.
+// (sorted-scan body) and 2 (scan); while each attempt minted a fresh
+// Handle, one more per transaction; and while the wrapped structures
+// allocated every node afresh, 1 for each transaction that inserts (the
+// hash map's, the tree's or the linked queue's node).
 
 const allocKeys = 1024
 
@@ -87,14 +92,13 @@ func TestMapAllocationGuardrails(t *testing.T) {
 				return nil
 			}
 			assertAllocs(t, "one-Get transaction", 0, func() { i++; _ = th.Atomic(get) })
-			// The hash map's node.
-			assertAllocs(t, "Put then Remove transactions", 1, func() {
+			// The node the Remove unlinked is the next Put's.
+			assertAllocs(t, "Put then Remove transactions", 0, func() {
 				i++
 				_ = th.Atomic(put)
 				_ = th.Atomic(remove)
 			})
-			// The hash map's node.
-			assertAllocs(t, "8-operation transaction", 1, func() { i++; _ = th.Atomic(long) })
+			assertAllocs(t, "8-operation transaction", 0, func() { i++; _ = th.Atomic(long) })
 			assertAllocs(t, "Size transaction", 0, func() { _ = th.Atomic(size) })
 		})
 	}
@@ -137,9 +141,9 @@ func TestSortedMapAllocationGuardrails(t *testing.T) {
 				return nil
 			}
 			assertAllocs(t, "sorted one-Get transaction", 0, func() { i++; _ = th.Atomic(get) })
-			// The tree's node: the buffer index keeps its array between
-			// transactions.
-			assertAllocs(t, "sorted Put then Remove transactions", 1, func() {
+			// The buffer index keeps its array between transactions, and
+			// the tree its removed node.
+			assertAllocs(t, "sorted Put then Remove transactions", 0, func() {
 				i++
 				_ = th.Atomic(put)
 				_ = th.Atomic(remove)
@@ -147,9 +151,9 @@ func TestSortedMapAllocationGuardrails(t *testing.T) {
 			// The view is a value and the iterator stays on ForEach's
 			// stack: nothing per scan loop or scanned key.
 			assertAllocs(t, "16-key SubMap scan", 0, func() { i++; _ = th.Atomic(scan) })
-			// The tree's node. Last: it leaves one odd key behind, which
-			// the scan above would count.
-			assertAllocs(t, "sorted-scan body", 1, func() { i++; _ = th.Atomic(body) })
+			// Last: it leaves one odd key behind, which the scan above
+			// would count.
+			assertAllocs(t, "sorted-scan body", 0, func() { i++; _ = th.Atomic(body) })
 			if scanned == 0 || scanned%16 != 0 {
 				t.Fatalf("scans visited %d keys, want 16 each", scanned)
 			}
@@ -193,8 +197,8 @@ func TestQueueAllocationGuardrails(t *testing.T) {
 				}
 				return nil
 			}
-			// The linked queue's node for the committed Put.
-			assertAllocs(t, "Poll, Put, Counter.Add transaction", 1, func() { _ = th.Atomic(pipeline) })
+			// The committed Put reuses the node the Poll's commit dequeued.
+			assertAllocs(t, "Poll, Put, Counter.Add transaction", 0, func() { _ = th.Atomic(pipeline) })
 			assertAllocs(t, "Poll transaction", 0, func() { _ = th.Atomic(poll) })
 			assertAllocs(t, "Counter.Add transaction", 0, func() { _ = th.Atomic(add) })
 			// Every lane's empty lock taken and released.
@@ -202,6 +206,76 @@ func TestQueueAllocationGuardrails(t *testing.T) {
 			if want := 2 * (16 + 1 + 200); polled != want {
 				t.Fatalf("%d Polls found an element, want all %d", polled, want)
 			}
+		})
+	}
+}
+
+// TestAbortPathAllocationGuardrails: an attempt that does not commit
+// allocates nothing either — not the signal it unwinds with, not the
+// violation its committer publishes, not a second reader's place in a
+// key's lock entry. other commits inside th's body, between two of th's
+// operations: its guard windows open and close there, and th holds no
+// guard in its body.
+func TestAbortPathAllocationGuardrails(t *testing.T) {
+	for _, stripes := range []int{1, 16} {
+		t.Run(fmt.Sprintf("stripes%d", stripes), func(t *testing.T) {
+			tm := NewStripedTransactionalMap(func() collections.Map[int, int] {
+				return collections.NewHashMap[int, int]()
+			}, stripes)
+			th, other := newTh(1), newTh(2)
+			fillEven(t, th, tm)
+			i, attempts := 0, 0
+			errStop := errors.New("stop")
+			key := func() int { return 2 * (i % (allocKeys / 2)) } // present keys
+			get := func(tx *stm.Tx) error { tm.Get(tx, key()); return nil }
+			put := func(tx *stm.Tx) error { tm.Put(tx, key(), i); return nil }
+			// A reader and a buffered write, rolled back by tx.Abort.
+			abort := func(tx *stm.Tx) error {
+				tm.Get(tx, key())
+				tm.Put(tx, key()+1, i)
+				tx.Abort(errStop)
+				return nil
+			}
+			// A reader whose first attempt other's commit of the same key
+			// violates; the retry commits.
+			violated := func(tx *stm.Tx) error {
+				tm.Get(tx, key())
+				if attempts++; attempts == 1 {
+					must(t, other.Atomic(put))
+				}
+				return nil
+			}
+			// Two attempts holding one key's lock at once: other's entry
+			// goes to the key's overflow array.
+			shared := func(tx *stm.Tx) error {
+				tm.Get(tx, key())
+				must(t, other.Atomic(get))
+				return nil
+			}
+			assertAllocs(t, "tx.Abort transaction", 0, func() {
+				i++
+				if err := th.Atomic(abort); err != errStop {
+					t.Fatalf("Atomic = %v, want %v", err, errStop)
+				}
+			})
+			violations := th.Stats.Violations
+			runs := 0
+			assertAllocs(t, "violated and retried transaction", 0, func() {
+				i++
+				runs++
+				attempts = 0
+				must(t, th.Atomic(violated))
+				if attempts != 2 {
+					t.Fatalf("violated transaction ran %d attempts, want 2", attempts)
+				}
+			})
+			if got := th.Stats.Violations - violations; got != uint64(runs) {
+				t.Fatalf("%d violations in %d runs, want one each", got, runs)
+			}
+			assertAllocs(t, "two attempts sharing a key lock", 0, func() {
+				i++
+				must(t, th.Atomic(shared))
+			})
 		})
 	}
 }

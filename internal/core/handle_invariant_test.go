@@ -144,7 +144,7 @@ func endTransaction(t *testing.T, entry func(func(*stm.Tx) error) error, ending 
 			return errAbort
 		case "violated then retry":
 			if retryAttempts == 1 {
-				tx.Handle().Violate("test")
+				tx.Handle().Violate(stm.NewReason("test"))
 				tx.Poll()
 				t.Error("Poll returned on a violated attempt")
 			}

@@ -279,8 +279,8 @@ type TransactionalMap[K comparable, V any] struct {
 	// profiles attribute conflicts to specific structures (the paper's
 	// TAPE-style analysis names District.orderTable etc.).
 	name string
-	// Precomputed violation reasons.
-	reasonKey, reasonSize, reasonEmpty, reasonRange string
+	// The violation reasons, built once per name.
+	reasonKey, reasonSize, reasonEmpty, reasonRange *stm.Reason
 	// sorted is non-nil when this instance is a TransactionalSortedMap.
 	sorted *sortedExt[K, V]
 }
@@ -334,10 +334,10 @@ func (tm *TransactionalMap[K, V]) SetName(name string) {
 		kind = "range"
 	}
 	tm.setName(name, kind)
-	tm.reasonKey = name + ": key conflict"
-	tm.reasonSize = name + ": size conflict"
-	tm.reasonEmpty = name + ": emptiness conflict"
-	tm.reasonRange = name + ": range conflict"
+	tm.reasonKey = stm.NewReason(name + ": key conflict")
+	tm.reasonSize = stm.NewReason(name + ": size conflict")
+	tm.reasonEmpty = stm.NewReason(name + ": emptiness conflict")
+	tm.reasonRange = stm.NewReason(name + ": range conflict")
 }
 
 // Name returns the label set by SetName.
@@ -574,7 +574,7 @@ func (tm *TransactionalMap[K, V]) readCommitted(tx *stm.Tx, l *mapLocal[K, V], k
 	tm.section(tx, &l.footprint, si, si+1, DefaultOpCost, func() {
 		tm.lockKeyLocked(l, k)
 		if forWrite && tm.eagerWriteCheck {
-			tm.noteViolations(si, st.key2lockers.ViolateOthers(k, l.h, tm.reasonKey))
+			tm.noteViolations(si, st.key2lockers.Violate(k, l.h, tm.reasonKey))
 		}
 		v, present = st.m.Get(k)
 	})
@@ -696,7 +696,7 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V]) {
 		st := tm.stripes[si]
 		// Key conflict based on argument: abort every other reader (or
 		// locking writer) of this key.
-		n := st.key2lockers.ViolateOthers(k, h, tm.reasonKey)
+		n := st.key2lockers.Violate(k, h, tm.reasonKey)
 		var membershipChanged bool
 		if w.removed {
 			_, had := st.m.Remove(k)

@@ -42,10 +42,9 @@ type TransactionalQueue[T any] struct {
 	stripeSet
 	// lanes[i] is the lane guarded by guards[i].
 	lanes []*queueLane[T]
-	// name labels this instance in violation reasons.
-	name           string
-	reasonRefill   string
-	reasonNotEmpty string
+	// name labels this instance in violation reasons, built once per name.
+	name                         string
+	reasonRefill, reasonNotEmpty *stm.Reason
 }
 
 // queueLane is one lane: a committed sub-queue and its empty-lock set,
@@ -109,8 +108,8 @@ func NewSegmentedTransactionalQueue[T any](newLane func() collections.Queue[T], 
 func (tq *TransactionalQueue[T]) SetName(name string) {
 	tq.name = name
 	tq.setName(name, "lane")
-	tq.reasonNotEmpty = name + ": no longer empty"
-	tq.reasonRefill = name + ": refilled on abort"
+	tq.reasonNotEmpty = stm.NewReason(name + ": no longer empty")
+	tq.reasonRefill = stm.NewReason(name + ": refilled on abort")
 }
 
 // Name returns the label set by SetName.

@@ -331,7 +331,7 @@ func endAttempt(t *testing.T, th *stm.Thread, ending string, first, next func(tx
 		atomically(t, th, func(tx *stm.Tx) {
 			if tx.Attempt() == 0 {
 				first(tx)
-				tx.Handle().Violate("test")
+				tx.Handle().Violate(stm.NewReason("test"))
 				tx.Poll()
 				t.Error("Poll returned on a violated transaction")
 			}

@@ -85,10 +85,10 @@ func (s *OwnerSet) Holds(o Owner) bool {
 // Len returns the number of holders.
 func (s *OwnerSet) Len() int { return len(s.owners) }
 
-// ViolateOthers aborts every holder other than self — in ascending
-// handle-id order, for deterministic traces — and returns how many
-// Violate calls actually landed on still-active transactions.
-func (s *OwnerSet) ViolateOthers(self Owner, reason string) int {
+// ViolateOthers aborts every holder other than self for reason — in
+// ascending handle-id order, for deterministic traces — and returns how
+// many Violate calls actually landed on still-active transactions.
+func (s *OwnerSet) ViolateOthers(self Owner, reason *stm.Reason) int {
 	n := 0
 	s.sweep = orderedOwners(s.sweep, s.owners)
 	for _, o := range s.sweep {
@@ -105,9 +105,9 @@ func (s *OwnerSet) ViolateOthers(self Owner, reason string) int {
 
 // keyOwners is one key's reader set, stored by value in the table map:
 // the common single reader lives in first and costs no allocation; any
-// further readers go to more, allocated on that rarer shared-key path
-// and dropped with the entry. first is non-nil for as long as the entry
-// exists.
+// further readers go to more, whose array the table takes back when the
+// entry is dropped (see KeyTable.spare). first is non-nil for as long as
+// the entry exists.
 type keyOwners struct {
 	first Owner
 	more  []Owner
@@ -119,7 +119,14 @@ type keyOwners struct {
 type KeyTable[K comparable] struct {
 	lockers map[K]keyOwners
 	sweep   []Owner // recycled violation-sweep scratch (see recycleSweep)
+	// spare holds up to maxSpareOverflows emptied overflow arrays, so a
+	// key that several transactions read at once allocates nothing either.
+	spare [][]Owner
 }
+
+// maxSpareOverflows bounds KeyTable.spare: one array per key that is
+// shared at a time, and few keys are.
+const maxSpareOverflows = 4
 
 // NewKeyTable creates an empty table.
 func NewKeyTable[K comparable]() *KeyTable[K] {
@@ -147,6 +154,13 @@ func (t *KeyTable[K]) Lock(k K, o Owner) {
 	case e.holds(o):
 		return
 	default:
+		if e.more == nil {
+			if n := len(t.spare) - 1; n >= 0 {
+				e.more = t.spare[n]
+				t.spare[n] = nil
+				t.spare = t.spare[:n]
+			}
+		}
 		e.more = append(e.more, o)
 	}
 	t.lockers[k] = e
@@ -163,6 +177,9 @@ func (t *KeyTable[K]) Unlock(k K, o Owner) {
 	if e.first == o {
 		if last < 0 {
 			delete(t.lockers, k)
+			if e.more != nil && len(t.spare) < maxSpareOverflows {
+				t.spare = append(t.spare, e.more)
+			}
 			return
 		}
 		// Promote an overflow owner so first stays occupied.
@@ -191,9 +208,21 @@ func (t *KeyTable[K]) Locked(k K) bool {
 	return ok
 }
 
-// ViolateOthers aborts every reader of k other than self, in ascending
-// handle-id order (see orderedOwners).
+// Violate aborts every reader of k other than self for reason, in
+// ascending handle-id order (see orderedOwners).
+func (t *KeyTable[K]) Violate(k K, self Owner, reason *stm.Reason) int {
+	return t.violate(k, self, reason, "")
+}
+
+// ViolateOthers is Violate for a caller that has the reason only as text:
+// the Reason is built when the sweep finds its first victim, so a sweep
+// that finds none allocates nothing.
 func (t *KeyTable[K]) ViolateOthers(k K, self Owner, reason string) int {
+	return t.violate(k, self, nil, reason)
+}
+
+// violate is Violate and ViolateOthers: r, or one built from text.
+func (t *KeyTable[K]) violate(k K, self Owner, r *stm.Reason, text string) int {
 	e, ok := t.lockers[k]
 	if !ok {
 		return 0
@@ -201,7 +230,13 @@ func (t *KeyTable[K]) ViolateOthers(k K, self Owner, reason string) int {
 	n := 0
 	t.sweep = e.ordered(t.sweep)
 	for _, o := range t.sweep {
-		if o != self && o.Violate(reason) {
+		if o == self {
+			continue
+		}
+		if r == nil {
+			r = stm.NewReason(text)
+		}
+		if o.Violate(r) {
 			n++
 		}
 	}
@@ -267,8 +302,9 @@ func (t *RangeTable[K]) Covers(e *RangeEntry[K], k K) bool {
 }
 
 // ViolateCovering aborts the owner of every range containing k, other
-// than self, in ascending owner handle-id order (see orderedOwners).
-func (t *RangeTable[K]) ViolateCovering(k K, self Owner, reason string) int {
+// than self, for reason, in ascending owner handle-id order (see
+// orderedOwners).
+func (t *RangeTable[K]) ViolateCovering(k K, self Owner, reason *stm.Reason) int {
 	victims := t.sweep
 	for e := range t.entries {
 		if e.Owner == self || !t.Covers(e, k) {

@@ -37,7 +37,7 @@ func TestOwnerSetViolateOthers(t *testing.T) {
 	s.Lock(self)
 	s.Lock(other1)
 	s.Lock(other2)
-	n := s.ViolateOthers(self, "size conflict")
+	n := s.ViolateOthers(self, stm.NewReason("size conflict"))
 	if n != 2 {
 		t.Fatalf("violated %d, want 2", n)
 	}
@@ -175,7 +175,7 @@ func TestViolateSkipsSerializedOwners(t *testing.T) {
 	self, done := activeHandle(), activeHandle()
 	// done has already committed: its locks are stale-but-harmless
 	// until its release handler runs; it must not count as a conflict.
-	if !done.Violate("warm up to active first") {
+	if !done.Violate(stm.NewReason("warm up to active first")) {
 		t.Fatal("setup violate failed")
 	}
 	s.Lock(self)
@@ -193,7 +193,7 @@ func TestViolateSkipsSerializedOwners(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Lock(committed)
-	n := s.ViolateOthers(self, "conflict")
+	n := s.ViolateOthers(self, stm.NewReason("conflict"))
 	// 'done' (violated) counts, 'committed' must not.
 	if n != 1 {
 		t.Fatalf("violated %d, want 1", n)
@@ -242,7 +242,7 @@ func TestRangeTableViolateCovering(t *testing.T) {
 	rt.Add(ea)
 	rt.Add(eb)
 	rt.Add(es)
-	if n := rt.ViolateCovering(5, self, "range conflict"); n != 1 {
+	if n := rt.ViolateCovering(5, self, stm.NewReason("range conflict")); n != 1 {
 		t.Fatalf("violated %d, want 1", n)
 	}
 	if iterA.Status() != stm.StatusViolated {
@@ -269,13 +269,13 @@ func TestRangeEntryWideningInPlace(t *testing.T) {
 	hi := 5
 	e.Hi = &hi
 	rt.Add(e)
-	if rt.ViolateCovering(7, self, "x") != 0 {
+	if rt.ViolateCovering(7, self, stm.NewReason("x")) != 0 {
 		t.Fatal("7 should be outside [0,5]")
 	}
 	// Iterator advances: widen to 10.
 	hi2 := 10
 	e.Hi = &hi2
-	if rt.ViolateCovering(7, self, "x") != 1 {
+	if rt.ViolateCovering(7, self, stm.NewReason("x")) != 1 {
 		t.Fatal("widened range should cover 7")
 	}
 }

@@ -376,7 +376,7 @@ func TestPartialRollbackHoldsGuard(t *testing.T) {
 		}},
 		{"violation", nil, 2, 0, 1, func(t *testing.T, tx *Tx, attempt int, v1, v2 *Var[int]) error {
 			if attempt == 0 {
-				tx.Handle().Violate("test-violation")
+				tx.Handle().Violate(NewReason("test-violation"))
 				tx.Poll()
 				t.Error("Poll on a violated transaction did not unwind")
 			}

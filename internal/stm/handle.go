@@ -57,8 +57,8 @@ func (s Status) String() string {
 type Handle struct {
 	// state publishes the status and the violation reason in one word, so
 	// whoever sees a violation also sees why: nil is Active, Prepared,
-	// Committed and Aborted are shared values, and each successful Violate
-	// publishes its own {Violated, reason}.
+	// Committed and Aborted are shared values, and a successful Violate
+	// publishes its Reason's {Violated, text}.
 	state atomic.Pointer[handleState]
 	// id is a process-global unique identity drawn when a retry-path
 	// attempt begins; snapshot attempts, which enter no lock table, and
@@ -83,6 +83,18 @@ type Handle struct {
 type handleState struct {
 	status Status
 	reason string
+}
+
+// Reason is why a transaction is violated: an immutable {Violated, text}
+// built once by NewReason and shared by every Violate that names it, so a
+// violation publishes a pointer and allocates nothing. A collection keeps
+// one per conflict kind it reports.
+type Reason struct{ state handleState }
+
+// NewReason builds the Reason whose violations report text (see
+// Handle.ViolationReason and Stats.ViolationsByReason).
+func NewReason(text string) *Reason {
+	return &Reason{handleState{status: StatusViolated, reason: text}}
 }
 
 var (
@@ -113,12 +125,12 @@ func (h *Handle) ID() uint64 { return h.id }
 // victim observes the state change at its next transactional operation
 // or at its pre-commit check and rolls itself back. The return value
 // reports whether the victim will abort: false means the victim already
-// serialized (Prepared/Committed) or is gone, and no conflict exists.
-func (h *Handle) Violate(reason string) bool {
+// serialized (Prepared/Committed) or is gone, and no conflict exists. The
+// victim reports r as its reason; r must come from NewReason.
+func (h *Handle) Violate(r *Reason) bool {
 	s := h.state.Load()
 	if s == nil {
-		s = &handleState{status: StatusViolated, reason: reason}
-		if h.state.CompareAndSwap(nil, s) {
+		if h.state.CompareAndSwap(nil, &r.state) {
 			return true
 		}
 		s = h.state.Load()

@@ -25,7 +25,7 @@ func TestViolationReasonIsNeverLost(t *testing.T) {
 	go func() {
 		defer close(violated)
 		for h := range victims {
-			if !h.Violate("probe") {
+			if !h.Violate(NewReason("probe")) {
 				t.Error("Violate refused while the victim was still active")
 			}
 		}
@@ -146,7 +146,7 @@ func TestNoLockwordNamesHandleAfterReturn(t *testing.T) {
 							return errAbort
 						case "violated then retry":
 							if retries == 1 {
-								tx.Handle().Violate("test")
+								tx.Handle().Violate(NewReason("test"))
 								tx.Poll()
 							}
 						case "conflict then retry":
@@ -204,13 +204,13 @@ func TestStaleViolateCostsOneRetry(t *testing.T) {
 				v.Set(tx, 1)
 				return nil
 			})
-			if stale.Violate("stale, between transactions") {
+			if stale.Violate(NewReason("stale, between transactions")) {
 				t.Error("Violate landed on a thread with no running attempt")
 			}
 			attempts := 0
 			MustAtomicT(t, th, func(tx *Tx) error {
 				attempts++
-				if attempts == 1 && !stale.Violate("stale") {
+				if attempts == 1 && !stale.Violate(NewReason("stale")) {
 					t.Error("a stale Violate during the next transaction did not land")
 				}
 				v.Set(tx, v.Get(tx)+1)

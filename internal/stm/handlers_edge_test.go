@@ -100,7 +100,7 @@ func TestViolateDuringOpenCommit(t *testing.T) {
 				o.OnCommitGuarded(testGuard, func() { openCommitHandlerRan = true })
 				// The violator wins the race against this attempt before
 				// the section has published.
-				if !tx.Handle().Violate("test-violation") {
+				if !tx.Handle().Violate(NewReason("test-violation")) {
 					t.Error("Violate refused while the owner was still active")
 				}
 				published = 99

@@ -277,7 +277,7 @@ func TestLifecycleSinksAgree(t *testing.T) {
 		{"violation at Poll", violations, "", func(t *testing.T, th, _ *Thread) {
 			MustAtomicT(t, th, func(tx *Tx) error {
 				if tx.Attempt() == 0 {
-					tx.Handle().Violate("sinks: key conflict")
+					tx.Handle().Violate(NewReason("sinks: key conflict"))
 				}
 				tx.Poll()
 				return nil
@@ -286,7 +286,7 @@ func TestLifecycleSinksAgree(t *testing.T) {
 		{"violation at commit", violations, "", func(t *testing.T, th, _ *Thread) {
 			MustAtomicT(t, th, func(tx *Tx) error {
 				if tx.Attempt() == 0 {
-					tx.Handle().Violate("sinks: late conflict")
+					tx.Handle().Violate(NewReason("sinks: late conflict"))
 				}
 				return nil
 			})
@@ -352,7 +352,7 @@ func TestLifecycleSinksAgree(t *testing.T) {
 		{"backoff", backoffs, "", func(t *testing.T, th, _ *Thread) {
 			MustAtomicT(t, th, func(tx *Tx) error {
 				if tx.Attempt() < 3 {
-					tx.Handle().Violate("sinks: again")
+					tx.Handle().Violate(NewReason("sinks: again"))
 				}
 				tx.Poll()
 				return nil

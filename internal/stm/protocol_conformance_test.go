@@ -524,7 +524,7 @@ func confViolation(t *testing.T, proto string) {
 		})
 	}()
 	<-started
-	if !victim.Violate("conformance conflict") {
+	if !victim.Violate(NewReason("conformance conflict")) {
 		t.Fatal("Violate of active tx returned false")
 	}
 	close(release)
@@ -824,7 +824,7 @@ func TestNOrecNestedRetryReportsViolation(t *testing.T) {
 			_ = v.Get(tx)
 			norecSeq.Add(1) // a committer stalled inside its window
 			held = true
-			tx.handle.Violate("violated during the wait")
+			tx.handle.Violate(NewReason("violated during the wait"))
 			tx.bail(sigRetry, "stale read")
 			return nil
 		})

@@ -209,7 +209,7 @@ func TestViolateDuringBackoffEventuallyCommits(t *testing.T) {
 		v.Set(tx, attempts)
 		if attempts <= 3 {
 			// Simulate an external violator hitting us mid-flight.
-			if !h.Violate(fmt.Sprintf("hit %d", attempts)) {
+			if !h.Violate(NewReason(fmt.Sprintf("hit %d", attempts))) {
 				t.Fatal("violate failed on active tx")
 			}
 			tx.Poll()
@@ -241,7 +241,7 @@ func TestViolateObservedAtCommit(t *testing.T) {
 		attempts++
 		v.Set(tx, attempts)
 		if attempts == 1 {
-			if !tx.Handle().Violate("late hit") {
+			if !tx.Handle().Violate(NewReason("late hit")) {
 				t.Fatal("violate failed")
 			}
 			// No Poll: the commit's Active→Prepared CAS must notice.

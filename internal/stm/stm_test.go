@@ -484,7 +484,7 @@ func TestViolateAbortsVictim(t *testing.T) {
 		})
 	}()
 	<-started
-	if !victim.Violate("test conflict") {
+	if !victim.Violate(NewReason("test conflict")) {
 		t.Fatal("Violate of active tx returned false")
 	}
 	close(release)
@@ -505,7 +505,7 @@ func TestViolateLosesToPreparedCommit(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if h.Violate("too late") {
+	if h.Violate(NewReason("too late")) {
 		t.Fatal("Violate succeeded against a committed transaction")
 	}
 	if h.Status() != StatusCommitted {

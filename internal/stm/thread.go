@@ -130,6 +130,8 @@ type Thread struct {
 	guardBuf  []*Guard
 	// handle names the running attempt, whichever it is (see Handle).
 	handle Handle
+	// sig is the one signal the thread unwinds with (see Thread.raise).
+	sig signal
 	// attachments is the one store of transaction-local state (see
 	// Attachment).
 	attachments map[any]any
@@ -321,7 +323,7 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 		tx.begin(attempt, snap)
 		err, sig := runTx(fn, tx)
 		switch {
-		case sig == nil && err == nil:
+		case sig.kind == sigNone && err == nil:
 			if ok, panicked := tx.commit(); ok {
 				tx.edgeCommit()
 				if snap {
@@ -337,13 +339,13 @@ func (t *Thread) run(fn func(tx *Tx) error, snap bool) error {
 			} else {
 				tx.rollback(obs.KindTxAbort, "")
 			}
-		case sig == nil || sig.kind == sigUserAbort || sig.kind == sigPanic:
+		case sig.kind == sigNone || sig.kind == sigUserAbort || sig.kind == sigPanic:
 			// fn returned an error, called tx.Abort or panicked: hand the
 			// error, or the panic, to the caller without retrying. Ahead of
 			// the snapshot arm, or a panicking AtomicRead body would be
 			// re-executed as a fallback.
 			reason := "error return"
-			if sig != nil {
+			if sig.kind != sigNone {
 				err, reason = sig.err, sig.reason
 			}
 			tx.rollback(obs.KindTxUserAbort, reason)

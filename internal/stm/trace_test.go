@@ -156,7 +156,7 @@ func TestTraceViolationEvent(t *testing.T) {
 		_ = v.Get(tx)
 		if !violated {
 			violated = true
-			tx.Handle().Violate("TestMap: key conflict")
+			tx.Handle().Violate(NewReason("TestMap: key conflict"))
 		}
 		tx.Poll()
 		return nil

@@ -10,9 +10,11 @@ import (
 
 // signal is the panic payload of non-local transaction control flow, and
 // the one way out of a body other than returning: catch turns whatever
-// unwound it into one. It is allocated per abort, violation and tx.Abort
-// and must not grow (one more interface field moves it from the 48- to the
-// 64-byte size class): what else a kind carries travels inside err.
+// unwound it into one. Each Thread raises its own (Thread.raise), so an
+// abort, a violation or a tx.Abort allocates nothing; whoever catches it
+// copies it out by value before any handler runs, because a handler may
+// raise again during the rollback. What else a kind carries travels
+// inside err.
 type signal struct {
 	kind   sigKind
 	reason string
@@ -22,9 +24,11 @@ type signal struct {
 type sigKind int
 
 const (
+	// sigNone: the body returned; no signal unwound it.
+	sigNone sigKind = iota
 	// sigRetry: a memory-level conflict; the innermost retryable scope
 	// (nested level or top-level attempt) re-executes.
-	sigRetry sigKind = iota
+	sigRetry
 	// sigViolated: another transaction performed a program-directed
 	// abort of this one; always unwinds to the top level, which rolls
 	// back and retries.
@@ -283,13 +287,15 @@ type Tx struct {
 }
 
 // rest ends the transaction: levels to the pool, every field zero but
-// the eager-lock list, cleared and kept. Thread.run defers it, so no
-// exit, a panic included, leaves an attempt's state behind.
+// the eager-lock list, cleared and kept, and the thread's signal cleared
+// so it pins no tx.Abort error. Thread.run defers it, so no exit, a panic
+// included, leaves an attempt's state behind.
 func (tx *Tx) rest() {
 	t := tx.thread
 	t.releaseLevels(tx)
 	clear(tx.eagerLocks)
 	*tx = Tx{thread: t, eagerLocks: tx.eagerLocks[:0]}
+	t.sig = signal{}
 	t.inTx = false
 }
 
@@ -403,13 +409,13 @@ func (tx *Tx) Poll() { tx.check() }
 // retrying (the self-abort of paper §4, for consistency violations
 // detected by the program).
 func (tx *Tx) Abort(err error) {
-	panic(&signal{kind: sigUserAbort, reason: "self abort", err: err})
+	tx.thread.raise(signal{kind: sigUserAbort, reason: "self abort", err: err})
 }
 
 // check unwinds if this transaction has been violated.
 func (tx *Tx) check() {
 	if tx.handle.violated() {
-		panic(&signal{kind: sigViolated, reason: tx.handle.ViolationReason()})
+		tx.thread.raise(signal{kind: sigViolated, reason: tx.handle.ViolationReason()})
 	}
 }
 
@@ -423,7 +429,13 @@ func (tx *Tx) banInOpen() {
 
 // bail unwinds with the given signal kind.
 func (tx *Tx) bail(kind sigKind, reason string) {
-	panic(&signal{kind: kind, reason: reason})
+	tx.thread.raise(signal{kind: kind, reason: reason})
+}
+
+// raise unwinds with s, carried in the thread's one signal.
+func (t *Thread) raise(s signal) {
+	t.sig = s
+	panic(&t.sig)
 }
 
 func (tx *Tx) tick(cycles uint64) { tx.thread.Clock.Tick(cycles) }
@@ -446,7 +458,7 @@ func (tx *Tx) Nested(fn func() error) error {
 		tx.cur = child
 		err, sig := runBody(fn)
 		tx.cur = child.parent
-		if sig == nil && err == nil {
+		if sig.kind == sigNone && err == nil {
 			// Child commits: merge into parent.
 			child.mergeInto(tx.cur)
 			t.putLevel(child)
@@ -461,12 +473,12 @@ func (tx *Tx) Nested(fn func() error) error {
 			panic(panicked)
 		}
 		switch {
-		case sig == nil:
+		case sig.kind == sigNone:
 			// Aborted by user request, the parent still viable.
 			return err
 		case sig.kind != sigRetry:
 			// Violation, user abort or panic of the whole transaction.
-			panic(sig)
+			t.raise(sig)
 		}
 		// Memory conflict inside the child: partial rollback. The retry can
 		// only make progress if the snapshot extends past the conflicting
@@ -474,7 +486,7 @@ func (tx *Tx) Nested(fn func() error) error {
 		tx.edgeNestedRetry()
 		if !t.proto.extend(tx) {
 			tx.check() // a violation that landed during the wait wins
-			panic(sig)
+			t.raise(sig)
 		}
 		tx.stall(childAttempt)
 	}
@@ -496,22 +508,23 @@ func (child *level) mergeInto(parent *level) {
 	parent.onAbort = append(parent.onAbort, child.onAbort...)
 }
 
-// catch is the deferred recover runBody and runTx share: it stores in *sig
-// the signal that unwound the body, a panic value that is not one wrapped
-// as sigPanic. A runtime.Goexit (t.FailNow in a body) recovers as nil and
-// is not converted: the goroutine goes on exiting.
-func catch(sig **signal) {
+// catch is the deferred recover runBody and runTx share: it copies into
+// *sig the signal that unwound the body, a panic value that is not one
+// wrapped as sigPanic. A runtime.Goexit (t.FailNow in a body) recovers as
+// nil and is not converted: the goroutine goes on exiting.
+func catch(sig *signal) {
 	switch r := recover().(type) {
 	case nil:
 	case *signal:
-		*sig = r
+		*sig = *r
 	default:
-		*sig = &signal{kind: sigPanic, reason: "panic", err: &foreignPanic{r}}
+		*sig = signal{kind: sigPanic, reason: "panic", err: &foreignPanic{r}}
 	}
 }
 
-// runBody executes fn, returning its error or the signal that unwound it.
-func runBody(fn func() error) (err error, sig *signal) {
+// runBody executes fn, returning its error or a copy of the signal that
+// unwound it (kind sigNone if none did).
+func runBody(fn func() error) (err error, sig signal) {
 	defer catch(&sig)
 	err = fn()
 	return
@@ -519,7 +532,7 @@ func runBody(fn func() error) (err error, sig *signal) {
 
 // runTx executes fn(tx) like runBody, without allocating an adapter
 // closure on the retry path.
-func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
+func runTx(fn func(*Tx) error, tx *Tx) (err error, sig signal) {
 	defer catch(&sig)
 	err = fn(tx)
 	return
@@ -623,9 +636,15 @@ func (tx *Tx) window(from, stop *level, commit bool) (committed bool, panicked a
 
 // protect runs one handler, keeping the first value any panicked with (a
 // runtime.Goexit goes on exiting, through the window's deferred release).
+// A signal is kept as a copy: a later handler may raise the thread's one
+// signal again.
 func protect(fn func(), first *any) {
 	defer func() {
 		if r := recover(); r != nil && *first == nil {
+			if s, ok := r.(*signal); ok {
+				c := *s
+				r = &c
+			}
 			*first = r
 		}
 	}()
